@@ -1,0 +1,99 @@
+"""Golden CLI outputs: the sha256 of eleven reports, at one and two workers.
+
+Refactors of the draw, batch and emit paths must leave every report byte
+for byte as it was; a hash that moves means a stream or float-order change,
+which has to be declared rather than re-recorded silently.  The set covers
+the seven criterion-10 configs plus paths they miss: ``bounds`` on a
+dataset (the multiplier tail moment), ``bootstrap`` EB with csv output,
+``estimate-rho`` with a ``v_grid`` on a ``trunc_exp`` design, and
+``estimate-rho`` on the literal path (``exact_law: false``).
+
+Reports echo their config, so every run happens in a temporary working
+directory with relative ``out``/``dataset`` paths.  The hashes pin one
+numpy/OpenBLAS build (numpy 2.4, scipy 1.17, OpenBLAS 0.3.31 on x86-64): a
+different BLAS may round the matrix products differently.
+"""
+import hashlib
+import json
+
+import pytest
+
+from hdclt import cli
+
+DESIGN = {"kind": "gaussian", "p": 8, "covariance": {"model": "ar1", "r": 0.5}}
+ORTHANTS = {"p": 4, "sets": [
+    {"label": f"o{k}", "kind": "rect", "lower": ["-inf"] * 4, "upper": upper}
+    for k, upper in enumerate(([0.0, 0.0, 0.0, 0.0], [1.0, 0.5, 0.0, 2.0],
+                               [-0.5, 1.0, 1.5, 0.5]))
+]}
+
+# (label, command, config); run in order, since later runs read data.bin
+RUNS = (
+    ("simulate", "simulate",
+     {"seed": 1, "out": "data.bin", "design": DESIGN, "n": 400}),
+    ("bounds", "bounds",
+     {"seed": 2, "out": "bounds.json", "design": DESIGN, "n": 100, "moment_R": 2000}),
+    ("estimate-rho", "estimate-rho",
+     {"seed": 3, "out": "rho.json", "design": DESIGN, "n": 50, "family": {"K": 20},
+      "R": 20_000}),
+    ("bootstrap", "bootstrap",
+     {"seed": 4, "out": "boot.json", "dataset": "data.bin", "mode": "MB", "R": 20_000,
+      "sigma": {"source": "design", "design": DESIGN}, "family": {"K": 20}}),
+    ("rate-scan", "rate-scan",
+     {"seed": 5, "out": "scan.json", "design": {"kind": "rademacher"},
+      "n_grid": [8, 32], "p_rule": {"rule": "fixed", "p": 10}, "family": {"K": 10},
+      "R": 10_000, "moment_R": 500}),
+    ("nazarov", "nazarov",
+     {"seed": 6, "out": "nz.json",
+      "sigma": {"p": 5, "covariance": {"model": "equicorrelated", "r": 0.5}},
+      "y_count": 3, "a_grid": [0.05], "R": 5000}),
+    ("smoothmax", "smoothmax",
+     {"seed": 7, "out": "sm.json", "beta_grid": [1.0, 10.0], "p_grid": [2, 10],
+      "trials": 1000}),
+    ("bounds-dataset", "bounds",
+     {"seed": 8, "out": "bounds_data.json", "dataset": "data.bin", "moment_R": 10_000,
+      "sigma": {"source": "design", "design": DESIGN}}),
+    ("bootstrap-eb-csv", "bootstrap",
+     {"seed": 9, "out": "boot_eb.csv", "dataset": "data.bin", "mode": "EB", "R": 10_000,
+      "sigma": {"source": "empirical"}, "family": {"K": 10}, "format": "csv"}),
+    ("estimate-rho-vgrid", "estimate-rho",
+     {"seed": 10, "out": "rho_v.json", "design": {"kind": "trunc_exp", "p": 4},
+      "n": 16, "family": ORTHANTS, "v_grid": [0.0, 0.5, 1.0], "R": 3000}),
+    ("estimate-rho-literal", "estimate-rho",
+     {"seed": 11, "out": "rho_lit.json", "design": {"kind": "rademacher", "p": 6},
+      "n": 20, "family": {"K": 10}, "R": 5000, "exact_law": False}),
+)
+
+GOLDEN = {
+    "simulate": "66b1a79310a3e9d7f0d013ace84c0a00586e8355154df8a83715834ff67dfedb",
+    "bounds": "943dac99480bfa26f7348776040ed94641c19dc91bce8f576a660a5c1340f6c5",
+    "estimate-rho": "cf3e3901617c7700c3a85cce5021a7a39a3bfbccd9089f3d37a3ac6751d534b6",
+    "bootstrap": "fe9936f8ca07897bdc0fde9d23be07a227ef7860fa6b19c45b094c0763a43135",
+    "rate-scan": "fc86015831ae51e12ccf7eb5f37b35eb51fc209484f228bda4abc6daf679ad3c",
+    "nazarov": "944e4c36b0fd2ff0450c9d2d22110ecd2ef5fbd18147a069837565799734a5d4",
+    "smoothmax": "eb7ca42caa4ca41ad3f62e8048ec127d3acf2161deb8f18207426d9f97fd3e13",
+    "bounds-dataset": "b4687814807f0dbe64bdf9ed04006ee355566f44be083e0f61a53ef63825fdf7",
+    "bootstrap-eb-csv": "a6730b2b3102539db0538aee4a12a4b61f343085238d66bf699b035173806a67",
+    "estimate-rho-vgrid": "7e4a0d16c2ab0ea1b47fa5890a62c3038fcbed72be632b06fd9d95ad76c4d232",
+    "estimate-rho-literal": "1a7fa5df05a1dface89c05df5a370109f1ff3c3780921b96c0ec4d1a27086cd4",
+}
+
+
+def run_all(workers: str) -> dict:
+    """Run every config in the current directory; label -> report sha256."""
+    hashes = {}
+    for label, command, cfg in RUNS:
+        path = f"{label}.cfg.json"
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        code = cli.run([command, "--config", path, "--workers", workers])
+        assert code == 0, f"{label}: exit {code}"
+        with open(cfg["out"], "rb") as fh:
+            hashes[label] = hashlib.sha256(fh.read()).hexdigest()
+    return hashes
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_golden_reports(tmp_path, monkeypatch, workers):
+    monkeypatch.chdir(tmp_path)
+    assert run_all(workers) == GOLDEN
