@@ -15,15 +15,8 @@ import numpy as np
 from . import rng
 from .datagen import Dataset, DesignSpec, population_moments, sample_dataset
 from .errors import ParameterError
-from .sums import (
-    CovMatrix,
-    empirical_covariance,
-    gaussian_draw_batch,
-    multiplier_draw_batch,
-    robust_cholesky,
-)
-
-_BATCH = 1 << 13
+from .montecarlo import GaussianSumSampler, MultiplierSampler, _batches
+from .sums import CovMatrix, empirical_covariance, robust_cholesky
 
 
 @dataclass(frozen=True)
@@ -166,6 +159,19 @@ def _moment_from_sums(total: float, total_sq: float, count: int) -> MomentEstima
     return MomentEstimate(value=mean, se=se, R=count)
 
 
+def _tail_moment(sampler, tau: float, R: int, seed: int) -> MomentEstimate:
+    # batch by batch over the fixed grid of montecarlo, so memory stays at
+    # one batch of draws; replication r uses the key mix64(seed, r)
+    if R < 1:
+        raise ParameterError(f"need at least one replication, got {R!r}")
+    total = total_sq = 0.0
+    for start, count in _batches(R):
+        s, s2, _ = _tail_cube_stats(sampler.draw(seed, start, count), tau)
+        total += s
+        total_sq += s2
+    return _moment_from_sums(total, total_sq, R)
+
+
 def tail_third_moment_bootstrap(dataset: Dataset, phi: float, R: int,
                                 seed: int) -> MomentEstimate:
     """Monte Carlo tail third moment of the multiplier-bootstrap maximum.
@@ -173,38 +179,15 @@ def tail_third_moment_bootstrap(dataset: Dataset, phi: float, R: int,
     Averages the cubed draw maximum above the cutoff over R multiplier
     draws of the given dataset; replication r uses substream mix64(seed, r).
     """
-    if R < 1:
-        raise ParameterError(f"need at least one replication, got {R!r}")
     tau = truncation_threshold(phi, dataset.n, dataset.p)
-    total = total_sq = 0.0
-    done = 0
-    while done < R:
-        b = min(_BATCH, R - done)
-        draws = multiplier_draw_batch(dataset, seed, done, b)
-        s, s2, _ = _tail_cube_stats(draws, tau)
-        total += s
-        total_sq += s2
-        done += b
-    return _moment_from_sums(total, total_sq, R)
+    return _tail_moment(MultiplierSampler(dataset), tau, R, seed)
 
 
 def tail_third_moment_gaussian(sigma: CovMatrix, n: int, phi: float, R: int,
                                seed: int) -> MomentEstimate:
     """Monte Carlo tail third moment of the N(0, sigma) coordinate maximum."""
-    if R < 1:
-        raise ParameterError(f"need at least one replication, got {R!r}")
     tau = truncation_threshold(phi, n, sigma.p)
-    chol = robust_cholesky(sigma)
-    total = total_sq = 0.0
-    done = 0
-    while done < R:
-        b = min(_BATCH, R - done)
-        draws = gaussian_draw_batch(chol, seed, done, b)
-        s, s2, _ = _tail_cube_stats(draws, tau)
-        total += s
-        total_sq += s2
-        done += b
-    return _moment_from_sums(total, total_sq, R)
+    return _tail_moment(GaussianSumSampler(robust_cholesky(sigma)), tau, R, seed)
 
 
 def _check_rate_args(p: int, n: int) -> None:

@@ -25,6 +25,7 @@ import sys
 
 import numpy as np
 
+from . import rng
 from .bounds import BoundParams, report_from_dataset, report_from_design
 from .datagen import (
     DesignSpec,
@@ -96,10 +97,16 @@ def _out_path(cfg: dict) -> str:
     return str(_require(cfg, "out"))
 
 
-def _params(cfg: dict, *, b: float, B_n: float) -> BoundParams:
-    block = cfg.get("params", {})
+def _block(cfg: dict, key: str) -> dict:
+    """An optional sub-object of the config; absent means empty."""
+    block = cfg.get(key, {})
     if not isinstance(block, dict):
-        raise ConfigError("config key 'params' must be an object")
+        raise ConfigError(f"config key {key!r} must be an object")
+    return block
+
+
+def _params(cfg: dict, *, b: float, B_n: float) -> BoundParams:
+    block = _block(cfg, "params")
     try:
         return BoundParams(
             b=float(block.get("b", b)),
@@ -121,9 +128,8 @@ def _design(cfg: dict, key: str = "design") -> DesignSpec:
 
 
 def _family(cfg: dict, p: int, sigma_diag: np.ndarray, seed: int):
-    block = _require(cfg, "family")
-    if not isinstance(block, dict):
-        raise ConfigError("config key 'family' must be an object")
+    _require(cfg, "family")
+    block = _block(cfg, "family")
     if "sets" in block:
         fam = family_from_config(block)
         if fam.p != p:
@@ -135,16 +141,12 @@ def _family(cfg: dict, p: int, sigma_diag: np.ndarray, seed: int):
     count = int(block.get("K", 100))
     fam_seed = block.get("seed")
     if fam_seed is None:
-        from . import rng
-
         fam_seed = rng.mix64(seed, 3)  # derived family stream, tag 3
     return sample_rectangles(p, count, sigma_diag, int(fam_seed))
 
 
 def _sigma_for(cfg: dict, dataset=None) -> CovMatrix:
-    block = cfg.get("sigma", {"source": "design"})
-    if not isinstance(block, dict):
-        raise ConfigError("config key 'sigma' must be an object")
+    block = _block(cfg, "sigma")
     source = block.get("source", "design")
     if source == "empirical":
         if dataset is None:
@@ -172,6 +174,16 @@ def _echo(cfg: dict, command: str) -> dict:
     # everything needed to reproduce the numbers; the worker knob is
     # deliberately excluded because it never changes them
     return {"command": command, "config": cfg}
+
+
+def _emit(cfg: dict, command: str, table, **fields) -> None:
+    """Write the json report (config echo plus ``fields``), or ``table`` in
+    any other ``format`` the config names."""
+    fmt = cfg.get("format", "json")
+    if fmt == "json":
+        emit_report(dict(_echo(cfg, command), **fields), _out_path(cfg), "json")
+    else:
+        emit_report(table, _out_path(cfg), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +236,8 @@ def _cmd_estimate_rho(cfg: dict, workers) -> None:
     else:
         est = gaussian_approx_gap(design, n, sigma, family, R, seed, workers,
                                   bool(cfg.get("exact_law", True)))
-    fmt = cfg.get("format", "json")
-    if fmt == "json":
-        payload = dict(_echo(cfg, "estimate-rho"),
-                       family=family_to_config(family), estimate=est.to_config())
-        emit_report(payload, _out_path(cfg), "json")
-    else:
-        emit_report(est, _out_path(cfg), fmt)
+    _emit(cfg, "estimate-rho", est,
+          family=family_to_config(family), estimate=est.to_config())
 
 
 def _cmd_bootstrap(cfg: dict, workers) -> None:
@@ -245,20 +252,15 @@ def _cmd_bootstrap(cfg: dict, workers) -> None:
         )
     family = _family(cfg, dataset.p, np.sqrt(np.diag(sigma.matrix)), seed)
     est = bootstrap_gap(dataset, sigma, family, R, seed, mode, workers)
-    fmt = cfg.get("format", "json")
-    if fmt == "json":
-        payload = dict(_echo(cfg, "bootstrap"),
-                       family=family_to_config(family), estimate=est.to_config())
-        emit_report(payload, _out_path(cfg), "json")
-    else:
-        emit_report(est, _out_path(cfg), fmt)
+    _emit(cfg, "bootstrap", est,
+          family=family_to_config(family), estimate=est.to_config())
 
 
 def _cmd_rate_scan(cfg: dict, workers) -> None:
     seed = _seed(cfg)
     params = None
     if "params" in cfg:
-        block = cfg["params"]
+        block = _block(cfg, "params")
         if "b" not in block or "B_n" not in block:
             raise ConfigError("rate-scan params need explicit b and B_n")
         params = _params(cfg, b=block["b"], B_n=block["B_n"])
@@ -266,7 +268,7 @@ def _cmd_rate_scan(cfg: dict, workers) -> None:
         design=_require(cfg, "design"),
         n_grid=tuple(_require(cfg, "n_grid")),
         p_rule=_require(cfg, "p_rule"),
-        family_K=int(cfg.get("family", {}).get("K", 100)),
+        family_K=int(_block(cfg, "family").get("K", 100)),
         R=int(_require(cfg, "R")),
         seed=seed,
         params=params,
@@ -277,12 +279,7 @@ def _cmd_rate_scan(cfg: dict, workers) -> None:
         raise ConfigError("rate-scan design must omit 'p'; the p_rule supplies it")
     DesignSpec.from_config(dict(spec.design, p=3))  # validate the template early
     result = rate_scan(spec, workers)
-    fmt = cfg.get("format", "json")
-    if fmt == "json":
-        payload = dict(_echo(cfg, "rate-scan"), result=result.to_config())
-        emit_report(payload, _out_path(cfg), "json")
-    else:
-        emit_report(result, _out_path(cfg), fmt)
+    _emit(cfg, "rate-scan", result, result=result.to_config())
 
 
 def _cmd_nazarov(cfg: dict, workers) -> None:
@@ -301,12 +298,7 @@ def _cmd_nazarov(cfg: dict, workers) -> None:
         seed=seed,
         workers=workers,
     )
-    fmt = cfg.get("format", "json")
-    if fmt == "json":
-        payload = dict(_echo(cfg, "nazarov"), result=result.to_config())
-        emit_report(payload, _out_path(cfg), "json")
-    else:
-        emit_report(result, _out_path(cfg), fmt)
+    _emit(cfg, "nazarov", result, result=result.to_config())
 
 
 def _cmd_smoothmax(cfg: dict, workers) -> None:

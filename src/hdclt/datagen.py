@@ -534,11 +534,18 @@ def read_dataset(path: str) -> Dataset:
     with open(path, "rb") as fh:
         head = fh.read(4)
         if head == _MAGIC:
-            (version,) = struct.unpack("<I", fh.read(4))
+            header = fh.read(20)
+            if len(header) != 20:
+                raise OSError(f"{path}: dataset header needs 24 bytes, "
+                              f"found {4 + len(header)}")
+            version, n, p = struct.unpack("<IQQ", header)
             if version != _VERSION:
                 raise ParameterError(f"unsupported dataset version {version}")
-            n, p = struct.unpack("<QQ", fh.read(16))
-            data = np.frombuffer(fh.read(8 * n * p), dtype="<f8").reshape(n, p)
+            payload = fh.read()
+            if len(payload) != 8 * n * p:
+                raise OSError(f"{path}: dataset shape ({n}, {p}) needs {8 * n * p} "
+                              f"payload bytes, found {len(payload)}")
+            data = np.frombuffer(payload, dtype="<f8").reshape(n, p)
             return Dataset(values=data.astype(np.float64))
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)

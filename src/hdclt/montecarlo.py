@@ -37,6 +37,7 @@ from .sums import (
     CholFactor,
     CovMatrix,
     empirical_resample_draw_batch,
+    gaussian_draw_batch,
     multiplier_draw_batch,
     robust_cholesky,
 )
@@ -62,7 +63,11 @@ def default_workers() -> int:
 # ---------------------------------------------------------------------------
 
 class _Sampler:
-    """Base: replication r of stream ``seed`` uses the key ``mix64(seed, r)``."""
+    """Base: replication r of stream ``seed`` uses the key ``mix64(seed, r)``.
+
+    ``draw`` is the one place that turns a batch ``(seed, start, count)``
+    into replication keys; ``draw_keys`` maps keys to one draw per key.
+    """
 
     p: int
 
@@ -82,8 +87,7 @@ class GaussianSumSampler(_Sampler):
         self.p = chol.p
 
     def draw_keys(self, keys: np.ndarray) -> np.ndarray:
-        z = rng.to_normal(rng.word_grid(keys, self.p))
-        return z @ self.chol.L.T
+        return gaussian_draw_batch(self.chol, keys)
 
 
 class DesignSumSampler(_Sampler):
@@ -141,8 +145,8 @@ class InterpolatedSampler(_Sampler):
     """sqrt(v) * (data sum) + sqrt(1 - v) * N(0, L L'), independent branches.
 
     Replication r derives ``s_r = mix64(seed, r)`` and feeds branch keys
-    ``mix64(s_r, 1)`` (data) and ``mix64(s_r, 2)`` (gaussian), matching the
-    single-draw convention.
+    ``mix64(s_r, 1)`` (data) and ``mix64(s_r, 2)`` (gaussian); at v = 1 or
+    v = 0 the draw is exactly the corresponding branch.
     """
 
     def __init__(self, design: DesignSpec, n: int, chol: CholFactor, v: float,
@@ -162,26 +166,24 @@ class InterpolatedSampler(_Sampler):
         return math.sqrt(self.v) * sx + math.sqrt(1.0 - self.v) * sy
 
 
-class MultiplierSampler:
+class _DatasetSampler(_Sampler):
+    def __init__(self, dataset: Dataset):
+        self.dataset = dataset
+        self.p = dataset.p
+
+
+class MultiplierSampler(_DatasetSampler):
     """Multiplier-bootstrap draws of a fixed dataset."""
 
-    def __init__(self, dataset: Dataset):
-        self.dataset = dataset
-        self.p = dataset.p
-
-    def draw(self, seed: int, start: int, count: int) -> np.ndarray:
-        return multiplier_draw_batch(self.dataset, seed, start, count)
+    def draw_keys(self, keys: np.ndarray) -> np.ndarray:
+        return multiplier_draw_batch(self.dataset, keys)
 
 
-class EmpiricalSampler:
+class EmpiricalSampler(_DatasetSampler):
     """Empirical-bootstrap draws of a fixed dataset."""
 
-    def __init__(self, dataset: Dataset):
-        self.dataset = dataset
-        self.p = dataset.p
-
-    def draw(self, seed: int, start: int, count: int) -> np.ndarray:
-        return empirical_resample_draw_batch(self.dataset, seed, start, count)
+    def draw_keys(self, keys: np.ndarray) -> np.ndarray:
+        return empirical_resample_draw_batch(self.dataset, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +198,6 @@ class ProbEstimate:
     R: int
     se: float
     seed: int
-
-    def to_config(self) -> dict:
-        return {"p_hat": self.p_hat, "R": self.R, "se": self.se, "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -312,11 +311,12 @@ def estimate_prob(sampler, set_, R: int, seed: int,
                         seed=seed)
 
 
-def _gap_from_counts(counts_1: np.ndarray, counts_2: np.ndarray,
-                     family: SetFamily, R: int, seed: int,
-                     sides: tuple) -> GapEstimate:
-    p1 = counts_1 / R
-    p2 = counts_2 / R
+def _gap(sampler_1, sampler_2, family: SetFamily, R: int, seed: int,
+         sides: tuple, workers: int | None) -> GapEstimate:
+    """Count both sides on independent streams (tags 1 and 2 of ``seed``)
+    and compare their hit fractions set by set."""
+    p1 = family_hit_counts(sampler_1, family, R, rng.mix64(seed, TAG_FIRST), workers) / R
+    p2 = family_hit_counts(sampler_2, family, R, rng.mix64(seed, TAG_SECOND), workers) / R
     diff = np.abs(p1 - p2)
     se = np.sqrt(p1 * (1.0 - p1) / R + p2 * (1.0 - p2) / R)
     k = int(np.argmax(diff))
@@ -345,11 +345,9 @@ def gaussian_approx_gap(design: DesignSpec, n: int, sigma: CovMatrix,
     """Sup over the family of |P(sum in A) - P(N(0, sigma) in A)|, estimated
     from R fresh-sum draws against R gaussian draws on independent streams."""
     _check_gap_args(family, R)
-    sampler_x = DesignSumSampler(design, n, exact_law)
-    sampler_y = GaussianSumSampler(robust_cholesky(sigma))
-    counts_x = family_hit_counts(sampler_x, family, R, rng.mix64(seed, TAG_FIRST), workers)
-    counts_y = family_hit_counts(sampler_y, family, R, rng.mix64(seed, TAG_SECOND), workers)
-    return _gap_from_counts(counts_x, counts_y, family, R, seed, ("sum", "gaussian"))
+    return _gap(DesignSumSampler(design, n, exact_law),
+                GaussianSumSampler(robust_cholesky(sigma)),
+                family, R, seed, ("sum", "gaussian"), workers)
 
 
 def bootstrap_gap(dataset: Dataset, sigma: CovMatrix, family: SetFamily,
@@ -359,17 +357,12 @@ def bootstrap_gap(dataset: Dataset, sigma: CovMatrix, family: SetFamily,
     against N(0, sigma) draws.  ``mode`` is "MB" (multiplier) or "EB"
     (empirical)."""
     _check_gap_args(family, R)
-    if mode == "MB":
-        sampler_b = MultiplierSampler(dataset)
-    elif mode == "EB":
-        sampler_b = EmpiricalSampler(dataset)
-    else:
+    if mode not in ("MB", "EB"):
         raise ParameterError(f"mode must be 'MB' or 'EB', got {mode!r}")
-    sampler_y = GaussianSumSampler(robust_cholesky(sigma))
-    counts_b = family_hit_counts(sampler_b, family, R, rng.mix64(seed, TAG_FIRST), workers)
-    counts_y = family_hit_counts(sampler_y, family, R, rng.mix64(seed, TAG_SECOND), workers)
-    return _gap_from_counts(counts_b, counts_y, family, R, seed,
-                            ("multiplier" if mode == "MB" else "empirical", "gaussian"))
+    sampler_b = MultiplierSampler(dataset) if mode == "MB" else EmpiricalSampler(dataset)
+    sides = ("multiplier" if mode == "MB" else "empirical", "gaussian")
+    return _gap(sampler_b, GaussianSumSampler(robust_cholesky(sigma)),
+                family, R, seed, sides, workers)
 
 
 def _require_lower_orthants(family: SetFamily) -> None:
@@ -400,15 +393,9 @@ def interpolation_gap(design: DesignSpec, n: int, sigma: CovMatrix,
     per_v = []
     sup = 0.0
     for k, v in enumerate(v_grid):
-        sub_seed = rng.mix64(seed, TAG_GRID + k)
-        sampler_i = InterpolatedSampler(design, n, chol, v, exact_law)
-        sampler_y = GaussianSumSampler(chol)
-        counts_i = family_hit_counts(sampler_i, family, R,
-                                     rng.mix64(sub_seed, TAG_FIRST), workers)
-        counts_y = family_hit_counts(sampler_y, family, R,
-                                     rng.mix64(sub_seed, TAG_SECOND), workers)
-        est = _gap_from_counts(counts_i, counts_y, family, R, sub_seed,
-                               ("interpolated", "gaussian"))
+        est = _gap(InterpolatedSampler(design, n, chol, v, exact_law),
+                   GaussianSumSampler(chol), family, R,
+                   rng.mix64(seed, TAG_GRID + k), ("interpolated", "gaussian"), workers)
         per_v.append((v, est))
         sup = max(sup, est.sup_diff)
     floor = noise_floor(R, len(family) * len(v_grid))

@@ -107,11 +107,3 @@ def to_uniform(w: np.ndarray) -> np.ndarray:
 def to_normal(w: np.ndarray) -> np.ndarray:
     """Map 64-bit words to standard normals via the inverse Gaussian CDF."""
     return ndtri(to_uniform(w))
-
-
-def uniforms(key: int, count: int, offset: int = 0) -> np.ndarray:
-    return to_uniform(words(key, count, offset))
-
-
-def normals(key: int, count: int, offset: int = 0) -> np.ndarray:
-    return to_normal(words(key, count, offset))

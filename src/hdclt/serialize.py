@@ -49,7 +49,7 @@ def to_jsonable(obj: Any) -> Any:
     return obj
 
 
-def dumps(obj: Any, indent: int = 0) -> str:
+def dumps(obj: Any) -> str:
     """Render a jsonable structure deterministically; see the module docstring."""
     out: list[str] = []
     _write(to_jsonable(obj), out)

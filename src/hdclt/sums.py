@@ -6,6 +6,9 @@ gaussians with average covariance S has exactly the law N(0, S), so one
 factored draw is exact in law and costs O(p^2) per replication instead of
 O(n p).  The multiplier and empirical bootstrap draws are computed from
 their defining weighted sums.
+
+Each draw kernel maps an array of replication keys to one draw per key;
+the samplers of :mod:`hdclt.montecarlo` derive the keys.
 """
 from __future__ import annotations
 
@@ -15,30 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .datagen import Dataset, DesignSpec, sample_dataset
+from .datagen import Dataset
 from .errors import NotPositiveSemidefiniteError, ParameterError
-
-SUM_KINDS = ("x", "y", "interpolated", "multiplier", "empirical")
-
-# Substream tags for draws that consume two independent branches.
-TAG_DATA_BRANCH = 1
-TAG_GAUSS_BRANCH = 2
-
-
-@dataclass(frozen=True)
-class SumVector:
-    """A single realization of one of the normalized-sum statistics."""
-
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or not np.all(np.isfinite(v)):
-            raise ParameterError("sum vector must be a finite 1-d array")
-        if self.kind not in SUM_KINDS:
-            raise ParameterError(f"unknown sum kind {self.kind!r}")
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -65,15 +46,6 @@ class CovMatrix:
     def p(self) -> int:
         return self.matrix.shape[0]
 
-    def to_config(self) -> dict:
-        return {"p": self.p, "data": [float(v) for v in self.matrix.ravel()]}
-
-    @staticmethod
-    def from_config(cfg: dict, flavor: str = "population") -> "CovMatrix":
-        p = int(cfg["p"])
-        data = np.asarray(cfg["data"], dtype=np.float64).reshape(p, p)
-        return CovMatrix(data, flavor=flavor)
-
 
 @dataclass(frozen=True)
 class CholFactor:
@@ -87,10 +59,9 @@ class CholFactor:
         return self.L.shape[0]
 
 
-def normalized_sum(dataset: Dataset) -> SumVector:
+def normalized_sum(dataset: Dataset) -> np.ndarray:
     """Column sums scaled by n^{-1/2}."""
-    n = dataset.n
-    return SumVector(dataset.values.sum(axis=0) / math.sqrt(n), kind="x")
+    return dataset.values.sum(axis=0) / math.sqrt(dataset.n)
 
 
 def empirical_covariance(dataset: Dataset) -> CovMatrix:
@@ -121,94 +92,38 @@ def robust_cholesky(cov: CovMatrix, base_jitter: float = 1e-10) -> CholFactor:
     )
 
 
-def gaussian_draw(chol: CholFactor, seed: int) -> SumVector:
-    """One N(0, L L') draw; word t of the stream feeds coordinate t."""
-    z = rng.normals(seed, chol.p)
-    return SumVector(chol.L @ z, kind="y")
-
-
-def gaussian_draw_batch(chol: CholFactor, seed: int, start: int, count: int) -> np.ndarray:
-    """Rows r = start..start+count-1 of the replication stream, one draw each.
-
-    Row r consumes the same stream words as ``gaussian_draw(chol,
-    mix64(seed, r))`` and agrees with it up to the float summation order of
-    the matrix product.  The batch path itself is deterministic for fixed
-    batch boundaries, which is what the estimators rely on.
-    """
-    keys = rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
+def gaussian_draw_batch(chol: CholFactor, keys: np.ndarray) -> np.ndarray:
+    """One N(0, L L') draw per replication key; word t of a key's stream
+    feeds coordinate t."""
     z = rng.to_normal(rng.word_grid(keys, chol.p))
     return z @ chol.L.T
 
 
-def interpolated_draw(design: DesignSpec, n: int, chol: CholFactor,
-                      v: float, seed: int) -> SumVector:
-    """sqrt(v) * (data sum) + sqrt(1-v) * (gaussian analog), independent branches.
+def multiplier_draw_batch(dataset: Dataset, keys: np.ndarray) -> np.ndarray:
+    """n^{-1/2} sum of centered rows weighted by independent standard normals,
+    one draw per replication key (word i of a key's stream weights row i).
 
-    The data branch uses substream mix64(seed, 1), the gaussian branch
-    mix64(seed, 2); at v = 1 or v = 0 the law is exactly the corresponding
-    endpoint.
-    """
-    if not (0.0 <= v <= 1.0):
-        raise ParameterError(f"interpolation weight must be in [0, 1], got {v!r}")
-    if chol.p != design.p:
-        raise ParameterError("factor dimension does not match design dimension")
-    sx = normalized_sum(sample_dataset(design, n, rng.mix64(seed, TAG_DATA_BRANCH)))
-    sy = gaussian_draw(chol, rng.mix64(seed, TAG_GAUSS_BRANCH))
-    vals = math.sqrt(v) * sx.values + math.sqrt(1.0 - v) * sy.values
-    return SumVector(vals, kind="interpolated")
-
-
-def multiplier_draw(dataset: Dataset, seed: int) -> SumVector:
-    """n^{-1/2} sum of centered rows weighted by independent standard normals.
-
-    Conditional on the data the draw is exactly gaussian with the empirical
+    Conditional on the data each draw is exactly gaussian with the empirical
     covariance.
     """
-    if dataset.n < 2:
-        raise ParameterError("multiplier draw needs n >= 2")
-    e = rng.normals(seed, dataset.n)
-    centered = dataset.values - dataset.values.mean(axis=0)
-    return SumVector(centered.T @ e / math.sqrt(dataset.n), kind="multiplier")
-
-
-def multiplier_draw_batch(dataset: Dataset, seed: int, start: int, count: int) -> np.ndarray:
-    """Batched multiplier draws; row r matches ``multiplier_draw(dataset,
-    mix64(seed, r))`` up to float summation order (same stream words)."""
-    keys = rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
     e = rng.to_normal(rng.word_grid(keys, dataset.n))
     centered = dataset.values - dataset.values.mean(axis=0)
     return e @ centered / math.sqrt(dataset.n)
 
 
-def _resample_indices(words: np.ndarray, n: int) -> np.ndarray:
-    idx = (rng.to_uniform(words) * n).astype(np.int64)
-    np.minimum(idx, n - 1, out=idx)
-    return idx
+def empirical_resample_draw_batch(dataset: Dataset, keys: np.ndarray) -> np.ndarray:
+    """n^{-1/2} sum of n rows resampled with replacement, centered at the
+    mean, one draw per replication key (word i of a key's stream picks the
+    i-th resampled row).
 
-
-def empirical_resample_draw(dataset: Dataset, seed: int) -> SumVector:
-    """n^{-1/2} sum of n rows resampled with replacement, centered at the mean."""
-    if dataset.n < 2:
-        raise ParameterError("empirical bootstrap draw needs n >= 2")
-    n = dataset.n
-    idx = _resample_indices(rng.words(seed, n), n)
-    total = dataset.values[idx].sum(axis=0)
-    vals = (total - n * dataset.values.mean(axis=0)) / math.sqrt(n)
-    return SumVector(vals, kind="empirical")
-
-
-def empirical_resample_draw_batch(dataset: Dataset, seed: int,
-                                  start: int, count: int) -> np.ndarray:
-    """Batched empirical-bootstrap draws via per-replication row counts.
-
-    Summing each resampled multiset through its count vector gives the same
-    row totals as materializing the resample; row r matches
-    ``empirical_resample_draw(dataset, mix64(seed, r))`` up to float
-    summation order, and the batch path is itself deterministic.
+    Each resampled multiset is summed through its row-count vector, which
+    gives the same row totals as materializing the resample up to float
+    summation order.
     """
     n = dataset.n
-    keys = rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
-    idx = _resample_indices(rng.word_grid(keys, n), n)
+    count = len(keys)
+    idx = (rng.to_uniform(rng.word_grid(keys, n)) * n).astype(np.int64)
+    np.minimum(idx, n - 1, out=idx)
     flat = idx + (np.arange(count, dtype=np.int64) * n)[:, None]
     counts = np.bincount(flat.ravel(), minlength=count * n).reshape(count, n)
     totals = counts.astype(np.float64) @ dataset.values

@@ -23,7 +23,9 @@ from hdclt.geometry import (
     sandwich_check,
 )
 from hdclt.montecarlo import (
+    EmpiricalSampler,
     GaussianSumSampler,
+    MultiplierSampler,
     bootstrap_gap,
     estimate_prob,
     gaussian_approx_gap,
@@ -32,8 +34,6 @@ from hdclt.bounds import rate_terms, smoothing_parameter
 from hdclt.sums import (
     CovMatrix,
     empirical_covariance,
-    empirical_resample_draw_batch,
-    multiplier_draw_batch,
     robust_cholesky,
 )
 
@@ -95,14 +95,15 @@ def test_criterion_04_bootstrap_conditional_identities():
     shat = empirical_covariance(data).matrix
     R = 100_000
 
-    draws = multiplier_draw_batch(data, 31, 0, R)
+    draws = MultiplierSampler(data).draw(31, 0, R)
     outer = draws.T @ draws / R
     tol = 6.0 * np.sqrt((np.outer(np.diag(shat), np.diag(shat)) + shat**2) / R)
     cov_ok = bool(np.all(np.abs(outer - shat) <= tol))
 
     means = np.zeros(20)
+    eb = EmpiricalSampler(data)
     for start in range(0, R, 20_000):
-        means += empirical_resample_draw_batch(data, 32, start, 20_000).sum(axis=0)
+        means += eb.draw(32, start, 20_000).sum(axis=0)
     means /= R
     mean_tol = 4.0 * np.sqrt(np.diag(shat) / R)
     mean_ok = bool(np.all(np.abs(means) <= mean_tol))

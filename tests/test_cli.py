@@ -228,3 +228,36 @@ def test_help_exits_0():
     code, out, _ = run_cli(["--help"])
     assert code == 0
     assert "Commands" in out or "commands" in out
+
+
+def test_rate_scan_non_object_family_exits_2(tmp_path):
+    cfg = {
+        "seed": 11, "out": str(tmp_path / "scan.json"),
+        "design": {"kind": "rademacher"},
+        "n_grid": [8, 32], "p_rule": {"rule": "fixed", "p": 10}, "R": 5000,
+    }
+    path = write_config(tmp_path, "scan.json", cfg)
+    for override in ("family=5", "params=[1, 2]"):
+        code, _, err = run_cli(["rate-scan", "--config", path, "--set", override])
+        assert code == 2, err
+        assert "must be an object" in err
+
+
+def test_truncated_binary_dataset_exits_4(tmp_path):
+    sim = {"seed": 7, "out": str(tmp_path / "data.bin"), "n": 400,
+           "design": {"kind": "gaussian", "p": 8}}
+    assert run_cli(["simulate", "--config", write_config(tmp_path, "s.json", sim)])[0] == 0
+    blob = (tmp_path / "data.bin").read_bytes()
+    boot = {"seed": 8, "out": str(tmp_path / "boot.json"), "mode": "MB", "R": 1000,
+            "sigma": {"source": "empirical"}, "family": {"K": 4}}
+    for size, found in ((1000, 976), (1003, 979), (10, None)):
+        cut = tmp_path / f"cut{size}.bin"
+        cut.write_bytes(blob[:size])
+        path = write_config(tmp_path, "b.json", dict(boot, dataset=str(cut)))
+        code, _, err = run_cli(["bootstrap", "--config", path])
+        assert code == 4, err
+        assert str(cut) in err
+        if found is None:
+            assert "header needs 24 bytes, found 10" in err
+        else:
+            assert f"needs {8 * 400 * 8} payload bytes, found {found}" in err

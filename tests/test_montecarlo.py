@@ -181,7 +181,7 @@ def test_literal_sampler_matches_normalized_sum():
     draws = sampler.draw(55, 0, 8)
     for r in (0, 3, 7):
         ds = sample_dataset(design, 10, rng.mix64(55, r))
-        assert np.allclose(draws[r], normalized_sum(ds).values, rtol=1e-12, atol=1e-14)
+        assert np.allclose(draws[r], normalized_sum(ds), rtol=1e-12, atol=1e-14)
 
 
 def test_interpolation_zero_weight_below_floor():

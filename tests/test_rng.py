@@ -31,18 +31,18 @@ def test_offset_slicing_is_order_independent():
 
 
 def test_uniforms_open_interval():
-    u = rng.uniforms(5, 200_000)
+    u = rng.to_uniform(rng.words(5, 200_000))
     assert u.min() > 0.0 and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 0.005
 
 
 def test_normals_moments():
-    z = rng.normals(6, 200_000)
+    z = rng.to_normal(rng.words(6, 200_000))
     assert abs(z.mean()) < 0.01
     assert abs(z.var() - 1.0) < 0.02
 
 
 def test_streams_decorrelated():
-    a = rng.normals(1, 50_000)
-    b = rng.normals(2, 50_000)
+    a = rng.to_normal(rng.words(1, 50_000))
+    b = rng.to_normal(rng.words(2, 50_000))
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.02

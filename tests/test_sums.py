@@ -6,34 +6,40 @@ import pytest
 from hdclt import rng
 from hdclt.datagen import DesignSpec, Dataset, sample_dataset
 from hdclt.errors import NotPositiveSemidefiniteError, ParameterError
+from hdclt.montecarlo import GaussianSumSampler, InterpolatedSampler
 from hdclt.sums import (
     CholFactor,
     CovMatrix,
     empirical_covariance,
-    empirical_resample_draw,
     empirical_resample_draw_batch,
-    gaussian_draw,
     gaussian_draw_batch,
-    interpolated_draw,
-    multiplier_draw,
     multiplier_draw_batch,
     normalized_sum,
     robust_cholesky,
 )
 
 
+def keys(seed, count):
+    """Replication keys mix64(seed, r) for r = 0..count-1."""
+    return rng.mix64_array(seed, np.arange(count, dtype=np.uint64))
+
+
+def one_key(key):
+    return np.array([key], dtype=np.uint64)
+
+
 def test_normalized_sum_hand_cases():
-    assert normalized_sum(Dataset(np.ones((4, 1)))).values[0] == 2.0
+    assert normalized_sum(Dataset(np.ones((4, 1))))[0] == 2.0
     alt = Dataset(np.array([[1.0], [-1.0], [1.0], [-1.0]]))
-    assert normalized_sum(alt).values[0] == 0.0
+    assert normalized_sum(alt)[0] == 0.0
     two = Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert np.allclose(normalized_sum(two).values, 1.0 / math.sqrt(2.0))
+    assert np.allclose(normalized_sum(two), 1.0 / math.sqrt(2.0))
 
 
 def test_normalized_sum_negation():
     ds = sample_dataset(DesignSpec(kind="gaussian", p=3), 10, 3)
     neg = Dataset(-ds.values)
-    assert np.array_equal(normalized_sum(neg).values, -normalized_sum(ds).values)
+    assert np.array_equal(normalized_sum(neg), -normalized_sum(ds))
 
 
 def test_empirical_covariance_divisor_n():
@@ -72,23 +78,24 @@ def test_cholesky_rejects_indefinite():
 
 def test_gaussian_draw_zero_factor():
     chol = CholFactor(L=np.zeros((3, 3)))
-    assert np.all(gaussian_draw(chol, 5).values == 0.0)
+    assert np.all(gaussian_draw_batch(chol, keys(5, 4)) == 0.0)
 
 
 def test_gaussian_draw_statistics():
     chol = robust_cholesky(CovMatrix(np.eye(3)))
-    draws = gaussian_draw_batch(chol, 11, 0, 100_000)
+    draws = gaussian_draw_batch(chol, keys(11, 100_000))
     assert np.all(np.abs(draws.var(axis=0) - 1.0) <= 5.0 * math.sqrt(2.0 / 100_000))
     one = robust_cholesky(CovMatrix(np.array([[4.0]])))
-    d1 = gaussian_draw_batch(one, 12, 0, 100_000)
+    d1 = gaussian_draw_batch(one, keys(12, 100_000))
     assert abs(d1.mean()) <= 4.0 * 2.0 / math.sqrt(100_000)
 
 
 def test_gaussian_batch_matches_single():
     chol = robust_cholesky(CovMatrix(np.array([[2.0, 0.5], [0.5, 1.0]])))
-    batch = gaussian_draw_batch(chol, 42, 0, 20)
+    batch = gaussian_draw_batch(chol, keys(42, 20))
     for r in (0, 7, 19):
-        single = gaussian_draw(chol, rng.mix64(42, r)).values
+        # word t of the replication's stream feeds coordinate t
+        single = chol.L @ rng.to_normal(rng.words(rng.mix64(42, r), 2))
         assert np.allclose(batch[r], single, rtol=1e-12, atol=1e-14)
 
 
@@ -96,7 +103,7 @@ def test_gaussian_covariance_convergence():
     sigma = np.array([[1.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 1.0]])
     chol = robust_cholesky(CovMatrix(sigma))
     R = 100_000
-    draws = gaussian_draw_batch(chol, 3, 0, R)
+    draws = gaussian_draw_batch(chol, keys(3, R))
     got = draws.T @ draws / R
     tol = 6.0 * np.sqrt((np.outer(np.diag(sigma), np.diag(sigma)) + sigma**2) / R)
     assert np.all(np.abs(got - sigma) <= tol)
@@ -105,24 +112,25 @@ def test_gaussian_covariance_convergence():
 def test_interpolated_boundaries_exact():
     design = DesignSpec(kind="gaussian", p=3)
     chol = robust_cholesky(CovMatrix(np.eye(3)))
-    at_one = interpolated_draw(design, 10, chol, 1.0, 99)
+    key = one_key(99)
+    at_one = InterpolatedSampler(design, 10, chol, 1.0, exact_law=False).draw_keys(key)
     sx = normalized_sum(sample_dataset(design, 10, rng.mix64(99, 1)))
-    assert np.array_equal(at_one.values, sx.values)
-    at_zero = interpolated_draw(design, 10, chol, 0.0, 99)
-    sy = gaussian_draw(chol, rng.mix64(99, 2))
-    assert np.array_equal(at_zero.values, sy.values)
+    assert np.array_equal(at_one[0], sx)
+    at_zero = InterpolatedSampler(design, 10, chol, 0.0, exact_law=False).draw_keys(key)
+    sy = GaussianSumSampler(chol).draw_keys(one_key(rng.mix64(99, 2)))
+    assert np.array_equal(at_zero, sy)
     with pytest.raises(ParameterError):
-        interpolated_draw(design, 10, chol, 1.5, 99)
+        InterpolatedSampler(design, 10, chol, 1.5, exact_law=False)
 
 
 def test_multiplier_draw_identical_rows_zero():
     const = Dataset(np.full((6, 3), 1.7))
-    assert np.all(multiplier_draw(const, 9).values == 0.0)
+    assert np.all(multiplier_draw_batch(const, keys(9, 4)) == 0.0)
 
 
 def test_multiplier_draw_variance():
     data = Dataset(np.array([[1.0], [-1.0]]))
-    draws = multiplier_draw_batch(data, 5, 0, 100_000)
+    draws = multiplier_draw_batch(data, keys(5, 100_000))
     assert abs(draws.var() - 1.0) <= 5.0 * math.sqrt(2.0 / 100_000)
     assert abs(draws.mean()) <= 4.0 * math.sqrt(1.0 / 100_000)
 
@@ -131,7 +139,7 @@ def test_multiplier_conditional_covariance_identity():
     data = Dataset(np.random.default_rng(0).standard_normal((50, 4)))
     shat = empirical_covariance(data).matrix
     R = 100_000
-    draws = multiplier_draw_batch(data, 77, 0, R)
+    draws = multiplier_draw_batch(data, keys(77, R))
     got = draws.T @ draws / R
     tol = 6.0 * np.sqrt((np.outer(np.diag(shat), np.diag(shat)) + shat**2) / R)
     assert np.all(np.abs(got - shat) <= tol)
@@ -139,35 +147,42 @@ def test_multiplier_conditional_covariance_identity():
 
 def test_multiplier_batch_matches_single():
     data = Dataset(np.random.default_rng(1).standard_normal((20, 3)))
-    batch = multiplier_draw_batch(data, 5, 0, 10)
+    batch = multiplier_draw_batch(data, keys(5, 10))
+    centered = data.values - data.values.mean(axis=0)
     for r in (0, 3, 9):
-        single = multiplier_draw(data, rng.mix64(5, r)).values
+        # word i of the replication's stream weights centered row i
+        e = rng.to_normal(rng.words(rng.mix64(5, r), 20))
+        single = centered.T @ e / math.sqrt(20)
         assert np.allclose(batch[r], single, rtol=1e-12, atol=1e-14)
 
 
 def test_empirical_draw_identical_rows_zero():
     const = Dataset(np.full((6, 3), -0.4))
-    assert np.all(empirical_resample_draw(const, 3).values == 0.0)
+    # zero up to the rounding of summing -0.4 through each row-count vector
+    draws = empirical_resample_draw_batch(const, keys(3, 4))
+    assert np.all(np.abs(draws) <= 1e-15)
 
 
 def test_empirical_draw_conditional_moments():
     data = Dataset(np.array([[1.0], [-1.0]]))
-    draws = empirical_resample_draw_batch(data, 6, 0, 100_000)
+    draws = empirical_resample_draw_batch(data, keys(6, 100_000))
     assert abs(draws.var() - 1.0) <= 5.0 * math.sqrt(2.0 / 100_000)
     assert abs(draws.mean()) <= 4.0 * math.sqrt(1.0 / 100_000)
 
 
 def test_empirical_batch_matches_single():
     data = Dataset(np.random.default_rng(2).standard_normal((30, 3)))
-    batch = empirical_resample_draw_batch(data, 8, 0, 10)
+    batch = empirical_resample_draw_batch(data, keys(8, 10))
     for r in (0, 4, 9):
-        single = empirical_resample_draw(data, rng.mix64(8, r)).values
+        # word i of the replication's stream picks the i-th resampled row
+        u = rng.to_uniform(rng.words(rng.mix64(8, r), 30))
+        idx = np.minimum((u * 30).astype(np.int64), 29)
+        total = data.values[idx].sum(axis=0)
+        single = (total - 30 * data.values.mean(axis=0)) / math.sqrt(30)
         assert np.allclose(batch[r], single, rtol=1e-12, atol=1e-14)
 
 
 def test_draws_are_deterministic():
     data = Dataset(np.random.default_rng(3).standard_normal((25, 4)))
-    assert np.array_equal(multiplier_draw(data, 9).values, multiplier_draw(data, 9).values)
-    assert np.array_equal(
-        empirical_resample_draw(data, 9).values, empirical_resample_draw(data, 9).values
-    )
+    for kernel in (multiplier_draw_batch, empirical_resample_draw_batch):
+        assert np.array_equal(kernel(data, keys(9, 5)), kernel(data, keys(9, 5)))
