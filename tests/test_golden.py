@@ -1,12 +1,15 @@
-"""Golden CLI outputs: the sha256 of eleven reports, at one and two workers.
+"""Golden CLI outputs: the sha256 of fifteen reports, at one and two workers.
 
 Refactors of the draw, batch and emit paths must leave every report byte
 for byte as it was; a hash that moves means a stream or float-order change,
 which has to be declared rather than re-recorded silently.  The set covers
 the seven criterion-10 configs plus paths they miss: ``bounds`` on a
 dataset (the multiplier tail moment), ``bootstrap`` EB with csv output,
-``estimate-rho`` with a ``v_grid`` on a ``trunc_exp`` design, and
-``estimate-rho`` on the literal path (``exact_law: false``).
+``estimate-rho`` with a ``v_grid`` on a ``trunc_exp`` design,
+``estimate-rho`` on the literal path (``exact_law: false``), the csv tables
+of ``rate-scan`` (with a censored row) and ``nazarov``, and the optional
+report fields (``rate-scan`` with explicit ``params``, ``bounds`` with
+``params.q`` and ``params.alpha``).
 
 Reports echo their config, so every run happens in a temporary working
 directory with relative ``out``/``dataset`` paths.  The hashes pin one
@@ -62,6 +65,22 @@ RUNS = (
     ("estimate-rho-literal", "estimate-rho",
      {"seed": 11, "out": "rho_lit.json", "design": {"kind": "rademacher", "p": 6},
       "n": 20, "family": {"K": 10}, "R": 5000, "exact_law": False}),
+    ("rate-scan-csv", "rate-scan",
+     {"seed": 12, "out": "scan.csv", "design": {"kind": "rademacher"},
+      "n_grid": [4, 8, 64], "p_rule": {"rule": "fixed", "p": 10}, "family": {"K": 10},
+      "R": 10_000, "moment_R": 500, "format": "csv"}),
+    ("nazarov-csv", "nazarov",
+     {"seed": 13, "out": "nz.csv",
+      "sigma": {"p": 5, "covariance": {"model": "ar1", "r": 0.3}},
+      "y_count": 3, "a_grid": [0.05, 0.2], "R": 5000, "format": "csv"}),
+    ("rate-scan-params", "rate-scan",
+     {"seed": 14, "out": "scan_params.json", "design": {"kind": "gaussian"},
+      "n_grid": [8, 32], "p_rule": {"rule": "fixed", "p": 6}, "family": {"K": 10},
+      "R": 5000, "moment_R": 500,
+      "params": {"b": 1.0, "B_n": 2.0, "q": 4.0, "alpha": 0.1}}),
+    ("bounds-q-alpha", "bounds",
+     {"seed": 15, "out": "bounds_qa.json", "design": DESIGN, "n": 100, "moment_R": 2000,
+      "params": {"q": 4.0, "alpha": 0.1}}),
 )
 
 GOLDEN = {
@@ -76,6 +95,10 @@ GOLDEN = {
     "bootstrap-eb-csv": "a6730b2b3102539db0538aee4a12a4b61f343085238d66bf699b035173806a67",
     "estimate-rho-vgrid": "7e4a0d16c2ab0ea1b47fa5890a62c3038fcbed72be632b06fd9d95ad76c4d232",
     "estimate-rho-literal": "1a7fa5df05a1dface89c05df5a370109f1ff3c3780921b96c0ec4d1a27086cd4",
+    "rate-scan-csv": "07a9495086b1cdbdee371bbaca514e20b770d8644eee4280332e92d2b167de33",
+    "nazarov-csv": "39051cd04cc4e445b7bb5e78c258998085892a58109828b508f907acf007a5e2",
+    "rate-scan-params": "bb84b9257463694b4c76338821ed6ef846cb0d797edba785bde313168afa2ddb",
+    "bounds-q-alpha": "4a8cbbd71e1ca951014628a138fb21686442390ff0a28a83d6f1de1e02e4f67a",
 }
 
 
