@@ -46,14 +46,6 @@ class BoundParams:
                 f"params.alpha must lie in (0, 1/e), got {self.alpha!r}"
             )
 
-    def to_config(self) -> dict:
-        out = {"b": self.b, "B_n": self.B_n, "K1": self.K1, "K2": self.K2}
-        if self.q is not None:
-            out["q"] = self.q
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-        return out
-
 
 @dataclass(frozen=True)
 class MomentEstimate:
@@ -85,27 +77,6 @@ class BoundReport:
     D2q_alpha: float | None = None
     delta_nr: float | None = None
     moment_R: int = 0
-
-    def to_config(self) -> dict:
-        out = {
-            "provenance": self.provenance,
-            "params": self.params.to_config(),
-            "n": self.n,
-            "p": self.p,
-            "L_n": self.L_n,
-            "M_x": self.M_x,
-            "M_y": self.M_y,
-            "M_y_se": self.M_y_se,
-            "phi_n": self.phi_n,
-            "phi_used": self.phi_used,
-            "main_bound": self.main_bound,
-            "moment_R": self.moment_R,
-        }
-        for key in ("D1", "D2q", "D1_alpha", "D2q_alpha", "delta_nr"):
-            v = getattr(self, key)
-            if v is not None:
-                out[key] = v
-        return out
 
 
 def _as_matrix(data) -> np.ndarray:

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import rng
+from . import rng, serialize
 from .bounds import BoundParams, report_from_dataset, report_from_design
 from .datagen import (
     DesignSpec,
@@ -35,13 +35,15 @@ from .datagen import (
     write_dataset,
 )
 from .errors import NotPositiveSemidefiniteError, ParameterError
-from .experiments import ScanSpec, emit_report, nazarov_check, rate_scan, smoothmax_check
+from .experiments import ScanSpec, nazarov_check, rate_scan, smoothmax_check
 from .geometry import family_from_config, family_to_config, sample_rectangles
 from .montecarlo import bootstrap_gap, gaussian_approx_gap, interpolation_gap
 from .sums import CovMatrix, empirical_covariance
 
 COMMANDS = ("simulate", "bounds", "estimate-rho", "bootstrap", "rate-scan",
             "nazarov", "smoothmax")
+# commands whose report has a table of rows, written with ``format: csv``
+TABULAR = ("estimate-rho", "bootstrap", "rate-scan", "nazarov")
 
 USAGE = __doc__
 
@@ -170,25 +172,48 @@ def _workers(cfg: dict, cli_value: int | None) -> int | None:
     return None
 
 
-def _echo(cfg: dict, command: str) -> dict:
-    # everything needed to reproduce the numbers; the worker knob is
-    # deliberately excluded because it never changes them
-    return {"command": command, "config": cfg}
-
-
-def _emit(cfg: dict, command: str, table, **fields) -> None:
-    """Write the json report (config echo plus ``fields``), or ``table`` in
-    any other ``format`` the config names."""
+def _check_output(cfg: dict, command: str) -> None:
+    """Reject a missing ``out`` or a ``format`` the command cannot write
+    before any work is done."""
+    _out_path(cfg)
+    if command == "simulate":
+        fmt = cfg.get("format")
+        if fmt not in (None, "bin", "csv"):
+            raise ConfigError(f"simulate: unknown dataset format {fmt!r}")
+        return
     fmt = cfg.get("format", "json")
-    if fmt == "json":
-        emit_report(dict(_echo(cfg, command), **fields), _out_path(cfg), "json")
+    if fmt not in ("json", "csv"):
+        raise ConfigError(f"{command}: unknown report format {fmt!r}")
+    what = command
+    if command == "estimate-rho" and cfg.get("v_grid") is not None:
+        what = "estimate-rho with v_grid"  # the interpolation report has no table
+    if fmt == "csv" and what not in TABULAR:
+        raise ConfigError(f"{what} has no csv table; use format 'json'")
+
+
+def _write_report(cfg: dict, command: str, fields: dict, rows) -> None:
+    """Write the report byte-stably: the config echo plus ``fields`` as
+    json, or the table ``rows`` under ``format: csv``."""
+    if cfg.get("format", "json") == "csv":
+        text = serialize.csv_table(rows)
     else:
-        emit_report(table, _out_path(cfg), fmt)
+        # everything needed to reproduce the numbers; the worker knob is
+        # deliberately excluded because it never changes them
+        text = serialize.dumps(dict(fields, command=command, config=cfg))
+    path = _out_path(cfg)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # command implementations
 # ---------------------------------------------------------------------------
+
+# Each report command returns ``(fields, rows)``: the json report fields
+# after the config echo and the rows of its csv table (None without one).
 
 def _cmd_simulate(cfg: dict, workers) -> None:
     design = _design(cfg)
@@ -198,7 +223,7 @@ def _cmd_simulate(cfg: dict, workers) -> None:
     write_dataset(dataset, _out_path(cfg), cfg.get("format"))
 
 
-def _cmd_bounds(cfg: dict, workers) -> None:
+def _cmd_bounds(cfg: dict, workers):
     seed = _seed(cfg)
     moment_R = int(cfg.get("moment_R", 10_000))
     if "dataset" in cfg:
@@ -216,11 +241,10 @@ def _cmd_bounds(cfg: dict, workers) -> None:
         moments = population_moments(design)
         params = _params(cfg, b=moments.b_lower, B_n=moments.B_n)
         report = report_from_design(design, n, params, moment_R, seed)
-    payload = dict(_echo(cfg, "bounds"), report=report.to_config())
-    emit_report(payload, _out_path(cfg), "json")
+    return {"report": report}, None
 
 
-def _cmd_estimate_rho(cfg: dict, workers) -> None:
+def _cmd_estimate_rho(cfg: dict, workers):
     design = _design(cfg)
     n = int(_require(cfg, "n"))
     seed = _seed(cfg)
@@ -233,14 +257,15 @@ def _cmd_estimate_rho(cfg: dict, workers) -> None:
     if v_grid is not None:
         est = interpolation_gap(design, n, sigma, family, v_grid, R, seed,
                                 workers, bool(cfg.get("exact_law", True)))
+        rows = None
     else:
         est = gaussian_approx_gap(design, n, sigma, family, R, seed, workers,
                                   bool(cfg.get("exact_law", True)))
-    _emit(cfg, "estimate-rho", est,
-          family=family_to_config(family), estimate=est.to_config())
+        rows = est.per_set
+    return {"family": family_to_config(family), "estimate": est}, rows
 
 
-def _cmd_bootstrap(cfg: dict, workers) -> None:
+def _cmd_bootstrap(cfg: dict, workers):
     dataset = read_dataset(str(_require(cfg, "dataset")))
     mode = str(_require(cfg, "mode"))
     seed = _seed(cfg)
@@ -252,11 +277,10 @@ def _cmd_bootstrap(cfg: dict, workers) -> None:
         )
     family = _family(cfg, dataset.p, np.sqrt(np.diag(sigma.matrix)), seed)
     est = bootstrap_gap(dataset, sigma, family, R, seed, mode, workers)
-    _emit(cfg, "bootstrap", est,
-          family=family_to_config(family), estimate=est.to_config())
+    return {"family": family_to_config(family), "estimate": est}, est.per_set
 
 
-def _cmd_rate_scan(cfg: dict, workers) -> None:
+def _cmd_rate_scan(cfg: dict, workers):
     seed = _seed(cfg)
     params = None
     if "params" in cfg:
@@ -279,10 +303,10 @@ def _cmd_rate_scan(cfg: dict, workers) -> None:
         raise ConfigError("rate-scan design must omit 'p'; the p_rule supplies it")
     DesignSpec.from_config(dict(spec.design, p=3))  # validate the template early
     result = rate_scan(spec, workers)
-    _emit(cfg, "rate-scan", result, result=result.to_config())
+    return {"result": result}, result.rows
 
 
-def _cmd_nazarov(cfg: dict, workers) -> None:
+def _cmd_nazarov(cfg: dict, workers):
     seed = _seed(cfg)
     block = _require(cfg, "sigma")
     design = DesignSpec.from_config({
@@ -298,10 +322,10 @@ def _cmd_nazarov(cfg: dict, workers) -> None:
         seed=seed,
         workers=workers,
     )
-    _emit(cfg, "nazarov", result, result=result.to_config())
+    return {"result": result}, result.rows
 
 
-def _cmd_smoothmax(cfg: dict, workers) -> None:
+def _cmd_smoothmax(cfg: dict, workers):
     seed = _seed(cfg)
     worst = smoothmax_check(
         beta_grid=_require(cfg, "beta_grid"),
@@ -309,9 +333,7 @@ def _cmd_smoothmax(cfg: dict, workers) -> None:
         trials=int(_require(cfg, "trials")),
         seed=seed,
     )
-    payload = dict(_echo(cfg, "smoothmax"), max_violation=worst,
-                   passes=bool(worst <= 1e-12))
-    emit_report(payload, _out_path(cfg), "json")
+    return {"max_violation": worst, "passes": bool(worst <= 1e-12)}, None
 
 
 _HANDLERS = {
@@ -371,7 +393,10 @@ def run(argv: list, stdout=None, stderr=None) -> int:
         for assignment in overrides:
             _apply_override(cfg, assignment)
         workers = _workers(cfg, workers)
-        _HANDLERS[command](cfg, workers)
+        _check_output(cfg, command)
+        report = _HANDLERS[command](cfg, workers)
+        if report is not None:  # simulate writes its dataset itself
+            _write_report(cfg, command, *report)
     except (ConfigError, ParameterError, json.JSONDecodeError, KeyError,
             TypeError, ValueError) as exc:
         return _fail(stderr, 2, str(exc))

@@ -78,12 +78,6 @@ class CovarianceModel:
         idx = np.arange(p)
         return self.r ** np.abs(idx[:, None] - idx[None, :])
 
-    def to_config(self) -> dict:
-        out = {"model": self.kind}
-        if self.r is not None:
-            out["r"] = self.r
-        return out
-
     @staticmethod
     def from_config(cfg: dict) -> "CovarianceModel":
         if not isinstance(cfg, dict) or "model" not in cfg:
@@ -148,20 +142,6 @@ class DesignSpec:
             raise ParameterError(f"design {self.kind!r} has a fixed scale of 1")
         if self.kind == "log_concave" and self.variant == "gaussian" and self.scale != 1.0:
             raise ParameterError("gaussian log_concave variant has a fixed scale of 1")
-
-    def to_config(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "p": self.p,
-            "covariance": self.covariance.to_config(),
-            "scale": self.scale,
-            "standardize": self.standardize,
-        }
-        if self.tail_index is not None:
-            out["tail_index"] = self.tail_index
-        if self.variant is not None:
-            out["variant"] = self.variant
-        return out
 
     @staticmethod
     def from_config(cfg: dict) -> "DesignSpec":
@@ -366,7 +346,7 @@ def population_moments(design: DesignSpec) -> MomentReport:
         B_n=B,
         L_n_population=third,
         fourth_moment_max=fourth,
-        sigma=CovMatrix(sigma, flavor="population"),
+        sigma=CovMatrix(sigma),
         condition_flags=flags,
         tail_index=design.tail_index,
         e1_value=e1,

@@ -1,5 +1,5 @@
-"""Study drivers: rate scans, the anti-concentration check, the smooth-max
-sandwich check, and byte-stable report emission."""
+"""Study drivers: rate scans, the anti-concentration check and the smooth-max
+sandwich check."""
 from __future__ import annotations
 
 import math
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from . import rng, serialize
+from . import rng
 from .bounds import (
     BoundParams,
     gaussian_approx_bound,
@@ -83,21 +83,6 @@ class ScanSpec:
             raise ParameterError("family_K must be positive")
         object.__setattr__(self, "n_grid", ns)
 
-    def to_config(self) -> dict:
-        out = {
-            "design": dict(self.design),
-            "n_grid": list(self.n_grid),
-            "p_rule": dict(self.p_rule),
-            "family_K": self.family_K,
-            "R": self.R,
-            "seed": self.seed,
-            "moment_R": self.moment_R,
-            "exact_law": self.exact_law,
-        }
-        if self.params is not None:
-            out["params"] = self.params.to_config()
-        return out
-
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -125,26 +110,6 @@ class ScanResult:
     slope_se: float | None
     slope_logp: float | None
     spec: ScanSpec
-
-    def to_config(self) -> dict:
-        return {
-            "rows": [
-                {"n": r.n, "p": r.p, "rho_hat": r.rho_hat,
-                 "noise_floor": r.noise_floor, "D1": r.D1,
-                 "main_bound": r.main_bound, "censored": r.censored}
-                for r in self.rows
-            ],
-            "slope": self.slope,
-            "slope_se": self.slope_se,
-            "slope_logp": self.slope_logp,
-            "spec": self.spec.to_config(),
-        }
-
-    def csv_rows(self) -> tuple[list, list]:
-        header = ["n", "p", "rho_hat", "noise_floor", "D1", "main_bound", "censored"]
-        rows = [[r.n, r.p, r.rho_hat, r.noise_floor, r.D1, r.main_bound,
-                 int(r.censored)] for r in self.rows]
-        return header, rows
 
 
 def _ls_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float | None]:
@@ -227,23 +192,6 @@ class NazarovResult:
     max_ratio: float
     R: int
     seed: int
-
-    def to_config(self) -> dict:
-        return {
-            "rows": [
-                {"p": r.p, "a": r.a, "y_label": r.y_label, "diff_hat": r.diff_hat,
-                 "se": r.se, "ratio": r.ratio}
-                for r in self.rows
-            ],
-            "max_ratio": self.max_ratio,
-            "R": self.R,
-            "seed": self.seed,
-        }
-
-    def csv_rows(self) -> tuple[list, list]:
-        header = ["p", "a", "y_label", "diff_hat", "se", "ratio"]
-        rows = [[r.p, r.a, r.y_label, r.diff_hat, r.se, r.ratio] for r in self.rows]
-        return header, rows
 
 
 def nazarov_check(sigma: CovMatrix, y_count: int, a_grid, R: int, seed: int,
@@ -350,32 +298,3 @@ def smoothmax_check(beta_grid, p_grid, trials: int, seed: int) -> float:
             upper = math.log(p) / beta
             worst = max(worst, float(np.max(-gap)), float(np.max(gap - upper)))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# emission
-# ---------------------------------------------------------------------------
-
-def emit_report(result, path: str, format: str = "json") -> None:
-    """Write a result byte-stably; rerunning writes identical bytes.
-
-    ``result`` is a mapping or any object with ``to_config()``; csv output
-    additionally needs ``csv_rows()``.
-    """
-    if format == "json":
-        payload = result if isinstance(result, dict) else result.to_config()
-        text = serialize.dumps(payload)
-    elif format == "csv":
-        if not hasattr(result, "csv_rows"):
-            raise ParameterError(
-                f"{type(result).__name__} has no tabular form; use json"
-            )
-        header, rows = result.csv_rows()
-        text = serialize.csv_table(header, rows)
-    else:
-        raise ParameterError(f"unknown report format {format!r}")
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc

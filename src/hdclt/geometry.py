@@ -171,9 +171,6 @@ class SparseConvexSet:
         return ok
 
 
-SetDescriptor = (Hyperrectangle, Polytope, SparseConvexSet)
-
-
 @dataclass(frozen=True)
 class SetFamily:
     """A labelled list of set descriptors sharing one ambient dimension."""

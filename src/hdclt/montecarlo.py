@@ -202,9 +202,12 @@ class ProbEstimate:
 
 @dataclass(frozen=True)
 class GapRow:
+    """One set of a family: the hit fractions of the two sides (``p_x`` the
+    first, ``p_y`` the second) and their difference."""
+
     label: str
-    p_first: float
-    p_second: float
+    p_x: float
+    p_y: float
     diff: float
     se_diff: float
 
@@ -215,32 +218,19 @@ class GapEstimate:
 
     sup_diff: float
     argmax_set_label: str
-    per_set: tuple
+    per_set: tuple  # tuple of GapRow, one per set of the family
     R: int
     noise_floor: float
     seed: int
     sides: tuple = ("first", "second")
 
-    def to_config(self) -> dict:
-        return {
-            "sup_diff": self.sup_diff,
-            "argmax_set_label": self.argmax_set_label,
-            "R": self.R,
-            "noise_floor": self.noise_floor,
-            "seed": self.seed,
-            "sides": list(self.sides),
-            "per_set": [
-                {"label": r.label, "p_x": r.p_first, "p_y": r.p_second,
-                 "diff": r.diff, "se_diff": r.se_diff}
-                for r in self.per_set
-            ],
-        }
 
-    def csv_rows(self) -> tuple[list, list]:
-        header = ["label", "p_x", "p_y", "diff", "se_diff"]
-        rows = [[r.label, r.p_first, r.p_second, r.diff, r.se_diff]
-                for r in self.per_set]
-        return header, rows
+@dataclass(frozen=True)
+class InterpolationPoint:
+    """The gap estimate at one interpolation weight."""
+
+    v: float
+    estimate: GapEstimate
 
 
 @dataclass(frozen=True)
@@ -249,18 +239,9 @@ class InterpolationEstimate:
 
     sup_diff: float
     noise_floor: float
-    per_v: tuple  # tuple of (v, GapEstimate)
+    per_v: tuple  # tuple of InterpolationPoint, in grid order
     R: int
     seed: int
-
-    def to_config(self) -> dict:
-        return {
-            "sup_diff": self.sup_diff,
-            "noise_floor": self.noise_floor,
-            "R": self.R,
-            "seed": self.seed,
-            "per_v": [{"v": v, "estimate": est.to_config()} for v, est in self.per_v],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +302,7 @@ def _gap(sampler_1, sampler_2, family: SetFamily, R: int, seed: int,
     se = np.sqrt(p1 * (1.0 - p1) / R + p2 * (1.0 - p2) / R)
     k = int(np.argmax(diff))
     rows = tuple(
-        GapRow(label=family.labels[i], p_first=float(p1[i]), p_second=float(p2[i]),
+        GapRow(label=family.labels[i], p_x=float(p1[i]), p_y=float(p2[i]),
                diff=float(diff[i]), se_diff=float(se[i]))
         for i in range(len(family))
     )
@@ -396,7 +377,7 @@ def interpolation_gap(design: DesignSpec, n: int, sigma: CovMatrix,
         est = _gap(InterpolatedSampler(design, n, chol, v, exact_law),
                    GaussianSumSampler(chol), family, R,
                    rng.mix64(seed, TAG_GRID + k), ("interpolated", "gaussian"), workers)
-        per_v.append((v, est))
+        per_v.append(InterpolationPoint(v=v, estimate=est))
         sup = max(sup, est.sup_diff)
     floor = noise_floor(R, len(family) * len(v_grid))
     return InterpolationEstimate(sup_diff=sup, noise_floor=floor,

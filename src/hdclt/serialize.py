@@ -4,11 +4,15 @@ Reports must be reproducible down to the byte: keys are emitted in sorted
 order, every float is rendered with 17 significant digits (enough to
 round-trip IEEE doubles exactly), lines end with a bare newline, and
 non-finite values use the string sentinels "inf" / "-inf" / "nan".
+
+A report dataclass is its own schema: its JSON object is the mapping of
+its fields and its CSV table has its row type's field names as header.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -22,6 +26,8 @@ def format_float(x: float) -> str:
 
 
 def csv_cell(x: Any) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
     if isinstance(x, (float, np.floating)):
         v = float(x)
         if math.isnan(v):
@@ -33,7 +39,19 @@ def csv_cell(x: Any) -> str:
 
 
 def to_jsonable(obj: Any) -> Any:
-    """Coerce numpy containers and scalars into plain Python structures."""
+    """Coerce dataclasses, numpy containers and scalars into plain Python
+    structures.
+
+    A dataclass instance becomes the mapping of its fields.  A field whose
+    default is ``None`` is optional: it is left out while it holds ``None``.
+    A field without a default is always written, ``None`` as ``null``.
+    """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            f.name: to_jsonable(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+            if not (f.default is None and getattr(obj, f.name) is None)
+        }
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -115,8 +133,11 @@ def _escape(s: str) -> str:
     return "".join(parts)
 
 
-def csv_table(header: list[str], rows: list[list[Any]]) -> str:
-    lines = [",".join(header)]
+def csv_table(rows: Sequence[Any]) -> str:
+    """Render a nonempty sequence of row dataclasses of one type: a header
+    of their field names, then one line per row."""
+    names = [f.name for f in dataclasses.fields(rows[0])]
+    lines = [",".join(names)]
     for row in rows:
-        lines.append(",".join(csv_cell(v) for v in row))
+        lines.append(",".join(csv_cell(getattr(row, name)) for name in names))
     return "\n".join(lines) + "\n"

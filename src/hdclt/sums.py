@@ -24,10 +24,9 @@ from .errors import NotPositiveSemidefiniteError, ParameterError
 
 @dataclass(frozen=True)
 class CovMatrix:
-    """A symmetric covariance matrix tagged as population or empirical."""
+    """A symmetric covariance matrix."""
 
     matrix: np.ndarray
-    flavor: str = "population"
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -38,8 +37,6 @@ class CovMatrix:
             raise ParameterError("covariance must be symmetric within 1e-12")
         if float(np.min(np.diag(m))) < -1e-12 * scale:
             raise ParameterError("covariance diagonal must be nonnegative")
-        if self.flavor not in ("population", "empirical"):
-            raise ParameterError(f"unknown covariance flavor {self.flavor!r}")
         object.__setattr__(self, "matrix", (m + m.T) / 2.0)
 
     @property
@@ -67,7 +64,7 @@ def normalized_sum(dataset: Dataset) -> np.ndarray:
 def empirical_covariance(dataset: Dataset) -> CovMatrix:
     """Centered second-moment matrix with divisor n (not n-1)."""
     centered = dataset.values - dataset.values.mean(axis=0)
-    return CovMatrix(centered.T @ centered / dataset.n, flavor="empirical")
+    return CovMatrix(centered.T @ centered / dataset.n)
 
 
 def robust_cholesky(cov: CovMatrix, base_jitter: float = 1e-10) -> CholFactor:

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from hdclt import serialize
 from hdclt.bounds import (
     BoundParams,
     family_covariance_gap,
@@ -233,12 +234,13 @@ def test_orlicz_norm_homogeneous():
 def test_report_from_design_shape():
     design = DesignSpec(kind="rademacher", p=10)
     report = report_from_design(design, 200, moment_R=2000, seed=3)
-    cfg = report.to_config()
+    cfg = serialize.to_jsonable(report)
     assert cfg["provenance"] == "population"
     assert cfg["L_n"] == 1.0
     assert cfg["M_x"] == 0.0  # bounded by 1, below the cutoff at n = 200
     assert cfg["phi_used"] >= 1.0
     assert "D1" in cfg and "D2q" not in cfg
+    assert "q" not in cfg["params"] and "alpha" not in cfg["params"]
     assert cfg["main_bound"] > 0.0
 
 
@@ -247,7 +249,7 @@ def test_report_from_dataset_shape():
     params = BoundParams(b=1.0, B_n=2.0, q=5.0, alpha=0.05)
     sigma = CovMatrix(np.eye(5))
     report = report_from_dataset(ds, params, moment_R=2000, seed=4, sigma=sigma)
-    cfg = report.to_config()
+    cfg = serialize.to_jsonable(report)
     assert cfg["provenance"] == "empirical"
     assert {"D1", "D2q", "D1_alpha", "D2q_alpha", "delta_nr"} <= set(cfg)
     assert cfg["delta_nr"] == pytest.approx(

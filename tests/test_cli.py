@@ -2,10 +2,12 @@ import io
 import json
 
 import numpy as np
+import pytest
 
-from hdclt import cli
-from hdclt.datagen import read_dataset
+from hdclt import cli, serialize
+from hdclt.datagen import DesignSpec, population_moments, read_dataset
 from hdclt.errors import NotPositiveSemidefiniteError
+from hdclt.experiments import nazarov_check
 
 
 def run_cli(argv):
@@ -261,3 +263,86 @@ def test_truncated_binary_dataset_exits_4(tmp_path):
             assert "header needs 24 bytes, found 10" in err
         else:
             assert f"needs {8 * 400 * 8} payload bytes, found {found}" in err
+
+
+def nazarov_config(tmp_path, **overrides):
+    cfg = {"seed": 7, "out": str(tmp_path / "out.json"), "sigma": {"p": 3},
+           "y_count": 3, "a_grid": [0.1], "R": 2000}
+    cfg.update(overrides)
+    return cfg
+
+
+def test_report_round_trip(tmp_path):
+    path = write_config(tmp_path, "nz.json", nazarov_config(tmp_path))
+    outputs = []
+    for _ in range(2):
+        code, _, err = run_cli(["nazarov", "--config", path])
+        assert code == 0, err
+        outputs.append((tmp_path / "out.json").read_bytes())
+    assert outputs[1] == outputs[0]  # rerunning writes identical bytes
+    assert outputs[0].endswith(b"\n")
+    payload = json.loads(outputs[0])
+    assert set(payload) == {"command", "config", "result"}
+    # the report is the result dataclass, field by field
+    sigma = population_moments(DesignSpec(kind="gaussian", p=3)).sigma
+    res = nazarov_check(sigma, 3, [0.1], 2000, 7)
+    assert payload["result"] == json.loads(json.dumps(serialize.to_jsonable(res)))
+    assert set(payload["result"]) == {"rows", "max_ratio", "R", "seed"}
+
+
+def test_report_csv_schema(tmp_path):
+    cfg = nazarov_config(tmp_path, out=str(tmp_path / "out.csv"), format="csv")
+    code, _, err = run_cli(["nazarov", "--config", write_config(tmp_path, "nz.json", cfg)])
+    assert code == 0, err
+    lines = (tmp_path / "out.csv").read_text().splitlines()
+    assert lines[0] == "p,a,y_label,diff_hat,se,ratio"
+    assert len(lines) == 1 + 3
+    path = write_config(tmp_path, "nz.json", dict(cfg, format="yaml"))
+    code, _, err = run_cli(["nazarov", "--config", path])
+    assert code == 2
+    assert "nazarov: unknown report format 'yaml'" in err
+
+
+def test_report_io_failure(tmp_path):
+    cfg = nazarov_config(tmp_path, out=str(tmp_path / "missing" / "out.json"))
+    code, _, err = run_cli(["nazarov", "--config", write_config(tmp_path, "nz.json", cfg)])
+    assert code == 4
+    assert "cannot write report to" in err
+
+
+def test_bad_output_fails_before_work(tmp_path, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the estimate ran before the output was checked")
+
+    monkeypatch.setattr(cli, "gaussian_approx_gap", no_work)
+    cfg = rho_config(tmp_path, format="xml")
+    no_out = rho_config(tmp_path)
+    del no_out["out"]
+    for bad, message in ((cfg, "estimate-rho: unknown report format 'xml'"),
+                         (no_out, "missing required config key 'out'")):
+        code, _, err = run_cli(["estimate-rho", "--config",
+                                write_config(tmp_path, "c.json", bad)])
+        assert code == 2
+        assert message in err
+
+
+@pytest.mark.parametrize("command,work,cfg", [
+    ("bounds", "report_from_design",
+     {"design": {"kind": "rademacher", "p": 10}, "n": 200}),
+    ("smoothmax", "smoothmax_check",
+     {"beta_grid": [1.0], "p_grid": [2], "trials": 10}),
+    ("estimate-rho", "interpolation_gap",
+     {"design": {"kind": "rademacher", "p": 10}, "n": 50, "family": {"K": 10},
+      "R": 5000, "v_grid": [0.0, 1.0]}),
+])
+def test_csv_without_table_rejected(tmp_path, monkeypatch, command, work, cfg):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran for an unwritable format")
+
+    monkeypatch.setattr(cli, work, no_work)
+    cfg = dict(cfg, seed=1, out=str(tmp_path / "r.csv"), format="csv")
+    code, _, err = run_cli([command, "--config", write_config(tmp_path, "c.json", cfg)])
+    assert code == 2
+    assert f"error: {command}" in err and "has no csv table" in err
+    assert command != "estimate-rho" or "with v_grid" in err
+    assert not (tmp_path / "r.csv").exists()

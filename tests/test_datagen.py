@@ -209,5 +209,21 @@ def test_dataset_file_round_trips(tmp_path):
 
 
 def test_design_config_round_trip():
-    for design in ALL_DESIGNS:
-        assert DesignSpec.from_config(design.to_config()) == design
+    # one config per entry of ALL_DESIGNS, in order; the first spells out
+    # every default, the others only what differs from it
+    configs = [
+        {"kind": "rademacher", "p": 3, "covariance": {"model": "identity"},
+         "scale": 1.0, "standardize": False},
+        {"kind": "trunc_exp", "p": 3, "scale": 1.0},
+        {"kind": "heavy_tail", "p": 3, "scale": 1.0, "tail_index": 5.0},
+        {"kind": "gaussian", "p": 3},
+        {"kind": "gaussian", "p": 3, "covariance": {"model": "equicorrelated", "r": 0.5}},
+        {"kind": "gaussian", "p": 4, "covariance": {"model": "ar1", "r": 0.5}},
+        {"kind": "log_concave", "p": 3, "variant": "uniform"},
+        {"kind": "log_concave", "p": 3, "variant": "gaussian"},
+        {"kind": "heavy_tail", "p": 3, "scale": 1.0, "tail_index": 5.0, "standardize": True},
+        {"kind": "trunc_exp", "p": 3, "scale": 1.0, "standardize": True},
+    ]
+    assert len(configs) == len(ALL_DESIGNS)
+    for cfg, design in zip(configs, ALL_DESIGNS):
+        assert DesignSpec.from_config(cfg) == design

@@ -12,7 +12,6 @@ from hdclt.experiments import (
     NazarovResult,
     ScanSpec,
     dimension_rule,
-    emit_report,
     nazarov_check,
     rate_scan,
     smoothmax_check,
@@ -131,38 +130,3 @@ def test_smoothmax_validation():
         smoothmax_check([0.0], [2], 100, 1)
     with pytest.raises(ParameterError):
         smoothmax_check([1.0], [], 100, 1)
-
-
-def test_emit_report_round_trip(tmp_path):
-    sigma = population_moments(DesignSpec(kind="gaussian", p=3)).sigma
-    res = nazarov_check(sigma, 3, [0.1], 2000, 7)
-    path = tmp_path / "out.json"
-    emit_report(res, str(path), "json")
-    parsed = json.loads(path.read_text())
-    assert parsed == json.loads(json.dumps(res.to_config()))
-    emit_report(res, str(path), "json")
-    first = path.read_bytes()
-    emit_report(res, str(path), "json")
-    assert path.read_bytes() == first
-    assert first.endswith(b"\n")
-
-
-def test_emit_report_csv_schema(tmp_path):
-    sigma = population_moments(DesignSpec(kind="gaussian", p=3)).sigma
-    res = nazarov_check(sigma, 3, [0.1], 2000, 7)
-    path = tmp_path / "out.csv"
-    emit_report(res, str(path), "csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "p,a,y_label,diff_hat,se,ratio"
-    assert len(lines) == 1 + len(res.rows)
-    with pytest.raises(ParameterError):
-        emit_report({"a": 1}, str(path), "csv")
-    with pytest.raises(ParameterError):
-        emit_report(res, str(path), "yaml")
-
-
-def test_emit_report_io_failure(tmp_path):
-    sigma = population_moments(DesignSpec(kind="gaussian", p=3)).sigma
-    res = nazarov_check(sigma, 3, [0.1], 2000, 7)
-    with pytest.raises(OSError):
-        emit_report(res, str(tmp_path / "missing" / "out.json"), "json")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hdclt import rng
+from hdclt import rng, serialize
 from hdclt.datagen import CovarianceModel, Dataset, DesignSpec, population_moments, sample_dataset
 from hdclt.errors import ParameterError
 from hdclt.geometry import Hyperrectangle, SetFamily, one_sided_family, sample_rectangles
@@ -64,7 +64,7 @@ def test_single_known_set_binomial_arithmetic():
     est = gaussian_approx_gap(design, 2, sigma, fam, 50_000, 5)
     row = est.per_set[0]
     p_true = gauss_prob(-1.0, 1.0)
-    assert abs(row.diff - abs(p_true - row.p_second)) <= 3.0 * row.se_diff
+    assert abs(row.diff - abs(p_true - row.p_y)) <= 3.0 * row.se_diff
     assert est.sup_diff == row.diff
     assert est.argmax_set_label == "interval"
 
@@ -146,8 +146,8 @@ def test_bootstrap_identical_rows_hits_interior_sets():
     fam = SetFamily((inner, outside), ("in", "out"))
     for mode in ("MB", "EB"):
         est = bootstrap_gap(data, sigma, fam, 2000, 7, mode)
-        assert est.per_set[0].p_first == 1.0  # draws are exactly 0
-        assert est.per_set[1].p_first == 0.0
+        assert est.per_set[0].p_x == 1.0  # draws are exactly 0
+        assert est.per_set[1].p_x == 0.0
     with pytest.raises(ParameterError):
         bootstrap_gap(data, sigma, fam, 2000, 7, "XX")
 
@@ -207,7 +207,7 @@ def test_interpolation_endpoint_dominates():
     sigma = population_moments(design).sigma
     fam = one_sided_family(10, 20, np.ones(10), 99)
     est = interpolation_gap(design, 9, sigma, fam, [0.0, 0.5, 1.0], 50_000, 6)
-    by_v = {v: e.sup_diff for v, e in est.per_v}
+    by_v = {pt.v: pt.estimate.sup_diff for pt in est.per_v}
     floor = noise_floor(est.R, len(fam))
     assert by_v[1.0] >= by_v[0.0] - 2.0 * floor
     assert est.sup_diff == max(by_v.values())
@@ -226,10 +226,11 @@ def test_gap_estimate_serialization_schema():
     sigma = population_moments(design).sigma
     fam = sample_rectangles(4, 5, np.ones(4), 2)
     est = gaussian_approx_gap(design, 2, sigma, fam, 2000, 3)
-    cfg = est.to_config()
+    cfg = serialize.to_jsonable(est)
     assert set(cfg) == {"sup_diff", "argmax_set_label", "R", "noise_floor",
                         "seed", "sides", "per_set"}
+    assert cfg["sides"] == ["sum", "gaussian"]
     assert list(cfg["per_set"][0]) == ["label", "p_x", "p_y", "diff", "se_diff"]
-    header, rows = est.csv_rows()
-    assert header == ["label", "p_x", "p_y", "diff", "se_diff"]
+    header, *rows = serialize.csv_table(est.per_set).splitlines()
+    assert header == "label,p_x,p_y,diff,se_diff"
     assert len(rows) == 5

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +42,30 @@ def test_reemission_is_byte_stable():
     assert serialize.dumps(payload) == serialize.dumps(json.loads(serialize.dumps(payload)))
 
 
+@dataclass(frozen=True)
+class Row:
+    a: object
+    b: float
+    flag: bool = False
+
+
+@dataclass(frozen=True)
+class Report:
+    rows: tuple
+    slope: float | None  # required: written as null when None
+    note: str | None = None  # optional: left out while None
+
+
 def test_csv_table():
-    text = serialize.csv_table(["a", "b"], [[1, 0.5], ["x", math.inf]])
-    assert text == "a,b\n1,0.5\nx,inf\n"
+    text = serialize.csv_table([Row(1, 0.5), Row("x", math.inf, True)])
+    assert text == "a,b,flag\n1,0.5,0\nx,inf,1\n"
+
+
+def test_dataclass_fields_and_none_default_rule():
+    report = Report(rows=(Row(1, 0.5),), slope=None)
+    assert serialize.dumps(report) == (
+        '{"rows":[{"a":1,"b":0.5,"flag":false}],"slope":null}\n'
+    )
+    assert serialize.to_jsonable(Report(rows=(), slope=-0.5, note="n")) == {
+        "rows": [], "slope": -0.5, "note": "n",
+    }
