@@ -1,4 +1,4 @@
-"""Golden CLI outputs: the sha256 of fifteen reports, at one and two workers.
+"""Golden CLI outputs: the sha256 of twenty-two reports, at one and two workers.
 
 Refactors of the draw, batch and emit paths must leave every report byte
 for byte as it was; a hash that moves means a stream or float-order change,
@@ -9,7 +9,11 @@ dataset (the multiplier tail moment), ``bootstrap`` EB with csv output,
 ``estimate-rho`` on the literal path (``exact_law: false``), the csv tables
 of ``rate-scan`` (with a censored row) and ``nazarov``, and the optional
 report fields (``rate-scan`` with explicit ``params``, ``bounds`` with
-``params.q`` and ``params.alpha``).
+``params.q`` and ``params.alpha``).  In the last seven runs one batch
+of draws holds more than 2**22 elements of draw work, so a sampler that
+bounds the memory of one draw call splits it into slices: multiplier and
+empirical draws at n=1000, the gaussian side at p=600, the literal sum
+path at n*p=5000 and the interpolated sampler at n=2000.
 
 Reports echo their config, so every run happens in a temporary working
 directory with relative ``out``/``dataset`` paths.  The hashes pin one
@@ -24,6 +28,7 @@ import pytest
 from hdclt import cli
 
 DESIGN = {"kind": "gaussian", "p": 8, "covariance": {"model": "ar1", "r": 0.5}}
+DESIGN4 = {"kind": "gaussian", "p": 4, "covariance": {"model": "ar1", "r": 0.5}}
 ORTHANTS = {"p": 4, "sets": [
     {"label": f"o{k}", "kind": "rect", "lower": ["-inf"] * 4, "upper": upper}
     for k, upper in enumerate(([0.0, 0.0, 0.0, 0.0], [1.0, 0.5, 0.0, 2.0],
@@ -81,6 +86,29 @@ RUNS = (
     ("bounds-q-alpha", "bounds",
      {"seed": 15, "out": "bounds_qa.json", "design": DESIGN, "n": 100, "moment_R": 2000,
       "params": {"q": 4.0, "alpha": 0.1}}),
+    ("simulate-n1000", "simulate",
+     {"seed": 16, "out": "data1000.bin", "design": DESIGN4, "n": 1000}),
+    ("bootstrap-n1000", "bootstrap",
+     {"seed": 17, "out": "boot1000.json", "dataset": "data1000.bin", "mode": "MB",
+      "R": 10_000, "sigma": {"source": "design", "design": DESIGN4},
+      "family": {"K": 10}}),
+    ("bootstrap-eb-n1000-csv", "bootstrap",
+     {"seed": 18, "out": "boot_eb1000.csv", "dataset": "data1000.bin", "mode": "EB",
+      "R": 10_000, "sigma": {"source": "empirical"}, "family": {"K": 10},
+      "format": "csv"}),
+    ("bounds-dataset-n1000", "bounds",
+     {"seed": 19, "out": "bounds1000.json", "dataset": "data1000.bin",
+      "moment_R": 10_000}),
+    ("nazarov-p600", "nazarov",
+     {"seed": 20, "out": "nz600.json",
+      "sigma": {"p": 600, "covariance": {"model": "equicorrelated", "r": 0.5}},
+      "y_count": 3, "a_grid": [0.05], "R": 10_000}),
+    ("estimate-rho-literal-p50", "estimate-rho",
+     {"seed": 21, "out": "rho_lit50.json", "design": {"kind": "rademacher", "p": 50},
+      "n": 100, "family": {"K": 10}, "R": 2000, "exact_law": False}),
+    ("estimate-rho-vgrid-n2000", "estimate-rho",
+     {"seed": 22, "out": "rho_v2000.json", "design": {"kind": "trunc_exp", "p": 4},
+      "n": 2000, "family": ORTHANTS, "v_grid": [0.5], "R": 2000}),
 )
 
 GOLDEN = {
@@ -99,6 +127,13 @@ GOLDEN = {
     "nazarov-csv": "39051cd04cc4e445b7bb5e78c258998085892a58109828b508f907acf007a5e2",
     "rate-scan-params": "bb84b9257463694b4c76338821ed6ef846cb0d797edba785bde313168afa2ddb",
     "bounds-q-alpha": "4a8cbbd71e1ca951014628a138fb21686442390ff0a28a83d6f1de1e02e4f67a",
+    "simulate-n1000": "746534fd8c557016928e6ac0835aac9ad5d9c3d2bb839e5cb7036e74b77578b3",
+    "bootstrap-n1000": "f9ef51d0230fbab20462af7438ced53944799b6d8f7c92dae478d461c90547fa",
+    "bootstrap-eb-n1000-csv": "2ce44919f4eaf724c808a48a8fdc5f86dbadef75715a0918a24a7ce8d1cd43c5",
+    "bounds-dataset-n1000": "d561d577b42850b82f10b990bb6591b8b803edf2bbbe87aeb04203ddc4a6890c",
+    "nazarov-p600": "c71a41053853bf2167331b0ee6c151c88dfd99d3b5206fd99dca7a94d80bf493",
+    "estimate-rho-literal-p50": "0081482626f90c9c4d63ca391e809f653980cb52dc122250e70ac28436b77431",
+    "estimate-rho-vgrid-n2000": "740617864ff855ee638cb1f02b23bc1f614a2cd2a6ca839f3112ae6c722e7ba5",
 }
 
 
