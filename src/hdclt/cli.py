@@ -11,8 +11,8 @@ as JSON when possible and as a string otherwise.  Every output embeds the
 resolved config, so a result file alone is enough to reproduce the run.
 A seed is always required: reproducibility is mandatory, not opt-in.
 
-The worker count (``--workers`` or the HDCLT_WORKERS environment variable)
-only affects wall-clock time, never the numerical output.
+The worker count (``--workers``, one per CPU by default) only affects
+wall-clock time, never the numerical output.
 
 Exit codes: 0 success, 2 config or parameter error, 3 numerical failure,
 4 I/O failure.
@@ -160,22 +160,13 @@ def _sigma_for(cfg: dict, dataset=None) -> CovMatrix:
     raise ConfigError(f"unknown sigma source {source!r}")
 
 
-def _workers(cfg: dict, cli_value: int | None) -> int | None:
-    if cli_value is not None:
-        return cli_value
-    env = os.environ.get("HDCLT_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"HDCLT_WORKERS must be an integer, got {env!r}") from exc
-    return None
-
-
 def _check_output(cfg: dict, command: str) -> None:
-    """Reject a missing ``out`` or a ``format`` the command cannot write
-    before any work is done."""
-    _out_path(cfg)
+    """Reject a missing ``out``, a missing directory of ``out`` or a
+    ``format`` the command cannot write before any work is done."""
+    path = _out_path(cfg)
+    directory = os.path.dirname(path)
+    if directory and not os.path.isdir(directory):
+        raise OSError(f"cannot write report to {path}: no directory {directory!r}")
     if command == "simulate":
         fmt = cfg.get("format")
         if fmt not in (None, "bin", "csv"):
@@ -392,7 +383,6 @@ def run(argv: list, stdout=None, stderr=None) -> int:
         cfg = _load_config(config_path)
         for assignment in overrides:
             _apply_override(cfg, assignment)
-        workers = _workers(cfg, workers)
         _check_output(cfg, command)
         report = _HANDLERS[command](cfg, workers)
         if report is not None:  # simulate writes its dataset itself

@@ -167,15 +167,9 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An observed matrix together with the design and seed that produced it.
-
-    ``design`` and ``seed`` are ``None`` for matrices loaded from files or
-    constructed ad hoc; downstream statistics only need ``values``.
-    """
+    """An observed n x p matrix of rows."""
 
     values: np.ndarray
-    design: DesignSpec | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -217,8 +211,6 @@ class MomentReport:
     tail_index: float | None = None
     e1_value: float | None = None
     e2_value: float | None = None
-    coordinate_sd: float = 1.0
-    notes: tuple = ()
 
 
 @functools.lru_cache(maxsize=None)
@@ -319,13 +311,8 @@ def population_moments(design: DesignSpec) -> MomentReport:
 
     e1 = _exp_moment(design, B, sd)
     e2 = None
-    notes: tuple = ()
     if design.kind == "heavy_tail":
         _, _, e2 = _heavy_tail_params(design)
-        notes = (
-            "heavy_tail realizes the polynomial-tail condition with a "
-            "symmetrized Pareto of shape q+1, scaled to a max-moment of 1.8",
-        )
 
     tol = 1e-12
     flags = {
@@ -351,8 +338,6 @@ def population_moments(design: DesignSpec) -> MomentReport:
         tail_index=design.tail_index,
         e1_value=e1,
         e2_value=e2,
-        coordinate_sd=math.sqrt(base["var"]) / sd,
-        notes=notes,
     )
 
 
@@ -424,7 +409,7 @@ def sample_dataset(design: DesignSpec, n: int, seed: int) -> Dataset:
         raise ParameterError(f"need n >= 2 rows, got {n!r}")
     row_keys = rng.mix64_array(seed, np.arange(n, dtype=np.uint64))
     values = values_from_row_keys(design, row_keys)
-    return Dataset(values=values, design=design, seed=seed)
+    return Dataset(values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.stats import binom
 
 from . import rng
-from .datagen import Dataset, DesignSpec, values_from_row_keys
+from .datagen import Dataset, DesignSpec, values_from_row_keys, words_per_row
 from .errors import ParameterError
 from .geometry import Hyperrectangle, SetFamily, hit_counts
 from .sums import (
@@ -43,6 +43,8 @@ from .sums import (
 )
 
 BATCH = 1 << 13  # fixed batch size; must not depend on the worker count
+# elements one draw call may materialize; like BATCH, free of the worker count
+DRAW_BUDGET = 1 << 22
 
 TAG_FIRST = 1
 TAG_SECOND = 2
@@ -67,13 +69,25 @@ class _Sampler:
 
     ``draw`` is the one place that turns a batch ``(seed, start, count)``
     into replication keys; ``draw_keys`` maps keys to one draw per key.
+    ``size`` is the element count of the largest array one draw
+    materializes, and ``draw`` passes ``draw_keys`` consecutive slices of
+    at most ``DRAW_BUDGET // size`` keys, so memory per call is bounded
+    whatever n and p are.  Every draw depends on its key alone, so the
+    slicing never changes a number.
     """
 
     p: int
+    size: int
 
     def draw(self, seed: int, start: int, count: int) -> np.ndarray:
         keys = rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
-        return self.draw_keys(keys)
+        per = max(1, DRAW_BUDGET // self.size)
+        if per >= count:
+            return self.draw_keys(keys)
+        out = np.empty((count, self.p))
+        for i in range(0, count, per):
+            out[i:i + per] = self.draw_keys(keys[i:i + per])
+        return out
 
     def draw_keys(self, keys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -84,7 +98,7 @@ class GaussianSumSampler(_Sampler):
 
     def __init__(self, chol: CholFactor):
         self.chol = chol
-        self.p = chol.p
+        self.p = self.size = chol.p
 
     def draw_keys(self, keys: np.ndarray) -> np.ndarray:
         return gaussian_draw_batch(self.chol, keys)
@@ -117,10 +131,13 @@ class DesignSumSampler(_Sampler):
             design.kind == "log_concave" and design.variant == "gaussian"
         )
         self.mode = "literal"
+        self.size = n * self.p  # one fresh (n, p) dataset per key
         if exact_law and gaussian_like:
             self.mode = "gaussian"
+            self.size = words_per_row(design)
         elif exact_law and design.kind == "rademacher":
             self.mode = "binomial"
+            self.size = self.p
             self._cdf = binom.cdf(np.arange(n + 1), n, 0.5)
 
     def draw_keys(self, keys: np.ndarray) -> np.ndarray:
@@ -130,15 +147,8 @@ class DesignSumSampler(_Sampler):
             u = rng.to_uniform(rng.word_grid(keys, self.p))
             heads = np.searchsorted(self._cdf, u, side="left")
             return (2.0 * heads - self.n) / math.sqrt(self.n)
-        # literal: chunk replications so the (b, n, p) block stays small
-        count = len(keys)
-        out = np.empty((count, self.p))
-        per = max(1, (1 << 22) // max(1, self.n * self.p))
-        for i in range(0, count, per):
-            row_keys = rng.word_grid(keys[i:i + per], self.n)
-            vals = values_from_row_keys(self.design, row_keys)
-            out[i:i + row_keys.shape[0]] = vals.sum(axis=1) / math.sqrt(self.n)
-        return out
+        vals = values_from_row_keys(self.design, rng.word_grid(keys, self.n))
+        return vals.sum(axis=1) / math.sqrt(self.n)
 
 
 class InterpolatedSampler(_Sampler):
@@ -159,6 +169,7 @@ class InterpolatedSampler(_Sampler):
         self.inner_y = GaussianSumSampler(chol)
         self.v = v
         self.p = design.p
+        self.size = self.inner_x.size + self.inner_y.size
 
     def draw_keys(self, keys: np.ndarray) -> np.ndarray:
         sx = self.inner_x.draw_keys(rng.mix64_keys(keys, TAG_FIRST))
@@ -170,6 +181,7 @@ class _DatasetSampler(_Sampler):
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
         self.p = dataset.p
+        self.size = dataset.n  # one stream word per data row and key
 
 
 class MultiplierSampler(_DatasetSampler):

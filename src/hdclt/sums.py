@@ -67,16 +67,17 @@ def empirical_covariance(dataset: Dataset) -> CovMatrix:
     return CovMatrix(centered.T @ centered / dataset.n)
 
 
-def robust_cholesky(cov: CovMatrix, base_jitter: float = 1e-10) -> CholFactor:
-    """Cholesky factor, escalating diagonal jitter base * 2^k for k = 0..20.
+BASE_JITTER = 1e-10
+
+
+def robust_cholesky(cov: CovMatrix) -> CholFactor:
+    """Cholesky factor, escalating diagonal jitter BASE_JITTER * 2^k, k = 0..20.
 
     The first attempt uses no jitter, so well-conditioned inputs report
     ``jitter_used == 0``.  Raises after 21 failed jittered attempts.
     """
     a = cov.matrix
-    if not (base_jitter > 0.0):
-        raise ParameterError(f"base_jitter must be positive, got {base_jitter!r}")
-    jitters = [0.0] + [base_jitter * 2.0**k for k in range(21)]
+    jitters = [0.0] + [BASE_JITTER * 2.0**k for k in range(21)]
     eye = np.eye(cov.p)
     for jit in jitters:
         try:

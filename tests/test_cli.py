@@ -326,6 +326,18 @@ def test_bad_output_fails_before_work(tmp_path, monkeypatch):
         assert message in err
 
 
+def test_missing_out_directory_fails_before_work(tmp_path, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the estimate ran before the output was checked")
+
+    monkeypatch.setattr(cli, "gaussian_approx_gap", no_work)
+    cfg = rho_config(tmp_path, out=str(tmp_path / "no_dir" / "rho.json"))
+    code, _, err = run_cli(["estimate-rho", "--config",
+                            write_config(tmp_path, "c.json", cfg)])
+    assert code == 4
+    assert "cannot write report to" in err and "no_dir" in err
+
+
 @pytest.mark.parametrize("command,work,cfg", [
     ("bounds", "report_from_design",
      {"design": {"kind": "rademacher", "p": 10}, "n": 200}),

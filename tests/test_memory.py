@@ -1,0 +1,66 @@
+"""Memory of a bootstrap run is bounded by the draw budget, not by n.
+
+At n = 10^5 one unsliced batch of R = 1000 multiplier or empirical draws
+materializes several arrays of R * n = 10^8 elements, 763 MiB each.
+``_Sampler.draw`` slices every batch to
+``montecarlo.DRAW_BUDGET`` elements per array, which keeps a whole run near
+200 MiB.  Each run happens in a fresh interpreter and reports ``VmHWM``,
+the peak resident size of its own address space.  Its ``ru_maxrss`` would
+not do: Linux carries the high-water mark of the forking process (here the
+whole test session) across exec.  The child's address space is capped at
+2 GiB, so a regression fails with a MemoryError instead of taking gigabytes
+of a shared machine.
+"""
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import hdclt
+from hdclt import cli
+
+LIMIT_MIB = 512
+N = 100_000
+
+CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from hdclt import cli
+code = cli.run(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))  # KiB
+sys.exit(code)
+"""
+
+
+@pytest.fixture(scope="module")
+def dataset_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("memory")
+    cfg = {"seed": 1, "out": str(root / "data.bin"), "n": N,
+           "design": {"kind": "gaussian", "p": 4, "covariance": {"model": "ar1", "r": 0.5}}}
+    (root / "sim.json").write_text(json.dumps(cfg))
+    assert cli.run(["simulate", "--config", str(root / "sim.json")]) == 0
+    return root
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from Linux /proc")
+@pytest.mark.parametrize("mode", ["MB", "EB"])
+def test_bootstrap_peak_rss_bounded_at_large_n(dataset_dir, mode):
+    cfg = {"seed": 2, "out": str(dataset_dir / f"{mode}.json"),
+           "dataset": str(dataset_dir / "data.bin"), "mode": mode, "R": 1000,
+           "sigma": {"source": "empirical"}, "family": {"K": 10}}
+    path = dataset_dir / f"{mode}.cfg.json"
+    path.write_text(json.dumps(cfg))
+    src = os.path.dirname(os.path.dirname(hdclt.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, "bootstrap", "--config", str(path), "--workers", "1"],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mib = int(proc.stdout.split()[-1]) / 1024
+    assert peak_mib < LIMIT_MIB, f"{mode} at n={N}: peak RSS {peak_mib:.0f} MiB"

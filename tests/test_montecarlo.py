@@ -8,9 +8,13 @@ from hdclt import rng, serialize
 from hdclt.datagen import CovarianceModel, Dataset, DesignSpec, population_moments, sample_dataset
 from hdclt.errors import ParameterError
 from hdclt.geometry import Hyperrectangle, SetFamily, one_sided_family, sample_rectangles
+from hdclt import montecarlo
 from hdclt.montecarlo import (
     DesignSumSampler,
+    EmpiricalSampler,
     GaussianSumSampler,
+    InterpolatedSampler,
+    MultiplierSampler,
     bootstrap_gap,
     estimate_prob,
     family_hit_counts,
@@ -182,6 +186,42 @@ def test_literal_sampler_matches_normalized_sum():
     for r in (0, 3, 7):
         ds = sample_dataset(design, 10, rng.mix64(55, r))
         assert np.allclose(draws[r], normalized_sum(ds), rtol=1e-12, atol=1e-14)
+
+
+def _slicing_samplers():
+    chol = robust_cholesky(CovMatrix(np.eye(5)))
+    data = sample_dataset(DesignSpec(kind="trunc_exp", p=5), 40, 8)
+    rad = DesignSpec(kind="rademacher", p=5)
+    return {
+        "gaussian": GaussianSumSampler(chol),
+        "literal": DesignSumSampler(rad, 12, exact_law=False),
+        "binomial": DesignSumSampler(rad, 12),
+        "gaussian-design": DesignSumSampler(DesignSpec(kind="gaussian", p=5), 12),
+        "interpolated": InterpolatedSampler(rad, 12, chol, 0.5, exact_law=False),
+        "MB": MultiplierSampler(data),
+        "EB": EmpiricalSampler(data),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_slicing_samplers()))
+def test_draw_slices_batch_to_budget(monkeypatch, kind):
+    # every sampler hands draw_keys at most DRAW_BUDGET // size keys per
+    # call, and the slices give the same numbers as one unsliced call
+    sampler = _slicing_samplers()[kind]
+    monkeypatch.setattr(montecarlo, "DRAW_BUDGET", 200)
+    whole = sampler.draw_keys(rng.mix64_array(9, np.arange(3, 103, dtype=np.uint64)))
+    seen = []
+    draw_keys = sampler.draw_keys
+
+    def counting(keys):
+        seen.append(len(keys))
+        return draw_keys(keys)
+
+    monkeypatch.setattr(sampler, "draw_keys", counting)
+    sliced = sampler.draw(9, 3, 100)
+    per = max(1, 200 // sampler.size)
+    assert seen == [per] * (100 // per) + ([100 % per] if 100 % per else [])
+    np.testing.assert_array_equal(sliced, whole)
 
 
 def test_interpolation_zero_weight_below_floor():
