@@ -221,18 +221,17 @@ def nazarov_check(sigma: CovMatrix, y_count: int, a_grid, R: int, seed: int,
 
     sd = np.sqrt(diag)
     levels = [(k + 1) / (y_count + 1) for k in range(y_count)]
-    anchors = [float(ndtri(u)) * sd for u in levels]
+    anchors = np.array([float(ndtri(u)) * sd for u in levels])
     sampler = GaussianSumSampler(robust_cholesky(sigma))
 
+    def row_gaps(draws: np.ndarray) -> np.ndarray:
+        # max_j (w_j - y_j) of each draw w against each anchor y
+        return np.max(draws[:, None, :] - anchors, axis=2)
+
     def work(start: int, count: int) -> np.ndarray:
-        draws = sampler.draw(seed, start, count)
-        counts = np.zeros((len(anchors), len(a_grid) + 1), dtype=np.int64)
-        for k, y in enumerate(anchors):
-            gap = np.max(draws - y, axis=1)
-            counts[k, 0] = np.count_nonzero(gap <= 0.0)
-            for j, a in enumerate(a_grid):
-                counts[k, j + 1] = np.count_nonzero(gap <= a)
-        return counts
+        gaps = rng.blocked(row_gaps, sampler.draw(seed, start, count), anchors.size)
+        return np.stack([np.count_nonzero(gaps <= a, axis=0)
+                         for a in [0.0] + a_grid], axis=1)
 
     counts = np.sum(_map_batches(work, R, workers), axis=0)
 

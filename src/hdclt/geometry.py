@@ -428,19 +428,17 @@ def sandwich_check(inner: Polytope, sset: SparseConvexSet, eps: float,
     if inner.p != sset.p:
         raise ParameterError("polytope and set dimensions differ")
     outer = expand(inner, eps)
-    violations = 0
-    batch = max(1, min(trials, 1 << 16))
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        keys = rng.mix64_array(seed, np.arange(done, done + b, dtype=np.uint64))
+
+    def violated(keys: np.ndarray) -> np.ndarray:
         pts = box_halfwidth * (2.0 * rng.to_uniform(rng.word_grid(keys, sset.p)) - 1.0)
         in_inner = inner.contains_batch(pts)
         in_set = sset.contains_batch(pts)
         in_outer = outer.contains_batch(pts)
-        violations += int(np.count_nonzero((in_inner & ~in_set) | (in_set & ~in_outer)))
-        done += b
-    return violations
+        return (in_inner & ~in_set) | (in_set & ~in_outer)
+
+    keys = rng.mix64_array(seed, np.arange(trials, dtype=np.uint64))
+    # slices of 2**16 points: the membership tests hold matrix products
+    return int(np.count_nonzero(rng.blocked(violated, keys, sset.p, (1 << 16) * sset.p)))
 
 
 # ---------------------------------------------------------------------------

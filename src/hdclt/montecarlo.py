@@ -71,9 +71,9 @@ class _Sampler:
     into replication keys; ``draw_keys`` maps keys to one draw per key.
     ``size`` is the element count of the largest array one draw
     materializes, and ``draw`` passes ``draw_keys`` consecutive slices of
-    at most ``DRAW_BUDGET // size`` keys, so memory per call is bounded
-    whatever n and p are.  Every draw depends on its key alone, so the
-    slicing never changes a number.
+    at most ``DRAW_BUDGET // size`` keys (``rng.blocked``), so memory per
+    call is bounded whatever n and p are.  Every draw depends on its key
+    alone, so the slicing never changes a number.
     """
 
     p: int
@@ -81,13 +81,7 @@ class _Sampler:
 
     def draw(self, seed: int, start: int, count: int) -> np.ndarray:
         keys = rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
-        per = max(1, DRAW_BUDGET // self.size)
-        if per >= count:
-            return self.draw_keys(keys)
-        out = np.empty((count, self.p))
-        for i in range(0, count, per):
-            out[i:i + per] = self.draw_keys(keys[i:i + per])
-        return out
+        return rng.blocked(self.draw_keys, keys, self.size, DRAW_BUDGET)
 
     def draw_keys(self, keys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -141,6 +135,13 @@ class DesignSumSampler(_Sampler):
             self._cdf = binom.cdf(np.arange(n + 1), n, 0.5)
 
     def draw_keys(self, keys: np.ndarray) -> np.ndarray:
+        # every mode is elementwise per key; AR(1) rows loop over their p
+        # columns in Python, so their blocks keep at least p rows
+        ar1 = self.mode == "gaussian" and self.design.covariance.kind == "ar1"
+        budget = max(rng.BLOCK, self.p * self.size) if ar1 else None
+        return rng.blocked(self._draw_block, keys, self.size, budget)
+
+    def _draw_block(self, keys: np.ndarray) -> np.ndarray:
         if self.mode == "gaussian":
             return values_from_row_keys(self.design, keys)
         if self.mode == "binomial":

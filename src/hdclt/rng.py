@@ -31,6 +31,10 @@ _U64_MIX2 = np.uint64(_MIX2)
 # (word >> 11) spans [0, 2**53); adding 0.5 and scaling by 2**-53 gives (0, 1)
 _INV53 = float(2.0 ** -53)
 
+# elements one block of an elementwise stage touches: its temporaries stay in
+# cache instead of streaming through memory
+BLOCK = 1 << 15
+
 
 def mix64(seed: int, counter: int) -> int:
     """Avalanche mix of a seed and a counter into a 64-bit word.
@@ -107,3 +111,23 @@ def to_uniform(w: np.ndarray) -> np.ndarray:
 def to_normal(w: np.ndarray) -> np.ndarray:
     """Map 64-bit words to standard normals via the inverse Gaussian CDF."""
     return ndtri(to_uniform(w))
+
+
+def blocked(fn, rows: np.ndarray, width: int, budget: int | None = None) -> np.ndarray:
+    """``fn(rows)``, evaluated on consecutive slices of at most
+    ``budget // width`` rows (at least one) and written into one output.
+
+    ``width`` is the element count one row costs and ``budget`` defaults to
+    ``BLOCK``.  ``fn`` must treat every row independently, so the slicing
+    never changes a number; a matrix product does not qualify, since its
+    per-row rounding may depend on how many rows it gets.
+    """
+    per = max(1, (BLOCK if budget is None else budget) // width)
+    if per >= len(rows):
+        return fn(rows)
+    first = fn(rows[:per])
+    out = np.empty((len(rows),) + first.shape[1:], dtype=first.dtype)
+    out[:per] = first
+    for i in range(per, len(rows), per):
+        out[i:i + per] = fn(rows[i:i + per])
+    return out

@@ -90,11 +90,18 @@ def robust_cholesky(cov: CovMatrix) -> CholFactor:
     )
 
 
+def _normals(keys: np.ndarray, count: int) -> np.ndarray:
+    """Words 0..count-1 of each key's stream as standard normals, made in
+    cache-sized blocks; the matrix product that follows runs on the whole
+    array."""
+    return rng.blocked(lambda block: rng.to_normal(rng.word_grid(block, count)),
+                       keys, count)
+
+
 def gaussian_draw_batch(chol: CholFactor, keys: np.ndarray) -> np.ndarray:
     """One N(0, L L') draw per replication key; word t of a key's stream
     feeds coordinate t."""
-    z = rng.to_normal(rng.word_grid(keys, chol.p))
-    return z @ chol.L.T
+    return _normals(keys, chol.p) @ chol.L.T
 
 
 def multiplier_draw_batch(dataset: Dataset, keys: np.ndarray) -> np.ndarray:
@@ -104,9 +111,8 @@ def multiplier_draw_batch(dataset: Dataset, keys: np.ndarray) -> np.ndarray:
     Conditional on the data each draw is exactly gaussian with the empirical
     covariance.
     """
-    e = rng.to_normal(rng.word_grid(keys, dataset.n))
     centered = dataset.values - dataset.values.mean(axis=0)
-    return e @ centered / math.sqrt(dataset.n)
+    return _normals(keys, dataset.n) @ centered / math.sqrt(dataset.n)
 
 
 def empirical_resample_draw_batch(dataset: Dataset, keys: np.ndarray) -> np.ndarray:
@@ -119,11 +125,14 @@ def empirical_resample_draw_batch(dataset: Dataset, keys: np.ndarray) -> np.ndar
     summation order.
     """
     n = dataset.n
-    count = len(keys)
-    idx = (rng.to_uniform(rng.word_grid(keys, n)) * n).astype(np.int64)
-    np.minimum(idx, n - 1, out=idx)
-    flat = idx + (np.arange(count, dtype=np.int64) * n)[:, None]
-    counts = np.bincount(flat.ravel(), minlength=count * n).reshape(count, n)
-    totals = counts.astype(np.float64) @ dataset.values
+
+    def row_counts(block: np.ndarray) -> np.ndarray:
+        idx = (rng.to_uniform(rng.word_grid(block, n)) * n).astype(np.int64)
+        np.minimum(idx, n - 1, out=idx)
+        idx += (np.arange(len(block), dtype=np.int64) * n)[:, None]
+        counts = np.bincount(idx.ravel(), minlength=len(block) * n)
+        return counts.reshape(len(block), n).astype(np.float64)
+
+    totals = rng.blocked(row_counts, keys, n) @ dataset.values
     mean = dataset.values.mean(axis=0)
     return (totals - n * mean) / math.sqrt(n)

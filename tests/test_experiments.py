@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from hdclt import rng
 from hdclt.bounds import rate_terms
 from hdclt.datagen import DesignSpec, population_moments
 from hdclt.errors import ParameterError
@@ -17,6 +18,7 @@ from hdclt.experiments import (
     smoothmax_check,
     smoothmax_gap,
 )
+from hdclt.sums import CovMatrix
 
 mpmath.mp.dps = 50
 
@@ -101,6 +103,22 @@ def test_nazarov_small_offset_doubling():
     center = {r.a: r for r in res.rows if r.y_label == "u=0.5"}
     ratio = center[0.02].diff_hat / center[0.01].diff_hat
     assert 1.5 <= ratio <= 2.5
+
+
+_SD = np.array([0.5, 1.0, 2.0, 3.0, 0.25])
+
+
+@pytest.mark.parametrize("sigma", [
+    CovMatrix(0.5 * np.eye(5) + 0.5),  # equicorrelated, equal variances
+    CovMatrix(np.outer(_SD, _SD) * 0.3 ** np.abs(np.subtract.outer(range(5), range(5)))),
+], ids=["equicorrelated", "unequal-variance"])
+def test_nazarov_row_max_blocks_leave_results_unchanged(monkeypatch, sigma):
+    runs = []
+    for block in (7, 1 << 30):
+        monkeypatch.setattr(rng, "BLOCK", block)
+        runs.append(nazarov_check(sigma, 3, [0.05, 0.5], 3000, 4))
+    assert runs[0] == runs[1]
+    assert any(r.diff_hat > 0.0 for r in runs[0].rows)
 
 
 def test_nazarov_validation():

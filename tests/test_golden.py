@@ -18,13 +18,22 @@ path at n*p=5000 and the interpolated sampler at n=2000.
 Reports echo their config, so every run happens in a temporary working
 directory with relative ``out``/``dataset`` paths.  The hashes pin one
 numpy/OpenBLAS build (numpy 2.4, scipy 1.17, OpenBLAS 0.3.31 on x86-64): a
-different BLAS may round the matrix products differently.
+different BLAS may round the matrix products differently.  They also pin
+the BLAS thread count, since OpenBLAS splits a matrix product differently
+at one and at two threads (the multiplier draws of ``bounds-dataset``,
+n=400 and p=8, hash differently).  The hashes were recorded at two
+threads, so the runs happen in a child interpreter started with
+``OPENBLAS_NUM_THREADS=2``, whatever the calling process pinned.
 """
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hdclt
 from hdclt import cli
 
 DESIGN = {"kind": "gaussian", "p": 8, "covariance": {"model": "ar1", "r": 0.5}}
@@ -152,6 +161,16 @@ def run_all(workers: str) -> dict:
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_golden_reports(tmp_path, monkeypatch, workers):
-    monkeypatch.chdir(tmp_path)
-    assert run_all(workers) == GOLDEN
+def test_golden_reports(tmp_path, workers):
+    src = os.path.dirname(os.path.dirname(hdclt.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), workers],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == GOLDEN
+
+
+if __name__ == "__main__":
+    print(json.dumps(run_all(sys.argv[1])))

@@ -3,8 +3,11 @@
 At n = 10^5 one unsliced batch of R = 1000 multiplier or empirical draws
 materializes several arrays of R * n = 10^8 elements, 763 MiB each.
 ``_Sampler.draw`` slices every batch to
-``montecarlo.DRAW_BUDGET`` elements per array, which keeps a whole run near
-200 MiB.  Each run happens in a fresh interpreter and reports ``VmHWM``,
+``montecarlo.DRAW_BUDGET`` elements per array, and the words, uniforms,
+resample indices and normals are made in blocks of ``rng.BLOCK`` elements
+inside a slice, which keeps a whole run near 140 MiB (200 and 230 MiB for
+multiplier and empirical draws with slicing alone).  Each run happens in a
+fresh interpreter and reports ``VmHWM``,
 the peak resident size of its own address space.  Its ``ru_maxrss`` would
 not do: Linux carries the high-water mark of the forking process (here the
 whole test session) across exec.  The child's address space is capped at
@@ -21,7 +24,7 @@ import pytest
 import hdclt
 from hdclt import cli
 
-LIMIT_MIB = 512
+LIMIT_MIB = 256
 N = 100_000
 
 CHILD = """

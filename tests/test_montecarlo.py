@@ -189,7 +189,7 @@ def test_literal_sampler_matches_normalized_sum():
 
 
 def _slicing_samplers():
-    chol = robust_cholesky(CovMatrix(np.eye(5)))
+    chol = robust_cholesky(CovMatrix(CovarianceModel("ar1", 0.5).matrix(5)))
     data = sample_dataset(DesignSpec(kind="trunc_exp", p=5), 40, 8)
     rad = DesignSpec(kind="rademacher", p=5)
     return {
@@ -197,6 +197,8 @@ def _slicing_samplers():
         "literal": DesignSumSampler(rad, 12, exact_law=False),
         "binomial": DesignSumSampler(rad, 12),
         "gaussian-design": DesignSumSampler(DesignSpec(kind="gaussian", p=5), 12),
+        "ar1-design": DesignSumSampler(
+            DesignSpec(kind="gaussian", p=5, covariance=CovarianceModel("ar1", 0.5)), 12),
         "interpolated": InterpolatedSampler(rad, 12, chol, 0.5, exact_law=False),
         "MB": MultiplierSampler(data),
         "EB": EmpiricalSampler(data),
@@ -221,6 +223,30 @@ def test_draw_slices_batch_to_budget(monkeypatch, kind):
     sliced = sampler.draw(9, 3, 100)
     per = max(1, 200 // sampler.size)
     assert seen == [per] * (100 // per) + ([100 % per] if 100 % per else [])
+    np.testing.assert_array_equal(sliced, whole)
+
+
+@pytest.mark.parametrize("kind", sorted(_slicing_samplers()))
+def test_draw_blocks_leave_draws_unchanged(monkeypatch, kind):
+    # the elementwise stages run in blocks of rng.BLOCK elements; tiny
+    # blocks and one block give the same bits
+    sampler = _slicing_samplers()[kind]
+    keys = rng.mix64_array(9, np.arange(3, 103, dtype=np.uint64))
+    word_grid = rng.word_grid
+    rows = []
+
+    def counting(keys, count, offset=0):
+        rows.append(len(keys))
+        return word_grid(keys, count, offset)
+
+    monkeypatch.setattr(rng, "word_grid", counting)
+    monkeypatch.setattr(rng, "BLOCK", 7)
+    sliced = sampler.draw_keys(keys)
+    assert 0 < max(rows) < len(keys)
+    rows.clear()
+    monkeypatch.setattr(rng, "BLOCK", 1 << 30)
+    whole = sampler.draw_keys(keys)
+    assert max(rows) == len(keys)
     np.testing.assert_array_equal(sliced, whole)
 
 

@@ -46,3 +46,26 @@ def test_streams_decorrelated():
     a = rng.to_normal(rng.words(1, 50_000))
     b = rng.to_normal(rng.words(2, 50_000))
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.02
+
+
+def test_blocked_slices_rows_and_matches_one_call(monkeypatch):
+    keys = rng.mix64_array(3, np.arange(23, dtype=np.uint64))
+    seen = []
+
+    def normals(block):
+        seen.append(len(block))
+        return rng.to_normal(rng.word_grid(block, 4))
+
+    whole = normals(keys)
+    seen.clear()
+    out = rng.blocked(normals, keys, 4, 20)  # 20 // 4 = 5 rows per slice
+    assert seen == [5, 5, 5, 5, 3]
+    np.testing.assert_array_equal(out, whole)
+
+    seen.clear()
+    monkeypatch.setattr(rng, "BLOCK", 7)  # the default budget is read per call
+    np.testing.assert_array_equal(rng.blocked(normals, keys, 4), whole)
+    assert seen == [1] * 23
+    seen.clear()
+    np.testing.assert_array_equal(rng.blocked(normals, keys, 4, 1 << 30), whole)
+    assert seen == [23]
