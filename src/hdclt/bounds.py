@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .datagen import Dataset, DesignSpec, population_moments, sample_dataset
+from .datagen import Dataset, DesignSpec, population_moments, values_from_row_keys
 from .errors import ParameterError
 from .montecarlo import GaussianSumSampler, MultiplierSampler, _batches
 from .sums import CovMatrix, empirical_covariance, robust_cholesky
@@ -79,20 +79,9 @@ class BoundReport:
     moment_R: int = 0
 
 
-def _as_matrix(data) -> np.ndarray:
-    if isinstance(data, Dataset):
-        return data.values
-    m = np.asarray(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise ParameterError("expected a dataset or an (n, p) matrix")
-    return m
-
-
-def max_third_moment(data) -> float:
+def max_third_moment(dataset: Dataset) -> float:
     """Largest per-coordinate mean cubed absolute deviation from the column mean."""
-    x = _as_matrix(data)
-    if x.shape[0] < 2:
-        raise ParameterError("third-moment maximum needs n >= 2")
+    x = dataset.values
     centered = np.abs(x - x.mean(axis=0))
     return float(np.max(np.mean(centered**3, axis=0)))
 
@@ -106,28 +95,17 @@ def truncation_threshold(phi: float, n: int, p: int) -> float:
     return math.sqrt(n) / (4.0 * phi * math.log(p))
 
 
-def tail_third_moment(data, phi: float) -> float:
+def _tail_cubes(rows: np.ndarray, tau: float) -> np.ndarray:
+    # each row's cubed max-abs coordinate, zero where it does not exceed tau
+    g = np.max(np.abs(rows), axis=1)
+    return np.where(g > tau, g**3, 0.0)
+
+
+def tail_third_moment(dataset: Dataset, phi: float) -> float:
     """Mean over rows of the cubed centered row maximum, kept above the cutoff."""
-    x = _as_matrix(data)
-    tau = truncation_threshold(phi, x.shape[0], x.shape[1])
-    row_max = np.max(np.abs(x - x.mean(axis=0)), axis=1)
-    return float(np.mean(np.where(row_max > tau, row_max**3, 0.0)))
-
-
-def _tail_cube_stats(draws: np.ndarray, tau: float) -> tuple[float, float, int]:
-    g = np.max(np.abs(draws), axis=1)
-    vals = np.where(g > tau, g**3, 0.0)
-    return float(vals.sum()), float((vals**2).sum()), vals.shape[0]
-
-
-def _moment_from_sums(total: float, total_sq: float, count: int) -> MomentEstimate:
-    mean = total / count
-    if count > 1:
-        var = max(0.0, (total_sq - count * mean * mean) / (count - 1))
-        se = math.sqrt(var / count)
-    else:
-        se = 0.0
-    return MomentEstimate(value=mean, se=se, R=count)
+    x = dataset.values
+    tau = truncation_threshold(phi, dataset.n, dataset.p)
+    return float(np.mean(_tail_cubes(x - x.mean(axis=0), tau)))
 
 
 def _tail_moment(sampler, tau: float, R: int, seed: int) -> MomentEstimate:
@@ -137,10 +115,14 @@ def _tail_moment(sampler, tau: float, R: int, seed: int) -> MomentEstimate:
         raise ParameterError(f"need at least one replication, got {R!r}")
     total = total_sq = 0.0
     for start, count in _batches(R):
-        s, s2, _ = _tail_cube_stats(sampler.draw(seed, start, count), tau)
-        total += s
-        total_sq += s2
-    return _moment_from_sums(total, total_sq, R)
+        cubes = _tail_cubes(sampler.draw(seed, start, count), tau)
+        total += float(cubes.sum())
+        total_sq += float((cubes**2).sum())
+    mean = total / R
+    se = 0.0
+    if R > 1:
+        se = math.sqrt(max(0.0, (total_sq - R * mean * mean) / (R - 1)) / R)
+    return MomentEstimate(value=mean, se=se, R=R)
 
 
 def tail_third_moment_bootstrap(dataset: Dataset, phi: float, R: int,
@@ -288,33 +270,34 @@ def _phi_pair(L_bar: float, p: int, n: int, K2: float) -> tuple[float, float]:
     return phi, max(1.0, phi)
 
 
+def _report(provenance: str, params: BoundParams, n: int, p: int, L: float,
+            phi: tuple[float, float], m_x: float, m_y: MomentEstimate,
+            delta_nr: float | None = None) -> BoundReport:
+    return BoundReport(
+        provenance=provenance, params=params, n=n, p=p, L_n=L,
+        M_x=m_x, M_y=m_y.value, M_y_se=m_y.se, phi_n=phi[0], phi_used=phi[1],
+        main_bound=gaussian_approx_bound(L, m_x + m_y.value, p, n, params.K1),
+        delta_nr=delta_nr, moment_R=m_y.R,
+        **rate_terms(params.B_n, p, n, params.q, params.alpha),
+    )
+
+
 def report_from_dataset(dataset: Dataset, params: BoundParams,
                         moment_R: int = 10_000, seed: int = 0,
                         sigma: CovMatrix | None = None) -> BoundReport:
     """Empirical-analog report: centered moments of one observed matrix."""
     n, p = dataset.n, dataset.p
     L = max_third_moment(dataset)
-    phi_n, phi_used = _phi_pair(L, p, n, params.K2)
-    m_x = tail_third_moment(dataset, phi_used)
-    m_y = tail_third_moment_bootstrap(dataset, phi_used, moment_R,
-                                      rng.mix64(seed, 2))
-    main = gaussian_approx_bound(L, m_x + m_y.value, p, n, params.K1)
-    terms = rate_terms(params.B_n, p, n, params.q, params.alpha)
+    phi = _phi_pair(L, p, n, params.K2)
+    m_x = tail_third_moment(dataset, phi[1])
+    m_y = tail_third_moment_bootstrap(dataset, phi[1], moment_R, rng.mix64(seed, 2))
     delta = None
     if sigma is not None:
         delta = max_covariance_gap(empirical_covariance(dataset), sigma)
-    return BoundReport(
-        provenance="empirical", params=params, n=n, p=p, L_n=L,
-        M_x=m_x, M_y=m_y.value, M_y_se=m_y.se,
-        phi_n=phi_n, phi_used=phi_used, main_bound=main,
-        D1=terms.get("D1"), D2q=terms.get("D2q"),
-        D1_alpha=terms.get("D1_alpha"), D2q_alpha=terms.get("D2q_alpha"),
-        delta_nr=delta, moment_R=m_y.R,
-    )
+    return _report("empirical", params, n, p, L, phi, m_x, m_y, delta)
 
 
-def _population_tail_x(design: DesignSpec, n: int, tau: float, R: int,
-                       seed: int) -> MomentEstimate:
+def _population_tail_x(design: DesignSpec, tau: float, R: int, seed: int) -> float:
     # bounded designs are exactly zero once the cutoff clears the bound
     bound = None
     if design.kind == "rademacher":
@@ -322,10 +305,13 @@ def _population_tail_x(design: DesignSpec, n: int, tau: float, R: int,
     elif design.kind == "log_concave" and design.variant == "uniform":
         bound = math.sqrt(3.0) if design.standardize else math.sqrt(3.0) * design.scale
     if bound is not None and bound <= tau:
-        return MomentEstimate(value=0.0, se=0.0, R=0)
-    rows = sample_dataset(design, max(2, R), seed).values
-    s, s2, cnt = _tail_cube_stats(rows, tau)
-    return _moment_from_sums(s, s2, cnt)
+        return 0.0
+    # row r is the design row of key mix64(seed, r), made and reduced one
+    # block at a time; the cubes are summed once, in row order
+    keys = rng.mix64_array(seed, np.arange(max(2, R), dtype=np.uint64))
+    cubes = rng.blocked(lambda k: _tail_cubes(values_from_row_keys(design, k), tau),
+                        keys, design.p)
+    return float(np.mean(cubes))
 
 
 def report_from_design(design: DesignSpec, n: int,
@@ -342,18 +328,9 @@ def report_from_design(design: DesignSpec, n: int,
         params = BoundParams(b=moments.b_lower, B_n=moments.B_n)
     p = design.p
     L = moments.L_n_population
-    phi_n, phi_used = _phi_pair(L, p, n, params.K2)
-    tau = truncation_threshold(phi_used, n, p)
-    m_x = _population_tail_x(design, n, tau, moment_R, rng.mix64(seed, 1))
-    m_y = tail_third_moment_gaussian(moments.sigma, n, phi_used, moment_R,
+    phi = _phi_pair(L, p, n, params.K2)
+    tau = truncation_threshold(phi[1], n, p)
+    m_x = _population_tail_x(design, tau, moment_R, rng.mix64(seed, 1))
+    m_y = tail_third_moment_gaussian(moments.sigma, n, phi[1], moment_R,
                                      rng.mix64(seed, 2))
-    main = gaussian_approx_bound(L, m_x.value + m_y.value, p, n, params.K1)
-    terms = rate_terms(params.B_n, p, n, params.q, params.alpha)
-    return BoundReport(
-        provenance="population", params=params, n=n, p=p, L_n=L,
-        M_x=m_x.value, M_y=m_y.value, M_y_se=m_y.se,
-        phi_n=phi_n, phi_used=phi_used, main_bound=main,
-        D1=terms.get("D1"), D2q=terms.get("D2q"),
-        D1_alpha=terms.get("D1_alpha"), D2q_alpha=terms.get("D2q_alpha"),
-        delta_nr=None, moment_R=moment_R,
-    )
+    return _report("population", params, n, p, L, phi, m_x, m_y)

@@ -147,12 +147,8 @@ def rate_scan(spec: ScanSpec, workers: int | None = None) -> ScanResult:
             m_y = tail_third_moment_gaussian(moments.sigma, n, phi_used,
                                              spec.moment_R, rng.mix64(cell_seed, 2))
             main = gaussian_approx_bound(L, m_y.value, p, n, params.K1)
-        except ParameterError as exc:
-            raise ParameterError(f"scan cell (n={n}, p={p}): {exc}") from exc
-        except NotPositiveSemidefiniteError as exc:
-            raise NotPositiveSemidefiniteError(
-                f"scan cell (n={n}, p={p}): {exc}"
-            ) from exc
+        except (ParameterError, NotPositiveSemidefiniteError) as exc:
+            raise type(exc)(f"scan cell (n={n}, p={p}): {exc}") from exc
         rows.append(ScanRow(
             n=n, p=p, rho_hat=gap.sup_diff, noise_floor=gap.noise_floor,
             D1=terms["D1"], main_bound=main,
@@ -286,14 +282,18 @@ def smoothmax_check(beta_grid, p_grid, trials: int, seed: int) -> float:
         for pi, p in enumerate(p_grid):
             key = rng.mix64(seed, bi * 1000 + pi)
             keys = rng.mix64_array(key, np.arange(trials, dtype=np.uint64))
-            d = 100.0 * rng.to_uniform(rng.word_grid(keys, p)) - 50.0
+
+            def random_gaps(k: np.ndarray) -> np.ndarray:
+                return smoothmax_gap(100.0 * rng.to_uniform(rng.word_grid(k, p)) - 50.0,
+                                     beta)
+
             adversarial = np.zeros((4, p))
             adversarial[1, 1:] = -100.0          # one dominant coordinate
             adversarial[2, :] = 50.0             # all equal, positive
             adversarial[3, ::2] = 50.0
             adversarial[3, 1::2] = -50.0         # alternating
-            d = np.vstack([d, adversarial])
-            gap = smoothmax_gap(d, beta)
+            gap = np.concatenate([rng.blocked(random_gaps, keys, p),
+                                  smoothmax_gap(adversarial, beta)])
             upper = math.log(p) / beta
             worst = max(worst, float(np.max(-gap)), float(np.max(gap - upper)))
     return worst

@@ -11,6 +11,7 @@ its fields and its CSV table has its row type's field names as header.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from typing import Any, Sequence
 
@@ -29,12 +30,7 @@ def csv_cell(x: Any) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (float, np.floating)):
-        v = float(x)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return f"{v:.17g}"
+        return format_float(float(x)).strip('"')
     return str(x)
 
 
@@ -87,13 +83,13 @@ def _write(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, str):
-        out.append(_escape(obj))
+        out.append(json.dumps(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):
             if i:
                 out.append(",")
-            out.append(_escape(str(key)))
+            out.append(json.dumps(str(key)))
             out.append(":")
             _write(obj[key], out)
         out.append("}")
@@ -106,31 +102,6 @@ def _write(obj: Any, out: list[str]) -> None:
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-_ESCAPES = {
-    "\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t",
-    "\b": "\\b", "\f": "\\f",
-}
-
-
-def _escape(s: str) -> str:
-    parts = ['"']
-    for ch in s:
-        code = ord(ch)
-        if ch in _ESCAPES:
-            parts.append(_ESCAPES[ch])
-        elif code < 0x20 or code > 0x7E:
-            if code > 0xFFFF:  # surrogate pair for astral characters
-                code -= 0x10000
-                parts.append(f"\\u{0xD800 + (code >> 10):04x}")
-                parts.append(f"\\u{0xDC00 + (code & 0x3FF):04x}")
-            else:
-                parts.append(f"\\u{code:04x}")
-        else:
-            parts.append(ch)
-    parts.append('"')
-    return "".join(parts)
 
 
 def csv_table(rows: Sequence[Any]) -> str:

@@ -4,9 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from hdclt import serialize
+from hdclt import rng, serialize
 from hdclt.bounds import (
     BoundParams,
+    _population_tail_x,
     family_covariance_gap,
     gaussian_approx_bound,
     max_covariance_gap,
@@ -20,7 +21,7 @@ from hdclt.bounds import (
     tail_third_moment_bootstrap,
     truncation_threshold,
 )
-from hdclt.datagen import Dataset, DesignSpec
+from hdclt.datagen import CovarianceModel, Dataset, DesignSpec, sample_dataset
 from hdclt.errors import ParameterError
 from hdclt.geometry import Polytope, SetFamily
 from hdclt.sums import CovMatrix, empirical_covariance
@@ -229,6 +230,24 @@ def test_orlicz_norm_homogeneous():
     base = orlicz_norm(x, 1.0)
     for c in (0.1, 2.0, 17.0):
         assert orlicz_norm(c * x, 1.0) == pytest.approx(c * base, rel=1e-7)
+
+
+@pytest.mark.parametrize("design", [
+    DesignSpec(kind="trunc_exp", p=7, scale=0.7),
+    DesignSpec(kind="heavy_tail", p=9, tail_index=5.0, standardize=True),
+    DesignSpec(kind="gaussian", p=6, covariance=CovarianceModel("ar1", 0.5)),
+    DesignSpec(kind="gaussian", p=6, covariance=CovarianceModel("equicorrelated", 0.3)),
+    DesignSpec(kind="log_concave", p=5, variant="uniform", scale=2.0),
+], ids=lambda d: d.kind + ("-" + d.covariance.kind if d.kind == "gaussian" else ""))
+def test_population_tail_x_blocks_match_one_sample(monkeypatch, design):
+    # oracle: the tail moment of one whole sampled matrix; at a block of 7
+    # rows every block boundary must leave the cubes and their sum unchanged
+    tau = 0.5
+    g = np.abs(sample_dataset(design, 3001, 21).values).max(axis=1)
+    expect = float(np.mean(np.where(g > tau, g**3, 0.0)))
+    assert expect > 0.0
+    monkeypatch.setattr(rng, "BLOCK", 7 * design.p)
+    assert _population_tail_x(design, tau, 3001, 21) == expect
 
 
 def test_report_from_design_shape():

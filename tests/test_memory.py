@@ -1,4 +1,4 @@
-"""Memory of a bootstrap run is bounded by the draw budget, not by n.
+"""Memory of a run is bounded by fixed budgets, not by n, R or the trial count.
 
 At n = 10^5 one unsliced batch of R = 1000 multiplier or empirical draws
 materializes several arrays of R * n = 10^8 elements, 763 MiB each.
@@ -6,8 +6,12 @@ materializes several arrays of R * n = 10^8 elements, 763 MiB each.
 ``montecarlo.DRAW_BUDGET`` elements per array, and the words, uniforms,
 resample indices and normals are made in blocks of ``rng.BLOCK`` elements
 inside a slice, which keeps a whole run near 140 MiB (200 and 230 MiB for
-multiplier and empirical draws with slicing alone).  Each run happens in a
-fresh interpreter and reports ``VmHWM``,
+multiplier and empirical draws with slicing alone).  ``bounds`` on a
+design draws its ``moment_R`` data-side rows in ``rng.BLOCK`` blocks and
+keeps one cube per row: at p = 200 and moment_R = 2 * 10^5 the whole
+R x p matrix took 1631 MiB.  ``smoothmax`` at 10^5 trials of p = 1000
+needs 763 MiB per trials x p array, and more than the 2 GiB cap without
+blocks.  Each run happens in a fresh interpreter and reports ``VmHWM``,
 the peak resident size of its own address space.  Its ``ru_maxrss`` would
 not do: Linux carries the high-water mark of the forking process (here the
 whole test session) across exec.  The child's address space is capped at
@@ -48,22 +52,36 @@ def dataset_dir(tmp_path_factory):
     return root
 
 
+def _bootstrap(mode):
+    return "bootstrap", {"seed": 2, "dataset": "data.bin", "mode": mode, "R": 1000,
+                         "sigma": {"source": "empirical"}, "family": {"K": 10}}
+
+
+CASES = {
+    "MB": _bootstrap("MB"),
+    "EB": _bootstrap("EB"),
+    "bounds": ("bounds", {"seed": 3, "design": {"kind": "trunc_exp", "p": 200},
+                          "n": 400, "moment_R": 200_000}),
+    "smoothmax": ("smoothmax", {"seed": 4, "beta_grid": [1.0], "p_grid": [1000],
+                                "trials": 100_000}),
+}
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads the peak RSS from Linux /proc")
-@pytest.mark.parametrize("mode", ["MB", "EB"])
-def test_bootstrap_peak_rss_bounded_at_large_n(dataset_dir, mode):
-    cfg = {"seed": 2, "out": str(dataset_dir / f"{mode}.json"),
-           "dataset": str(dataset_dir / "data.bin"), "mode": mode, "R": 1000,
-           "sigma": {"source": "empirical"}, "family": {"K": 10}}
-    path = dataset_dir / f"{mode}.cfg.json"
+@pytest.mark.parametrize("case", list(CASES))
+def test_peak_rss_bounded(dataset_dir, case):
+    command, cfg = CASES[case]
+    cfg = dict(cfg, out=f"{case}.json")
+    path = dataset_dir / f"{case}.cfg.json"
     path.write_text(json.dumps(cfg))
     src = os.path.dirname(os.path.dirname(hdclt.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, "bootstrap", "--config", str(path), "--workers", "1"],
-        env=env, capture_output=True, text=True, timeout=600,
+        [sys.executable, "-c", CHILD, command, "--config", str(path), "--workers", "1"],
+        cwd=dataset_dir, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
     peak_mib = int(proc.stdout.split()[-1]) / 1024
-    assert peak_mib < LIMIT_MIB, f"{mode} at n={N}: peak RSS {peak_mib:.0f} MiB"
+    assert peak_mib < LIMIT_MIB, f"{case}: peak RSS {peak_mib:.0f} MiB"

@@ -35,6 +35,10 @@ def test_numpy_coercion():
 def test_string_escapes():
     text = serialize.dumps({"s": 'a"b\\c\ndé'})
     assert json.loads(text)["s"] == 'a"b\\c\ndé'
+    # pinned bytes: short escapes, lowercase \u for control, DEL and
+    # non-ASCII code points, surrogate pairs above the BMP
+    assert serialize.dumps('\t\x01\x7f~\u00e9\U0001f600') == (
+        '"\\t\\u0001\\u007f~\\u00e9\\ud83d\\ude00"\n')
 
 
 def test_reemission_is_byte_stable():
