@@ -31,7 +31,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 from . import rng
@@ -221,6 +220,8 @@ def _pareto_max_moment(p: int, shape: float, order: float) -> float:
     g(x) = (1 - (1-x)^p) / x, using an algebraic-weight quadrature for the
     endpoint singularity.
     """
+    from scipy.integrate import quad  # deferred: slow to import, only heavy_tail uses it
+
     if not order < shape:
         raise ParameterError("max-moment order must be below the Pareto shape")
     ratio = order / shape

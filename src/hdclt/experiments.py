@@ -190,6 +190,16 @@ class NazarovResult:
     seed: int
 
 
+def _anchor_gaps(draws: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """max_j (w_j - y_j) of each draw w against each anchor row y."""
+    if np.all(anchors == anchors[:, :1]):
+        # constant anchor rows (equal sds): rounding is monotone, so
+        # max_j fl(w_j - y) == fl(max_j w_j - y) bit for bit
+        return np.max(draws, axis=1)[:, None] - anchors[:, 0]
+    return rng.blocked(lambda rows: np.max(rows[:, None, :] - anchors, axis=2),
+                       draws, anchors.size)
+
+
 def nazarov_check(sigma: CovMatrix, y_count: int, a_grid, R: int, seed: int,
                   workers: int | None = None) -> NazarovResult:
     """Orthant-increment check P(Y <= y + a) - P(Y <= y) against a*sqrt(log p).
@@ -220,12 +230,8 @@ def nazarov_check(sigma: CovMatrix, y_count: int, a_grid, R: int, seed: int,
     anchors = np.array([float(ndtri(u)) * sd for u in levels])
     sampler = GaussianSumSampler(robust_cholesky(sigma))
 
-    def row_gaps(draws: np.ndarray) -> np.ndarray:
-        # max_j (w_j - y_j) of each draw w against each anchor y
-        return np.max(draws[:, None, :] - anchors, axis=2)
-
     def work(start: int, count: int) -> np.ndarray:
-        gaps = rng.blocked(row_gaps, sampler.draw(seed, start, count), anchors.size)
+        gaps = _anchor_gaps(sampler.draw(seed, start, count), anchors)
         return np.stack([np.count_nonzero(gaps <= a, axis=0)
                          for a in [0.0] + a_grid], axis=1)
 

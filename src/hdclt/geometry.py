@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 from scipy.special import ndtri
 
 from . import rng
@@ -264,6 +263,8 @@ def covering_angle(directions: np.ndarray) -> float:
     hull of the points (the spherical Delaunay triangulation), computed
     exactly from the face planes.
     """
+    from scipy.spatial import ConvexHull  # deferred: slow to import, rarely used
+
     hull = ConvexHull(directions)
     worst = 0.0
     pts = directions

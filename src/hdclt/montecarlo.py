@@ -27,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from . import rng
 from .datagen import Dataset, DesignSpec, values_from_row_keys, words_per_row
@@ -130,6 +129,8 @@ class DesignSumSampler(_Sampler):
             self.mode = "gaussian"
             self.size = words_per_row(design)
         elif exact_law and design.kind == "rademacher":
+            from scipy.stats import binom  # deferred: slow to import, only sign sums use it
+
             self.mode = "binomial"
             self.size = self.p
             self._cdf = binom.cdf(np.arange(n + 1), n, 0.5)
@@ -182,7 +183,8 @@ class _DatasetSampler(_Sampler):
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
         self.p = dataset.p
-        self.size = dataset.n  # one stream word per data row and key
+        # per key: one stream word per data row in, one draw of p values out
+        self.size = max(dataset.n, dataset.p)
 
 
 class MultiplierSampler(_DatasetSampler):

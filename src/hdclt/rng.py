@@ -128,6 +128,7 @@ def blocked(fn, rows: np.ndarray, width: int, budget: int | None = None) -> np.n
     first = fn(rows[:per])
     out = np.empty((len(rows),) + first.shape[1:], dtype=first.dtype)
     out[:per] = first
+    del first  # the output holds it; keep one slice alive, not two
     for i in range(per, len(rows), per):
         out[i:i + per] = fn(rows[i:i + per])
     return out

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from hdclt import rng
+from hdclt import experiments, rng
 from hdclt.bounds import rate_terms
 from hdclt.datagen import DesignSpec, population_moments
 from hdclt.errors import ParameterError
@@ -113,11 +113,16 @@ _SD = np.array([0.5, 1.0, 2.0, 3.0, 0.25])
     CovMatrix(np.outer(_SD, _SD) * 0.3 ** np.abs(np.subtract.outer(range(5), range(5)))),
 ], ids=["equicorrelated", "unequal-variance"])
 def test_nazarov_row_max_blocks_leave_results_unchanged(monkeypatch, sigma):
+    # blocked rows, one block, and the literal (rows, anchors, p) max, which
+    # the one row max of equal-variance anchors must match bit for bit
     runs = []
     for block in (7, 1 << 30):
         monkeypatch.setattr(rng, "BLOCK", block)
         runs.append(nazarov_check(sigma, 3, [0.05, 0.5], 3000, 4))
-    assert runs[0] == runs[1]
+    monkeypatch.setattr(experiments, "_anchor_gaps",
+                        lambda draws, anchors: np.max(draws[:, None, :] - anchors, axis=2))
+    runs.append(nazarov_check(sigma, 3, [0.05, 0.5], 3000, 4))
+    assert runs[0] == runs[1] == runs[2]
     assert any(r.diff_hat > 0.0 for r in runs[0].rows)
 
 

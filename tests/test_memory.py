@@ -5,18 +5,20 @@ materializes several arrays of R * n = 10^8 elements, 763 MiB each.
 ``_Sampler.draw`` slices every batch to
 ``montecarlo.DRAW_BUDGET`` elements per array, and the words, uniforms,
 resample indices and normals are made in blocks of ``rng.BLOCK`` elements
-inside a slice, which keeps a whole run near 140 MiB (200 and 230 MiB for
+inside a slice, which keeps a whole run near 95 MiB (158 and 155 MiB for
 multiplier and empirical draws with slicing alone).  ``bounds`` on a
 design draws its ``moment_R`` data-side rows in ``rng.BLOCK`` blocks and
-keeps one cube per row: at p = 200 and moment_R = 2 * 10^5 the whole
-R x p matrix took 1631 MiB.  ``smoothmax`` at 10^5 trials of p = 1000
-needs 763 MiB per trials x p array, and more than the 2 GiB cap without
-blocks.  Each run happens in a fresh interpreter and reports ``VmHWM``,
-the peak resident size of its own address space.  Its ``ru_maxrss`` would
-not do: Linux carries the high-water mark of the forking process (here the
-whole test session) across exec.  The child's address space is capped at
-2 GiB, so a regression fails with a MemoryError instead of taking gigabytes
-of a shared machine.
+keeps one cube per row: at p = 200 and moment_R = 2 * 10^5 it peaks at
+98 MiB, where the whole R x p matrix took 1631 MiB.  ``smoothmax`` at 10^5
+trials of p = 1000 peaks at 58 MiB; it needs 763 MiB per trials x p
+array, and more than the 2 GiB cap without blocks.  About 55 MiB of each
+peak is the interpreter with numpy and ``scipy.special``
+(``tests/test_imports.py``).  Each run happens in a fresh interpreter and
+reports ``VmHWM``, the peak resident size of its own address space.  Its
+``ru_maxrss`` would not do: Linux carries the high-water mark of the
+forking process (here the whole test session) across exec.  The child's
+address space is capped at 2 GiB, so a regression fails with a MemoryError
+instead of taking gigabytes of a shared machine.
 """
 import json
 import os

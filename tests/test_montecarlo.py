@@ -191,6 +191,7 @@ def test_literal_sampler_matches_normalized_sum():
 def _slicing_samplers():
     chol = robust_cholesky(CovMatrix(CovarianceModel("ar1", 0.5).matrix(5)))
     data = sample_dataset(DesignSpec(kind="trunc_exp", p=5), 40, 8)
+    wide = sample_dataset(DesignSpec(kind="trunc_exp", p=30), 6, 8)  # p > n
     rad = DesignSpec(kind="rademacher", p=5)
     return {
         "gaussian": GaussianSumSampler(chol),
@@ -202,13 +203,16 @@ def _slicing_samplers():
         "interpolated": InterpolatedSampler(rad, 12, chol, 0.5, exact_law=False),
         "MB": MultiplierSampler(data),
         "EB": EmpiricalSampler(data),
+        "MB-wide": MultiplierSampler(wide),
+        "EB-wide": EmpiricalSampler(wide),
     }
 
 
 @pytest.mark.parametrize("kind", sorted(_slicing_samplers()))
 def test_draw_slices_batch_to_budget(monkeypatch, kind):
     # every sampler hands draw_keys at most DRAW_BUDGET // size keys per
-    # call, and the slices give the same numbers as one unsliced call
+    # call, no call returns more than the budget, and the slices give the
+    # same numbers as one unsliced call
     sampler = _slicing_samplers()[kind]
     monkeypatch.setattr(montecarlo, "DRAW_BUDGET", 200)
     whole = sampler.draw_keys(rng.mix64_array(9, np.arange(3, 103, dtype=np.uint64)))
@@ -223,6 +227,7 @@ def test_draw_slices_batch_to_budget(monkeypatch, kind):
     sliced = sampler.draw(9, 3, 100)
     per = max(1, 200 // sampler.size)
     assert seen == [per] * (100 // per) + ([100 % per] if 100 % per else [])
+    assert per * sampler.p <= 200
     np.testing.assert_array_equal(sliced, whole)
 
 
