@@ -279,10 +279,11 @@ def _cmd_rate_scan(cfg: dict, workers):
         if "b" not in block or "B_n" not in block:
             raise ConfigError("rate-scan params need explicit b and B_n")
         params = _params(cfg, b=block["b"], B_n=block["B_n"])
+    _require(cfg, "p_rule")
     spec = ScanSpec(
         design=_require(cfg, "design"),
         n_grid=tuple(_require(cfg, "n_grid")),
-        p_rule=_require(cfg, "p_rule"),
+        p_rule=_block(cfg, "p_rule"),
         family_K=int(_block(cfg, "family").get("K", 100)),
         R=int(_require(cfg, "R")),
         seed=seed,

@@ -515,8 +515,16 @@ def read_dataset(path: str) -> Dataset:
             return Dataset(values=data.astype(np.float64))
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if not header or not header[0].startswith("x"):
             raise ParameterError(f"{path} is neither a binary nor a csv dataset")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(header):
+                    raise ValueError
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise OSError(f"{path}: csv line {reader.line_num} must hold "
+                              f"{len(header)} numbers") from None
     return Dataset(values=np.asarray(rows, dtype=np.float64))

@@ -280,6 +280,8 @@ def smoothmax_check(beta_grid, p_grid, trials: int, seed: int) -> float:
         raise ParameterError("beta grid must hold positive values")
     if not p_grid or any(p < 1 for p in p_grid):
         raise ParameterError("p grid must hold positive dimensions")
+    if len(p_grid) > 1000:  # cell (bi, pi) is keyed by bi * 1000 + pi
+        raise ParameterError("p grid must hold at most 1000 dimensions")
     if trials < 1:
         raise ParameterError("need at least one trial")
 

@@ -80,19 +80,17 @@ def mix64_keys(keys: np.ndarray, counter: int) -> np.ndarray:
     return _finalize(z)
 
 
-def words(key: int, count: int, offset: int = 0) -> np.ndarray:
-    """64-bit words ``mix64(key, offset + t)`` for t = 0..count-1."""
-    c = np.arange(offset, offset + count, dtype=np.uint64)
-    return mix64_array(key, c)
+def words(key: int, count: int) -> np.ndarray:
+    """64-bit words ``mix64(key, t)`` for t = 0..count-1."""
+    return mix64_array(key, np.arange(count, dtype=np.uint64))
 
 
-def word_grid(keys: np.ndarray, count: int, offset: int = 0) -> np.ndarray:
+def word_grid(keys: np.ndarray, count: int) -> np.ndarray:
     """Words for many keys at once; returns shape ``keys.shape + (count,)``.
 
     ``word_grid(keys, c)[..., t] == mix64(keys[...], t)`` element-wise.
     """
-    c = np.arange(offset, offset + count, dtype=np.uint64)
-    pre = (c + np.uint64(1)) * _U64_GAMMA
+    pre = (np.arange(count, dtype=np.uint64) + np.uint64(1)) * _U64_GAMMA
     z = keys.astype(np.uint64)[..., None] + pre
     return _finalize(z)
 

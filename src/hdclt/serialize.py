@@ -6,7 +6,10 @@ round-trip IEEE doubles exactly), lines end with a bare newline, and
 non-finite values use the string sentinels "inf" / "-inf" / "nan".
 
 A report dataclass is its own schema: its JSON object is the mapping of
-its fields and its CSV table has its row type's field names as header.
+its fields and its CSV table has its row type's field names as header.  A
+field whose default is ``None`` is left out while it holds ``None``; any
+other ``None`` is ``null``.  Numpy arrays and scalars are written as their
+``tolist()``, dict keys as their ``str()``, tuples as arrays.
 """
 from __future__ import annotations
 
@@ -34,44 +37,17 @@ def csv_cell(x: Any) -> str:
     return str(x)
 
 
-def to_jsonable(obj: Any) -> Any:
-    """Coerce dataclasses, numpy containers and scalars into plain Python
-    structures.
-
-    A dataclass instance becomes the mapping of its fields.  A field whose
-    default is ``None`` is optional: it is left out while it holds ``None``.
-    A field without a default is always written, ``None`` as ``null``.
-    """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-            if not (f.default is None and getattr(obj, f.name) is None)
-        }
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def dumps(obj: Any) -> str:
-    """Render a jsonable structure deterministically; see the module docstring."""
+    """Render a report tree deterministically; see the module docstring."""
     out: list[str] = []
-    _write(to_jsonable(obj), out)
+    _write(obj, out)
     out.append("\n")
     return "".join(out)
 
 
 def _write(obj: Any, out: list[str]) -> None:
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -85,21 +61,25 @@ def _write(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
+        keyed = {str(k): v for k, v in obj.items()}
         out.append("{")
-        for i, key in enumerate(sorted(obj)):
+        for i, key in enumerate(sorted(keyed)):
             if i:
                 out.append(",")
-            out.append(json.dumps(str(key)))
+            out.append(json.dumps(key))
             out.append(":")
-            _write(obj[key], out)
+            _write(keyed[key], out)
         out.append("}")
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
             if i:
                 out.append(",")
             _write(v, out)
         out.append("]")
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _write({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+                if not (f.default is None and getattr(obj, f.name) is None)}, out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

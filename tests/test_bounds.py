@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -253,7 +254,7 @@ def test_population_tail_x_blocks_match_one_sample(monkeypatch, design):
 def test_report_from_design_shape():
     design = DesignSpec(kind="rademacher", p=10)
     report = report_from_design(design, 200, moment_R=2000, seed=3)
-    cfg = serialize.to_jsonable(report)
+    cfg = json.loads(serialize.dumps(report))
     assert cfg["provenance"] == "population"
     assert cfg["L_n"] == 1.0
     assert cfg["M_x"] == 0.0  # bounded by 1, below the cutoff at n = 200
@@ -268,7 +269,7 @@ def test_report_from_dataset_shape():
     params = BoundParams(b=1.0, B_n=2.0, q=5.0, alpha=0.05)
     sigma = CovMatrix(np.eye(5))
     report = report_from_dataset(ds, params, moment_R=2000, seed=4, sigma=sigma)
-    cfg = serialize.to_jsonable(report)
+    cfg = json.loads(serialize.dumps(report))
     assert cfg["provenance"] == "empirical"
     assert {"D1", "D2q", "D1_alpha", "D2q_alpha", "delta_nr"} <= set(cfg)
     assert cfg["delta_nr"] == pytest.approx(

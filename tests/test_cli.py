@@ -239,10 +239,10 @@ def test_rate_scan_non_object_family_exits_2(tmp_path):
         "n_grid": [8, 32], "p_rule": {"rule": "fixed", "p": 10}, "R": 5000,
     }
     path = write_config(tmp_path, "scan.json", cfg)
-    for override in ("family=5", "params=[1, 2]"):
+    for override in ("family=5", "params=[1, 2]", "p_rule=[1]"):
         code, _, err = run_cli(["rate-scan", "--config", path, "--set", override])
         assert code == 2, err
-        assert "must be an object" in err
+        assert f"config key {override.split('=')[0]!r} must be an object" in err
 
 
 def test_truncated_binary_dataset_exits_4(tmp_path):
@@ -263,6 +263,21 @@ def test_truncated_binary_dataset_exits_4(tmp_path):
             assert "header needs 24 bytes, found 10" in err
         else:
             assert f"needs {8 * 400 * 8} payload bytes, found {found}" in err
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ("", 2, "is neither a binary nor a csv dataset"),
+    ("x1,x2\n1,2\n\n3\n", 4, "csv line 4 must hold 2 numbers"),
+    ("x1,x2\n1,2\n3,abc\n", 4, "csv line 3 must hold 2 numbers"),
+], ids=["empty", "ragged", "non_numeric"])
+def test_malformed_csv_dataset_fails_cleanly(tmp_path, text, code, message):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    boot = {"seed": 8, "out": str(tmp_path / "boot.json"), "mode": "MB", "R": 1000,
+            "sigma": {"source": "empirical"}, "family": {"K": 4}, "dataset": str(data)}
+    got, _, err = run_cli(["bootstrap", "--config", write_config(tmp_path, "b.json", boot)])
+    assert got == code, err
+    assert str(data) in err and message in err
 
 
 def nazarov_config(tmp_path, **overrides):
@@ -286,7 +301,7 @@ def test_report_round_trip(tmp_path):
     # the report is the result dataclass, field by field
     sigma = population_moments(DesignSpec(kind="gaussian", p=3)).sigma
     res = nazarov_check(sigma, 3, [0.1], 2000, 7)
-    assert payload["result"] == json.loads(json.dumps(serialize.to_jsonable(res)))
+    assert payload["result"] == json.loads(serialize.dumps(res))
     assert set(payload["result"]) == {"rows", "max_ratio", "R", "seed"}
 
 

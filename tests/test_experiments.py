@@ -153,3 +153,5 @@ def test_smoothmax_validation():
         smoothmax_check([0.0], [2], 100, 1)
     with pytest.raises(ParameterError):
         smoothmax_check([1.0], [], 100, 1)
+    with pytest.raises(ParameterError):  # cell keys would collide
+        smoothmax_check([1.0, 2.0], [2] * 1001, 100, 1)

@@ -17,6 +17,8 @@ def test_floats_round_trip_exactly():
 def test_keys_sorted_and_newline_terminated():
     text = serialize.dumps({"b": 1, "a": 2, "c": {"z": 0, "y": 1}})
     assert text == '{"a":2,"b":1,"c":{"y":1,"z":0}}\n'
+    # keys are sorted as strings, after str()
+    assert serialize.dumps({10: 0, 9: 1}) == '{"10":0,"9":1}\n'
 
 
 def test_non_finite_sentinels():
@@ -30,6 +32,10 @@ def test_numpy_coercion():
         "c": np.array([1.0, 2.0]), "d": np.bool_(True),
     })
     assert json.loads(text) == {"a": 0.5, "b": 3, "c": [1.0, 2.0], "d": True}
+    # at any depth: inside a dataclass field and inside a tuple
+    nested = (Row(np.int64(2), np.array([np.float32(0.25)]), np.bool_(True)),
+              (np.uint8(7), np.array([[1, 2]])))
+    assert serialize.dumps(nested) == '[{"a":2,"b":[0.25],"flag":true},[7,[[1,2]]]]\n'
 
 
 def test_string_escapes():
@@ -70,6 +76,6 @@ def test_dataclass_fields_and_none_default_rule():
     assert serialize.dumps(report) == (
         '{"rows":[{"a":1,"b":0.5,"flag":false}],"slope":null}\n'
     )
-    assert serialize.to_jsonable(Report(rows=(), slope=-0.5, note="n")) == {
+    assert json.loads(serialize.dumps(Report(rows=(), slope=-0.5, note="n"))) == {
         "rows": [], "slope": -0.5, "note": "n",
     }
