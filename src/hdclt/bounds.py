@@ -109,13 +109,16 @@ def tail_third_moment(dataset: Dataset, phi: float) -> float:
 
 
 def _tail_moment(sampler, tau: float, R: int, seed: int) -> MomentEstimate:
-    # batch by batch over the fixed grid of montecarlo, so memory stays at
-    # one batch of draws; replication r uses the key mix64(seed, r)
+    # batch by batch over the fixed grid of montecarlo: each chunk of draws
+    # becomes its cubes before the next chunk is made, and a batch's cubes
+    # are summed as one array, in row order; replication r uses the key
+    # mix64(seed, r)
     if R < 1:
         raise ParameterError(f"need at least one replication, got {R!r}")
     total = total_sq = 0.0
     for start, count in _batches(R):
-        cubes = _tail_cubes(sampler.draw(seed, start, count), tau)
+        cubes = np.concatenate(sampler.map_chunks(seed, start, count,
+                                                  lambda draws: _tail_cubes(draws, tau)))
         total += float(cubes.sum())
         total_sq += float((cubes**2).sum())
     mean = total / R

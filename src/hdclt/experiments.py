@@ -230,10 +230,13 @@ def nazarov_check(sigma: CovMatrix, y_count: int, a_grid, R: int, seed: int,
     anchors = np.array([float(ndtri(u)) * sd for u in levels])
     sampler = GaussianSumSampler(robust_cholesky(sigma))
 
-    def work(start: int, count: int) -> np.ndarray:
-        gaps = _anchor_gaps(sampler.draw(seed, start, count), anchors)
+    def anchor_counts(draws: np.ndarray) -> np.ndarray:
+        gaps = _anchor_gaps(draws, anchors)
         return np.stack([np.count_nonzero(gaps <= a, axis=0)
                          for a in [0.0] + a_grid], axis=1)
+
+    def work(start: int, count: int) -> np.ndarray:
+        return np.sum(sampler.map_chunks(seed, start, count, anchor_counts), axis=0)
 
     counts = np.sum(_map_batches(work, R, workers), axis=0)
 

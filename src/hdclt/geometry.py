@@ -223,11 +223,36 @@ def _rect_hit_count(rect: Hyperrectangle, points: np.ndarray) -> int:
     return points.shape[0] if alive is None else int(alive.size)
 
 
+def _max_type_level(rect: Hyperrectangle) -> float | None:
+    """t when the rectangle is {w : w_j <= t for all j} with t < inf, else None."""
+    if rect.p == 0:
+        return None
+    lo, hi = rect.lower, rect.upper
+    t = float(hi[0])
+    # scalar tests first: hit_counts runs this per set and call, and they
+    # turn away almost every other rectangle without a numpy reduction
+    if (t == np.inf or hi[-1] != t or lo[0] != -np.inf
+            or np.any(hi != t) or np.any(lo != -np.inf)):
+        return None
+    return t
+
+
 def hit_counts(family: SetFamily, points: np.ndarray) -> np.ndarray:
-    """Number of the given points inside each family member."""
+    """Number of the given points inside each family member.
+
+    A max-type set {w : w_j <= t for all j} is counted as max_j w_j <= t
+    in one pass over the points; its p bounded sides never empty the
+    survivors of the coordinate loop.
+    """
     out = np.empty(len(family), dtype=np.int64)
+    row_max = None
     for k, s in enumerate(family.sets):
-        if isinstance(s, Hyperrectangle):
+        t = _max_type_level(s) if isinstance(s, Hyperrectangle) else None
+        if t is not None:
+            if row_max is None:
+                row_max = np.max(points, axis=1)
+            out[k] = int(np.count_nonzero(row_max <= t))
+        elif isinstance(s, Hyperrectangle):
             out[k] = _rect_hit_count(s, points)
         else:
             out[k] = int(np.count_nonzero(s.contains_batch(points)))

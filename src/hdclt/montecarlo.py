@@ -66,21 +66,29 @@ def default_workers() -> int:
 class _Sampler:
     """Base: replication r of stream ``seed`` uses the key ``mix64(seed, r)``.
 
-    ``draw`` is the one place that turns a batch ``(seed, start, count)``
-    into replication keys; ``draw_keys`` maps keys to one draw per key.
-    ``size`` is the element count of the largest array one draw
-    materializes, and ``draw`` passes ``draw_keys`` consecutive slices of
-    at most ``DRAW_BUDGET // size`` keys (``rng.blocked``), so memory per
-    call is bounded whatever n and p are.  Every draw depends on its key
-    alone, so the slicing never changes a number.
+    ``map_chunks`` is the one place that turns a batch ``(seed, start,
+    count)`` into replication keys; ``draw_keys`` maps keys to one draw per
+    key.  ``size`` is the element count of the largest array one draw
+    materializes, so ``draw_keys`` gets consecutive slices of at most
+    ``DRAW_BUDGET // size`` keys (``rng.blocked``).  Those slices are
+    grouped into chunks of at most ``DRAW_BUDGET`` draw values, and each
+    chunk is reduced by the caller's function before the next one is
+    drawn: memory per worker is bounded whatever n and p are.  Every draw
+    depends on its key alone and every slice boundary sits where one
+    unchunked batch would put it, so the chunking never changes a number.
     """
 
     p: int
     size: int
 
-    def draw(self, seed: int, start: int, count: int) -> np.ndarray:
+    def map_chunks(self, seed: int, start: int, count: int, fn) -> list:
+        """``[fn(draws), ...]`` over the chunks of a batch, in key order."""
         keys = rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
-        return rng.blocked(self.draw_keys, keys, self.size, DRAW_BUDGET)
+        per_call = max(1, DRAW_BUDGET // self.size)
+        per = per_call * max(1, DRAW_BUDGET // (self.p * per_call))
+        # fn reduces each chunk inside the loop, so no two chunks are alive
+        return [fn(rng.blocked(self.draw_keys, keys[i:i + per], self.size, DRAW_BUDGET))
+                for i in range(0, count, per)]
 
     def draw_keys(self, keys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -289,7 +297,8 @@ def family_hit_counts(sampler, family: SetFamily, R: int, seed: int,
         )
 
     def work(start: int, count: int) -> np.ndarray:
-        return hit_counts(family, sampler.draw(seed, start, count))
+        return np.sum(sampler.map_chunks(seed, start, count,
+                                         lambda draws: hit_counts(family, draws)), axis=0)
 
     parts = _map_batches(work, R, workers)
     return np.sum(parts, axis=0)

@@ -95,15 +95,15 @@ def test_criterion_04_bootstrap_conditional_identities():
     shat = empirical_covariance(data).matrix
     R = 100_000
 
-    draws = MultiplierSampler(data).draw(31, 0, R)
-    outer = draws.T @ draws / R
+    outer = np.sum(MultiplierSampler(data).map_chunks(31, 0, R, lambda d: d.T @ d),
+                   axis=0) / R
     tol = 6.0 * np.sqrt((np.outer(np.diag(shat), np.diag(shat)) + shat**2) / R)
     cov_ok = bool(np.all(np.abs(outer - shat) <= tol))
 
     means = np.zeros(20)
     eb = EmpiricalSampler(data)
     for start in range(0, R, 20_000):
-        means += eb.draw(32, start, 20_000).sum(axis=0)
+        means += np.sum(eb.map_chunks(32, start, 20_000, lambda d: d.sum(axis=0)), axis=0)
     means /= R
     mean_tol = 4.0 * np.sqrt(np.diag(shat) / R)
     mean_ok = bool(np.all(np.abs(means) <= mean_tol))

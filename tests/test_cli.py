@@ -266,13 +266,15 @@ def test_truncated_binary_dataset_exits_4(tmp_path):
 
 
 @pytest.mark.parametrize("text, code, message", [
-    ("", 2, "is neither a binary nor a csv dataset"),
-    ("x1,x2\n1,2\n\n3\n", 4, "csv line 4 must hold 2 numbers"),
-    ("x1,x2\n1,2\n3,abc\n", 4, "csv line 3 must hold 2 numbers"),
-], ids=["empty", "ragged", "non_numeric"])
+    (b"", 2, "is neither a binary nor a csv dataset"),
+    (b"x1,x2\n", 2, "csv dataset has no rows"),
+    (b"x1,x2\n1,2\n\n3\n", 4, "csv line 4 must hold 2 numbers"),
+    (b"x1,x2\n1,2\n3,abc\n", 4, "csv line 3 must hold 2 numbers"),
+    (b"x1,x2\n1,\xff\n", 4, "csv dataset is not UTF-8 text"),
+], ids=["empty", "header_only", "ragged", "non_numeric", "non_utf8"])
 def test_malformed_csv_dataset_fails_cleanly(tmp_path, text, code, message):
     data = tmp_path / "data.csv"
-    data.write_text(text)
+    data.write_bytes(text)
     boot = {"seed": 8, "out": str(tmp_path / "boot.json"), "mode": "MB", "R": 1000,
             "sigma": {"source": "empirical"}, "family": {"K": 4}, "dataset": str(data)}
     got, _, err = run_cli(["bootstrap", "--config", write_config(tmp_path, "b.json", boot)])

@@ -13,7 +13,8 @@ report fields (``rate-scan`` with explicit ``params``, ``bounds`` with
 of draws holds more than 2**22 elements of draw work, so a sampler that
 bounds the memory of one draw call splits it into slices: multiplier and
 empirical draws at n=1000, the gaussian side at p=600, the literal sum
-path at n*p=5000 and the interpolated sampler at n=2000.
+path at n*p=5000 and the interpolated sampler at n=2000.  The gaussian
+side at p=600 also makes each batch in two chunks of draws.
 
 Reports echo their config, so every run happens in a temporary working
 directory with relative ``out``/``dataset`` paths.  The hashes pin one

@@ -1,24 +1,29 @@
-"""Memory of a run is bounded by fixed budgets, not by n, R or the trial count.
+"""Memory of a run is bounded by fixed budgets, not by n, p, R or the trial count.
 
 At n = 10^5 one unsliced batch of R = 1000 multiplier or empirical draws
 materializes several arrays of R * n = 10^8 elements, 763 MiB each.
-``_Sampler.draw`` slices every batch to
+``_Sampler.map_chunks`` hands the draw kernels slices of at most
 ``montecarlo.DRAW_BUDGET`` elements per array, and the words, uniforms,
 resample indices and normals are made in blocks of ``rng.BLOCK`` elements
-inside a slice, which keeps a whole run near 95 MiB (158 and 155 MiB for
-multiplier and empirical draws with slicing alone).  ``bounds`` on a
-design draws its ``moment_R`` data-side rows in ``rng.BLOCK`` blocks and
-keeps one cube per row: at p = 200 and moment_R = 2 * 10^5 it peaks at
-98 MiB, where the whole R x p matrix took 1631 MiB.  ``smoothmax`` at 10^5
-trials of p = 1000 peaks at 58 MiB; it needs 763 MiB per trials x p
-array, and more than the 2 GiB cap without blocks.  About 55 MiB of each
-peak is the interpreter with numpy and ``scipy.special``
-(``tests/test_imports.py``).  Each run happens in a fresh interpreter and
-reports ``VmHWM``, the peak resident size of its own address space.  Its
-``ru_maxrss`` would not do: Linux carries the high-water mark of the
-forking process (here the whole test session) across exec.  The child's
-address space is capped at 2 GiB, so a regression fails with a MemoryError
-instead of taking gigabytes of a shared machine.
+inside a slice, which keeps a whole run near 95 MiB (96 and 94 MiB for
+multiplier and empirical draws; 158 and 155 MiB with slicing alone).  At
+p = 5000 a batch of 8192 draws is 312 MiB; ``map_chunks`` makes it in
+chunks of at most ``DRAW_BUDGET`` draw values and the hit counts reduce
+each chunk before the next is drawn, so multiplier and empirical hit
+counts of an n = 50 dataset peak at 93 and 123 MiB, where the whole batch
+took 406 and 421 MiB.  ``bounds`` on a design draws its ``moment_R``
+data-side rows in ``rng.BLOCK`` blocks and keeps one cube per row: at
+p = 200 and moment_R = 2 * 10^5 it peaks at 98 MiB, where the whole R x p
+matrix took 1631 MiB.  ``smoothmax`` at 10^5 trials of p = 1000 peaks at
+58 MiB; it needs 763 MiB per trials x p array, and more than the 2 GiB cap
+without blocks.  About 55 MiB of each peak is the interpreter with numpy
+and ``scipy.special`` (``tests/test_imports.py``).  Each run happens in a
+fresh interpreter and reports ``VmHWM``, the peak resident size of its own
+address space.  Its ``ru_maxrss`` would not do: Linux carries the
+high-water mark of the forking process (here the whole test session)
+across exec.  The child's address space is capped at 2 GiB, so a
+regression fails with a MemoryError instead of taking gigabytes of a
+shared machine.
 """
 import json
 import os
@@ -31,17 +36,35 @@ import hdclt
 from hdclt import cli
 
 LIMIT_MIB = 256
+WIDE_LIMIT_MIB = 200
 N = 100_000
 
-CHILD = """
+CAP = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-from hdclt import cli
-code = cli.run(sys.argv[1:])
+"""
+PEAK = """
 with open("/proc/self/status") as fh:
     print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))  # KiB
+"""
+CHILD = CAP + """
+from hdclt import cli
+code = cli.run(sys.argv[1:])
+""" + PEAK + """
 sys.exit(code)
 """
+# bootstrap hit counts of a wide dataset, without the p x p covariance the CLI
+# would factor for its Gaussian side
+WIDE_CHILD = CAP + """
+import numpy as np
+from hdclt.datagen import DesignSpec, sample_dataset
+from hdclt.geometry import sample_rectangles
+from hdclt.montecarlo import EmpiricalSampler, MultiplierSampler, family_hit_counts
+p = 5000
+data = sample_dataset(DesignSpec(kind="rademacher", p=p), 50, 5)
+sampler = (MultiplierSampler if sys.argv[1] == "MB" else EmpiricalSampler)(data)
+family_hit_counts(sampler, sample_rectangles(p, 10, np.ones(p), 6), 8192, 7, 1)
+""" + PEAK
 
 
 @pytest.fixture(scope="module")
@@ -69,21 +92,35 @@ CASES = {
 }
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="reads the peak RSS from Linux /proc")
+def _peak_mib(code, args, cwd):
+    """Runs ``code`` in a fresh interpreter and returns its VmHWM in MiB."""
+    src = os.path.dirname(os.path.dirname(hdclt.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1]) / 1024
+
+
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                reason="reads the peak RSS from Linux /proc")
+
+
+@needs_proc
 @pytest.mark.parametrize("case", list(CASES))
 def test_peak_rss_bounded(dataset_dir, case):
     command, cfg = CASES[case]
     cfg = dict(cfg, out=f"{case}.json")
     path = dataset_dir / f"{case}.cfg.json"
     path.write_text(json.dumps(cfg))
-    src = os.path.dirname(os.path.dirname(hdclt.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, command, "--config", str(path), "--workers", "1"],
-        cwd=dataset_dir, env=env, capture_output=True, text=True, timeout=600,
-    )
-    assert proc.returncode == 0, proc.stderr
-    peak_mib = int(proc.stdout.split()[-1]) / 1024
+    peak_mib = _peak_mib(CHILD, [command, "--config", str(path), "--workers", "1"],
+                         dataset_dir)
     assert peak_mib < LIMIT_MIB, f"{case}: peak RSS {peak_mib:.0f} MiB"
+
+
+@needs_proc
+@pytest.mark.parametrize("mode", ["MB", "EB"])
+def test_wide_bootstrap_draws_reduced_chunk_by_chunk(tmp_path, mode):
+    peak_mib = _peak_mib(WIDE_CHILD, [mode], tmp_path)
+    assert peak_mib < WIDE_LIMIT_MIB, f"{mode}: peak RSS {peak_mib:.0f} MiB"

@@ -9,7 +9,8 @@ from hdclt import rng, serialize
 from hdclt.datagen import CovarianceModel, Dataset, DesignSpec, population_moments, sample_dataset
 from hdclt.errors import ParameterError
 from hdclt.geometry import Hyperrectangle, SetFamily, one_sided_family, sample_rectangles
-from hdclt import montecarlo
+from hdclt import bounds, experiments, montecarlo
+from hdclt.experiments import nazarov_check
 from hdclt.montecarlo import (
     DesignSumSampler,
     EmpiricalSampler,
@@ -183,7 +184,7 @@ def test_rademacher_exact_law_matches_literal():
 def test_literal_sampler_matches_normalized_sum():
     design = DesignSpec(kind="trunc_exp", p=4, scale=1.0)
     sampler = DesignSumSampler(design, 10, exact_law=False)
-    draws = sampler.draw(55, 0, 8)
+    draws = np.concatenate(sampler.map_chunks(55, 0, 8, lambda chunk: chunk))
     for r in (0, 3, 7):
         ds = sample_dataset(design, 10, rng.mix64(55, r))
         assert np.allclose(draws[r], normalized_sum(ds), rtol=1e-12, atol=1e-14)
@@ -209,14 +210,34 @@ def _slicing_samplers():
     }
 
 
+def _whole_batch(sampler, seed, start, count):
+    # the draws of one batch in one array, draw_keys sliced as map_chunks slices it
+    keys = rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
+    return rng.blocked(sampler.draw_keys, keys, sampler.size, montecarlo.DRAW_BUDGET)
+
+
+def _chunk_consumers(sampler, monkeypatch):
+    # the three reductions of draws: hit counts, Nazarov anchor counts (unequal
+    # sds, so the blocked row maxima run) and the tail cubes of bounds
+    p = sampler.p
+    family = sample_rectangles(p, 8, np.ones(p), 5)
+    sigma = CovMatrix(np.diag(np.linspace(0.5, 2.0, p)))
+    monkeypatch.setattr(experiments, "GaussianSumSampler", lambda chol: sampler)
+    return (family_hit_counts(sampler, family, 1000, 9, 1).tolist(),
+            nazarov_check(sigma, 3, [0.1, 0.5], 1000, 9, 1),
+            bounds._tail_moment(sampler, 1.0, 1000, 9))
+
+
 @pytest.mark.parametrize("kind", sorted(_slicing_samplers()))
 def test_draw_slices_batch_to_budget(monkeypatch, kind):
-    # every sampler hands draw_keys at most DRAW_BUDGET // size keys per
-    # call, no call returns more than the budget, and the slices give the
-    # same numbers as one unsliced call
+    # map_chunks hands draw_keys the DRAW_BUDGET // size slices of one
+    # unchunked batch, groups them into chunks of at most DRAW_BUDGET draw
+    # values, and every consumer reduces the chunks to what the whole batch
+    # gives
     sampler = _slicing_samplers()[kind]
-    monkeypatch.setattr(montecarlo, "DRAW_BUDGET", 200)
-    whole = sampler.draw_keys(rng.mix64_array(9, np.arange(3, 103, dtype=np.uint64)))
+    budget, R = 200, 1000  # one batch of 1000 keys, at least 3 chunks
+    monkeypatch.setattr(montecarlo, "DRAW_BUDGET", budget)
+    whole = _whole_batch(sampler, 9, 3, R)
     seen = []
     draw_keys = sampler.draw_keys
 
@@ -225,11 +246,21 @@ def test_draw_slices_batch_to_budget(monkeypatch, kind):
         return draw_keys(keys)
 
     monkeypatch.setattr(sampler, "draw_keys", counting)
-    sliced = sampler.draw(9, 3, 100)
-    per = max(1, 200 // sampler.size)
-    assert seen == [per] * (100 // per) + ([100 % per] if 100 % per else [])
-    assert per * sampler.p <= 200
-    np.testing.assert_array_equal(sliced, whole)
+    chunks = sampler.map_chunks(9, 3, R, lambda chunk: chunk)
+    per = max(1, budget // sampler.size)
+    assert seen == [per] * (R // per) + ([R % per] if R % per else [])
+    assert len(chunks) >= 3 and max(chunk.size for chunk in chunks) <= budget
+    np.testing.assert_array_equal(np.concatenate(chunks), whole)
+
+    hits, nazarov, tail = _chunk_consumers(sampler, monkeypatch)
+    whole = _whole_batch(sampler, 9, 0, R)
+    assert hits == [np.count_nonzero(s.contains_batch(whole)) for s in
+                    sample_rectangles(sampler.p, 8, np.ones(sampler.p), 5).sets]
+    g = np.max(np.abs(whole), axis=1)
+    assert tail.value == float(np.where(g > 1.0, g**3, 0.0).sum()) / R
+    monkeypatch.setattr(sampler, "map_chunks", lambda seed, start, count, fn:
+                        [fn(_whole_batch(sampler, seed, start, count))])
+    assert _chunk_consumers(sampler, monkeypatch) == (hits, nazarov, tail)
 
 
 @pytest.mark.parametrize("kind", sorted(_slicing_samplers()))
