@@ -514,23 +514,22 @@ def read_dataset(path: str) -> Dataset:
             data = np.frombuffer(payload, dtype="<f8").reshape(n, p)
             return Dataset(values=data.astype(np.float64))
     with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            text = fh.read()
+            header = next(reader, None)
+            if not header or not header[0].startswith("x"):
+                raise ParameterError(f"{path} is neither a binary nor a csv dataset")
+            rows = []
+            for row in filter(None, reader):
+                try:
+                    if len(row) != len(header):
+                        raise ValueError
+                    rows.append([float(v) for v in row])
+                except ValueError:
+                    raise OSError(f"{path}: csv line {reader.line_num} must hold "
+                                  f"{len(header)} numbers") from None
         except UnicodeDecodeError:
             raise OSError(f"{path}: csv dataset is not UTF-8 text") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if not header or not header[0].startswith("x"):
-        raise ParameterError(f"{path} is neither a binary nor a csv dataset")
-    rows = []
-    for row in filter(None, reader):
-        try:
-            if len(row) != len(header):
-                raise ValueError
-            rows.append([float(v) for v in row])
-        except ValueError:
-            raise OSError(f"{path}: csv line {reader.line_num} must hold "
-                          f"{len(header)} numbers") from None
     if not rows:
         raise ParameterError(f"{path}: csv dataset has no rows")
     return Dataset(values=np.asarray(rows, dtype=np.float64))

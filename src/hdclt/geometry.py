@@ -10,6 +10,7 @@ normals inherit the same coordinate support.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +47,14 @@ class Hyperrectangle:
     @property
     def p(self) -> int:
         return self.lower.shape[0]
+
+    @functools.cached_property
+    def max_level(self) -> float | None:
+        """t when this is the max-type set {w : w_j <= t for all j}, t < inf, else None."""
+        t = float(self.upper[0]) if self.p else np.inf
+        if t < np.inf and np.all(self.upper == t) and np.all(np.isneginf(self.lower)):
+            return t
+        return None
 
     def contains_batch(self, points: np.ndarray) -> np.ndarray:
         return ((points >= self.lower) & (points <= self.upper)).all(axis=-1)
@@ -223,20 +232,6 @@ def _rect_hit_count(rect: Hyperrectangle, points: np.ndarray) -> int:
     return points.shape[0] if alive is None else int(alive.size)
 
 
-def _max_type_level(rect: Hyperrectangle) -> float | None:
-    """t when the rectangle is {w : w_j <= t for all j} with t < inf, else None."""
-    if rect.p == 0:
-        return None
-    lo, hi = rect.lower, rect.upper
-    t = float(hi[0])
-    # scalar tests first: hit_counts runs this per set and call, and they
-    # turn away almost every other rectangle without a numpy reduction
-    if (t == np.inf or hi[-1] != t or lo[0] != -np.inf
-            or np.any(hi != t) or np.any(lo != -np.inf)):
-        return None
-    return t
-
-
 def hit_counts(family: SetFamily, points: np.ndarray) -> np.ndarray:
     """Number of the given points inside each family member.
 
@@ -247,7 +242,7 @@ def hit_counts(family: SetFamily, points: np.ndarray) -> np.ndarray:
     out = np.empty(len(family), dtype=np.int64)
     row_max = None
     for k, s in enumerate(family.sets):
-        t = _max_type_level(s) if isinstance(s, Hyperrectangle) else None
+        t = s.max_level if isinstance(s, Hyperrectangle) else None
         if t is not None:
             if row_max is None:
                 row_max = np.max(points, axis=1)

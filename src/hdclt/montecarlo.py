@@ -73,9 +73,10 @@ class _Sampler:
     ``DRAW_BUDGET // size`` keys (``rng.blocked``).  Those slices are
     grouped into chunks of at most ``DRAW_BUDGET`` draw values, and each
     chunk is reduced by the caller's function before the next one is
-    drawn: memory per worker is bounded whatever n and p are.  Every draw
-    depends on its key alone and every slice boundary sits where one
-    unchunked batch would put it, so the chunking never changes a number.
+    drawn: memory per worker is bounded whatever n and p are.  Every slice
+    boundary sits where one unchunked batch would put it, so the chunking
+    never changes a number.  The slicing itself may: a BLAS product can
+    round a row differently when it is given fewer rows.
     """
 
     p: int

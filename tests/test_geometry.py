@@ -6,7 +6,6 @@ import pytest
 from hdclt import rng
 from hdclt.errors import ParameterError
 from hdclt.geometry import (
-    _max_type_level,
     _rect_hit_count,
     Hyperrectangle,
     Polytope,
@@ -215,7 +214,7 @@ def test_hit_counts_matches_direct_evaluation():
 def test_max_type_hit_count_matches_coordinate_loop(p):
     # the row-max count of the max-type member equals the survivor loop
     fam = sample_rectangles(p, 10, np.ones(p), 41)
-    assert _max_type_level(fam.sets[-1]) is not None
+    assert fam.sets[-1].max_level is not None
     keys = rng.mix64_array(12, np.arange(2000, dtype=np.uint64))
     pts = rng.to_normal(rng.word_grid(keys, p))
     loop = [_rect_hit_count(s, pts) for s in fam.sets]
@@ -232,7 +231,7 @@ def test_max_type_hit_count_edge_cases():
             Hyperrectangle(np.full(2, -inf), np.full(2, -inf)),
             Hyperrectangle(np.array([-inf, 0.0]), np.full(2, 1.0)),
             Hyperrectangle(np.full(2, -inf), np.array([1.0, 2.0])))
-    assert [_max_type_level(s) for s in sets] == [1.0, None, -inf, None, None]
+    assert [s.max_level for s in sets] == [1.0, None, -inf, None, None]
     fam = SetFamily(sets, tuple(f"s{k}" for k in range(len(sets))))
     assert hit_counts(fam, pts).tolist() == [_rect_hit_count(s, pts) for s in sets]
 

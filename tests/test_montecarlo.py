@@ -210,10 +210,15 @@ def _slicing_samplers():
     }
 
 
-def _whole_batch(sampler, seed, start, count):
-    # the draws of one batch in one array, draw_keys sliced as map_chunks slices it
-    keys = rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
-    return rng.blocked(sampler.draw_keys, keys, sampler.size, montecarlo.DRAW_BUDGET)
+def _keys(seed, start, count):
+    return rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
+
+
+def _sliced_batch(draw_keys, seed, start, count, per):
+    # the draws of one batch, one draw_keys call per slice of `per` keys,
+    # made without rng.blocked or map_chunks
+    keys = _keys(seed, start, count)
+    return np.concatenate([draw_keys(keys[i:i + per]) for i in range(0, count, per)])
 
 
 def _chunk_consumers(sampler, monkeypatch):
@@ -231,15 +236,20 @@ def _chunk_consumers(sampler, monkeypatch):
 @pytest.mark.parametrize("kind", sorted(_slicing_samplers()))
 def test_draw_slices_batch_to_budget(monkeypatch, kind):
     # map_chunks hands draw_keys the DRAW_BUDGET // size slices of one
-    # unchunked batch, groups them into chunks of at most DRAW_BUDGET draw
-    # values, and every consumer reduces the chunks to what the whole batch
-    # gives
+    # unchunked batch and groups them into chunks of at most DRAW_BUDGET
+    # draw values; on 100 keys the slices give the same bits as one unsliced
+    # call, and on 1000 keys (at least 3 chunks) the chunks and every
+    # consumer's reduction of them equal the slices drawn one by one
     sampler = _slicing_samplers()[kind]
-    budget, R = 200, 1000  # one batch of 1000 keys, at least 3 chunks
+    budget, R = 200, 1000
     monkeypatch.setattr(montecarlo, "DRAW_BUDGET", budget)
-    whole = _whole_batch(sampler, 9, 3, R)
-    seen = []
+    per = max(1, budget // sampler.size)
     draw_keys = sampler.draw_keys
+    whole = draw_keys(_keys(9, 3, 100))
+    np.testing.assert_array_equal(
+        np.concatenate(sampler.map_chunks(9, 3, 100, lambda chunk: chunk)), whole)
+
+    seen = []
 
     def counting(keys):
         seen.append(len(keys))
@@ -247,19 +257,19 @@ def test_draw_slices_batch_to_budget(monkeypatch, kind):
 
     monkeypatch.setattr(sampler, "draw_keys", counting)
     chunks = sampler.map_chunks(9, 3, R, lambda chunk: chunk)
-    per = max(1, budget // sampler.size)
     assert seen == [per] * (R // per) + ([R % per] if R % per else [])
     assert len(chunks) >= 3 and max(chunk.size for chunk in chunks) <= budget
-    np.testing.assert_array_equal(np.concatenate(chunks), whole)
+    np.testing.assert_array_equal(np.concatenate(chunks),
+                                  _sliced_batch(draw_keys, 9, 3, R, per))
 
     hits, nazarov, tail = _chunk_consumers(sampler, monkeypatch)
-    whole = _whole_batch(sampler, 9, 0, R)
+    whole = _sliced_batch(draw_keys, 9, 0, R, per)
     assert hits == [np.count_nonzero(s.contains_batch(whole)) for s in
                     sample_rectangles(sampler.p, 8, np.ones(sampler.p), 5).sets]
     g = np.max(np.abs(whole), axis=1)
     assert tail.value == float(np.where(g > 1.0, g**3, 0.0).sum()) / R
     monkeypatch.setattr(sampler, "map_chunks", lambda seed, start, count, fn:
-                        [fn(_whole_batch(sampler, seed, start, count))])
+                        [fn(_sliced_batch(draw_keys, seed, start, count, per))])
     assert _chunk_consumers(sampler, monkeypatch) == (hits, nazarov, tail)
 
 
