@@ -16,7 +16,7 @@ from . import rng
 from .datagen import Dataset, DesignSpec, population_moments, values_from_row_keys
 from .errors import ParameterError
 from .montecarlo import GaussianSumSampler, MultiplierSampler, _batches
-from .sums import CovMatrix, empirical_covariance, robust_cholesky
+from .sums import CovMatrix, empirical_covariance
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,7 @@ class BoundReport:
 
 def max_third_moment(dataset: Dataset) -> float:
     """Largest per-coordinate mean cubed absolute deviation from the column mean."""
-    x = dataset.values
-    centered = np.abs(x - x.mean(axis=0))
-    return float(np.max(np.mean(centered**3, axis=0)))
+    return float(np.max(np.mean(np.abs(dataset.centered)**3, axis=0)))
 
 
 def truncation_threshold(phi: float, n: int, p: int) -> float:
@@ -103,9 +101,8 @@ def _tail_cubes(rows: np.ndarray, tau: float) -> np.ndarray:
 
 def tail_third_moment(dataset: Dataset, phi: float) -> float:
     """Mean over rows of the cubed centered row maximum, kept above the cutoff."""
-    x = dataset.values
     tau = truncation_threshold(phi, dataset.n, dataset.p)
-    return float(np.mean(_tail_cubes(x - x.mean(axis=0), tau)))
+    return float(np.mean(_tail_cubes(dataset.centered, tau)))
 
 
 def _tail_moment(sampler, tau: float, R: int, seed: int) -> MomentEstimate:
@@ -143,7 +140,7 @@ def tail_third_moment_gaussian(sigma: CovMatrix, n: int, phi: float, R: int,
                                seed: int) -> MomentEstimate:
     """Monte Carlo tail third moment of the N(0, sigma) coordinate maximum."""
     tau = truncation_threshold(phi, n, sigma.p)
-    return _tail_moment(GaussianSumSampler(robust_cholesky(sigma)), tau, R, seed)
+    return _tail_moment(GaussianSumSampler(sigma.factor), tau, R, seed)
 
 
 def _check_rate_args(p: int, n: int) -> None:
@@ -311,9 +308,8 @@ def _population_tail_x(design: DesignSpec, tau: float, R: int, seed: int) -> flo
         return 0.0
     # row r is the design row of key mix64(seed, r), made and reduced one
     # block at a time; the cubes are summed once, in row order
-    keys = rng.mix64_array(seed, np.arange(max(2, R), dtype=np.uint64))
     cubes = rng.blocked(lambda k: _tail_cubes(values_from_row_keys(design, k), tau),
-                        keys, design.p)
+                        rng.words(seed, max(2, R)), design.p)
     return float(np.mean(cubes))
 
 

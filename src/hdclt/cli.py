@@ -40,8 +40,6 @@ from .geometry import family_from_config, family_to_config, sample_rectangles
 from .montecarlo import bootstrap_gap, gaussian_approx_gap, interpolation_gap
 from .sums import CovMatrix, empirical_covariance
 
-COMMANDS = ("simulate", "bounds", "estimate-rho", "bootstrap", "rate-scan",
-            "nazarov", "smoothmax")
 # commands whose report has a table of rows, written with ``format: csv``
 TABULAR = ("estimate-rho", "bootstrap", "rate-scan", "nazarov")
 
@@ -347,7 +345,7 @@ def run(argv: list, stdout=None, stderr=None) -> int:
         print(USAGE, file=stdout)
         return 0 if argv else 2
     command = argv[0]
-    if command not in COMMANDS:
+    if command not in _HANDLERS:
         print(USAGE, file=stderr)
         return _fail(stderr, 2, f"unknown command {command!r}")
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import itertools
 import math
 import struct
@@ -142,6 +141,11 @@ class DesignSpec:
         if self.kind == "log_concave" and self.variant == "gaussian" and self.scale != 1.0:
             raise ParameterError("gaussian log_concave variant has a fixed scale of 1")
 
+    @property
+    def gaussian(self) -> bool:
+        """True when rows are exactly N(0, Sigma)."""
+        return self.kind == "gaussian" or self.variant == "gaussian"
+
     @staticmethod
     def from_config(cfg: dict) -> "DesignSpec":
         if not isinstance(cfg, dict):
@@ -189,6 +193,11 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.values.shape[1]
+
+    @functools.cached_property
+    def centered(self) -> np.ndarray:
+        """The rows minus their column means, computed once per dataset."""
+        return self.values - self.values.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -270,7 +279,7 @@ def _base_moments(design: DesignSpec) -> dict:
             fourth=c**4 * a / (a - 4.0),
             B=design.scale, bound=None,
         )
-    if design.kind == "gaussian" or design.variant == "gaussian":
+    if design.gaussian:
         return dict(var=1.0, third=_GAUSS_THIRD, fourth=3.0, B=math.sqrt(3.0), bound=None)
     # uniform cube with sd = scale
     h = math.sqrt(3.0) * design.scale
@@ -290,7 +299,7 @@ def _exp_moment(design: DesignSpec, B: float, sd: float) -> float:
         return math.inf if lam * t >= 1.0 else 1.0 / (1.0 - lam * t)
     if design.kind == "heavy_tail":
         return math.inf
-    if design.kind == "gaussian" or design.variant == "gaussian":
+    if design.gaussian:
         t = 1.0 / (B * sd)
         return 2.0 * math.exp(t * t / 2.0) * float(ndtr(t))
     h = math.sqrt(3.0) * design.scale
@@ -408,9 +417,7 @@ def sample_dataset(design: DesignSpec, n: int, seed: int) -> Dataset:
     """Draw an ``n x p`` matrix; row i is a pure function of mix64(seed, i)."""
     if not isinstance(n, int) or n < 2:
         raise ParameterError(f"need n >= 2 rows, got {n!r}")
-    row_keys = rng.mix64_array(seed, np.arange(n, dtype=np.uint64))
-    values = values_from_row_keys(design, row_keys)
-    return Dataset(values=values)
+    return Dataset(values=values_from_row_keys(design, rng.words(seed, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +456,7 @@ def verify_conditions(report: MomentReport, s: int) -> dict:
         b_sparse = float(np.min(_subset_min_eigs(sigma, subsets)))
         sampled = False
     else:
-        keys = rng.mix64_array(_SUBSET_SEED, np.arange(_SUBSET_SAMPLE, dtype=np.uint64))
+        keys = rng.words(_SUBSET_SEED, _SUBSET_SAMPLE)
         u = rng.to_uniform(rng.word_grid(keys, p))
         subsets = np.argpartition(u, s - 1, axis=1)[:, :s].astype(np.intp)
         b_sparse = float(np.min(_subset_min_eigs(sigma, subsets)))
@@ -484,13 +491,11 @@ def write_dataset(dataset: Dataset, path: str, fmt: str | None = None) -> None:
             fh.write(struct.pack("<QQ", dataset.n, dataset.p))
             fh.write(np.ascontiguousarray(dataset.values, dtype="<f8").tobytes())
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"x{j + 1}" for j in range(dataset.p)])
-        for row in dataset.values:
-            writer.writerow([f"{v:.17g}" for v in row])
         with open(path, "w", newline="") as fh:
-            fh.write(buf.getvalue())
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([f"x{j + 1}" for j in range(dataset.p)])
+            for row in dataset.values:
+                writer.writerow([f"{v:.17g}" for v in row])
     else:
         raise ParameterError(f"unknown dataset format {fmt!r}")
 

@@ -457,7 +457,7 @@ def sandwich_check(inner: Polytope, sset: SparseConvexSet, eps: float,
         in_outer = outer.contains_batch(pts)
         return (in_inner & ~in_set) | (in_set & ~in_outer)
 
-    keys = rng.mix64_array(seed, np.arange(trials, dtype=np.uint64))
+    keys = rng.words(seed, trials)
     # slices of 2**16 points: the membership tests hold matrix products
     return int(np.count_nonzero(rng.blocked(violated, keys, sset.p, (1 << 16) * sset.p)))
 

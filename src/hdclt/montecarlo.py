@@ -38,7 +38,6 @@ from .sums import (
     empirical_resample_draw_batch,
     gaussian_draw_batch,
     multiplier_draw_batch,
-    robust_cholesky,
 )
 
 BATCH = 1 << 13  # fixed batch size; must not depend on the worker count
@@ -129,12 +128,9 @@ class DesignSumSampler(_Sampler):
         self.design = design
         self.n = n
         self.p = design.p
-        gaussian_like = design.kind == "gaussian" or (
-            design.kind == "log_concave" and design.variant == "gaussian"
-        )
         self.mode = "literal"
         self.size = n * self.p  # one fresh (n, p) dataset per key
-        if exact_law and gaussian_like:
+        if exact_law and design.gaussian:
             self.mode = "gaussian"
             self.size = words_per_row(design)
         elif exact_law and design.kind == "rademacher":
@@ -337,11 +333,9 @@ def _gap(sampler_1, sampler_2, family: SetFamily, R: int, seed: int,
     )
 
 
-def _check_gap_args(family: SetFamily, R: int) -> None:
+def _check_gap_args(R: int) -> None:
     if R < 1000:
         raise ParameterError(f"need R >= 1000 replications, got {R!r}")
-    if len(family) < 1:
-        raise ParameterError("need a nonempty family")
 
 
 def gaussian_approx_gap(design: DesignSpec, n: int, sigma: CovMatrix,
@@ -350,9 +344,9 @@ def gaussian_approx_gap(design: DesignSpec, n: int, sigma: CovMatrix,
                         exact_law: bool = True) -> GapEstimate:
     """Sup over the family of |P(sum in A) - P(N(0, sigma) in A)|, estimated
     from R fresh-sum draws against R gaussian draws on independent streams."""
-    _check_gap_args(family, R)
+    _check_gap_args(R)
     return _gap(DesignSumSampler(design, n, exact_law),
-                GaussianSumSampler(robust_cholesky(sigma)),
+                GaussianSumSampler(sigma.factor),
                 family, R, seed, ("sum", "gaussian"), workers)
 
 
@@ -362,12 +356,12 @@ def bootstrap_gap(dataset: Dataset, sigma: CovMatrix, family: SetFamily,
     """Conditional bootstrap analog: bootstrap draws of a fixed dataset
     against N(0, sigma) draws.  ``mode`` is "MB" (multiplier) or "EB"
     (empirical)."""
-    _check_gap_args(family, R)
+    _check_gap_args(R)
     if mode not in ("MB", "EB"):
         raise ParameterError(f"mode must be 'MB' or 'EB', got {mode!r}")
     sampler_b = MultiplierSampler(dataset) if mode == "MB" else EmpiricalSampler(dataset)
     sides = ("multiplier" if mode == "MB" else "empirical", "gaussian")
-    return _gap(sampler_b, GaussianSumSampler(robust_cholesky(sigma)),
+    return _gap(sampler_b, GaussianSumSampler(sigma.factor),
                 family, R, seed, sides, workers)
 
 
@@ -393,9 +387,9 @@ def interpolation_gap(design: DesignSpec, n: int, sigma: CovMatrix,
     v_grid = [float(v) for v in v_grid]
     if not v_grid:
         raise ParameterError("need a nonempty grid of interpolation weights")
-    _check_gap_args(family, R)
+    _check_gap_args(R)
     _require_lower_orthants(family)
-    chol = robust_cholesky(sigma)
+    chol = sigma.factor
     per_v = []
     sup = 0.0
     for k, v in enumerate(v_grid):

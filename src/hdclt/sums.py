@@ -12,6 +12,7 @@ the samplers of :mod:`hdclt.montecarlo` derive the keys.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,11 @@ class CovMatrix:
     def p(self) -> int:
         return self.matrix.shape[0]
 
+    @functools.cached_property
+    def factor(self) -> CholFactor:
+        """``robust_cholesky(self)``, computed once per matrix."""
+        return robust_cholesky(self)
+
 
 @dataclass(frozen=True)
 class CholFactor:
@@ -63,7 +69,7 @@ def normalized_sum(dataset: Dataset) -> np.ndarray:
 
 def empirical_covariance(dataset: Dataset) -> CovMatrix:
     """Centered second-moment matrix with divisor n (not n-1)."""
-    centered = dataset.values - dataset.values.mean(axis=0)
+    centered = dataset.centered
     return CovMatrix(centered.T @ centered / dataset.n)
 
 
@@ -111,8 +117,7 @@ def multiplier_draw_batch(dataset: Dataset, keys: np.ndarray) -> np.ndarray:
     Conditional on the data each draw is exactly gaussian with the empirical
     covariance.
     """
-    centered = dataset.values - dataset.values.mean(axis=0)
-    return _normals(keys, dataset.n) @ centered / math.sqrt(dataset.n)
+    return _normals(keys, dataset.n) @ dataset.centered / math.sqrt(dataset.n)
 
 
 def empirical_resample_draw_batch(dataset: Dataset, keys: np.ndarray) -> np.ndarray:

@@ -46,6 +46,19 @@ def test_estimate_rho_happy_path(tmp_path):
     assert len(payload["estimate"]["per_set"]) == 10
 
 
+def test_family_seed_fixes_the_family(tmp_path):
+    def family(run_seed, family_seed):
+        cfg = rho_config(tmp_path, seed=run_seed, R=1000,
+                         family={"kind": "rectangles", "K": 5, "seed": family_seed})
+        code, _, err = run_cli(["estimate-rho", "--config",
+                                write_config(tmp_path, "c.json", cfg)])
+        assert code == 0, err
+        return json.loads((tmp_path / "rho.json").read_text())["family"]
+
+    assert family(1, 77) == family(2, 77)
+    assert family(1, 77) != family(1, 78)
+
+
 def test_alpha_outside_domain_exits_2(tmp_path):
     path = write_config(tmp_path, "c.json", rho_config(tmp_path))
     code, _, err = run_cli(["estimate-rho", "--config", path, "--set", "params.alpha=0.5"])

@@ -208,6 +208,18 @@ def test_dataset_file_round_trips(tmp_path):
     assert header == "x1,x2,x3,x4"
 
 
+def test_dataset_csv_bytes(tmp_path):
+    path = tmp_path / "d.csv"
+    write_dataset(Dataset(np.array([[1.0, -0.5], [0.1, 2e-20]])), str(path))
+    assert path.read_bytes() == b"x1,x2\n1,-0.5\n0.10000000000000001,1.9999999999999999e-20\n"
+
+
+def test_gaussian_law_flag():
+    gaussian = [d for d in ALL_DESIGNS if d.gaussian]
+    assert [(d.kind, d.variant) for d in gaussian] == (
+        [("gaussian", None)] * 3 + [("log_concave", "gaussian")])
+
+
 def test_design_config_round_trip():
     # one config per entry of ALL_DESIGNS, in order; the first spells out
     # every default, the others only what differs from it

@@ -82,6 +82,26 @@ def test_rate_scan_errors_carry_cell_context():
         rate_scan(spec)
 
 
+def test_rate_scan_factors_each_cell_once(monkeypatch):
+    # the gap and M_y of a cell read the same sigma, so one factorization
+    # serves both; this well-conditioned sigma needs one cholesky call
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+    spec = ScanSpec(design={"kind": "gaussian"}, n_grid=(8, 32),
+                    p_rule={"rule": "fixed", "p": 10}, family_K=5, R=1000,
+                    seed=3, moment_R=100)
+    rate_scan(spec, workers=1)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n_grid", [(8, 8, 32), (32, 8)])
+def test_scan_spec_rejects_unsorted_or_repeated_n(n_grid):
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        ScanSpec(design={"kind": "gaussian"}, n_grid=n_grid,
+                 p_rule={"rule": "fixed", "p": 10}, family_K=5, R=1000, seed=1)
+
+
 def test_nazarov_center_anchor_against_product_oracle():
     sigma = population_moments(DesignSpec(kind="gaussian", p=3)).sigma
     res = nazarov_check(sigma, 9, [0.1], 400_000, 11, workers=2)

@@ -76,6 +76,22 @@ def test_cholesky_rejects_indefinite():
         robust_cholesky(CovMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
 
 
+def test_covariance_factor_is_computed_once(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+    cov = CovMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    assert cov.factor is cov.factor
+    assert len(calls) == 1
+    assert np.array_equal(cov.factor.L, robust_cholesky(cov).L)
+
+
+def test_dataset_centered_rows():
+    ds = Dataset(np.array([[1.0, 4.0], [3.0, 8.0]]))
+    assert np.array_equal(ds.centered, [[-1.0, -2.0], [1.0, 2.0]])
+    assert ds.centered is ds.centered
+
+
 def test_gaussian_draw_zero_factor():
     chol = CholFactor(L=np.zeros((3, 3)))
     assert np.all(gaussian_draw_batch(chol, keys(5, 4)) == 0.0)
