@@ -207,24 +207,6 @@ def max_covariance_gap(sigma_hat: CovMatrix, sigma: CovMatrix) -> float:
     return float(np.max(np.abs(sigma_hat.matrix - sigma.matrix)))
 
 
-def family_covariance_gap(sigma_hat: CovMatrix, sigma: CovMatrix, family) -> float:
-    """Largest |v1' (S_hat - S) v2| over facet-normal pairs of each polytope."""
-    from .geometry import Polytope
-
-    if sigma_hat.p != sigma.p:
-        raise ParameterError(
-            f"covariance dimensions differ: {sigma_hat.p} vs {sigma.p}"
-        )
-    delta = sigma_hat.matrix - sigma.matrix
-    worst = 0.0
-    for s in family.sets:
-        if not isinstance(s, Polytope):
-            raise ParameterError("family members must be polytopes")
-        proj = s.normals @ delta @ s.normals.T
-        worst = max(worst, float(np.max(np.abs(proj))))
-    return worst
-
-
 def orlicz_norm(samples, alpha: float) -> float:
     """Plug-in exponential-moment norm: the smallest scale at which the
     empirical mean of exp((|x|/scale)^alpha) drops to 2.
@@ -290,7 +272,8 @@ def report_from_dataset(dataset: Dataset, params: BoundParams,
     L = max_third_moment(dataset)
     phi = _phi_pair(L, p, n, params.K2)
     m_x = tail_third_moment(dataset, phi[1])
-    m_y = tail_third_moment_bootstrap(dataset, phi[1], moment_R, rng.mix64(seed, 2))
+    m_y = tail_third_moment_bootstrap(dataset, phi[1], moment_R,
+                                      rng.mix64(seed, rng.TAG_SECOND))
     delta = None
     if sigma is not None:
         delta = max_covariance_gap(empirical_covariance(dataset), sigma)
@@ -298,14 +281,6 @@ def report_from_dataset(dataset: Dataset, params: BoundParams,
 
 
 def _population_tail_x(design: DesignSpec, tau: float, R: int, seed: int) -> float:
-    # bounded designs are exactly zero once the cutoff clears the bound
-    bound = None
-    if design.kind == "rademacher":
-        bound = 1.0
-    elif design.kind == "log_concave" and design.variant == "uniform":
-        bound = math.sqrt(3.0) if design.standardize else math.sqrt(3.0) * design.scale
-    if bound is not None and bound <= tau:
-        return 0.0
     # row r is the design row of key mix64(seed, r), made and reduced one
     # block at a time; the cubes are summed once, in row order
     cubes = rng.blocked(lambda k: _tail_cubes(values_from_row_keys(design, k), tau),
@@ -329,7 +304,10 @@ def report_from_design(design: DesignSpec, n: int,
     L = moments.L_n_population
     phi = _phi_pair(L, p, n, params.K2)
     tau = truncation_threshold(phi[1], n, p)
-    m_x = _population_tail_x(design, tau, moment_R, rng.mix64(seed, 1))
+    if moments.bound is not None and moments.bound <= tau:
+        m_x = 0.0  # bounded designs are exactly zero once the cutoff clears the bound
+    else:
+        m_x = _population_tail_x(design, tau, moment_R, rng.mix64(seed, rng.TAG_FIRST))
     m_y = tail_third_moment_gaussian(moments.sigma, n, phi[1], moment_R,
-                                     rng.mix64(seed, 2))
+                                     rng.mix64(seed, rng.TAG_SECOND))
     return _report("population", params, n, p, L, phi, m_x, m_y)

@@ -141,7 +141,7 @@ def _family(cfg: dict, p: int, sigma_diag: np.ndarray, seed: int):
     count = int(block.get("K", 100))
     fam_seed = block.get("seed")
     if fam_seed is None:
-        fam_seed = rng.mix64(seed, 3)  # derived family stream, tag 3
+        fam_seed = rng.mix64(seed, rng.TAG_FAMILY)
     return sample_rectangles(p, count, sigma_diag, int(fam_seed))
 
 

@@ -208,6 +208,8 @@ class MomentReport:
     "not-applicable", evaluated at the reported ``B_n``.  ``e1_value`` is
     ``E exp(|X_j| / B_n)`` (``inf`` for polynomial tails) and ``e2_value``
     is ``E[(max_j |X_j| / B_n)^q]`` when a tail order q applies.
+    ``bound`` is the almost-sure bound of ``|X_j|``, ``None`` when the
+    design is unbounded.
     """
 
     b_lower: float
@@ -219,6 +221,7 @@ class MomentReport:
     tail_index: float | None = None
     e1_value: float | None = None
     e2_value: float | None = None
+    bound: float | None = None
 
 
 @functools.lru_cache(maxsize=None)
@@ -262,49 +265,39 @@ def _heavy_tail_params(design: DesignSpec) -> tuple[float, float, float]:
 
 
 def _base_moments(design: DesignSpec) -> dict:
-    """Unstandardized per-coordinate moments; coordinates share one law."""
+    """Unstandardized per-coordinate moments; coordinates share one law.
+
+    ``mgf(t)`` is ``E exp(t |X_j|)`` and ``bound`` the almost-sure bound of
+    ``|X_j|``, ``None`` when the law is unbounded; a polynomial-tail law also
+    gives ``e2``, its ``E[(max_j |X_j| / B_n)^q]``.
+    """
     if design.kind == "rademacher":
-        return dict(var=1.0, third=1.0, fourth=1.0, B=1.0, bound=1.0)
+        return dict(var=1.0, third=1.0, fourth=1.0, B=1.0, bound=1.0, mgf=math.exp)
     if design.kind == "trunc_exp":
         lam = design.scale / 2.0
         return dict(
             var=2.0 * lam**2, third=6.0 * lam**3, fourth=24.0 * lam**4,
             B=design.scale, bound=None,
+            mgf=lambda t: math.inf if lam * t >= 1.0 else 1.0 / (1.0 - lam * t),
         )
     if design.kind == "heavy_tail":
-        a, c, _ = _heavy_tail_params(design)
+        a, c, e2 = _heavy_tail_params(design)
         return dict(
             var=c**2 * a / (a - 2.0),
             third=c**3 * a / (a - 3.0),
             fourth=c**4 * a / (a - 4.0),
-            B=design.scale, bound=None,
+            B=design.scale, bound=None, mgf=lambda t: math.inf, e2=e2,
         )
     if design.gaussian:
-        return dict(var=1.0, third=_GAUSS_THIRD, fourth=3.0, B=math.sqrt(3.0), bound=None)
+        return dict(var=1.0, third=_GAUSS_THIRD, fourth=3.0, B=math.sqrt(3.0), bound=None,
+                    mgf=lambda t: 2.0 * math.exp(t * t / 2.0) * float(ndtr(t)))
     # uniform cube with sd = scale
     h = math.sqrt(3.0) * design.scale
     third = h**3 / 4.0
     fourth = h**4 / 5.0
     return dict(var=design.scale**2, third=third, fourth=fourth,
-                B=max(third, math.sqrt(fourth)), bound=h)
-
-
-def _exp_moment(design: DesignSpec, B: float, sd: float) -> float:
-    """E exp(|X_j| / B) after any standardization (division by sd)."""
-    if design.kind == "rademacher":
-        return math.exp(1.0 / (B * sd))
-    if design.kind == "trunc_exp":
-        lam = design.scale / 2.0
-        t = 1.0 / (B * sd)
-        return math.inf if lam * t >= 1.0 else 1.0 / (1.0 - lam * t)
-    if design.kind == "heavy_tail":
-        return math.inf
-    if design.gaussian:
-        t = 1.0 / (B * sd)
-        return 2.0 * math.exp(t * t / 2.0) * float(ndtr(t))
-    h = math.sqrt(3.0) * design.scale
-    t = 1.0 / (B * sd)
-    return math.expm1(h * t) / (h * t)
+                B=max(third, math.sqrt(fourth)), bound=h,
+                mgf=lambda t: math.expm1(h * t) / (h * t))
 
 
 def population_moments(design: DesignSpec) -> MomentReport:
@@ -319,10 +312,8 @@ def population_moments(design: DesignSpec) -> MomentReport:
     B = base["B"] / sd
     bound = None if base["bound"] is None else base["bound"] / sd
 
-    e1 = _exp_moment(design, B, sd)
-    e2 = None
-    if design.kind == "heavy_tail":
-        _, _, e2 = _heavy_tail_params(design)
+    e1 = base["mgf"](1.0 / (B * sd))
+    e2 = base.get("e2")
 
     tol = 1e-12
     flags = {
@@ -348,6 +339,7 @@ def population_moments(design: DesignSpec) -> MomentReport:
         tail_index=design.tail_index,
         e1_value=e1,
         e2_value=e2,
+        bound=bound,
     )
 
 
@@ -398,7 +390,7 @@ def values_from_row_keys(design: DesignSpec, row_keys: np.ndarray) -> np.ndarray
         if cov.kind == "identity":
             x = rng.to_normal(rng.word_grid(row_keys, p))
         elif cov.kind == "equicorrelated":
-            z = rng.to_normal(rng.word_grid(row_keys, p + 1))
+            z = rng.to_normal(rng.word_grid(row_keys, words_per_row(design)))
             x = math.sqrt(cov.r) * z[..., :1] + math.sqrt(1.0 - cov.r) * z[..., 1:]
         else:  # ar1: stationary recursion, exact for the r^|i-j| covariance
             z = rng.to_normal(rng.word_grid(row_keys, p))

@@ -21,12 +21,11 @@ from .errors import NotPositiveSemidefiniteError, ParameterError
 from .geometry import sample_rectangles
 from .montecarlo import (
     GaussianSumSampler,
-    gaussian_approx_gap,
+    _check_gap_args,
     _map_batches,
+    gaussian_approx_gap,
 )
 from .sums import CovMatrix
-
-TAG_SCAN_FAMILY = 3
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +135,7 @@ def rate_scan(spec: ScanSpec, workers: int | None = None) -> ScanResult:
             sd = np.sqrt(np.diag(moments.sigma.matrix))
             # family seed depends on p only: equal-dimension cells share one
             # family, so decay across n is measured on the same sets
-            family_seed = rng.mix64(rng.mix64(spec.seed, TAG_SCAN_FAMILY), p)
+            family_seed = rng.mix64(rng.mix64(spec.seed, rng.TAG_FAMILY), p)
             family = sample_rectangles(p, spec.family_K, sd, family_seed)
             gap = gaussian_approx_gap(design, n, moments.sigma, family, spec.R,
                                       cell_seed, workers, spec.exact_law)
@@ -144,8 +143,9 @@ def rate_scan(spec: ScanSpec, workers: int | None = None) -> ScanResult:
             terms = rate_terms(params.B_n, p, n)
             L = moments.L_n_population
             phi_used = max(1.0, smoothing_parameter(L, p, n, params.K2))
-            m_y = tail_third_moment_gaussian(moments.sigma, n, phi_used,
-                                             spec.moment_R, rng.mix64(cell_seed, 2))
+            # the same stream as the gap's Gaussian side (see rng.TAG_SECOND)
+            m_y = tail_third_moment_gaussian(moments.sigma, n, phi_used, spec.moment_R,
+                                             rng.mix64(cell_seed, rng.TAG_SECOND))
             main = gaussian_approx_bound(L, m_y.value, p, n, params.K1)
         except (ParameterError, NotPositiveSemidefiniteError) as exc:
             raise type(exc)(f"scan cell (n={n}, p={p}): {exc}") from exc
@@ -219,8 +219,7 @@ def nazarov_check(sigma: CovMatrix, y_count: int, a_grid, R: int, seed: int,
     a_grid = [float(a) for a in a_grid]
     if not a_grid or any(a < 0 for a in a_grid):
         raise ParameterError("offsets must be nonnegative")
-    if R < 1000:
-        raise ParameterError(f"need R >= 1000, got {R!r}")
+    _check_gap_args(R)
     diag = np.diag(sigma.matrix)
     if float(np.min(diag)) <= 0.0:
         raise ParameterError("anchor quantiles need positive coordinate variances")

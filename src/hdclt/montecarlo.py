@@ -6,9 +6,9 @@ Replications are processed in fixed-size batches; replication ``r`` of a
 side with stream seed ``s`` derives its randomness from ``mix64(s, r)``, so
 any assignment of batches to worker threads produces bit-identical counts.
 Hits are accumulated as integers, which makes the reduction order
-irrelevant.  The two compared sides always use independent streams (tags 1
-and 2 of the caller's seed): no common-random-number coupling is applied,
-since the compared laws differ.
+irrelevant.  The two compared sides always use independent streams
+(``rng.TAG_FIRST`` and ``rng.TAG_SECOND`` of the caller's seed): no
+common-random-number coupling is applied, since the compared laws differ.
 
 The reported ``noise_floor`` is the frozen approximation
 ``4.5 * sqrt(0.5 / R) * sqrt(log(K) + 1)`` of the 99.9% quantile of the
@@ -43,10 +43,6 @@ from .sums import (
 BATCH = 1 << 13  # fixed batch size; must not depend on the worker count
 # elements one draw call may materialize; like BATCH, free of the worker count
 DRAW_BUDGET = 1 << 22
-
-TAG_FIRST = 1
-TAG_SECOND = 2
-TAG_GRID = 16
 
 
 def noise_floor(R: int, K: int) -> float:
@@ -162,8 +158,9 @@ class InterpolatedSampler(_Sampler):
     """sqrt(v) * (data sum) + sqrt(1 - v) * N(0, L L'), independent branches.
 
     Replication r derives ``s_r = mix64(seed, r)`` and feeds branch keys
-    ``mix64(s_r, 1)`` (data) and ``mix64(s_r, 2)`` (gaussian); at v = 1 or
-    v = 0 the draw is exactly the corresponding branch.
+    ``mix64(s_r, TAG_FIRST)`` (data) and ``mix64(s_r, TAG_SECOND)``
+    (gaussian); at v = 1 or v = 0 the draw is exactly the corresponding
+    branch.
     """
 
     def __init__(self, design: DesignSpec, n: int, chol: CholFactor, v: float,
@@ -179,8 +176,8 @@ class InterpolatedSampler(_Sampler):
         self.size = self.inner_x.size + self.inner_y.size
 
     def draw_keys(self, keys: np.ndarray) -> np.ndarray:
-        sx = self.inner_x.draw_keys(rng.mix64_keys(keys, TAG_FIRST))
-        sy = self.inner_y.draw_keys(rng.mix64_keys(keys, TAG_SECOND))
+        sx = self.inner_x.draw_keys(rng.mix64_keys(keys, rng.TAG_FIRST))
+        sy = self.inner_y.draw_keys(rng.mix64_keys(keys, rng.TAG_SECOND))
         return math.sqrt(self.v) * sx + math.sqrt(1.0 - self.v) * sy
 
 
@@ -315,10 +312,12 @@ def estimate_prob(sampler, set_, R: int, seed: int,
 
 def _gap(sampler_1, sampler_2, family: SetFamily, R: int, seed: int,
          sides: tuple, workers: int | None) -> GapEstimate:
-    """Count both sides on independent streams (tags 1 and 2 of ``seed``)
-    and compare their hit fractions set by set."""
-    p1 = family_hit_counts(sampler_1, family, R, rng.mix64(seed, TAG_FIRST), workers) / R
-    p2 = family_hit_counts(sampler_2, family, R, rng.mix64(seed, TAG_SECOND), workers) / R
+    """Count both sides on independent streams (``mix64(seed, TAG_FIRST)``
+    and ``mix64(seed, TAG_SECOND)``) and compare their hit fractions set by
+    set."""
+    seed_1, seed_2 = rng.mix64(seed, rng.TAG_FIRST), rng.mix64(seed, rng.TAG_SECOND)
+    p1 = family_hit_counts(sampler_1, family, R, seed_1, workers) / R
+    p2 = family_hit_counts(sampler_2, family, R, seed_2, workers) / R
     diff = np.abs(p1 - p2)
     se = np.sqrt(p1 * (1.0 - p1) / R + p2 * (1.0 - p2) / R)
     k = int(np.argmax(diff))
@@ -394,8 +393,8 @@ def interpolation_gap(design: DesignSpec, n: int, sigma: CovMatrix,
     sup = 0.0
     for k, v in enumerate(v_grid):
         est = _gap(InterpolatedSampler(design, n, chol, v, exact_law),
-                   GaussianSumSampler(chol), family, R,
-                   rng.mix64(seed, TAG_GRID + k), ("interpolated", "gaussian"), workers)
+                   GaussianSumSampler(chol), family, R, rng.mix64(seed, rng.TAG_GRID + k),
+                   ("interpolated", "gaussian"), workers)
         per_v.append(InterpolationPoint(v=v, estimate=est))
         sup = max(sup, est.sup_diff)
     floor = noise_floor(R, len(family) * len(v_grid))

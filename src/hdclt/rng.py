@@ -35,6 +35,20 @@ _INV53 = float(2.0 ** -53)
 # cache instead of streaming through memory
 BLOCK = 1 << 15
 
+# Substream tags: a consumer with seed s draws from mix64(s, TAG_*), and
+# several consumers may share one tag.
+#   TAG_FIRST   side 1 of montecarlo._gap, the data branch of an interpolated
+#               draw, the M_x rows of bounds.report_from_design
+#   TAG_SECOND  side 2 of _gap, the Gaussian branch of an interpolated draw,
+#               M_y of both bounds reports, and rate_scan's M_y: it reads
+#               mix64(cell_seed, TAG_SECOND), the cell gap's Gaussian stream
+#   TAG_FAMILY  a rectangle family derived from the run seed (cli, rate_scan)
+#   TAG_GRID    interpolation_gap's grid point k uses TAG_GRID + k
+TAG_FIRST = 1
+TAG_SECOND = 2
+TAG_FAMILY = 3
+TAG_GRID = 16
+
 
 def mix64(seed: int, counter: int) -> int:
     """Avalanche mix of a seed and a counter into a 64-bit word.

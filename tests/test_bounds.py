@@ -5,11 +5,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from hdclt import rng, serialize
+from hdclt import bounds, rng, serialize
 from hdclt.bounds import (
     BoundParams,
     _population_tail_x,
-    family_covariance_gap,
     gaussian_approx_bound,
     max_covariance_gap,
     max_third_moment,
@@ -24,7 +23,6 @@ from hdclt.bounds import (
 )
 from hdclt.datagen import CovarianceModel, Dataset, DesignSpec, sample_dataset
 from hdclt.errors import ParameterError
-from hdclt.geometry import Polytope, SetFamily
 from hdclt.sums import CovMatrix, empirical_covariance
 
 mpmath.mp.dps = 50
@@ -206,19 +204,6 @@ def test_covariance_gaps():
         max_covariance_gap(eye, CovMatrix(np.eye(4)))
 
 
-def test_family_covariance_gap():
-    eye = CovMatrix(np.eye(2))
-    poly = Polytope(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
-    fam = SetFamily((poly,), ("a",))
-    assert family_covariance_gap(eye, eye, fam) == 0.0
-    perturbed = CovMatrix(np.array([[1.0, 0.2], [0.2, 1.0]]))
-    assert family_covariance_gap(perturbed, eye, fam) == pytest.approx(0.2)
-    # axis-aligned normals reduce to the entrywise gap on used coordinates
-    assert family_covariance_gap(perturbed, eye, fam) == pytest.approx(
-        max_covariance_gap(perturbed, eye)
-    )
-
-
 def test_orlicz_norm_values():
     assert orlicz_norm(np.zeros(10), 1.0) == 0.0
     assert orlicz_norm(np.ones(5), 1.0) == pytest.approx(1.0 / math.log(2.0), rel=1e-8)
@@ -262,6 +247,27 @@ def test_report_from_design_shape():
     assert "D1" in cfg and "D2q" not in cfg
     assert "q" not in cfg["params"] and "alpha" not in cfg["params"]
     assert cfg["main_bound"] > 0.0
+
+
+@pytest.mark.parametrize("design", [
+    DesignSpec(kind="rademacher", p=10),
+    DesignSpec(kind="log_concave", p=10, variant="uniform", standardize=True),
+], ids=lambda d: d.kind)
+def test_bounded_design_below_cutoff_draws_no_row(monkeypatch, design):
+    # M_x is exactly zero once the cutoff clears the bound: no row is made,
+    # which a Monte Carlo mean of zero cubes could not show
+    def no_rows(*args):
+        raise AssertionError("a design row was drawn")
+
+    monkeypatch.setattr(bounds, "values_from_row_keys", no_rows)
+    n = 2000
+    report = report_from_design(design, n, moment_R=1000, seed=3)
+    assert report.M_x == 0.0
+    assert truncation_threshold(report.phi_used, n, design.p) >= math.sqrt(3.0)
+    # above the bound the rows are drawn, so the patch above is in force
+    wide = DesignSpec(kind="log_concave", p=10, variant="uniform", scale=4.0)
+    with pytest.raises(AssertionError, match="row was drawn"):
+        report_from_design(wide, n, moment_R=1000, seed=3)
 
 
 def test_report_from_dataset_shape():

@@ -117,6 +117,68 @@ def test_trunc_exp_exponential_moment_is_two():
     assert m.condition_flags["E.1"] == "holds"
 
 
+def _abs_density_oracle(design, B_n):
+    # E exp(|X| / B_n) by quadrature over the density of |X|, rebuilt from
+    # the transform in values_from_row_keys and any standardization
+    if design.kind == "trunc_exp":
+        # |X| ~ Exp(mean lam) with lam = scale / 2, and sd = sqrt(2) lam
+        lam = 1.0 / math.sqrt(2.0) if design.standardize else design.scale / 2.0
+        return quad(lambda x: math.exp(x / B_n - x / lam) / lam, 0.0, np.inf)[0]
+    if design.kind == "gaussian":
+        return 2.0 * quad(lambda x: math.exp(x / B_n - x * x / 2.0) / math.sqrt(2 * math.pi),
+                          0.0, np.inf)[0]
+    h = math.sqrt(3.0) * (1.0 if design.standardize else design.scale)  # |X| ~ U(0, h)
+    return quad(lambda x: math.exp(x / B_n) / h, 0.0, h)[0]
+
+
+@pytest.mark.parametrize("design", [
+    DesignSpec(kind="trunc_exp", p=3, scale=1.0),
+    DesignSpec(kind="trunc_exp", p=3, scale=0.7, standardize=True),
+    DesignSpec(kind="gaussian", p=3),
+    DesignSpec(kind="log_concave", p=3, variant="uniform", scale=0.5),
+    DesignSpec(kind="log_concave", p=3, variant="uniform", scale=3.0, standardize=True),
+], ids=lambda d: d.kind + ("-std" if d.standardize else ""))
+def test_exponential_moment_against_quadrature_oracle(design):
+    m = population_moments(design)
+    assert m.e1_value == pytest.approx(_abs_density_oracle(design, m.B_n), rel=1e-9)
+
+
+def test_exponential_moment_of_signs_and_polynomial_tails():
+    m = population_moments(DesignSpec(kind="rademacher", p=3))
+    assert m.e1_value == math.exp(1.0 / m.B_n)  # |X| = 1 surely
+    design = DesignSpec(kind="heavy_tail", p=3, tail_index=5.0)
+    m = population_moments(design)
+    assert m.e1_value == math.inf
+    # |X| is Pareto(a = q + 1) above c, with variance c^2 a / (a - 2); the
+    # quadrature of E exp(|X| / B_n) over [c, c + 200 B_n] alone is past any bound
+    a = design.tail_index + 1.0
+    c = math.sqrt(m.b_lower * (a - 2.0) / a)
+    head = quad(lambda x: math.exp(x / m.B_n) * a * c**a * x ** (-a - 1.0),
+                c, c + 200.0 * m.B_n, limit=200)[0]
+    assert head > 1e60
+
+
+@pytest.mark.parametrize("design,bound", [
+    (DesignSpec(kind="rademacher", p=3), 1.0),
+    (DesignSpec(kind="rademacher", p=3, standardize=True), 1.0),
+    (DesignSpec(kind="trunc_exp", p=3), None),
+    (DesignSpec(kind="heavy_tail", p=3, tail_index=5.0), None),
+    (DesignSpec(kind="gaussian", p=3), None),
+    (DesignSpec(kind="log_concave", p=3, variant="gaussian"), None),
+    (DesignSpec(kind="log_concave", p=3, variant="uniform", scale=0.5),
+     0.5 * math.sqrt(3.0)),
+    (DesignSpec(kind="log_concave", p=3, variant="uniform", scale=4.0, standardize=True),
+     math.sqrt(3.0)),
+], ids=lambda v: (v.kind + ("-std" if v.standardize else "")
+                  if isinstance(v, DesignSpec) else str(v)))
+def test_moment_report_bound(design, bound):
+    m = population_moments(design)
+    assert m.bound == bound
+    if bound is not None:
+        rows = sample_dataset(design, 2000, 6).values
+        assert np.max(np.abs(rows)) <= bound
+
+
 def test_verify_conditions_examples():
     identity = population_moments(DesignSpec(kind="gaussian", p=3))
     out = verify_conditions(identity, 2)
