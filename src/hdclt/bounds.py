@@ -16,7 +16,7 @@ from . import rng
 from .datagen import Dataset, DesignSpec, population_moments, values_from_row_keys
 from .errors import ParameterError
 from .montecarlo import GaussianSumSampler, MultiplierSampler, _batches
-from .sums import CovMatrix, empirical_covariance
+from .sums import CovMatrix, ModelCovariance, empirical_covariance
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,8 @@ def tail_third_moment_bootstrap(dataset: Dataset, phi: float, R: int,
     return _tail_moment(MultiplierSampler(dataset), tau, R, seed)
 
 
-def tail_third_moment_gaussian(sigma: CovMatrix, n: int, phi: float, R: int,
-                               seed: int) -> MomentEstimate:
+def tail_third_moment_gaussian(sigma: ModelCovariance | CovMatrix, n: int, phi: float,
+                               R: int, seed: int) -> MomentEstimate:
     """Monte Carlo tail third moment of the N(0, sigma) coordinate maximum."""
     tau = truncation_threshold(phi, n, sigma.p)
     return _tail_moment(GaussianSumSampler(sigma.factor), tau, R, seed)
@@ -198,7 +198,8 @@ def rate_terms(B_n: float, p: int, n: int, q: float | None = None,
     return out
 
 
-def max_covariance_gap(sigma_hat: CovMatrix, sigma: CovMatrix) -> float:
+def max_covariance_gap(sigma_hat: CovMatrix,
+                       sigma: ModelCovariance | CovMatrix) -> float:
     """Largest entrywise absolute difference of two covariance matrices."""
     if sigma_hat.p != sigma.p:
         raise ParameterError(
@@ -266,7 +267,7 @@ def _report(provenance: str, params: BoundParams, n: int, p: int, L: float,
 
 def report_from_dataset(dataset: Dataset, params: BoundParams,
                         moment_R: int = 10_000, seed: int = 0,
-                        sigma: CovMatrix | None = None) -> BoundReport:
+                        sigma: ModelCovariance | CovMatrix | None = None) -> BoundReport:
     """Empirical-analog report: centered moments of one observed matrix."""
     n, p = dataset.n, dataset.p
     L = max_third_moment(dataset)

@@ -38,7 +38,7 @@ from .errors import NotPositiveSemidefiniteError, ParameterError
 from .experiments import ScanSpec, nazarov_check, rate_scan, smoothmax_check
 from .geometry import family_from_config, family_to_config, sample_rectangles
 from .montecarlo import bootstrap_gap, gaussian_approx_gap, interpolation_gap
-from .sums import CovMatrix, empirical_covariance
+from .sums import CovMatrix, ModelCovariance, empirical_covariance
 
 # commands whose report has a table of rows, written with ``format: csv``
 TABULAR = ("estimate-rho", "bootstrap", "rate-scan", "nazarov")
@@ -145,7 +145,7 @@ def _family(cfg: dict, p: int, sigma_diag: np.ndarray, seed: int):
     return sample_rectangles(p, count, sigma_diag, int(fam_seed))
 
 
-def _sigma_for(cfg: dict, dataset=None) -> CovMatrix:
+def _sigma_for(cfg: dict, dataset=None) -> ModelCovariance | CovMatrix:
     block = _block(cfg, "sigma")
     source = block.get("source", "design")
     if source == "empirical":
@@ -221,7 +221,7 @@ def _cmd_bounds(cfg: dict, workers):
         if "sigma" in cfg or "design" in cfg:
             sigma = _sigma_for(cfg, dataset)
         emp = empirical_covariance(dataset)
-        b_default = float(np.min(np.diag(emp.matrix)))
+        b_default = float(np.min(emp.diag()))
         params = _params(cfg, b=b_default if b_default > 0 else 1.0, B_n=1.0)
         report = report_from_dataset(dataset, params, moment_R, seed, sigma)
     else:
@@ -241,7 +241,7 @@ def _cmd_estimate_rho(cfg: dict, workers):
     moments = population_moments(design)
     _params(cfg, b=moments.b_lower, B_n=moments.B_n)  # validates q / alpha if given
     sigma = moments.sigma
-    family = _family(cfg, design.p, np.sqrt(np.diag(sigma.matrix)), seed)
+    family = _family(cfg, design.p, np.sqrt(sigma.diag()), seed)
     v_grid = cfg.get("v_grid")
     if v_grid is not None:
         est = interpolation_gap(design, n, sigma, family, v_grid, R, seed,
@@ -264,7 +264,7 @@ def _cmd_bootstrap(cfg: dict, workers):
         raise ConfigError(
             f"sigma dimension {sigma.p} does not match dataset p={dataset.p}"
         )
-    family = _family(cfg, dataset.p, np.sqrt(np.diag(sigma.matrix)), seed)
+    family = _family(cfg, dataset.p, np.sqrt(sigma.diag()), seed)
     est = bootstrap_gap(dataset, sigma, family, R, seed, mode, workers)
     return {"family": family_to_config(family), "estimate": est}, est.per_set
 

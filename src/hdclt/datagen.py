@@ -34,6 +34,7 @@ from scipy.special import ndtr
 
 from . import rng
 from .errors import ParameterError
+from .sums import AR1Factor, EquicorrelatedFactor, ModelCovariance, ScaledIdentityFactor
 
 _GAUSS_THIRD = 2.0 * math.sqrt(2.0 / math.pi)  # E|N(0,1)|^3
 
@@ -75,6 +76,14 @@ class CovarianceModel:
             return (1.0 - self.r) * np.eye(p) + self.r * np.ones((p, p))
         idx = np.arange(p)
         return self.r ** np.abs(idx[:, None] - idx[None, :])
+
+    def factor(self, p: int, scale: float = 1.0):
+        """Closed-form factor of ``scale**2 * matrix(p)``, built in O(p)."""
+        if self.kind == "identity":
+            return ScaledIdentityFactor(p, scale)
+        if self.kind == "equicorrelated":
+            return EquicorrelatedFactor.of(p, self.r, scale)
+        return AR1Factor(p, self.r, scale)
 
     @staticmethod
     def from_config(cfg: dict) -> "CovarianceModel":
@@ -216,7 +225,7 @@ class MomentReport:
     B_n: float
     L_n_population: float
     fourth_moment_max: float
-    sigma: "object"  # CovMatrix; typed loosely to avoid an import cycle
+    sigma: ModelCovariance
     condition_flags: dict
     tail_index: float | None = None
     e1_value: float | None = None
@@ -302,8 +311,6 @@ def _base_moments(design: DesignSpec) -> dict:
 
 def population_moments(design: DesignSpec) -> MomentReport:
     """Analytic moments and moment-condition flags of a design."""
-    from .sums import CovMatrix
-
     base = _base_moments(design)
     sd = math.sqrt(base["var"]) if design.standardize else 1.0
     var = base["var"] / sd**2
@@ -328,13 +335,12 @@ def population_moments(design: DesignSpec) -> MomentReport:
     else:
         flags["E.2"] = "not-applicable"
 
-    sigma = var * design.covariance.matrix(design.p)
     return MomentReport(
         b_lower=var,
         B_n=B,
         L_n_population=third,
         fourth_moment_max=fourth,
-        sigma=CovMatrix(sigma),
+        sigma=ModelCovariance(design.covariance, design.p, var),
         condition_flags=flags,
         tail_index=design.tail_index,
         e1_value=e1,
@@ -387,18 +393,12 @@ def values_from_row_keys(design: DesignSpec, row_keys: np.ndarray) -> np.ndarray
         x = h * (2.0 * u - 1.0)
     else:  # gaussian, or the gaussian log-concave variant
         cov = design.covariance
-        if cov.kind == "identity":
-            x = rng.to_normal(rng.word_grid(row_keys, p))
-        elif cov.kind == "equicorrelated":
+        if cov.kind == "equicorrelated":
+            # one shared normal, then p own ones: not the Cholesky factor's words
             z = rng.to_normal(rng.word_grid(row_keys, words_per_row(design)))
             x = math.sqrt(cov.r) * z[..., :1] + math.sqrt(1.0 - cov.r) * z[..., 1:]
-        else:  # ar1: stationary recursion, exact for the r^|i-j| covariance
-            z = rng.to_normal(rng.word_grid(row_keys, p))
-            x = np.empty_like(z)
-            x[..., 0] = z[..., 0]
-            c = math.sqrt(1.0 - cov.r**2)
-            for j in range(1, p):
-                x[..., j] = cov.r * x[..., j - 1] + c * z[..., j]
+        else:  # identity, or the AR(1) recursion of its factor
+            x = cov.factor(p).apply(rng.to_normal(rng.word_grid(row_keys, p)))
 
     if design.standardize:
         x = x / math.sqrt(_base_moments(design)["var"])

@@ -25,7 +25,7 @@ from .montecarlo import (
     _map_batches,
     gaussian_approx_gap,
 )
-from .sums import CovMatrix
+from .sums import CovMatrix, ModelCovariance
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def rate_scan(spec: ScanSpec, workers: int | None = None) -> ScanResult:
             design = DesignSpec.from_config(dict(spec.design, p=p))
             moments = population_moments(design)
             cell_seed = rng.mix64(spec.seed, idx)
-            sd = np.sqrt(np.diag(moments.sigma.matrix))
+            sd = np.sqrt(moments.sigma.diag())
             # family seed depends on p only: equal-dimension cells share one
             # family, so decay across n is measured on the same sets
             family_seed = rng.mix64(rng.mix64(spec.seed, rng.TAG_FAMILY), p)
@@ -200,8 +200,8 @@ def _anchor_gaps(draws: np.ndarray, anchors: np.ndarray) -> np.ndarray:
                        draws, anchors.size)
 
 
-def nazarov_check(sigma: CovMatrix, y_count: int, a_grid, R: int, seed: int,
-                  workers: int | None = None) -> NazarovResult:
+def nazarov_check(sigma: ModelCovariance | CovMatrix, y_count: int, a_grid, R: int,
+                  seed: int, workers: int | None = None) -> NazarovResult:
     """Orthant-increment check P(Y <= y + a) - P(Y <= y) against a*sqrt(log p).
 
     Anchors are coordinatewise equal quantile levels: y_j = Phi^{-1}(u) *
@@ -220,7 +220,7 @@ def nazarov_check(sigma: CovMatrix, y_count: int, a_grid, R: int, seed: int,
     if not a_grid or any(a < 0 for a in a_grid):
         raise ParameterError("offsets must be nonnegative")
     _check_gap_args(R)
-    diag = np.diag(sigma.matrix)
+    diag = sigma.diag()
     if float(np.min(diag)) <= 0.0:
         raise ParameterError("anchor quantiles need positive coordinate variances")
 

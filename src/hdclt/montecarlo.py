@@ -33,8 +33,8 @@ from .datagen import Dataset, DesignSpec, values_from_row_keys, words_per_row
 from .errors import ParameterError
 from .geometry import Hyperrectangle, SetFamily, hit_counts
 from .sums import (
-    CholFactor,
     CovMatrix,
+    ModelCovariance,
     empirical_resample_draw_batch,
     gaussian_draw_batch,
     multiplier_draw_batch,
@@ -91,14 +91,14 @@ class _Sampler:
 
 
 class GaussianSumSampler(_Sampler):
-    """Exact N(0, L L') draws."""
+    """Exact N(0, F F') draws of a covariance factor F (``sums``)."""
 
-    def __init__(self, chol: CholFactor):
-        self.chol = chol
-        self.p = self.size = chol.p
+    def __init__(self, factor):
+        self.factor = factor
+        self.p = self.size = factor.p
 
     def draw_keys(self, keys: np.ndarray) -> np.ndarray:
-        return gaussian_draw_batch(self.chol, keys)
+        return gaussian_draw_batch(self.factor, keys)
 
 
 class DesignSumSampler(_Sampler):
@@ -155,7 +155,7 @@ class DesignSumSampler(_Sampler):
 
 
 class InterpolatedSampler(_Sampler):
-    """sqrt(v) * (data sum) + sqrt(1 - v) * N(0, L L'), independent branches.
+    """sqrt(v) * (data sum) + sqrt(1 - v) * N(0, F F'), independent branches.
 
     Replication r derives ``s_r = mix64(seed, r)`` and feeds branch keys
     ``mix64(s_r, TAG_FIRST)`` (data) and ``mix64(s_r, TAG_SECOND)``
@@ -163,14 +163,14 @@ class InterpolatedSampler(_Sampler):
     branch.
     """
 
-    def __init__(self, design: DesignSpec, n: int, chol: CholFactor, v: float,
+    def __init__(self, design: DesignSpec, n: int, factor, v: float,
                  exact_law: bool = True):
         if not (0.0 <= v <= 1.0):
             raise ParameterError(f"interpolation weight must be in [0, 1], got {v!r}")
-        if chol.p != design.p:
+        if factor.p != design.p:
             raise ParameterError("factor dimension does not match design dimension")
         self.inner_x = DesignSumSampler(design, n, exact_law)
-        self.inner_y = GaussianSumSampler(chol)
+        self.inner_y = GaussianSumSampler(factor)
         self.v = v
         self.p = design.p
         self.size = self.inner_x.size + self.inner_y.size
@@ -337,9 +337,9 @@ def _check_gap_args(R: int) -> None:
         raise ParameterError(f"need R >= 1000 replications, got {R!r}")
 
 
-def gaussian_approx_gap(design: DesignSpec, n: int, sigma: CovMatrix,
-                        family: SetFamily, R: int, seed: int,
-                        workers: int | None = None,
+def gaussian_approx_gap(design: DesignSpec, n: int,
+                        sigma: ModelCovariance | CovMatrix, family: SetFamily,
+                        R: int, seed: int, workers: int | None = None,
                         exact_law: bool = True) -> GapEstimate:
     """Sup over the family of |P(sum in A) - P(N(0, sigma) in A)|, estimated
     from R fresh-sum draws against R gaussian draws on independent streams."""
@@ -349,8 +349,8 @@ def gaussian_approx_gap(design: DesignSpec, n: int, sigma: CovMatrix,
                 family, R, seed, ("sum", "gaussian"), workers)
 
 
-def bootstrap_gap(dataset: Dataset, sigma: CovMatrix, family: SetFamily,
-                  R: int, seed: int, mode: str,
+def bootstrap_gap(dataset: Dataset, sigma: ModelCovariance | CovMatrix,
+                  family: SetFamily, R: int, seed: int, mode: str,
                   workers: int | None = None) -> GapEstimate:
     """Conditional bootstrap analog: bootstrap draws of a fixed dataset
     against N(0, sigma) draws.  ``mode`` is "MB" (multiplier) or "EB"
@@ -373,9 +373,9 @@ def _require_lower_orthants(family: SetFamily) -> None:
             )
 
 
-def interpolation_gap(design: DesignSpec, n: int, sigma: CovMatrix,
-                      family: SetFamily, v_grid, R: int, seed: int,
-                      workers: int | None = None,
+def interpolation_gap(design: DesignSpec, n: int,
+                      sigma: ModelCovariance | CovMatrix, family: SetFamily,
+                      v_grid, R: int, seed: int, workers: int | None = None,
                       exact_law: bool = True) -> InterpolationEstimate:
     """Max over interpolation weights and one-sided sets of the discrepancy
     between the interpolated statistic and its gaussian endpoint.
@@ -388,12 +388,12 @@ def interpolation_gap(design: DesignSpec, n: int, sigma: CovMatrix,
         raise ParameterError("need a nonempty grid of interpolation weights")
     _check_gap_args(R)
     _require_lower_orthants(family)
-    chol = sigma.factor
+    factor = sigma.factor
     per_v = []
     sup = 0.0
     for k, v in enumerate(v_grid):
-        est = _gap(InterpolatedSampler(design, n, chol, v, exact_law),
-                   GaussianSumSampler(chol), family, R, rng.mix64(seed, rng.TAG_GRID + k),
+        est = _gap(InterpolatedSampler(design, n, factor, v, exact_law),
+                   GaussianSumSampler(factor), family, R, rng.mix64(seed, rng.TAG_GRID + k),
                    ("interpolated", "gaussian"), workers)
         per_v.append(InterpolationPoint(v=v, estimate=est))
         sup = max(sup, est.sup_diff)

@@ -3,9 +3,12 @@
 The gaussian analog of an averaged independent sum is drawn in a single
 shot from the average covariance: a normalized sum of independent centered
 gaussians with average covariance S has exactly the law N(0, S), so one
-factored draw is exact in law and costs O(p^2) per replication instead of
-O(n p).  The multiplier and empirical bootstrap draws are computed from
-their defining weighted sums.
+factored draw ``factor.apply(z)`` of p standard normals z is exact in law.
+It costs O(p^2) per replication with the dense ``CholFactor`` of data and
+explicit covariance matrices, and O(p) with the closed-form factors of the
+identity, equicorrelated and AR(1) models, which never build a p x p array.
+The multiplier and empirical bootstrap draws are computed from their
+defining weighted sums.
 
 Each draw kernel maps an array of replication keys to one draw per key;
 the samplers of :mod:`hdclt.montecarlo` derive the keys.
@@ -15,12 +18,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import rng
-from .datagen import Dataset
 from .errors import NotPositiveSemidefiniteError, ParameterError
+
+if TYPE_CHECKING:  # datagen builds its model factors from this module
+    from .datagen import CovarianceModel, Dataset
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,9 @@ class CovMatrix:
     def p(self) -> int:
         return self.matrix.shape[0]
 
+    def diag(self) -> np.ndarray:
+        return np.diag(self.matrix)
+
     @functools.cached_property
     def factor(self) -> CholFactor:
         """``robust_cholesky(self)``, computed once per matrix."""
@@ -51,8 +60,39 @@ class CovMatrix:
 
 
 @dataclass(frozen=True)
+class ModelCovariance:
+    """``var * model.matrix(p)``, the covariance of a design.
+
+    It answers ``factor`` in closed form and builds its dense ``matrix``
+    only on demand, so no draw ever needs a p x p array.
+    """
+
+    model: CovarianceModel  # datagen's: kind, matrix(p), factor(p, scale)
+    p: int
+    var: float = 1.0
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return self.var * self.model.matrix(self.p)
+
+    def diag(self) -> np.ndarray:
+        # the diagonal entry as ``matrix`` rounds it: (1 - r) + r need not be 1
+        return np.full(self.p, self.var * self.model.matrix(1)[0, 0])
+
+    @functools.cached_property
+    def factor(self):
+        """The model's factor, computed once per covariance."""
+        return self.model.factor(self.p, math.sqrt(self.var))
+
+
+# A factor F of a covariance S = F F' maps rows z of standard normals to
+# rows ``apply(z) = z @ F.T`` of N(0, S) draws; every kind reads the p
+# values of a row in the same order, so one stream word feeds one coordinate.
+
+@dataclass(frozen=True)
 class CholFactor:
-    """Lower-triangular factor of a covariance, with the jitter that was needed."""
+    """Dense lower-triangular factor of a covariance, with the jitter that was
+    needed."""
 
     L: np.ndarray
     jitter_used: float = 0.0
@@ -60,6 +100,82 @@ class CholFactor:
     @property
     def p(self) -> int:
         return self.L.shape[0]
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        return z @ self.L.T
+
+
+@dataclass(frozen=True)
+class ScaledIdentityFactor:
+    """The factor ``scale * I`` of ``scale**2 * I``."""
+
+    p: int
+    scale: float = 1.0
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        return self.scale * z
+
+
+@dataclass(frozen=True, eq=False)
+class EquicorrelatedFactor:
+    """The exact Cholesky factor of ``scale**2 * ((1 - r) I + r 1 1')``.
+
+    Column j holds ``d[j]`` on the diagonal and ``c[j]`` in every row below
+    it (see ``of``).
+    """
+
+    d: np.ndarray
+    c: np.ndarray
+
+    @staticmethod
+    def of(p: int, r: float, scale: float = 1.0) -> "EquicorrelatedFactor":
+        """Closed form in O(p): s_0 = 0, d_j = sqrt(1 - s_j),
+        c_j = (r - s_j) / d_j, s_{j+1} = s_j + c_j^2."""
+        d, c, s = [], [], 0.0
+        for _ in range(p):
+            d.append(math.sqrt(1.0 - s))
+            c.append((r - s) / d[-1])
+            s += c[-1] * c[-1]
+        return EquicorrelatedFactor(scale * np.array(d), scale * np.array(c))
+
+    @property
+    def p(self) -> int:
+        return len(self.d)
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        # in cache-sized blocks of rows, so the temporaries stay small
+        return rng.blocked(self._apply_rows, z.reshape(-1, self.p), self.p).reshape(z.shape)
+
+    def _apply_rows(self, z: np.ndarray) -> np.ndarray:
+        # coordinate i is d_i z_i plus the prefix sum of c_j z_j over j < i
+        below = self.c * z
+        np.cumsum(below, axis=-1, out=below)
+        y = self.d * z
+        y[:, 1:] += below[:, :-1]
+        return y
+
+
+@dataclass(frozen=True)
+class AR1Factor:
+    """The Cholesky factor of ``scale**2 * r**|i - j|``, applied as the
+    stationary recursion x_0 = scale z_0, x_j = r x_{j-1} + scale
+    sqrt(1 - r^2) z_j."""
+
+    p: int
+    r: float
+    scale: float = 1.0
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        # leading dimensions become one; the recursion runs over the columns
+        # of the transposed block, so each step reads one contiguous row
+        x = np.array(z.reshape(-1, self.p).T, order="C")
+        x[0] *= self.scale
+        x[1:] *= self.scale * math.sqrt(1.0 - self.r**2)
+        step = np.empty(x.shape[1])
+        for j in range(1, self.p):
+            np.multiply(x[j - 1], self.r, out=step)
+            x[j] += step
+        return np.ascontiguousarray(x.T).reshape(z.shape)
 
 
 def normalized_sum(dataset: Dataset) -> np.ndarray:
@@ -98,16 +214,16 @@ def robust_cholesky(cov: CovMatrix) -> CholFactor:
 
 def _normals(keys: np.ndarray, count: int) -> np.ndarray:
     """Words 0..count-1 of each key's stream as standard normals, made in
-    cache-sized blocks; the matrix product that follows runs on the whole
+    cache-sized blocks; the factor that follows is applied to the whole
     array."""
     return rng.blocked(lambda block: rng.to_normal(rng.word_grid(block, count)),
                        keys, count)
 
 
-def gaussian_draw_batch(chol: CholFactor, keys: np.ndarray) -> np.ndarray:
-    """One N(0, L L') draw per replication key; word t of a key's stream
-    feeds coordinate t."""
-    return _normals(keys, chol.p) @ chol.L.T
+def gaussian_draw_batch(factor, keys: np.ndarray) -> np.ndarray:
+    """One N(0, F F') draw per replication key, F the covariance factor;
+    word t of a key's stream feeds coordinate t."""
+    return factor.apply(_normals(keys, factor.p))
 
 
 def multiplier_draw_batch(dataset: Dataset, keys: np.ndarray) -> np.ndarray:

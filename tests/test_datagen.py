@@ -257,6 +257,23 @@ def test_determinism_and_row_substreams():
     assert np.array_equal(sub, a[10:20])
 
 
+@pytest.mark.parametrize("p", [20, 100, 1000])
+def test_ar1_rows_match_column_loop(p):
+    # the AR(1) factor's recursion against the column loop it replaced
+    r = 0.7
+    design = DesignSpec(kind="gaussian", p=p, covariance=CovarianceModel("ar1", r))
+    keys = rng.mix64_array(5, np.arange(64, dtype=np.uint64))
+    z = rng.to_normal(rng.word_grid(keys, p))
+    x = np.empty_like(z)
+    x[..., 0] = z[..., 0]
+    c = math.sqrt(1.0 - r**2)
+    for j in range(1, p):
+        x[..., j] = r * x[..., j - 1] + c * z[..., j]
+    assert np.array_equal(values_from_row_keys(design, keys), x)
+    assert np.array_equal(values_from_row_keys(design, keys.reshape(8, 8)),
+                          x.reshape(8, 8, p))
+
+
 def test_dataset_file_round_trips(tmp_path):
     ds = sample_dataset(DesignSpec(kind="trunc_exp", p=4, scale=1.0), 30, 5)
     binp = tmp_path / "d.bin"

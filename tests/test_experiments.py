@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from hdclt import experiments, rng
+from hdclt import experiments, montecarlo, rng
 from hdclt.bounds import rate_terms
 from hdclt.datagen import DesignSpec, population_moments
 from hdclt.errors import ParameterError
@@ -83,16 +83,22 @@ def test_rate_scan_errors_carry_cell_context():
 
 
 def test_rate_scan_factors_each_cell_once(monkeypatch):
-    # the gap and M_y of a cell read the same sigma, so one factorization
-    # serves both; this well-conditioned sigma needs one cholesky call
-    calls = []
+    # the gap and M_y of a cell read the same sigma, so one factor serves
+    # both; a model sigma's factor is closed-form, so no cholesky is called
+    calls, factors = [], []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+    init = montecarlo.GaussianSumSampler.__init__
+    monkeypatch.setattr(montecarlo.GaussianSumSampler, "__init__",
+                        lambda self, factor: factors.append(factor) or init(self, factor))
     spec = ScanSpec(design={"kind": "gaussian"}, n_grid=(8, 32),
                     p_rule={"rule": "fixed", "p": 10}, family_K=5, R=1000,
                     seed=3, moment_R=100)
     rate_scan(spec, workers=1)
-    assert len(calls) == 2
+    assert calls == []
+    assert len(factors) == 4  # the gap's Gaussian side and M_y, per cell
+    assert factors[0] is factors[1] and factors[2] is factors[3]
+    assert factors[1] is not factors[2]
 
 
 @pytest.mark.parametrize("n_grid", [(8, 8, 32), (32, 8)])

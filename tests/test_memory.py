@@ -16,12 +16,15 @@ data-side rows in ``rng.BLOCK`` blocks and keeps one cube per row: at
 p = 200 and moment_R = 2 * 10^5 it peaks at 98 MiB, where the whole R x p
 matrix took 1631 MiB.  ``smoothmax`` at 10^5 trials of p = 1000 peaks at
 58 MiB; it needs 763 MiB per trials x p array, and more than the 2 GiB cap
-without blocks.  About 55 MiB of each peak is the interpreter with numpy
-and ``scipy.special`` (``tests/test_imports.py``).  Each run happens in a
-fresh interpreter and reports ``VmHWM``, the peak resident size of its own
-address space.  Its ``ru_maxrss`` would not do: Linux carries the
-high-water mark of the forking process (here the whole test session)
-across exec.  The child's address space is capped at 2 GiB, so a
+without blocks.  A ``rate-scan`` of sign rows whose ``exp_power`` rule gives
+p = 2981 and 22026 peaks at 167 MiB: the Gaussian side of a design
+covariance is drawn through its closed-form factor, where the dense p x p
+covariance alone would take 3.6 GiB at p = 22026.  About 55 MiB of each
+peak is the interpreter with numpy and ``scipy.special``
+(``tests/test_imports.py``).  Each run happens in a fresh interpreter and
+reports ``VmHWM``, the peak resident size of its own address space.  Its
+``ru_maxrss`` would not do: Linux carries the high-water mark of the
+forking process (here the whole test session) across exec.  The child's address space is capped at 2 GiB, so a
 regression fails with a MemoryError instead of taking gigabytes of a
 shared machine.
 """
@@ -53,8 +56,9 @@ code = cli.run(sys.argv[1:])
 """ + PEAK + """
 sys.exit(code)
 """
-# bootstrap hit counts of a wide dataset, without the p x p covariance the CLI
-# would factor for its Gaussian side
+# bootstrap hit counts of a wide dataset alone: the CLI's Gaussian side would
+# add the p x p empirical covariance and its Cholesky factor (sigma source
+# "empirical"); a design sigma adds no p x p array
 WIDE_CHILD = CAP + """
 import numpy as np
 from hdclt.datagen import DesignSpec, sample_dataset
@@ -89,6 +93,11 @@ CASES = {
                           "n": 400, "moment_R": 200_000}),
     "smoothmax": ("smoothmax", {"seed": 4, "beta_grid": [1.0], "p_grid": [1000],
                                 "trials": 100_000}),
+    # p >> n: exp_power gives p = 2981 at n = 16 and p = 22026 at n = 25
+    "rate-scan-wide": ("rate-scan", {"seed": 5, "design": {"kind": "rademacher"},
+                                     "n_grid": [16, 25],
+                                     "p_rule": {"rule": "exp_power", "c": 0.5, "coef": 2.0},
+                                     "family": {"K": 5}, "R": 1000, "moment_R": 1000}),
 }
 
 

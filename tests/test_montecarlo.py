@@ -197,6 +197,9 @@ def _slicing_samplers():
     rad = DesignSpec(kind="rademacher", p=5)
     return {
         "gaussian": GaussianSumSampler(chol),
+        "gaussian-equicorrelated": GaussianSumSampler(
+            CovarianceModel("equicorrelated", 0.5).factor(5)),
+        "gaussian-ar1": GaussianSumSampler(CovarianceModel("ar1", 0.5).factor(5)),
         "literal": DesignSumSampler(rad, 12, exact_law=False),
         "binomial": DesignSumSampler(rad, 12),
         "gaussian-design": DesignSumSampler(DesignSpec(kind="gaussian", p=5), 12),

@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 
 from hdclt import rng
-from hdclt.datagen import DesignSpec, Dataset, sample_dataset
+from hdclt.datagen import (
+    CovarianceModel,
+    DesignSpec,
+    Dataset,
+    population_moments,
+    sample_dataset,
+)
 from hdclt.errors import NotPositiveSemidefiniteError, ParameterError
-from hdclt.montecarlo import GaussianSumSampler, InterpolatedSampler
+from hdclt.geometry import sample_rectangles
+from hdclt.montecarlo import GaussianSumSampler, InterpolatedSampler, family_hit_counts
 from hdclt.sums import (
     CholFactor,
     CovMatrix,
+    ModelCovariance,
     empirical_covariance,
     empirical_resample_draw_batch,
     gaussian_draw_batch,
@@ -123,6 +131,66 @@ def test_gaussian_covariance_convergence():
     got = draws.T @ draws / R
     tol = 6.0 * np.sqrt((np.outer(np.diag(sigma), np.diag(sigma)) + sigma**2) / R)
     assert np.all(np.abs(got - sigma) <= tol)
+
+
+CORRELATED = [(kind, r) for kind in ("equicorrelated", "ar1") for r in (0.1, 0.5, 0.9)]
+MODELS = [("identity", None), ("equicorrelated", 0.5), ("ar1", 0.5)]
+
+
+@pytest.mark.parametrize("p", [3, 20, 1000])
+@pytest.mark.parametrize("kind, r", CORRELATED)
+def test_model_factor_matches_dense_cholesky(kind, r, p):
+    model = CovarianceModel(kind, r)
+    factor = model.factor(p)
+    L = np.linalg.cholesky(model.matrix(p))
+    # apply(z) = z @ F.T, so the factor applied to the identity is F.T
+    assert np.max(np.abs(factor.apply(np.eye(p)).T - L)) <= 1e-14
+    z = rng.to_normal(rng.word_grid(keys(p, 64), p))
+    want = z @ L.T
+    assert np.max(np.abs(factor.apply(z) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("p", [3, 20, 1000])
+@pytest.mark.parametrize("var", [0.5, 1.0])
+def test_identity_factor_is_the_dense_product(var, p):
+    sigma = ModelCovariance(CovarianceModel("identity"), p, var)
+    L = robust_cholesky(CovMatrix(sigma.matrix)).L
+    z = rng.to_normal(rng.word_grid(keys(p, 64), p))
+    assert np.array_equal(sigma.factor.apply(z), z @ L.T)
+
+
+@pytest.mark.parametrize("kind, r", MODELS)
+def test_model_factor_hit_counts_equal_dense(kind, r):
+    p, R = 50, 20_000
+    sigma = ModelCovariance(CovarianceModel(kind, r), p)
+    family = sample_rectangles(p, 20, np.sqrt(sigma.diag()), 4)
+    structured = family_hit_counts(GaussianSumSampler(sigma.factor), family, R, 5, 1)
+    dense = family_hit_counts(GaussianSumSampler(CovMatrix(sigma.matrix).factor),
+                              family, R, 5, 1)
+    np.testing.assert_array_equal(structured, dense)
+
+
+@pytest.mark.parametrize("p", [20, 200])
+@pytest.mark.parametrize("kind, r", MODELS)
+def test_model_draws_are_key_local(kind, r, p):
+    # no matrix product on the path, so a draw is a function of its key
+    # alone: keys drawn on their own equal the same keys of a full batch
+    sampler = GaussianSumSampler(CovarianceModel(kind, r).factor(p))
+    batch = keys(31, 8192)
+    whole = sampler.draw_keys(batch)
+    for m in (1, 7, 300):
+        for k0 in (0, 4093, 8192 - m):
+            np.testing.assert_array_equal(sampler.draw_keys(batch[k0:k0 + m]),
+                                          whole[k0:k0 + m])
+
+
+def test_model_covariance_matches_its_dense_matrix():
+    for kind, r in MODELS + [("equicorrelated", 0.1), ("equicorrelated", 0.7)]:
+        design = DesignSpec(kind="gaussian", p=6, covariance=CovarianceModel(kind, r))
+        sigma = population_moments(design).sigma
+        assert "matrix" not in vars(sigma)  # built only on demand
+        assert np.array_equal(sigma.diag(), np.diag(sigma.matrix))
+        assert sigma.factor is sigma.factor
 
 
 def test_interpolated_boundaries_exact():
