@@ -88,6 +88,9 @@ class ModelCovariance:
 # A factor F of a covariance S = F F' maps rows z of standard normals to
 # rows ``apply(z) = z @ F.T`` of N(0, S) draws; every kind reads the p
 # values of a row in the same order, so one stream word feeds one coordinate.
+# A kind whose ``blockwise`` is true gives the same bits for any slicing of
+# the rows and costs nothing extra per call, so ``gaussian_draw_batch``
+# applies it to each cache-sized block of normals as it is made.
 
 @dataclass(frozen=True)
 class CholFactor:
@@ -96,6 +99,8 @@ class CholFactor:
 
     L: np.ndarray
     jitter_used: float = 0.0
+    # a product's per-row rounding may depend on how many rows it gets
+    blockwise = False
 
     @property
     def p(self) -> int:
@@ -111,6 +116,7 @@ class ScaledIdentityFactor:
 
     p: int
     scale: float = 1.0
+    blockwise = True
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         return self.scale * z
@@ -126,6 +132,7 @@ class EquicorrelatedFactor:
 
     d: np.ndarray
     c: np.ndarray
+    blockwise = True
 
     @staticmethod
     def of(p: int, r: float, scale: float = 1.0) -> "EquicorrelatedFactor":
@@ -164,6 +171,8 @@ class AR1Factor:
     p: int
     r: float
     scale: float = 1.0
+    # the recursion takes one Python step per column per call
+    blockwise = False
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         # leading dimensions become one; the recursion runs over the columns
@@ -212,17 +221,23 @@ def robust_cholesky(cov: CovMatrix) -> CholFactor:
     )
 
 
-def _normals(keys: np.ndarray, count: int) -> np.ndarray:
+def _normals(keys: np.ndarray, count: int, then=None) -> np.ndarray:
     """Words 0..count-1 of each key's stream as standard normals, made in
-    cache-sized blocks; the factor that follows is applied to the whole
-    array."""
-    return rng.blocked(lambda block: rng.to_normal(rng.word_grid(block, count)),
-                       keys, count)
+    cache-sized blocks; ``then``, if given, maps each block while it is
+    still in cache, and must treat every row independently."""
+    def block_normals(block):
+        z = rng.to_normal(rng.word_grid(block, count))
+        return z if then is None else then(z)
+
+    return rng.blocked(block_normals, keys, count)
 
 
 def gaussian_draw_batch(factor, keys: np.ndarray) -> np.ndarray:
     """One N(0, F F') draw per replication key, F the covariance factor;
     word t of a key's stream feeds coordinate t."""
+    if factor.blockwise:
+        # the batch is written once, not once as normals and once as draws
+        return _normals(keys, factor.p, factor.apply)
     return factor.apply(_normals(keys, factor.p))
 
 

@@ -184,6 +184,17 @@ def test_model_draws_are_key_local(kind, r, p):
                                           whole[k0:k0 + m])
 
 
+@pytest.mark.parametrize("kind, r", MODELS)
+def test_model_draws_equal_the_factor_on_whole_normals(kind, r):
+    # a blockwise factor is applied to each block of normals as it is made;
+    # that gives the bits of applying it to the whole batch of normals
+    p = 1000
+    factor = CovarianceModel(kind, r).factor(p, 0.7)
+    batch = keys(37, 100)
+    z = rng.to_normal(rng.word_grid(batch, p))
+    np.testing.assert_array_equal(gaussian_draw_batch(factor, batch), factor.apply(z))
+
+
 def test_model_covariance_matches_its_dense_matrix():
     for kind, r in MODELS + [("equicorrelated", 0.1), ("equicorrelated", 0.7)]:
         design = DesignSpec(kind="gaussian", p=6, covariance=CovarianceModel(kind, r))
