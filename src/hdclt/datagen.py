@@ -46,6 +46,8 @@ _SUBSET_SEED = 0x5EED5EED
 _SUBSET_SAMPLE = 10_000
 _EXHAUSTIVE_LIMIT = 100_000
 
+_SIGNS = np.array([1.0, -1.0])  # the value of a clear and of a set sign bit
+
 _MAGIC = b"HDCB"
 _VERSION = 1
 
@@ -367,7 +369,10 @@ def values_from_row_keys(design: DesignSpec, row_keys: np.ndarray) -> np.ndarray
 
     This is the single definition of every design's transform; batched
     samplers call it with a matrix of keys and get bit-identical rows to
-    one-at-a-time generation.
+    one-at-a-time generation.  The transforms of ``trunc_exp``,
+    ``heavy_tail`` and the uniform cube run in place: the words and the
+    values are the only arrays of their size, and the words, once read,
+    hold the scratch values.
     """
     p = design.p
     if design.kind == "rademacher":
@@ -375,22 +380,27 @@ def values_from_row_keys(design: DesignSpec, row_keys: np.ndarray) -> np.ndarray
         bits = np.unpackbits(
             np.ascontiguousarray(w).view(np.uint8), axis=-1, bitorder="little"
         )[..., :p]
-        return 1.0 - 2.0 * bits.astype(np.float64)
-
-    if design.kind == "trunc_exp":
-        u = rng.to_uniform(rng.word_grid(row_keys, p))
-        v = 2.0 * u - 1.0
-        lam = design.scale / 2.0
-        x = -lam * np.sign(v) * np.log1p(-np.abs(v))
-    elif design.kind == "heavy_tail":
-        u = rng.to_uniform(rng.word_grid(row_keys, p))
-        v = 2.0 * u - 1.0
-        a, c, _ = _heavy_tail_params(design)
-        x = c * np.sign(v) * np.abs(v) ** (-1.0 / a)
-    elif design.kind == "log_concave" and design.variant == "uniform":
-        u = rng.to_uniform(rng.word_grid(row_keys, p))
-        h = math.sqrt(3.0) * design.scale
-        x = h * (2.0 * u - 1.0)
+        x = _SIGNS[bits]
+    elif design.kind in ("trunc_exp", "heavy_tail") or design.variant == "uniform":
+        w = rng.word_grid(row_keys, p)
+        x = rng.to_symmetric(w)
+        t = w.view(np.float64)
+        if design.kind == "trunc_exp":
+            # -lam * sign(v) * log1p(-|v|), with the sign taken from v itself
+            np.copysign(x, -1.0, out=t)
+            np.log1p(t, out=t)
+            t *= design.scale / 2.0
+            np.copysign(t, x, out=x)
+        elif design.kind == "heavy_tail":
+            # (c * sign(v)) * |v|**(-1/a), in that order: v = 0 gives NaN
+            a, c, _ = _heavy_tail_params(design)
+            np.abs(x, out=t)
+            np.power(t, -1.0 / a, out=t)
+            np.sign(x, out=x)
+            x *= c
+            x *= t
+        else:  # the uniform log-concave cube
+            x *= math.sqrt(3.0) * design.scale
     else:  # gaussian, or the gaussian log-concave variant
         cov = design.covariance
         if cov.kind == "equicorrelated":
@@ -401,7 +411,7 @@ def values_from_row_keys(design: DesignSpec, row_keys: np.ndarray) -> np.ndarray
             x = cov.factor(p).apply(rng.to_normal(rng.word_grid(row_keys, p)))
 
     if design.standardize:
-        x = x / math.sqrt(_base_moments(design)["var"])
+        x /= math.sqrt(_base_moments(design)["var"])
     return x
 
 

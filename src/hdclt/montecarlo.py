@@ -138,9 +138,14 @@ class DesignSumSampler(_Sampler):
 
     def draw_keys(self, keys: np.ndarray) -> np.ndarray:
         # every mode is elementwise per key; AR(1) rows loop over their p
-        # columns in Python, so their blocks keep at least p rows
-        ar1 = self.mode == "gaussian" and self.design.covariance.kind == "ar1"
-        budget = max(rng.BLOCK, self.p * self.size) if ar1 else None
+        # columns in Python, so their blocks keep at least p rows, and a
+        # literal block holds 2 * BLOCK values: each numpy call releases and
+        # retakes the GIL, so fewer, larger calls scale better on threads
+        budget = None
+        if self.mode == "literal":
+            budget = 2 * rng.BLOCK
+        elif self.mode == "gaussian" and self.design.covariance.kind == "ar1":
+            budget = max(rng.BLOCK, self.p * self.size)
         return rng.blocked(self._draw_block, keys, self.size, budget)
 
     def _draw_block(self, keys: np.ndarray) -> np.ndarray:
@@ -150,8 +155,9 @@ class DesignSumSampler(_Sampler):
             u = rng.to_uniform(rng.word_grid(keys, self.p))
             heads = np.searchsorted(self._cdf, u, side="left")
             return (2.0 * heads - self.n) / math.sqrt(self.n)
-        vals = values_from_row_keys(self.design, rng.word_grid(keys, self.n))
-        return vals.sum(axis=1) / math.sqrt(self.n)
+        sums = values_from_row_keys(self.design, rng.word_grid(keys, self.n)).sum(axis=1)
+        sums /= math.sqrt(self.n)
+        return sums
 
 
 class InterpolatedSampler(_Sampler):

@@ -28,8 +28,10 @@ _U64_GAMMA = np.uint64(GAMMA)
 _U64_MIX1 = np.uint64(_MIX1)
 _U64_MIX2 = np.uint64(_MIX2)
 
-# (word >> 11) spans [0, 2**53); adding 0.5 and scaling by 2**-53 gives (0, 1)
+# (word >> 11) spans [0, 2**53); adding 0.5 and scaling by 2**-53 gives
+# [2**-54, 1] (see to_uniform for the two rounded cases)
 _INV53 = float(2.0 ** -53)
+_INV52 = float(2.0 ** -52)
 
 # elements one block of an elementwise stage touches: its temporaries stay in
 # cache instead of streaming through memory
@@ -42,7 +44,10 @@ BLOCK = 1 << 15
 #   TAG_SECOND  side 2 of _gap, the Gaussian branch of an interpolated draw,
 #               M_y of both bounds reports, and rate_scan's M_y: it reads
 #               mix64(cell_seed, TAG_SECOND), the cell gap's Gaussian stream
-#   TAG_FAMILY  a rectangle family derived from the run seed (cli, rate_scan)
+#   TAG_FAMILY  a rectangle family derived from the run seed (cli, rate_scan).
+#               rate_scan's cell 3 seed mix64(s, 3) is this family root too;
+#               the cell reads its tags 1 and 2 below it and the families
+#               their p >= 3, so no stream is shared (tests/test_experiments)
 #   TAG_GRID    interpolation_gap's grid point k uses TAG_GRID + k
 TAG_FIRST = 1
 TAG_SECOND = 2
@@ -110,14 +115,31 @@ def word_grid(keys: np.ndarray, count: int) -> np.ndarray:
 
 
 def to_uniform(w: np.ndarray) -> np.ndarray:
-    """Map 64-bit words to doubles in the open interval (0, 1).
+    """Map 64-bit words to doubles in (0, 1].
 
-    Uses the top 53 bits plus a half-step offset, so 0 and 1 are never hit.
+    Uses the top 53 bits k = w >> 11 plus a half-step offset, (k + 0.5) *
+    2**-53, so 0 is never hit.  Above k = 2**52 the sum k + 0.5 rounds to
+    even: the 2**11 words w >= 2**64 - 2**11 give exactly 1.0 (and
+    ``to_normal`` +inf), and k = 2**52 gives exactly 0.5.
     """
     u = (w >> np.uint64(11)).astype(np.float64)
     u += 0.5
     u *= _INV53
     return u
+
+
+def to_symmetric(w: np.ndarray) -> np.ndarray:
+    """``2 * to_uniform(w) - 1`` bit for bit, in [-1 + 2**-53, 1].
+
+    Doubling is exact, so this is (k + 0.5) * 2**-52 - 1; the shift is cast
+    into the output buffer by buffer, so the words are read once and one
+    array is made.
+    """
+    v = np.right_shift(w, np.uint64(11), out=np.empty(w.shape), casting="unsafe")
+    v += 0.5
+    v *= _INV52
+    v -= 1.0
+    return v
 
 
 def to_normal(w: np.ndarray) -> np.ndarray:

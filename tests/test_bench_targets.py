@@ -4,7 +4,9 @@
 by lookup; a renamed or deleted target only makes the traced run print
 "targets not found" and report zero for that layer.  This test fails
 instead, in seconds.  The self-test's closed-form batch counts use the
-benchmark's own copy of the batch size, so that copy is checked here too.
+benchmark's own copy of the batch size, so that copy is checked here too,
+and so are the word and value counts of one literal batch, which a kernel
+that bypasses ``rng.word_grid`` or ``datagen.values_from_row_keys`` breaks.
 """
 import importlib
 import os
@@ -16,7 +18,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "ben
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
-from hdclt import montecarlo  # noqa: E402
+from hdclt import datagen, montecarlo, rng  # noqa: E402
+from hdclt.datagen import DesignSpec  # noqa: E402
 
 
 def resolve(module_name, attr):
@@ -37,3 +40,24 @@ def test_tracing_target_resolves(module_name, attr):
 def test_bench_batch_matches_package():
     # the self-test's closed-form batch counts rest on this copy
     assert workloads.BATCH == montecarlo.BATCH
+
+
+def test_literal_batch_counts(monkeypatch):
+    # the tracer's counts of one scan_literal batch: R * (n + n * p) words
+    # (the row keys, then the row values) and R * n * p design values
+    counts = {}
+    for original in (rng.word_grid, datagen.values_from_row_keys):
+        def counting(*args, _fn=original):
+            out = _fn(*args)
+            counts[_fn.__name__] = counts.get(_fn.__name__, 0) + out.size
+            return out
+
+        # like the tracer, replace every binding of the original
+        for module in [m for k, m in sys.modules.items() if k.startswith("hdclt")]:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    R, n, p = 300, workloads.SCAN_N_GRID[0], workloads.SCAN_P
+    sampler = montecarlo.DesignSumSampler(DesignSpec(kind="trunc_exp", p=p), n)
+    assert sum(sampler.map_chunks(5, 0, R, len)) == R
+    assert counts == {"word_grid": R * (n + n * p), "values_from_row_keys": R * n * p}

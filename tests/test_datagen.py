@@ -10,6 +10,8 @@ from hdclt.datagen import (
     Dataset,
     DesignSpec,
     MomentReport,
+    _base_moments,
+    _heavy_tail_params,
     population_moments,
     read_dataset,
     sample_dataset,
@@ -255,6 +257,68 @@ def test_determinism_and_row_substreams():
     keys = rng.mix64_array(99, np.arange(50, dtype=np.uint64))
     sub = values_from_row_keys(design, keys[10:20])
     assert np.array_equal(sub, a[10:20])
+
+
+def _literal_oracle(design, w):
+    # the transforms of the non-gaussian designs as first written, out of place
+    if design.kind == "rademacher":
+        bits = np.unpackbits(
+            np.ascontiguousarray(w).view(np.uint8), axis=-1, bitorder="little"
+        )[..., :design.p]
+        x = 1.0 - 2.0 * bits.astype(np.float64)
+    else:
+        u = rng.to_uniform(w)
+        v = 2.0 * u - 1.0
+        if design.kind == "trunc_exp":
+            lam = design.scale / 2.0
+            x = -lam * np.sign(v) * np.log1p(-np.abs(v))
+        elif design.kind == "heavy_tail":
+            a, c, _ = _heavy_tail_params(design)
+            x = c * np.sign(v) * np.abs(v) ** (-1.0 / a)
+        else:
+            x = math.sqrt(3.0) * design.scale * (2.0 * u - 1.0)
+    if design.standardize:
+        x = x / math.sqrt(_base_moments(design)["var"])
+    return x
+
+
+# k = w >> 11 is 0, 2**52 (to_uniform gives 0.5) or 2**53 - 1 (it gives 1.0)
+EDGE_WORDS = [0, 2**11 - 1, 2**63, 2**63 + 2**10, 2**64 - 2**11, 2**64 - 1]
+
+
+@pytest.mark.parametrize("p", [3, 64, 100, 130])
+@pytest.mark.parametrize("design", [
+    dict(kind="trunc_exp"),
+    dict(kind="trunc_exp", scale=0.7),
+    dict(kind="heavy_tail", tail_index=5.0),
+    dict(kind="heavy_tail", tail_index=5.0, standardize=True),
+    dict(kind="log_concave", variant="uniform"),
+    dict(kind="rademacher"),
+], ids=lambda d: "-".join(str(v) for v in d.values()))
+@pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value")
+def test_literal_transforms_match_oracle(monkeypatch, design, p):
+    # the in-place transforms against the oracle on the same words, bit for
+    # bit (NaN and inf included), with the edge words at both ends of a block
+    design = DesignSpec(p=p, **design)
+    word_grid, seen = rng.word_grid, []
+
+    def edged(keys, count):
+        w = word_grid(keys, count)
+        flat = w.reshape(-1)
+        flat[:len(EDGE_WORDS)] = flat[-len(EDGE_WORDS):] = EDGE_WORDS
+        seen.append(w.copy())
+        return w
+
+    monkeypatch.setattr(rng, "word_grid", edged)
+    keys = rng.words(4, 40).reshape(8, 5)
+    x = values_from_row_keys(design, keys)
+    want = _literal_oracle(design, seen[0])
+    assert x.shape == want.shape == (8, 5, p)
+    np.testing.assert_array_equal(x.view(np.uint64), want.view(np.uint64))
+    if design.kind == "trunc_exp":
+        assert np.isinf(x).any()  # the words that to_uniform maps to 1.0
+    if design.kind == "heavy_tail":
+        assert np.isnan(x).any()  # the words that to_uniform maps to 0.5
 
 
 @pytest.mark.parametrize("p", [20, 100, 1000])

@@ -101,6 +101,39 @@ def test_rate_scan_factors_each_cell_once(monkeypatch):
     assert factors[1] is not factors[2]
 
 
+def _recording(log, fn, *positions):
+    # fn, logging the positional arguments at `positions` of every call
+    def wrapper(*args, **kwargs):
+        log.append(tuple(args[i] for i in positions))
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_rate_scan_streams_are_pairwise_distinct(monkeypatch):
+    # cell 3's seed mix64(s, 3) is the family root mix64(s, TAG_FAMILY); the
+    # streams read below them must still differ: both gap sides of every
+    # cell (M_y reads the Gaussian side on purpose) and the family of each p
+    sides, m_y, families = [], [], []
+    monkeypatch.setattr(montecarlo, "family_hit_counts",
+                        _recording(sides, montecarlo.family_hit_counts, 3))
+    monkeypatch.setattr(experiments, "tail_third_moment_gaussian",
+                        _recording(m_y, experiments.tail_third_moment_gaussian, 4))
+    monkeypatch.setattr(experiments, "sample_rectangles",
+                        _recording(families, experiments.sample_rectangles, 0, 3))
+    spec = ScanSpec(design={"kind": "gaussian"}, n_grid=(4, 9, 16, 25, 36),
+                    p_rule={"rule": "power", "c": 0.5}, family_K=5, R=1000,
+                    seed=7, moment_R=100)
+    res = rate_scan(spec, workers=1)
+    assert [r.p for r in res.rows] == [3, 3, 4, 5, 6]
+    assert rng.mix64(7, 3) == rng.mix64(7, rng.TAG_FAMILY)
+    assert m_y == sides[1::2]
+    family_of = dict(families)
+    assert len(set(families)) == len(family_of) == 4  # one family per p
+    streams = [seed for seed, in sides] + list(family_of.values())
+    assert len(streams) == 2 * 5 + 4
+    assert len(set(streams)) == len(streams)
+
+
 @pytest.mark.parametrize("n_grid", [(8, 8, 32), (32, 8)])
 def test_scan_spec_rejects_unsorted_or_repeated_n(n_grid):
     with pytest.raises(ParameterError, match="strictly increasing"):

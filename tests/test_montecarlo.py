@@ -201,6 +201,11 @@ def _slicing_samplers():
             CovarianceModel("equicorrelated", 0.5).factor(5)),
         "gaussian-ar1": GaussianSumSampler(CovarianceModel("ar1", 0.5).factor(5)),
         "literal": DesignSumSampler(rad, 12, exact_law=False),
+        "literal-trunc_exp": DesignSumSampler(DesignSpec(kind="trunc_exp", p=5), 12),
+        "literal-heavy_tail": DesignSumSampler(
+            DesignSpec(kind="heavy_tail", p=5, tail_index=5.0), 12),
+        "literal-uniform": DesignSumSampler(
+            DesignSpec(kind="log_concave", p=5, variant="uniform"), 12),
         "binomial": DesignSumSampler(rad, 12),
         "gaussian-design": DesignSumSampler(DesignSpec(kind="gaussian", p=5), 12),
         "ar1-design": DesignSumSampler(

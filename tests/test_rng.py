@@ -70,3 +70,26 @@ def test_blocked_slices_rows_and_matches_one_call(monkeypatch):
     seen.clear()
     np.testing.assert_array_equal(rng.blocked(normals, keys, 4, 1 << 30), whole)
     assert seen == [23]
+
+
+# words at the rounding edges of to_uniform: k = w >> 11 is 0, 2**52 or 2**53 - 1
+EDGE_WORDS = np.array([0, 2**11 - 1, 2**63, 2**63 + 2**10, 2**64 - 2**11, 2**64 - 1],
+                      dtype=np.uint64)
+
+
+def test_uniform_rounding_edges():
+    # k + 0.5 rounds to even above 2**52: the top 2**11 words map to exactly
+    # 1.0 (a normal of +inf) and k = 2**52 to exactly 0.5; 0 is never hit
+    u = rng.to_uniform(EDGE_WORDS)
+    assert u.tolist() == [2.0**-54, 2.0**-54, 0.5, 0.5, 1.0, 1.0]
+    assert rng.to_uniform(np.array([2**64 - 2**11 - 1], dtype=np.uint64))[0] < 1.0
+    assert rng.to_normal(EDGE_WORDS[-1:])[0] == np.inf
+
+
+def test_symmetric_is_twice_uniform_minus_one():
+    w = np.concatenate([EDGE_WORDS, rng.words(8, 60_000)]).reshape(-1, 6)
+    v = rng.to_symmetric(w)
+    assert v.shape == w.shape
+    np.testing.assert_array_equal(v.view(np.uint64),
+                                  (2.0 * rng.to_uniform(w) - 1.0).view(np.uint64))
+    assert v[0].tolist() == [2.0**-53 - 1.0, 2.0**-53 - 1.0, 0.0, 0.0, 1.0, 1.0]
