@@ -16,7 +16,16 @@ from . import rng
 from .datagen import Dataset, DesignSpec, population_moments, values_from_row_keys
 from .errors import ParameterError
 from .montecarlo import GaussianSumSampler, MultiplierSampler, _batches
-from .sums import CovMatrix, ModelCovariance, empirical_covariance
+from .sums import CovMatrix, ModelCovariance
+
+MOMENT_R = 10_000  # default replications of the Monte Carlo tail moments
+
+
+def _check_q_alpha(q: float | None, alpha: float | None, prefix: str = "") -> None:
+    if q is not None and not (q > 2.0):
+        raise ParameterError(f"{prefix}q must exceed 2, got {q!r}")
+    if alpha is not None and not (0.0 < alpha < 1.0 / math.e):
+        raise ParameterError(f"{prefix}alpha must lie in (0, 1/e), got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -39,12 +48,7 @@ class BoundParams:
             v = getattr(self, name)
             if not (v > 0.0) or not math.isfinite(v):
                 raise ParameterError(f"params.{name} must be positive, got {v!r}")
-        if self.q is not None and not (self.q > 2.0):
-            raise ParameterError(f"params.q must exceed 2, got {self.q!r}")
-        if self.alpha is not None and not (0.0 < self.alpha < 1.0 / math.e):
-            raise ParameterError(
-                f"params.alpha must lie in (0, 1/e), got {self.alpha!r}"
-            )
+        _check_q_alpha(self.q, self.alpha, "params.")
 
 
 @dataclass(frozen=True)
@@ -179,10 +183,7 @@ def rate_terms(B_n: float, p: int, n: int, q: float | None = None,
     _check_rate_args(p, n)
     if not (B_n > 0.0):
         raise ParameterError(f"B_n must be positive, got {B_n!r}")
-    if q is not None and not (q > 2.0):
-        raise ParameterError(f"q must exceed 2, got {q!r}")
-    if alpha is not None and not (0.0 < alpha < 1.0 / math.e):
-        raise ParameterError(f"alpha must lie in (0, 1/e), got {alpha!r}")
+    _check_q_alpha(q, alpha)
     lpn = math.log(p * n)
     out = {"D1": (B_n**2 * lpn**7 / n) ** (1.0 / 6.0)}
     if q is not None:
@@ -266,7 +267,7 @@ def _report(provenance: str, params: BoundParams, n: int, p: int, L: float,
 
 
 def report_from_dataset(dataset: Dataset, params: BoundParams,
-                        moment_R: int = 10_000, seed: int = 0,
+                        moment_R: int = MOMENT_R, seed: int = 0,
                         sigma: ModelCovariance | CovMatrix | None = None) -> BoundReport:
     """Empirical-analog report: centered moments of one observed matrix."""
     n, p = dataset.n, dataset.p
@@ -275,9 +276,7 @@ def report_from_dataset(dataset: Dataset, params: BoundParams,
     m_x = tail_third_moment(dataset, phi[1])
     m_y = tail_third_moment_bootstrap(dataset, phi[1], moment_R,
                                       rng.mix64(seed, rng.TAG_SECOND))
-    delta = None
-    if sigma is not None:
-        delta = max_covariance_gap(empirical_covariance(dataset), sigma)
+    delta = None if sigma is None else max_covariance_gap(dataset.covariance, sigma)
     return _report("empirical", params, n, p, L, phi, m_x, m_y, delta)
 
 
@@ -291,7 +290,7 @@ def _population_tail_x(design: DesignSpec, tau: float, R: int, seed: int) -> flo
 
 def report_from_design(design: DesignSpec, n: int,
                        params: BoundParams | None = None,
-                       moment_R: int = 10_000, seed: int = 0) -> BoundReport:
+                       moment_R: int = MOMENT_R, seed: int = 0) -> BoundReport:
     """Population report from a design's analytic moments.
 
     The gaussian-side tail moment is always Monte Carlo; the data-side one
@@ -299,8 +298,7 @@ def report_from_design(design: DesignSpec, n: int,
     over fresh rows otherwise.
     """
     moments = population_moments(design)
-    if params is None:
-        params = BoundParams(b=moments.b_lower, B_n=moments.B_n)
+    params = params or BoundParams(b=moments.b_lower, B_n=moments.B_n)
     p = design.p
     L = moments.L_n_population
     phi = _phi_pair(L, p, n, params.K2)

@@ -8,7 +8,8 @@ Commands: simulate, bounds, estimate-rho, bootstrap, rate-scan, nazarov,
 smoothmax.  The config is a single JSON document (key tree documented in
 the README); ``--set`` overrides a leaf by dotted path, parsing the value
 as JSON when possible and as a string otherwise.  Every output embeds the
-resolved config, so a result file alone is enough to reproduce the run.
+config as given; omitted keys take this version's defaults, which the
+report does not record yet (ROADMAP item 4).
 A seed is always required: reproducibility is mandatory, not opt-in.
 
 The worker count (``--workers``, one per CPU by default) only affects
@@ -26,7 +27,7 @@ import sys
 import numpy as np
 
 from . import rng, serialize
-from .bounds import BoundParams, report_from_dataset, report_from_design
+from .bounds import MOMENT_R, BoundParams, report_from_dataset, report_from_design
 from .datagen import (
     DesignSpec,
     population_moments,
@@ -38,10 +39,12 @@ from .errors import NotPositiveSemidefiniteError, ParameterError
 from .experiments import ScanSpec, nazarov_check, rate_scan, smoothmax_check
 from .geometry import family_from_config, family_to_config, sample_rectangles
 from .montecarlo import bootstrap_gap, gaussian_approx_gap, interpolation_gap
-from .sums import CovMatrix, ModelCovariance, empirical_covariance
+from .sums import CovMatrix, ModelCovariance
 
 # commands whose report has a table of rows, written with ``format: csv``
 TABULAR = ("estimate-rho", "bootstrap", "rate-scan", "nazarov")
+
+FAMILY_K = 100  # rectangles in a sampled family when ``family.K`` is omitted
 
 USAGE = __doc__
 
@@ -97,9 +100,9 @@ def _out_path(cfg: dict) -> str:
     return str(_require(cfg, "out"))
 
 
-def _block(cfg: dict, key: str) -> dict:
-    """An optional sub-object of the config; absent means empty."""
-    block = cfg.get(key, {})
+def _block(cfg: dict, key: str, required: bool = False) -> dict:
+    """A sub-object of the config; an optional one that is absent is empty."""
+    block = _require(cfg, key) if required else cfg.get(key, {})
     if not isinstance(block, dict):
         raise ConfigError(f"config key {key!r} must be an object")
     return block
@@ -107,17 +110,21 @@ def _block(cfg: dict, key: str) -> dict:
 
 def _params(cfg: dict, *, b: float, B_n: float) -> BoundParams:
     block = _block(cfg, "params")
+    # an omitted constant takes its default from BoundParams; null q or alpha is absent
+    given = {k: float(block[k]) for k in ("K1", "K2") if k in block}
+    given.update((k, float(block[k])) for k in ("q", "alpha") if block.get(k) is not None)
     try:
-        return BoundParams(
-            b=float(block.get("b", b)),
-            B_n=float(block.get("B_n", B_n)),
-            K1=float(block.get("K1", 1.0)),
-            K2=float(block.get("K2", 1.0)),
-            q=None if block.get("q") is None else float(block["q"]),
-            alpha=None if block.get("alpha") is None else float(block["alpha"]),
-        )
+        return BoundParams(b=float(block.get("b", b)), B_n=float(block.get("B_n", B_n)),
+                           **given)
     except ParameterError as exc:
         raise ConfigError(f"params: {exc}") from exc
+
+
+def _exact_law(cfg: dict) -> bool:
+    value = cfg.get("exact_law", True)
+    if not isinstance(value, bool):
+        raise ConfigError(f"config key 'exact_law' must be true or false, got {value!r}")
+    return value
 
 
 def _design(cfg: dict, key: str = "design") -> DesignSpec:
@@ -128,8 +135,7 @@ def _design(cfg: dict, key: str = "design") -> DesignSpec:
 
 
 def _family(cfg: dict, p: int, sigma_diag: np.ndarray, seed: int):
-    _require(cfg, "family")
-    block = _block(cfg, "family")
+    block = _block(cfg, "family", required=True)
     if "sets" in block:
         fam = family_from_config(block)
         if fam.p != p:
@@ -138,7 +144,7 @@ def _family(cfg: dict, p: int, sigma_diag: np.ndarray, seed: int):
     kind = block.get("kind", "rectangles")
     if kind != "rectangles":
         raise ConfigError(f"unknown family kind {kind!r}")
-    count = int(block.get("K", 100))
+    count = int(block.get("K", FAMILY_K))
     fam_seed = block.get("seed")
     if fam_seed is None:
         fam_seed = rng.mix64(seed, rng.TAG_FAMILY)
@@ -151,7 +157,7 @@ def _sigma_for(cfg: dict, dataset=None) -> ModelCovariance | CovMatrix:
     if source == "empirical":
         if dataset is None:
             raise ConfigError("sigma.source 'empirical' needs a dataset")
-        return empirical_covariance(dataset)
+        return dataset.covariance
     if source == "design":
         design = _design(block if "design" in block else cfg)
         return population_moments(design).sigma
@@ -205,23 +211,17 @@ def _write_report(cfg: dict, command: str, fields: dict, rows) -> None:
 # after the config echo and the rows of its csv table (None without one).
 
 def _cmd_simulate(cfg: dict, workers) -> None:
-    design = _design(cfg)
-    n = int(_require(cfg, "n"))
-    seed = _seed(cfg)
-    dataset = sample_dataset(design, n, seed)
+    dataset = sample_dataset(_design(cfg), int(_require(cfg, "n")), _seed(cfg))
     write_dataset(dataset, _out_path(cfg), cfg.get("format"))
 
 
 def _cmd_bounds(cfg: dict, workers):
     seed = _seed(cfg)
-    moment_R = int(cfg.get("moment_R", 10_000))
+    moment_R = int(cfg.get("moment_R", MOMENT_R))
     if "dataset" in cfg:
         dataset = read_dataset(str(cfg["dataset"]))
-        sigma = None
-        if "sigma" in cfg or "design" in cfg:
-            sigma = _sigma_for(cfg, dataset)
-        emp = empirical_covariance(dataset)
-        b_default = float(np.min(emp.diag()))
+        sigma = _sigma_for(cfg, dataset) if "sigma" in cfg or "design" in cfg else None
+        b_default = float(np.min(dataset.covariance.diag()))
         params = _params(cfg, b=b_default if b_default > 0 else 1.0, B_n=1.0)
         report = report_from_dataset(dataset, params, moment_R, seed, sigma)
     else:
@@ -241,15 +241,14 @@ def _cmd_estimate_rho(cfg: dict, workers):
     moments = population_moments(design)
     _params(cfg, b=moments.b_lower, B_n=moments.B_n)  # validates q / alpha if given
     sigma = moments.sigma
+    exact_law = _exact_law(cfg)
     family = _family(cfg, design.p, np.sqrt(sigma.diag()), seed)
     v_grid = cfg.get("v_grid")
     if v_grid is not None:
-        est = interpolation_gap(design, n, sigma, family, v_grid, R, seed,
-                                workers, bool(cfg.get("exact_law", True)))
+        est = interpolation_gap(design, n, sigma, family, v_grid, R, seed, workers, exact_law)
         rows = None
     else:
-        est = gaussian_approx_gap(design, n, sigma, family, R, seed, workers,
-                                  bool(cfg.get("exact_law", True)))
+        est = gaussian_approx_gap(design, n, sigma, family, R, seed, workers, exact_law)
         rows = est.per_set
     return {"family": family_to_config(family), "estimate": est}, rows
 
@@ -277,17 +276,20 @@ def _cmd_rate_scan(cfg: dict, workers):
         if "b" not in block or "B_n" not in block:
             raise ConfigError("rate-scan params need explicit b and B_n")
         params = _params(cfg, b=block["b"], B_n=block["B_n"])
-    _require(cfg, "p_rule")
+    family = _block(cfg, "family")  # the scan derives one family of rectangles per p
+    unread = {k: v for k, v in family.items() if k != "K" and (k, v) != ("kind", "rectangles")}
+    if unread:
+        raise ConfigError(f"rate-scan reads only family.K (and kind 'rectangles'), not {unread}")
     spec = ScanSpec(
         design=_require(cfg, "design"),
         n_grid=tuple(_require(cfg, "n_grid")),
-        p_rule=_block(cfg, "p_rule"),
-        family_K=int(_block(cfg, "family").get("K", 100)),
+        p_rule=_block(cfg, "p_rule", required=True),
+        family_K=int(family.get("K", FAMILY_K)),
         R=int(_require(cfg, "R")),
         seed=seed,
         params=params,
-        moment_R=int(cfg.get("moment_R", 10_000)),
-        exact_law=bool(cfg.get("exact_law", True)),
+        moment_R=int(cfg.get("moment_R", MOMENT_R)),
+        exact_law=_exact_law(cfg),
     )
     if "p" in spec.design:
         raise ConfigError("rate-scan design must omit 'p'; the p_rule supplies it")
@@ -298,7 +300,7 @@ def _cmd_rate_scan(cfg: dict, workers):
 
 def _cmd_nazarov(cfg: dict, workers):
     seed = _seed(cfg)
-    block = _require(cfg, "sigma")
+    block = _block(cfg, "sigma", required=True)
     design = DesignSpec.from_config({
         "kind": "gaussian", "p": int(_require(block, "p")),
         "covariance": block.get("covariance", {"model": "identity"}),

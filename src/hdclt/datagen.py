@@ -34,7 +34,7 @@ from scipy.special import ndtr
 
 from . import rng
 from .errors import ParameterError
-from .sums import AR1Factor, EquicorrelatedFactor, ModelCovariance, ScaledIdentityFactor
+from .sums import AR1Factor, CovMatrix, EquicorrelatedFactor, ModelCovariance, ScaledIdentityFactor
 
 _GAUSS_THIRD = 2.0 * math.sqrt(2.0 / math.pi)  # E|N(0,1)|^3
 
@@ -125,10 +125,15 @@ class DesignSpec:
             raise ParameterError(f"design dimension p must be an integer >= 3, got {self.p!r}")
         if not (self.scale > 0.0) or not math.isfinite(self.scale):
             raise ParameterError(f"design scale must be positive, got {self.scale!r}")
-        gaussian_like = self.kind == "gaussian" or (
-            self.kind == "log_concave" and self.variant in (None, "gaussian")
-        )
-        if not gaussian_like and self.covariance.kind != "identity":
+        if self.kind == "log_concave":
+            if self.variant not in ("gaussian", "uniform"):
+                raise ParameterError(
+                    "log_concave needs variant 'gaussian' or 'uniform', "
+                    f"got {self.variant!r}"
+                )
+        elif self.variant is not None:
+            raise ParameterError(f"design {self.kind!r} takes no variant")
+        if not self.gaussian and self.covariance.kind != "identity":
             raise ParameterError(
                 f"design {self.kind!r} supports only independent coordinates"
             )
@@ -139,18 +144,9 @@ class DesignSpec:
                 )
         elif self.tail_index is not None:
             raise ParameterError(f"design {self.kind!r} takes no tail_index")
-        if self.kind == "log_concave":
-            if self.variant not in ("gaussian", "uniform"):
-                raise ParameterError(
-                    "log_concave needs variant 'gaussian' or 'uniform', "
-                    f"got {self.variant!r}"
-                )
-        elif self.variant is not None:
-            raise ParameterError(f"design {self.kind!r} takes no variant")
-        if self.kind in ("rademacher", "gaussian") and self.scale != 1.0:
-            raise ParameterError(f"design {self.kind!r} has a fixed scale of 1")
-        if self.kind == "log_concave" and self.variant == "gaussian" and self.scale != 1.0:
-            raise ParameterError("gaussian log_concave variant has a fixed scale of 1")
+        if (self.kind == "rademacher" or self.gaussian) and self.scale != 1.0:
+            what = "gaussian log_concave variant" if self.variant else f"design {self.kind!r}"
+            raise ParameterError(f"{what} has a fixed scale of 1")
 
     @property
     def gaussian(self) -> bool:
@@ -206,9 +202,19 @@ class Dataset:
         return self.values.shape[1]
 
     @functools.cached_property
+    def mean(self) -> np.ndarray:
+        """The column means, computed once per dataset."""
+        return self.values.mean(axis=0)
+
+    @functools.cached_property
     def centered(self) -> np.ndarray:
         """The rows minus their column means, computed once per dataset."""
-        return self.values - self.values.mean(axis=0)
+        return self.values - self.mean
+
+    @functools.cached_property
+    def covariance(self) -> CovMatrix:
+        """The empirical covariance (divisor n), computed once per dataset."""
+        return CovMatrix(self.centered.T @ self.centered / self.n)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,11 @@ from scipy.special import ndtri
 
 from . import rng
 from .bounds import (
+    MOMENT_R,
     BoundParams,
+    _phi_pair,
     gaussian_approx_bound,
     rate_terms,
-    smoothing_parameter,
     tail_third_moment_gaussian,
 )
 from .datagen import DesignSpec, population_moments
@@ -67,7 +68,7 @@ class ScanSpec:
     R: int
     seed: int
     params: BoundParams | None = None
-    moment_R: int = 10_000
+    moment_R: int = MOMENT_R
     exact_law: bool = True
 
     def __post_init__(self):
@@ -140,9 +141,8 @@ def rate_scan(spec: ScanSpec, workers: int | None = None) -> ScanResult:
             gap = gaussian_approx_gap(design, n, moments.sigma, family, spec.R,
                                       cell_seed, workers, spec.exact_law)
             params = spec.params or BoundParams(b=moments.b_lower, B_n=moments.B_n)
-            terms = rate_terms(params.B_n, p, n)
             L = moments.L_n_population
-            phi_used = max(1.0, smoothing_parameter(L, p, n, params.K2))
+            phi_used = _phi_pair(L, p, n, params.K2)[1]
             # the same stream as the gap's Gaussian side (see rng.TAG_SECOND)
             m_y = tail_third_moment_gaussian(moments.sigma, n, phi_used, spec.moment_R,
                                              rng.mix64(cell_seed, rng.TAG_SECOND))
@@ -151,7 +151,7 @@ def rate_scan(spec: ScanSpec, workers: int | None = None) -> ScanResult:
             raise type(exc)(f"scan cell (n={n}, p={p}): {exc}") from exc
         rows.append(ScanRow(
             n=n, p=p, rho_hat=gap.sup_diff, noise_floor=gap.noise_floor,
-            D1=terms["D1"], main_bound=main,
+            D1=rate_terms(params.B_n, p, n)["D1"], main_bound=main,
             censored=gap.sup_diff <= gap.noise_floor,
         ))
 

@@ -150,15 +150,11 @@ class EquicorrelatedFactor:
         return len(self.d)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        # in cache-sized blocks of rows, so the temporaries stay small
-        return rng.blocked(self._apply_rows, z.reshape(-1, self.p), self.p).reshape(z.shape)
-
-    def _apply_rows(self, z: np.ndarray) -> np.ndarray:
         # coordinate i is d_i z_i plus the prefix sum of c_j z_j over j < i
         below = self.c * z
         np.cumsum(below, axis=-1, out=below)
         y = self.d * z
-        y[:, 1:] += below[:, :-1]
+        y[..., 1:] += below[..., :-1]
         return y
 
 
@@ -193,9 +189,8 @@ def normalized_sum(dataset: Dataset) -> np.ndarray:
 
 
 def empirical_covariance(dataset: Dataset) -> CovMatrix:
-    """Centered second-moment matrix with divisor n (not n-1)."""
-    centered = dataset.centered
-    return CovMatrix(centered.T @ centered / dataset.n)
+    """Centered second-moment matrix with divisor n: ``dataset.covariance``."""
+    return dataset.covariance
 
 
 BASE_JITTER = 1e-10
@@ -270,5 +265,4 @@ def empirical_resample_draw_batch(dataset: Dataset, keys: np.ndarray) -> np.ndar
         return counts.reshape(len(block), n).astype(np.float64)
 
     totals = rng.blocked(row_counts, keys, n) @ dataset.values
-    mean = dataset.values.mean(axis=0)
-    return (totals - n * mean) / math.sqrt(n)
+    return (totals - n * dataset.mean) / math.sqrt(n)

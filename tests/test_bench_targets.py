@@ -7,14 +7,18 @@ instead, in seconds.  The self-test's closed-form batch counts use the
 benchmark's own copy of the batch size, so that copy is checked here too,
 and so are the word and value counts of one literal batch, which a kernel
 that bypasses ``rng.word_grid`` or ``datagen.values_from_row_keys`` breaks.
+Last, ``bench/selftest.py`` itself runs: it checks every workload's
+closed-form counts and dominant spans against traced runs.
 """
 import importlib
 import os
+import subprocess
 import sys
 
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -61,3 +65,13 @@ def test_literal_batch_counts(monkeypatch):
     sampler = montecarlo.DesignSumSampler(DesignSpec(kind="trunc_exp", p=p), n)
     assert sum(sampler.map_chunks(5, 0, R, len)) == R
     assert counts == {"word_grid": R * (n + n * p), "values_from_row_keys": R * n * p}
+
+
+def test_bench_selftest_passes():
+    # from the repository root, as its usage says; it removes bench/_work/
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, os.path.join("bench", "selftest.py")], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    passed = [line for line in proc.stdout.splitlines() if line.startswith("PASS ")]
+    assert len(passed) == 4, proc.stdout

@@ -8,6 +8,7 @@ from hdclt import cli, serialize
 from hdclt.datagen import DesignSpec, population_moments, read_dataset
 from hdclt.errors import NotPositiveSemidefiniteError
 from hdclt.experiments import nazarov_check
+from hdclt.sums import CovMatrix
 
 
 def run_cli(argv):
@@ -388,3 +389,86 @@ def test_csv_without_table_rejected(tmp_path, monkeypatch, command, work, cfg):
     assert f"error: {command}" in err and "has no csv table" in err
     assert command != "estimate-rho" or "with v_grid" in err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["empirical", "design"])
+def test_bounds_builds_the_empirical_covariance_once(tmp_path, monkeypatch, source):
+    # the dataset's covariance serves the default b, sigma.source 'empirical'
+    # and the reported gap; no site builds or checks its own copy
+    sim = {"seed": 4, "out": str(tmp_path / "d.bin"), "n": 40,
+           "design": {"kind": "gaussian", "p": 6}}
+    assert run_cli(["simulate", "--config", write_config(tmp_path, "s.json", sim)])[0] == 0
+    cfg = {"seed": 10, "out": str(tmp_path / "b.json"), "dataset": str(tmp_path / "d.bin"),
+           "moment_R": 200, "design": {"kind": "gaussian", "p": 6},
+           "sigma": {"source": source}}
+    built = []
+    original = CovMatrix.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(CovMatrix, "__post_init__", counting)
+    code, _, err = run_cli(["bounds", "--config", write_config(tmp_path, "b.json", cfg)])
+    assert code == 0, err
+    assert len(built) == 1
+    report = json.loads((tmp_path / "b.json").read_text())["report"]
+    assert (report["delta_nr"] == 0.0) == (source == "empirical")
+
+
+def scan_config(tmp_path, **overrides):
+    cfg = {
+        "seed": 11, "out": str(tmp_path / "scan.json"), "design": {"kind": "rademacher"},
+        "n_grid": [8, 16], "p_rule": {"rule": "fixed", "p": 10}, "family": {"K": 5},
+        "R": 1000, "moment_R": 100,
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+ORTHANT = {"p": 4, "sets": [{"label": "o0", "kind": "rect",
+                              "lower": ["-inf"] * 4, "upper": [0.0] * 4}]}
+
+
+@pytest.mark.parametrize("command, make_config", [
+    ("estimate-rho", rho_config),
+    ("estimate-rho", lambda tmp_path: rho_config(
+        tmp_path, design={"kind": "rademacher", "p": 4}, family=ORTHANT, v_grid=[0.5],
+        R=1000)),
+    ("rate-scan", scan_config),
+], ids=["estimate-rho", "estimate-rho-v_grid", "rate-scan"])
+@pytest.mark.parametrize("override", ["exact_law=False", 'exact_law="false"', "exact_law=0"])
+def test_non_boolean_exact_law_exits_2(tmp_path, command, make_config, override):
+    # "False" is not JSON, so --set keeps the string, and bool("False") is true
+    path = write_config(tmp_path, "c.json", make_config(tmp_path))
+    code, _, err = run_cli([command, "--config", path, "--set", override])
+    assert code == 2, err
+    assert "config key 'exact_law' must be true or false" in err
+    code, _, err = run_cli([command, "--config", path, "--set", "exact_law=false"])
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("family, key", [
+    ({"K": 5, "seed": 7}, "seed"),
+    ({"K": 5, "sets": []}, "sets"),
+    ({"K": 5, "kind": "orthants"}, "kind"),
+    ({"K": 5, "kind": "rectangles"}, None),
+])
+def test_rate_scan_reads_only_the_family_size(tmp_path, family, key):
+    # the scan derives one family per p, so any other family key is an error
+    path = write_config(tmp_path, "scan.json", scan_config(tmp_path, family=family))
+    code, _, err = run_cli(["rate-scan", "--config", path])
+    if key is None:
+        assert code == 0, err
+    else:
+        assert code == 2, err
+        assert repr(key) in err
+
+
+def test_nazarov_non_object_sigma_exits_2(tmp_path):
+    cfg = {"seed": 12, "out": str(tmp_path / "nz.json"), "sigma": {"p": 5},
+           "y_count": 3, "a_grid": [0.05], "R": 2000}
+    path = write_config(tmp_path, "nz.json", cfg)
+    code, _, err = run_cli(["nazarov", "--config", path, "--set", "sigma=5"])
+    assert code == 2, err
+    assert "config key 'sigma' must be an object" in err

@@ -277,6 +277,30 @@ def test_empirical_batch_matches_single():
         assert np.allclose(batch[r], single, rtol=1e-12, atol=1e-14)
 
 
+class _CountedMean(np.ndarray):
+    """An array that counts the calls of its ``mean``."""
+
+    calls = 0
+
+    def mean(self, *args, **kwargs):
+        _CountedMean.calls += 1
+        return np.asarray(self).mean(*args, **kwargs)
+
+
+def test_empirical_draws_read_the_dataset_mean_once(monkeypatch):
+    # the column mean is the dataset's, computed once, not once per slice
+    values = np.random.default_rng(4).standard_normal((30, 3))
+    data = Dataset(values)
+    object.__setattr__(data, "values", data.values.view(_CountedMean))
+    monkeypatch.setattr(_CountedMean, "calls", 0)
+    plain = Dataset(values)
+    for i in (0, 10, 20):
+        batch = keys(8 + i, 10)
+        np.testing.assert_array_equal(empirical_resample_draw_batch(data, batch),
+                                      empirical_resample_draw_batch(plain, batch))
+    assert _CountedMean.calls == 1
+
+
 def test_draws_are_deterministic():
     data = Dataset(np.random.default_rng(3).standard_normal((25, 4)))
     for kernel in (multiplier_draw_batch, empirical_resample_draw_batch):
