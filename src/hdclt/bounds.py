@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .datagen import Dataset, DesignSpec, population_moments, values_from_row_keys
+from .datagen import Dataset, DesignSpec, MomentReport, population_moments, values_from_row_keys
 from .errors import ParameterError
 from .montecarlo import GaussianSumSampler, MultiplierSampler, _batches
 from .sums import CovMatrix, ModelCovariance
@@ -49,6 +49,11 @@ class BoundParams:
             if not (v > 0.0) or not math.isfinite(v):
                 raise ParameterError(f"params.{name} must be positive, got {v!r}")
         _check_q_alpha(self.q, self.alpha, "params.")
+
+
+def default_params(moments: MomentReport) -> BoundParams:
+    """A design's constants when ``params`` gives none: b and B_n from its moments."""
+    return BoundParams(b=moments.b_lower, B_n=moments.B_n)
 
 
 @dataclass(frozen=True)
@@ -298,7 +303,7 @@ def report_from_design(design: DesignSpec, n: int,
     over fresh rows otherwise.
     """
     moments = population_moments(design)
-    params = params or BoundParams(b=moments.b_lower, B_n=moments.B_n)
+    params = params or default_params(moments)
     p = design.p
     L = moments.L_n_population
     phi = _phi_pair(L, p, n, params.K2)

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import rng
-from .errors import ParameterError
+from .errors import ParameterError, config_value
 from .sums import AR1Factor, CovMatrix, EquicorrelatedFactor, ModelCovariance, ScaledIdentityFactor
 
 _GAUSS_THIRD = 2.0 * math.sqrt(2.0 / math.pi)  # E|N(0,1)|^3
@@ -89,9 +89,8 @@ class CovarianceModel:
 
     @staticmethod
     def from_config(cfg: dict) -> "CovarianceModel":
-        if not isinstance(cfg, dict) or "model" not in cfg:
-            raise ParameterError("covariance config must be {'model': ..., [...]}")
-        return CovarianceModel(kind=cfg["model"], r=cfg.get("r"))
+        return CovarianceModel(kind=config_value(cfg, "model", str),
+                               r=config_value(cfg, "r", float, None))
 
 
 IDENTITY = CovarianceModel("identity")
@@ -155,23 +154,19 @@ class DesignSpec:
 
     @staticmethod
     def from_config(cfg: dict) -> "DesignSpec":
-        if not isinstance(cfg, dict):
-            raise ParameterError("design config must be a mapping")
         known = {"kind", "p", "covariance", "scale", "tail_index", "variant", "standardize"}
         extra = set(cfg) - known
         if extra:
             raise ParameterError(f"unknown design keys: {sorted(extra)}")
-        if "kind" not in cfg or "p" not in cfg:
-            raise ParameterError("design config needs at least 'kind' and 'p'")
-        cov = cfg.get("covariance")
+        cov = config_value(cfg, "covariance", dict, None)
         return DesignSpec(
-            kind=cfg["kind"],
-            p=int(cfg["p"]),
-            covariance=CovarianceModel.from_config(cov) if cov is not None else IDENTITY,
-            scale=float(cfg.get("scale", 1.0)),
-            tail_index=(None if cfg.get("tail_index") is None else float(cfg["tail_index"])),
-            variant=cfg.get("variant"),
-            standardize=bool(cfg.get("standardize", False)),
+            kind=config_value(cfg, "kind", str),
+            p=config_value(cfg, "p", int),
+            covariance=IDENTITY if cov is None else CovarianceModel.from_config(cov),
+            scale=config_value(cfg, "scale", float, 1.0),
+            tail_index=config_value(cfg, "tail_index", float, None),
+            variant=config_value(cfg, "variant", str, None),
+            standardize=config_value(cfg, "standardize", bool, False),
         )
 
 

@@ -1,9 +1,54 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one reader of config values."""
 
 
 class ParameterError(ValueError):
     """An argument or configuration value violates a documented precondition."""
 
 
+class ConfigError(ParameterError):
+    """A config value is missing or has the wrong JSON type."""
+
+
 class NotPositiveSemidefiniteError(ArithmeticError):
     """A matrix could not be factored even after the jitter escalation."""
+
+
+REQUIRED = object()  # the default of a config key that must be given
+
+# each kind: how one value is named, and how a list of them is
+_KIND_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+               bool: ("true or false", "booleans"), str: ("a string", "strings"),
+               dict: ("an object", "objects"), list: ("an array", "arrays")}
+
+
+def _typed(value, kind):
+    """``value`` as a ``kind``, or None when it is not one.  A JSON boolean is
+    not a number, and an integer takes any number with an integral value."""
+    if isinstance(value, bool) != (kind is bool):
+        return None
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if kind is float and isinstance(value, int):
+        return float(value)
+    return value if isinstance(value, kind) else None
+
+
+def config_value(cfg: dict, key: str, kind: type, default=REQUIRED, item: type | None = None):
+    """The value of ``key`` in the config object ``cfg`` as a ``kind``: one of
+    int, float, bool, str, dict or list, a list holding ``item``s if given.
+
+    An absent key gives ``default`` (a ConfigError if it is REQUIRED), and so
+    does null where ``default`` is None; any other value of the wrong type is
+    a ConfigError naming the key.
+    """
+    if key not in cfg or (cfg[key] is None and default is None):
+        if default is REQUIRED:
+            raise ConfigError(f"missing required config key {key!r}")
+        return default
+    typed = _typed(cfg[key], kind)
+    if item is not None and typed is not None:
+        typed = [_typed(v, item) for v in typed]
+    if typed is None or (item is not None and None in typed):
+        what = _KIND_NAMES[kind][0] + (f" of {_KIND_NAMES[item][1]}" if item else "")
+        raise ConfigError(f"config key {key!r} must be {what}, got {cfg[key]!r}")
+    return typed

@@ -13,12 +13,13 @@ from .bounds import (
     MOMENT_R,
     BoundParams,
     _phi_pair,
+    default_params,
     gaussian_approx_bound,
     rate_terms,
     tail_third_moment_gaussian,
 )
 from .datagen import DesignSpec, population_moments
-from .errors import NotPositiveSemidefiniteError, ParameterError
+from .errors import NotPositiveSemidefiniteError, ParameterError, config_value
 from .geometry import sample_rectangles
 from .montecarlo import (
     GaussianSumSampler,
@@ -40,16 +41,17 @@ def dimension_rule(rule: dict, n: int) -> int:
     giving p = round(A * n^C); {"rule": "exp_power", "c": C, "coef": A}
     giving p = round(exp(A * n^C)).  Dimensions are floored at 3.
     """
-    kind = rule.get("rule")
+    kind = config_value(rule, "rule", str)
     if kind == "fixed":
-        p = int(rule["p"])
-    elif kind == "power":
-        p = round(float(rule.get("coef", 1.0)) * n ** float(rule["c"]))
-    elif kind == "exp_power":
-        p = round(math.exp(float(rule.get("coef", 1.0)) * n ** float(rule["c"])))
-    else:
+        return max(3, config_value(rule, "p", int))
+    if kind not in ("power", "exp_power"):
         raise ParameterError(f"unknown dimension rule {kind!r}")
-    return max(3, int(p))
+    coef, c = config_value(rule, "coef", float, 1.0), config_value(rule, "c", float)
+    try:
+        a_nc = coef * n ** c
+        return max(3, round(a_nc if kind == "power" else math.exp(a_nc)))
+    except (OverflowError, ValueError) as exc:  # p infinite or NaN
+        raise ParameterError(f"dimension rule {kind!r} gives no dimension at n={n}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,7 @@ def rate_scan(spec: ScanSpec, workers: int | None = None) -> ScanResult:
             family = sample_rectangles(p, spec.family_K, sd, family_seed)
             gap = gaussian_approx_gap(design, n, moments.sigma, family, spec.R,
                                       cell_seed, workers, spec.exact_law)
-            params = spec.params or BoundParams(b=moments.b_lower, B_n=moments.B_n)
+            params = spec.params or default_params(moments)
             L = moments.L_n_population
             phi_used = _phi_pair(L, p, n, params.K2)[1]
             # the same stream as the gap's Gaussian side (see rng.TAG_SECOND)

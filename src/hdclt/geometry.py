@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import rng
-from .errors import ParameterError
+from .errors import ParameterError, config_value
 
 _UNIT_TOL = 1e-12
 
@@ -473,12 +473,11 @@ def _num_out(x: float):
 
 
 def _num_in(x) -> float:
-    if isinstance(x, str):
-        if x == "inf":
-            return math.inf
-        if x == "-inf":
-            return -math.inf
-        raise ParameterError(f"unknown numeric sentinel {x!r}")
+    """A rectangle bound: a JSON number, or the string "inf" or "-inf"."""
+    if x in ("inf", "-inf"):
+        return float(x)
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ParameterError(f"rectangle bound must be a number, 'inf' or '-inf', got {x!r}")
     return float(x)
 
 
@@ -512,28 +511,31 @@ def set_to_config(set_) -> dict:
 
 
 def set_from_config(cfg: dict):
-    kind = cfg.get("kind")
+    kind = config_value(cfg, "kind", str)
     if kind == "rect":
-        return Hyperrectangle(
-            np.array([_num_in(v) for v in cfg["lower"]]),
-            np.array([_num_in(v) for v in cfg["upper"]]),
-        )
+        return Hyperrectangle([_num_in(v) for v in config_value(cfg, "lower", list)],
+                              [_num_in(v) for v in config_value(cfg, "upper", list)])
     if kind == "polytope":
-        facets = cfg["facets"]
-        return Polytope(
-            np.array([f["v"] for f in facets], dtype=np.float64),
-            np.array([f["c"] for f in facets], dtype=np.float64),
-        )
+        facets = config_value(cfg, "facets", list, item=dict)
+        normals = [config_value(f, "v", list, item=float) for f in facets]
+        if len({len(v) for v in normals}) > 1:
+            raise ParameterError("polytope facet normals must share one length")
+        return Polytope(normals, [config_value(f, "c", float) for f in facets])
     if kind == "sparse":
         pieces = []
-        for pc in cfg["pieces"]:
-            if pc["type"] == "halfspace":
-                pieces.append(SparseHalfspace(np.asarray(pc["v"], dtype=np.float64), float(pc["c"])))
-            elif pc["type"] == "ball":
-                pieces.append(SparseBall(tuple(pc["J"]), np.asarray(pc["center"]), float(pc["radius"])))
+        for pc in config_value(cfg, "pieces", list, item=dict):
+            piece = config_value(pc, "type", str)
+            if piece == "halfspace":
+                pieces.append(SparseHalfspace(config_value(pc, "v", list, item=float),
+                                              config_value(pc, "c", float)))
+            elif piece == "ball":
+                pieces.append(SparseBall(config_value(pc, "J", list, item=int),
+                                         config_value(pc, "center", list, item=float),
+                                         config_value(pc, "radius", float)))
             else:
-                raise ParameterError(f"unknown sparse piece type {pc.get('type')!r}")
-        return SparseConvexSet(p=int(cfg["p"]), s=int(cfg["s"]), pieces=tuple(pieces))
+                raise ParameterError(f"unknown sparse piece type {piece!r}")
+        return SparseConvexSet(p=config_value(cfg, "p", int), s=config_value(cfg, "s", int),
+                               pieces=tuple(pieces))
     raise ParameterError(f"unknown set kind {kind!r}")
 
 
@@ -548,7 +550,7 @@ def family_to_config(family: SetFamily) -> dict:
 def family_from_config(cfg: dict) -> SetFamily:
     sets = []
     labels = []
-    for entry in cfg["sets"]:
-        labels.append(entry["label"])
+    for entry in config_value(cfg, "sets", list, item=dict):
+        labels.append(config_value(entry, "label", str))
         sets.append(set_from_config({k: v for k, v in entry.items() if k != "label"}))
     return SetFamily(tuple(sets), tuple(labels))

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -472,3 +476,129 @@ def test_nazarov_non_object_sigma_exits_2(tmp_path):
     code, _, err = run_cli(["nazarov", "--config", path, "--set", "sigma=5"])
     assert code == 2, err
     assert "config key 'sigma' must be an object" in err
+
+
+def forbid(monkeypatch, *names):
+    """Make each named cli function raise, so a test can check that none ran."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"one of {names} ran")
+
+    for name in names:
+        monkeypatch.setattr(cli, name, forbidden)
+
+
+def small_rho_config(tmp_path, **overrides):
+    small = dict(design={"kind": "rademacher", "p": 6}, n=20,
+                 family={"kind": "rectangles", "K": 5}, R=2000)
+    return rho_config(tmp_path, **dict(small, **overrides))
+
+
+@pytest.mark.parametrize("command, make_config, override, key", [
+    ("estimate-rho", small_rho_config, "R=2000.9", "R"),
+    ("estimate-rho", small_rho_config, "family.K=2.9", "K"),
+    ("estimate-rho", small_rho_config, "design.p=6.7", "p"),
+    ("estimate-rho", small_rho_config, 'design.standardize="false"', "standardize"),
+    ("estimate-rho", small_rho_config, "n=abc", "n"),
+    ("estimate-rho", small_rho_config, "params.K1=null", "K1"),
+    ("estimate-rho", small_rho_config, 'v_grid=["x"]', "v_grid"),
+    ("estimate-rho", small_rho_config, "family.sets=5", "sets"),
+    ("estimate-rho", small_rho_config, "R=true", "R"),
+    ("estimate-rho", small_rho_config, "seed=1.5", "seed"),
+    ("rate-scan", scan_config, "n_grid=5", "n_grid"),
+    ("nazarov", nazarov_config, 'a_grid=["x"]', "a_grid"),
+])
+def test_bad_config_values_exit_2_naming_the_key(tmp_path, monkeypatch, command, make_config,
+                                                 override, key):
+    forbid(monkeypatch, "gaussian_approx_gap", "interpolation_gap", "rate_scan", "nazarov_check")
+    path = write_config(tmp_path, "c.json", make_config(tmp_path))
+    code, _, err = run_cli([command, "--config", path, "--set", override])
+    assert code == 2, err
+    assert repr(key) in err
+
+
+def test_integral_numbers_are_integers(tmp_path):
+    # R: 1e4 is the JSON number 10000.0; it runs exactly as R: 10000
+    cfg = json.dumps(small_rho_config(tmp_path, R=10_000))
+    path = tmp_path / "c.json"
+    reports = []
+    for text in (cfg, cfg.replace('"R": 10000', '"R": 1e4')):
+        path.write_text(text)
+        code, _, err = run_cli(["estimate-rho", "--config", str(path)])
+        assert code == 0, err
+        reports.append(json.loads((tmp_path / "rho.json").read_text()))
+    assert reports[1]["config"]["R"] == 10000.0  # the config is echoed as given
+    assert reports[1]["estimate"] == reports[0]["estimate"]
+    assert reports[1]["estimate"]["R"] == 10000
+
+
+@pytest.mark.parametrize("fault", [KeyError("boom"), ValueError("boom"), TypeError("boom")],
+                         ids=["KeyError", "ValueError", "TypeError"])
+def test_internal_errors_propagate(tmp_path, monkeypatch, fault):
+    # an exception the program does not raise on purpose is a bug, not a config error
+    def broken(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(cli, "gaussian_approx_gap", broken)
+    path = write_config(tmp_path, "c.json", small_rho_config(tmp_path))
+    with pytest.raises(type(fault), match="boom"):
+        cli.run(["estimate-rho", "--config", path], stdout=io.StringIO(), stderr=io.StringIO())
+
+
+def test_internal_error_exits_1_with_a_traceback(tmp_path):
+    path = write_config(tmp_path, "c.json", small_rho_config(tmp_path))
+    code = (
+        "import runpy, sys\n"
+        "import hdclt.montecarlo\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise KeyError('boom')\n"
+        "hdclt.montecarlo.gaussian_approx_gap = broken\n"
+        f"sys.argv = ['hdclt', 'estimate-rho', '--config', {path!r}]\n"
+        "runpy.run_module('hdclt.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" in proc.stderr and "KeyError: 'boom'" in proc.stderr
+
+
+def test_workers_zero_exits_2(tmp_path, monkeypatch):
+    forbid(monkeypatch, "gaussian_approx_gap")
+    path = write_config(tmp_path, "c.json", small_rho_config(tmp_path))
+    for value in ("0", "-1", "x"):
+        code, _, err = run_cli(["estimate-rho", "--config", path, "--workers", value])
+        assert code == 2, err
+        assert "--workers needs a positive integer" in err
+
+
+@pytest.mark.parametrize("text", [b'{"seed": 1, "out": "r\xff.json"}', b"{not json"],
+                         ids=["non_utf8", "malformed"])
+def test_unreadable_config_exits_2_naming_the_file(tmp_path, text):
+    path = tmp_path / "c.json"
+    path.write_bytes(text)
+    code, _, err = run_cli(["estimate-rho", "--config", str(path)])
+    assert code == 2, err
+    assert str(path) in err
+
+
+def test_nazarov_builds_its_covariance_without_a_design(tmp_path, monkeypatch):
+    forbid(monkeypatch, "population_moments")
+    cfg = nazarov_config(tmp_path, sigma={"p": 5, "covariance": {"model": "ar1", "r": 0.5}})
+    path = write_config(tmp_path, "nz.json", cfg)
+    code, _, err = run_cli(["nazarov", "--config", path])
+    assert code == 0, err
+    for override, key in (('sigma.p="x"', "p"), ("sigma.covariance=5", "covariance"),
+                          ("sigma.covariance.model=5", "model")):
+        code, _, err = run_cli(["nazarov", "--config", path, "--set", override])
+        assert code == 2, err
+        assert repr(key) in err
+
+
+def test_rate_scan_checks_every_cell_before_any_runs(tmp_path, monkeypatch):
+    forbid(monkeypatch, "rate_scan")
+    # exp(8) is a dimension, exp(1000) overflows
+    cfg = scan_config(tmp_path, n_grid=[8, 1000], p_rule={"rule": "exp_power", "c": 1.0})
+    code, _, err = run_cli(["rate-scan", "--config", write_config(tmp_path, "s.json", cfg)])
+    assert code == 2, err
+    assert "exp_power" in err and "n=1000" in err

@@ -382,3 +382,19 @@ def test_design_config_round_trip():
     assert len(configs) == len(ALL_DESIGNS)
     for cfg, design in zip(configs, ALL_DESIGNS):
         assert DesignSpec.from_config(cfg) == design
+
+
+@pytest.mark.parametrize("cfg", [
+    {"kind": "trunc_exp", "p": 4, "standardize": "false"},
+    {"kind": "trunc_exp", "p": 4, "standardize": 0},
+    {"kind": "trunc_exp", "p": 4.5},
+    {"kind": "trunc_exp", "p": 4, "scale": "2"},
+    {"kind": "heavy_tail", "p": 4, "tail_index": "5"},
+    {"kind": "gaussian", "p": 4, "covariance": {"model": "ar1", "r": "0.5"}},
+], ids=["standardize_string", "standardize_zero", "p_fraction", "scale_string",
+        "tail_index_string", "r_string"])
+def test_design_config_values_are_typed(cfg):
+    # each was coerced by int(), float() or bool(), or raised a TypeError
+    with pytest.raises(ParameterError):
+        DesignSpec.from_config(cfg)
+

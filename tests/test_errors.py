@@ -1,0 +1,55 @@
+import math
+import re
+
+import pytest
+
+from hdclt.errors import REQUIRED, ConfigError, ParameterError, config_value
+
+CFG = {"i": 3, "big": 1e4, "frac": 2.5, "t": True, "s": "x", "d": {}, "xs": [1, 2.0],
+       "null": None, "nan": math.nan}
+
+
+@pytest.mark.parametrize("key, kind, want", [
+    ("i", int, 3), ("big", int, 10_000), ("i", float, 3.0), ("frac", float, 2.5),
+    ("nan", float, None), ("t", bool, True), ("s", str, "x"), ("d", dict, {}),
+    ("xs", list, [1, 2.0]),
+])
+def test_each_kind_reads_its_json_type(key, kind, want):
+    got = config_value(CFG, key, kind)
+    assert type(got) is kind
+    assert got == want or (want is None and math.isnan(got))
+
+
+@pytest.mark.parametrize("key, kind, message", [
+    ("frac", int, "must be an integer, got 2.5"),
+    ("nan", int, "must be an integer, got nan"),
+    ("t", int, "must be an integer, got True"),
+    ("t", float, "must be a number, got True"),
+    ("s", float, "must be a number, got 'x'"),
+    ("i", bool, "must be true or false, got 3"),
+    ("s", bool, "must be true or false, got 'x'"),
+    ("i", str, "must be a string, got 3"),
+    ("xs", dict, "must be an object, got [1, 2.0]"),
+    ("d", list, "must be an array, got {}"),
+    ("null", int, "must be an integer, got None"),
+])
+def test_a_value_of_another_type_names_its_key(key, kind, message):
+    with pytest.raises(ConfigError, match=re.escape(f"config key '{key}' {message}")):
+        config_value(CFG, key, kind, 0 if kind in (int, float) else REQUIRED)
+
+
+def test_absent_and_null_keys():
+    with pytest.raises(ConfigError, match="missing required config key 'k'"):
+        config_value(CFG, "k", int)
+    assert config_value(CFG, "k", int, 7) == 7
+    assert config_value(CFG, "null", int, None) is None  # null is absent where None is the default
+    assert issubclass(ConfigError, ParameterError)
+
+
+def test_list_items_take_their_kind():
+    assert config_value(CFG, "xs", list, item=int) == [1, 2]
+    assert config_value(CFG, "xs", list, item=float) == [1.0, 2.0]
+    with pytest.raises(ConfigError, match="config key 'xs' must be an array of strings"):
+        config_value(CFG, "xs", list, item=str)
+    with pytest.raises(ConfigError, match="config key 'xs' must be an array of integers"):
+        config_value({"xs": [1, True]}, "xs", list, item=int)

@@ -29,8 +29,23 @@ def test_dimension_rules():
     assert dimension_rule({"rule": "power", "c": 0.5, "coef": 2.0}, 100) == 20
     assert dimension_rule({"rule": "exp_power", "c": 0.5, "coef": 0.5}, 100) == 148
     assert dimension_rule({"rule": "fixed", "p": 1}, 100) == 3  # floored
+    assert dimension_rule({"rule": "fixed", "p": 1e4}, 100) == 10_000  # an integral number
     with pytest.raises(ParameterError):
         dimension_rule({"rule": "cubic"}, 100)
+
+
+@pytest.mark.parametrize("rule", [
+    {"rule": "fixed", "p": 12.5},
+    {"rule": "fixed", "p": "12"},
+    {"rule": "power", "c": "0.5"},
+    {"rule": "power"},
+    {"rule": "exp_power", "c": 50.0},
+    {"rule": "power", "c": 1e6},
+], ids=["fractional_p", "string_p", "string_c", "no_c", "exp_overflow", "power_overflow"])
+def test_bad_dimension_rules_raise_parameter_error(rule):
+    # each was coerced silently or raised KeyError, ValueError or OverflowError
+    with pytest.raises(ParameterError):
+        dimension_rule(rule, 100)
 
 
 def test_rate_scan_gaussian_fully_censored():

@@ -268,3 +268,24 @@ def test_set_config_round_trips():
     assert back.labels == fam.labels
     for a, b in zip(back.sets, fam.sets):
         assert np.array_equal(a.lower, b.lower)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"kind": "rect", "lower": [True], "upper": [1.0]},
+    {"kind": "rect", "lower": 0.0, "upper": [1.0]},
+    {"kind": "polytope", "facets": [{"v": ["1"], "c": 0.0}]},
+    {"kind": "sparse", "p": 3, "s": 1.5,
+     "pieces": [{"type": "ball", "J": [0], "center": [0.0], "radius": 1.0}]},
+    {"kind": "sparse", "p": 3, "s": 1,
+     "pieces": [{"type": "ball", "J": [0.5], "center": [0.0], "radius": 1.0}]},
+], ids=["bool_bound", "scalar_bounds", "string_normal", "fractional_s", "fractional_index"])
+def test_set_config_values_are_typed(cfg):
+    with pytest.raises(ParameterError):
+        set_from_config(cfg)
+
+
+def test_family_config_needs_labelled_sets():
+    rect = {"kind": "rect", "lower": ["-inf"], "upper": [0.0]}
+    for cfg in ({"p": 1, "sets": 5}, {"p": 1, "sets": [rect]}, {"p": 1, "sets": [5]}):
+        with pytest.raises(ParameterError):
+            family_from_config(cfg)
