@@ -35,7 +35,7 @@ from .datagen import (CovarianceModel, DesignSpec, population_moments, read_data
                       sample_dataset, write_dataset)
 from .errors import (REQUIRED, ConfigError, NotPositiveSemidefiniteError, ParameterError,
                      config_value)
-from .experiments import ScanSpec, dimension_rule, nazarov_check, rate_scan, smoothmax_check
+from .experiments import ScanSpec, nazarov_check, rate_scan, smoothmax_check
 from .geometry import family_from_config, family_to_config, sample_rectangles
 from .montecarlo import bootstrap_gap, gaussian_approx_gap, interpolation_gap
 from .sums import CovMatrix, ModelCovariance
@@ -254,10 +254,6 @@ def _cmd_rate_scan(cfg: dict, workers):
         moment_R=config_value(cfg, "moment_R", int, MOMENT_R),
         exact_law=config_value(cfg, "exact_law", bool, True),
     )
-    if "p" in spec.design:
-        raise ConfigError("rate-scan design must omit 'p'; the p_rule supplies it")
-    for n in spec.n_grid:  # every cell's dimension and design, before any cell runs
-        DesignSpec.from_config(dict(spec.design, p=dimension_rule(spec.p_rule, n)))
     result = rate_scan(spec, workers)
     return {"result": result}, result.rows
 

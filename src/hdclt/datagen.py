@@ -34,7 +34,8 @@ from scipy.special import ndtr
 
 from . import rng
 from .errors import ParameterError, config_value
-from .sums import AR1Factor, CovMatrix, EquicorrelatedFactor, ModelCovariance, ScaledIdentityFactor
+from .sums import (AR1Factor, CovMatrix, EquicorrelatedFactor, ModelCovariance,
+                   ScaledIdentityFactor, _normals, gaussian_draw_batch)
 
 _GAUSS_THIRD = 2.0 * math.sqrt(2.0 / math.pi)  # E|N(0,1)|^3
 
@@ -402,14 +403,14 @@ def values_from_row_keys(design: DesignSpec, row_keys: np.ndarray) -> np.ndarray
             x *= t
         else:  # the uniform log-concave cube
             x *= math.sqrt(3.0) * design.scale
-    else:  # gaussian, or the gaussian log-concave variant
+    else:  # gaussian, or the gaussian log-concave variant: made in blocks
         cov = design.covariance
         if cov.kind == "equicorrelated":
             # one shared normal, then p own ones: not the Cholesky factor's words
-            z = rng.to_normal(rng.word_grid(row_keys, words_per_row(design)))
-            x = math.sqrt(cov.r) * z[..., :1] + math.sqrt(1.0 - cov.r) * z[..., 1:]
+            x = _normals(row_keys, words_per_row(design), lambda z: (
+                math.sqrt(cov.r) * z[..., :1] + math.sqrt(1.0 - cov.r) * z[..., 1:]))
         else:  # identity, or the AR(1) recursion of its factor
-            x = cov.factor(p).apply(rng.to_normal(rng.word_grid(row_keys, p)))
+            x = gaussian_draw_batch(cov.factor(p), row_keys)
 
     if design.standardize:
         x /= math.sqrt(_base_moments(design)["var"])

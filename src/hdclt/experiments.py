@@ -83,6 +83,10 @@ class ScanSpec:
             raise ParameterError(f"every n must be at least 4, got {ns[0]}")
         if self.family_K < 1:
             raise ParameterError("family_K must be positive")
+        if "p" in self.design:
+            raise ParameterError("rate-scan design must omit 'p'; the p_rule supplies it")
+        for n in ns:  # every cell's dimension and design, before any cell runs
+            DesignSpec.from_config(dict(self.design, p=dimension_rule(self.p_rule, n)))
         object.__setattr__(self, "n_grid", ns)
 
 

@@ -375,6 +375,16 @@ def to_polytope(sset: SparseConvexSet, eps: float) -> Polytope:
 # sampling and checking
 # ---------------------------------------------------------------------------
 
+def _family_deviations(p: int, count: int, sigma_diag, member: str) -> np.ndarray:
+    """``sigma_diag`` as the p positive deviations of a family of ``count`` sets."""
+    if count < 1:
+        raise ParameterError(f"need at least one {member}, got {count!r}")
+    sd = np.asarray(sigma_diag, dtype=np.float64)
+    if sd.shape != (p,) or np.any(sd <= 0):
+        raise ParameterError("sigma_diag must hold p positive deviations")
+    return sd
+
+
 def sample_rectangles(p: int, count: int, sigma_diag, seed: int) -> SetFamily:
     """A family of random rectangles scaled to per-coordinate deviations.
 
@@ -385,11 +395,7 @@ def sample_rectangles(p: int, count: int, sigma_diag, seed: int) -> SetFamily:
     Phi^{-1}(u^(1/p)) so that its gaussian content is roughly uniform in u
     rather than degenerating as p grows.
     """
-    if count < 1:
-        raise ParameterError(f"need at least one rectangle, got {count!r}")
-    sd = np.asarray(sigma_diag, dtype=np.float64)
-    if sd.shape != (p,) or np.any(sd <= 0):
-        raise ParameterError("sigma_diag must hold p positive deviations")
+    sd = _family_deviations(p, count, sigma_diag, "rectangle")
 
     sets = []
     labels = []
@@ -420,11 +426,7 @@ def sample_rectangles(p: int, count: int, sigma_diag, seed: int) -> SetFamily:
 
 def one_sided_family(p: int, count: int, sigma_diag, seed: int) -> SetFamily:
     """Lower-orthant sets {w : w <= y} with quantile-spread corners."""
-    if count < 1:
-        raise ParameterError(f"need at least one set, got {count!r}")
-    sd = np.asarray(sigma_diag, dtype=np.float64)
-    if sd.shape != (p,) or np.any(sd <= 0):
-        raise ParameterError("sigma_diag must hold p positive deviations")
+    sd = _family_deviations(p, count, sigma_diag, "set")
     sets = []
     labels = []
     for k in range(count):
@@ -451,7 +453,7 @@ def sandwich_check(inner: Polytope, sset: SparseConvexSet, eps: float,
     outer = expand(inner, eps)
 
     def violated(keys: np.ndarray) -> np.ndarray:
-        pts = box_halfwidth * (2.0 * rng.to_uniform(rng.word_grid(keys, sset.p)) - 1.0)
+        pts = box_halfwidth * rng.to_symmetric(rng.word_grid(keys, sset.p))
         in_inner = inner.contains_batch(pts)
         in_set = sset.contains_batch(pts)
         in_outer = outer.contains_batch(pts)

@@ -137,20 +137,14 @@ class DesignSumSampler(_Sampler):
             self._cdf = binom.cdf(np.arange(n + 1), n, 0.5)
 
     def draw_keys(self, keys: np.ndarray) -> np.ndarray:
-        # every mode is elementwise per key; AR(1) rows loop over their p
-        # columns in Python, so their blocks keep at least p rows, and a
-        # literal block holds 2 * BLOCK values: each numpy call releases and
-        # retakes the GIL, so fewer, larger calls scale better on threads
-        budget = None
-        if self.mode == "literal":
-            budget = 2 * rng.BLOCK
-        elif self.mode == "gaussian" and self.design.covariance.kind == "ar1":
-            budget = max(rng.BLOCK, self.p * self.size)
+        if self.mode == "gaussian":  # datagen makes gaussian rows in blocks
+            return values_from_row_keys(self.design, keys)
+        # a literal block holds 2 * BLOCK values: each numpy call releases
+        # and retakes the GIL, so fewer, larger calls scale better on threads
+        budget = 2 * rng.BLOCK if self.mode == "literal" else None
         return rng.blocked(self._draw_block, keys, self.size, budget)
 
     def _draw_block(self, keys: np.ndarray) -> np.ndarray:
-        if self.mode == "gaussian":
-            return values_from_row_keys(self.design, keys)
         if self.mode == "binomial":
             u = rng.to_uniform(rng.word_grid(keys, self.p))
             heads = np.searchsorted(self._cdf, u, side="left")

@@ -1,14 +1,15 @@
 """Normalized sums, exact gaussian analogs and the two bootstrap draws.
 
-The gaussian analog of an averaged independent sum is drawn in a single
-shot from the average covariance: a normalized sum of independent centered
-gaussians with average covariance S has exactly the law N(0, S), so one
-factored draw ``factor.apply(z)`` of p standard normals z is exact in law.
-It costs O(p^2) per replication with the dense ``CholFactor`` of data and
-explicit covariance matrices, and O(p) with the closed-form factors of the
-identity, equicorrelated and AR(1) models, which never build a p x p array.
-The multiplier and empirical bootstrap draws are computed from their
-defining weighted sums.
+A normalized sum of independent centered gaussians with average covariance
+S has exactly the law N(0, S), so its gaussian analog is one factored draw
+``factor.apply(z)`` of p standard normals z.  That costs O(p^2) per
+replication with the dense ``CholFactor`` of data and explicit covariance
+matrices, and O(p) with the closed-form factors of the identity,
+equicorrelated and AR(1) models, which never build a p x p array.
+``gaussian_draw_batch`` is the one kernel that applies a factor: the
+Gaussian side of every comparison and the identity and AR(1) rows of a
+gaussian design (:mod:`hdclt.datagen`) are drawn through it.  The multiplier
+and empirical bootstrap draws are computed from their defining weighted sums.
 
 Each draw kernel maps an array of replication keys to one draw per key;
 the samplers of :mod:`hdclt.montecarlo` derive the keys.
@@ -88,9 +89,9 @@ class ModelCovariance:
 # A factor F of a covariance S = F F' maps rows z of standard normals to
 # rows ``apply(z) = z @ F.T`` of N(0, S) draws; every kind reads the p
 # values of a row in the same order, so one stream word feeds one coordinate.
-# A kind whose ``blockwise`` is true gives the same bits for any slicing of
-# the rows and costs nothing extra per call, so ``gaussian_draw_batch``
-# applies it to each cache-sized block of normals as it is made.
+# ``gaussian_draw_batch`` applies a kind that gives the same bits for any
+# slicing of the rows to each block of max(rng.BLOCK, block_rows * p) normals
+# as it is made; a kind whose ``block_rows`` is None is applied once per call.
 
 @dataclass(frozen=True)
 class CholFactor:
@@ -100,7 +101,7 @@ class CholFactor:
     L: np.ndarray
     jitter_used: float = 0.0
     # a product's per-row rounding may depend on how many rows it gets
-    blockwise = False
+    block_rows = None
 
     @property
     def p(self) -> int:
@@ -116,7 +117,7 @@ class ScaledIdentityFactor:
 
     p: int
     scale: float = 1.0
-    blockwise = True
+    block_rows = 1
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         return self.scale * z
@@ -132,7 +133,7 @@ class EquicorrelatedFactor:
 
     d: np.ndarray
     c: np.ndarray
-    blockwise = True
+    block_rows = 1
 
     @staticmethod
     def of(p: int, r: float, scale: float = 1.0) -> "EquicorrelatedFactor":
@@ -168,7 +169,7 @@ class AR1Factor:
     r: float
     scale: float = 1.0
     # the recursion takes one Python step per column per call
-    blockwise = False
+    block_rows = property(lambda self: self.p)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         # leading dimensions become one; the recursion runs over the columns
@@ -216,24 +217,25 @@ def robust_cholesky(cov: CovMatrix) -> CholFactor:
     )
 
 
-def _normals(keys: np.ndarray, count: int, then=None) -> np.ndarray:
+def _normals(keys: np.ndarray, count: int, then=None, budget=None) -> np.ndarray:
     """Words 0..count-1 of each key's stream as standard normals, made in
-    cache-sized blocks; ``then``, if given, maps each block while it is
-    still in cache, and must treat every row independently."""
+    ``rng.blocked`` blocks of ``budget`` elements; ``then``, if given, maps each
+    block while it is still in cache, and must treat every row independently."""
     def block_normals(block):
         z = rng.to_normal(rng.word_grid(block, count))
         return z if then is None else then(z)
 
-    return rng.blocked(block_normals, keys, count)
+    return rng.blocked(block_normals, keys, count, budget)
 
 
 def gaussian_draw_batch(factor, keys: np.ndarray) -> np.ndarray:
     """One N(0, F F') draw per replication key, F the covariance factor;
     word t of a key's stream feeds coordinate t."""
-    if factor.blockwise:
-        # the batch is written once, not once as normals and once as draws
-        return _normals(keys, factor.p, factor.apply)
-    return factor.apply(_normals(keys, factor.p))
+    if factor.block_rows is None:
+        return factor.apply(_normals(keys, factor.p))
+    # the batch is written once, not once as normals and once as draws
+    return _normals(keys, factor.p, factor.apply,
+                    max(rng.BLOCK, factor.block_rows * factor.p))
 
 
 def multiplier_draw_batch(dataset: Dataset, keys: np.ndarray) -> np.ndarray:

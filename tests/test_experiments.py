@@ -90,11 +90,24 @@ def test_rate_scan_varying_p_reports_logp_slope():
 
 
 def test_rate_scan_errors_carry_cell_context():
-    spec = ScanSpec(design={"kind": "heavy_tail", "scale": 1.0},
-                    n_grid=(8,), p_rule={"rule": "fixed", "p": 10},
-                    family_K=5, R=2000, seed=1)
-    with pytest.raises(ParameterError, match=r"\(n=8, p=10\)"):
+    # a design error is raised when the spec is made (see below), so the
+    # cell error here is one that only a running cell finds
+    spec = ScanSpec(design={"kind": "rademacher"}, n_grid=(8,),
+                    p_rule={"rule": "fixed", "p": 10}, family_K=5, R=500, seed=1)
+    with pytest.raises(ParameterError, match=r"\(n=8, p=10\): need R >= 1000"):
         rate_scan(spec)
+
+
+@pytest.mark.parametrize("design, n_grid, message", [
+    ({"kind": "rademacher"}, (8, 1000), r"exp_power.*n=1000"),  # exp(1000) overflows
+    ({"kind": "heavy_tail"}, (8, 1000), "heavy_tail needs tail_index"),
+    ({"kind": "rademacher", "p": 5}, (8,), "must omit 'p'"),
+])
+def test_scan_spec_checks_every_cell_before_any_runs(monkeypatch, design, n_grid, message):
+    monkeypatch.setattr(experiments, "gaussian_approx_gap", None)  # no cell may run
+    with pytest.raises(ParameterError, match=message):
+        rate_scan(ScanSpec(design=design, n_grid=n_grid, family_K=5, R=2000, seed=1,
+                           p_rule={"rule": "exp_power", "c": 1.0}))
 
 
 def test_rate_scan_factors_each_cell_once(monkeypatch):

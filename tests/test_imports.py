@@ -1,4 +1,5 @@
-"""Cold start: a run loads only the scipy subpackages it calls.
+"""Cold start: a run loads only the scipy subpackages it calls.  Also the
+import-level rule that only ``sums`` applies a covariance factor.
 
 ``scipy.stats`` (binomial sign sums), ``scipy.integrate`` (heavy_tail
 moments) and ``scipy.spatial`` (ball covering angles) take about 1 s and
@@ -8,8 +9,10 @@ them deferred and at 101 MiB with them loaded at module level.  Each check
 runs in a fresh interpreter, since this test session has long since
 imported all three.
 """
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -20,7 +23,7 @@ import hdclt
 DEFERRED = ("scipy.stats", "scipy.integrate", "scipy.spatial")
 IMPORT_LIMIT_MIB = 80
 
-pytestmark = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                                 reason="reads the peak RSS from Linux /proc")
 
 CHILD = """
@@ -44,6 +47,7 @@ def _child(cwd, *argv):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+@needs_proc
 def test_cli_import_is_light(tmp_path):
     out = _child(tmp_path)
     assert out["loaded"] == []
@@ -74,6 +78,7 @@ def workdir(tmp_path_factory):
     return root
 
 
+@needs_proc
 @pytest.mark.parametrize("case", list(RUNS))
 def test_runs_load_no_deferred_subpackage(workdir, case):
     command, cfg = RUNS[case]
@@ -81,3 +86,15 @@ def test_runs_load_no_deferred_subpackage(workdir, case):
     out = _child(workdir, command, "--config", f"{case}.cfg.json", "--workers", "1")
     assert out["code"] == 0
     assert out["loaded"] == []
+
+
+def test_only_sums_applies_a_covariance_factor():
+    # one Gaussian kernel: every other module draws through
+    # sums.gaussian_draw_batch, never through a factor's apply
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(pathlib.Path(hdclt.__file__).parent.glob("*.py"))
+             if path.name != "sums.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "apply"]
+    assert calls == []

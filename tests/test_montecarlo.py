@@ -210,12 +210,19 @@ def _slicing_samplers():
         "gaussian-design": DesignSumSampler(DesignSpec(kind="gaussian", p=5), 12),
         "ar1-design": DesignSumSampler(
             DesignSpec(kind="gaussian", p=5, covariance=CovarianceModel("ar1", 0.5)), 12),
+        "equicorrelated-design": DesignSumSampler(DesignSpec(
+            kind="gaussian", p=5, covariance=CovarianceModel("equicorrelated", 0.5)), 12),
         "interpolated": InterpolatedSampler(rad, 12, chol, 0.5, exact_law=False),
         "MB": MultiplierSampler(data),
         "EB": EmpiricalSampler(data),
         "MB-wide": MultiplierSampler(wide),
         "EB-wide": EmpiricalSampler(wide),
     }
+
+
+# kinds whose draw is a matrix product: its per-row rounding may depend on
+# how many rows it gets, so only the same slices give the same bits
+PRODUCT_KINDS = {"gaussian", "interpolated", "MB", "EB", "MB-wide", "EB-wide"}
 
 
 def _keys(seed, start, count):
@@ -245,15 +252,19 @@ def _chunk_consumers(sampler, monkeypatch):
 def test_draw_slices_batch_to_budget(monkeypatch, kind):
     # map_chunks hands draw_keys the DRAW_BUDGET // size slices of one
     # unchunked batch and groups them into chunks of at most DRAW_BUDGET
-    # draw values; on 100 keys the slices give the same bits as one unsliced
-    # call, and on 1000 keys (at least 3 chunks) the chunks and every
-    # consumer's reduction of them equal the slices drawn one by one
+    # draw values; on 100 keys the slices give the bits of the slices drawn
+    # one by one, and of one unsliced call for a kind without a product; on
+    # 1000 keys (at least 3 chunks) the chunks and every consumer's
+    # reduction of them equal the slices drawn one by one
     sampler = _slicing_samplers()[kind]
     budget, R = 200, 1000
     monkeypatch.setattr(montecarlo, "DRAW_BUDGET", budget)
     per = max(1, budget // sampler.size)
     draw_keys = sampler.draw_keys
-    whole = draw_keys(_keys(9, 3, 100))
+    if kind in PRODUCT_KINDS:
+        whole = _sliced_batch(draw_keys, 9, 3, 100, per)
+    else:
+        whole = draw_keys(_keys(9, 3, 100))
     np.testing.assert_array_equal(
         np.concatenate(sampler.map_chunks(9, 3, 100, lambda chunk: chunk)), whole)
 
@@ -303,6 +314,18 @@ def test_draw_blocks_leave_draws_unchanged(monkeypatch, kind):
     whole = sampler.draw_keys(keys)
     assert max(rows) == len(keys)
     np.testing.assert_array_equal(sliced, whole)
+
+
+@pytest.mark.parametrize("p", [5, 200])
+@pytest.mark.parametrize("kind, r", [("identity", None), ("ar1", 0.5)])
+def test_design_rows_are_the_gaussian_side(kind, r, p):
+    # identity and AR(1) design rows are drawn through the same kernel as
+    # the Gaussian side of their covariance
+    design = DesignSpec(kind="gaussian", p=p, covariance=CovarianceModel(kind, r))
+    rows = DesignSumSampler(design, 12).map_chunks(21, 0, 3000, lambda chunk: chunk)
+    draws = GaussianSumSampler(design.covariance.factor(p)).map_chunks(
+        21, 0, 3000, lambda chunk: chunk)
+    np.testing.assert_array_equal(np.concatenate(rows), np.concatenate(draws))
 
 
 def test_interpolation_zero_weight_below_floor():

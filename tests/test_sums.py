@@ -186,7 +186,7 @@ def test_model_draws_are_key_local(kind, r, p):
 
 @pytest.mark.parametrize("kind, r", MODELS)
 def test_model_draws_equal_the_factor_on_whole_normals(kind, r):
-    # a blockwise factor is applied to each block of normals as it is made;
+    # a structured factor is applied to each block of normals as it is made;
     # that gives the bits of applying it to the whole batch of normals
     p = 1000
     factor = CovarianceModel(kind, r).factor(p, 0.7)
