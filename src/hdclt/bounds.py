@@ -21,6 +21,11 @@ from .sums import CovMatrix, ModelCovariance
 MOMENT_R = 10_000  # default replications of the Monte Carlo tail moments
 
 
+def _check_moment_R(R: int) -> None:
+    if R < 2:  # the one floor of the tail moments: their standard error needs two
+        raise ParameterError(f"need moment_R >= 2 replications, got {R!r}")
+
+
 def _check_q_alpha(q: float | None, alpha: float | None, prefix: str = "") -> None:
     if q is not None and not (q > 2.0):
         raise ParameterError(f"{prefix}q must exceed 2, got {q!r}")
@@ -119,8 +124,7 @@ def _tail_moment(sampler, tau: float, R: int, seed: int) -> MomentEstimate:
     # becomes its cubes before the next chunk is made, and a batch's cubes
     # are summed as one array, in row order; replication r uses the key
     # mix64(seed, r)
-    if R < 1:
-        raise ParameterError(f"need at least one replication, got {R!r}")
+    _check_moment_R(R)
     total = total_sq = 0.0
     for start, count in _batches(R):
         cubes = np.concatenate(sampler.map_chunks(seed, start, count,
@@ -128,9 +132,7 @@ def _tail_moment(sampler, tau: float, R: int, seed: int) -> MomentEstimate:
         total += float(cubes.sum())
         total_sq += float((cubes**2).sum())
     mean = total / R
-    se = 0.0
-    if R > 1:
-        se = math.sqrt(max(0.0, (total_sq - R * mean * mean) / (R - 1)) / R)
+    se = math.sqrt(max(0.0, (total_sq - R * mean * mean) / (R - 1)) / R)
     return MomentEstimate(value=mean, se=se, R=R)
 
 
@@ -289,7 +291,7 @@ def _population_tail_x(design: DesignSpec, tau: float, R: int, seed: int) -> flo
     # row r is the design row of key mix64(seed, r), made and reduced one
     # block at a time; the cubes are summed once, in row order
     cubes = rng.blocked(lambda k: _tail_cubes(values_from_row_keys(design, k), tau),
-                        rng.words(seed, max(2, R)), design.p)
+                        rng.words(seed, R), design.p)
     return float(np.mean(cubes))
 
 
@@ -302,6 +304,7 @@ def report_from_design(design: DesignSpec, n: int,
     is analytic zero for bounded designs below the cutoff and Monte Carlo
     over fresh rows otherwise.
     """
+    _check_moment_R(moment_R)
     moments = population_moments(design)
     params = params or default_params(moments)
     p = design.p

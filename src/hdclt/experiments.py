@@ -2,6 +2,7 @@
 sandwich check."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -12,6 +13,7 @@ from . import rng
 from .bounds import (
     MOMENT_R,
     BoundParams,
+    _check_moment_R,
     _phi_pair,
     default_params,
     gaussian_approx_bound,
@@ -19,7 +21,7 @@ from .bounds import (
     tail_third_moment_gaussian,
 )
 from .datagen import DesignSpec, population_moments
-from .errors import NotPositiveSemidefiniteError, ParameterError, config_value
+from .errors import ParameterError, config_value
 from .geometry import sample_rectangles
 from .montecarlo import (
     GaussianSumSampler,
@@ -59,8 +61,9 @@ class ScanSpec:
     """A grid of (n, p) cells: the design template is re-dimensioned per cell.
 
     ``design`` is a design config without the 'p' entry (it is supplied by
-    the rule).  ``family_K`` rectangles per cell; ``moment_R`` replications
-    for the tail-moment Monte Carlo entering the closed-form bound.
+    the rule).  ``family_K`` rectangles, ``R`` >= 1000 gap replications and
+    ``moment_R`` >= 2 replications of the bound's tail moment per cell.  All
+    of these and every cell's design are checked when the spec is made.
     """
 
     design: dict
@@ -85,9 +88,16 @@ class ScanSpec:
             raise ParameterError("family_K must be positive")
         if "p" in self.design:
             raise ParameterError("rate-scan design must omit 'p'; the p_rule supplies it")
-        for n in ns:  # every cell's dimension and design, before any cell runs
-            DesignSpec.from_config(dict(self.design, p=dimension_rule(self.p_rule, n)))
+        _check_gap_args(self.R)
+        _check_moment_R(self.moment_R)
         object.__setattr__(self, "n_grid", ns)
+        self.designs  # every cell's dimension and design, before any cell runs
+
+    @functools.cached_property
+    def designs(self) -> tuple[DesignSpec, ...]:
+        """Each cell's design; not a field, so the report holds the spec's inputs alone."""
+        return tuple(DesignSpec.from_config(dict(self.design, p=dimension_rule(self.p_rule, n)))
+                     for n in self.n_grid)
 
 
 @dataclass(frozen=True)
@@ -133,28 +143,24 @@ def _ls_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float | None]:
 def rate_scan(spec: ScanSpec, workers: int | None = None) -> ScanResult:
     """Estimate the discrepancy at every (n, p) cell and fit its decay."""
     rows = []
-    for idx, n in enumerate(spec.n_grid):
-        p = dimension_rule(spec.p_rule, n)
-        try:
-            design = DesignSpec.from_config(dict(spec.design, p=p))
-            moments = population_moments(design)
-            cell_seed = rng.mix64(spec.seed, idx)
-            sd = np.sqrt(moments.sigma.diag())
-            # family seed depends on p only: equal-dimension cells share one
-            # family, so decay across n is measured on the same sets
-            family_seed = rng.mix64(rng.mix64(spec.seed, rng.TAG_FAMILY), p)
-            family = sample_rectangles(p, spec.family_K, sd, family_seed)
-            gap = gaussian_approx_gap(design, n, moments.sigma, family, spec.R,
-                                      cell_seed, workers, spec.exact_law)
-            params = spec.params or default_params(moments)
-            L = moments.L_n_population
-            phi_used = _phi_pair(L, p, n, params.K2)[1]
-            # the same stream as the gap's Gaussian side (see rng.TAG_SECOND)
-            m_y = tail_third_moment_gaussian(moments.sigma, n, phi_used, spec.moment_R,
-                                             rng.mix64(cell_seed, rng.TAG_SECOND))
-            main = gaussian_approx_bound(L, m_y.value, p, n, params.K1)
-        except (ParameterError, NotPositiveSemidefiniteError) as exc:
-            raise type(exc)(f"scan cell (n={n}, p={p}): {exc}") from exc
+    for idx, (n, design) in enumerate(zip(spec.n_grid, spec.designs)):
+        p = design.p
+        moments = population_moments(design)
+        cell_seed = rng.mix64(spec.seed, idx)
+        sd = np.sqrt(moments.sigma.diag())
+        # family seed depends on p only: equal-dimension cells share one
+        # family, so decay across n is measured on the same sets
+        family_seed = rng.mix64(rng.mix64(spec.seed, rng.TAG_FAMILY), p)
+        family = sample_rectangles(p, spec.family_K, sd, family_seed)
+        gap = gaussian_approx_gap(design, n, moments.sigma, family, spec.R,
+                                  cell_seed, workers, spec.exact_law)
+        params = spec.params or default_params(moments)
+        L = moments.L_n_population
+        phi_used = _phi_pair(L, p, n, params.K2)[1]
+        # the same stream as the gap's Gaussian side (see rng.TAG_SECOND)
+        m_y = tail_third_moment_gaussian(moments.sigma, n, phi_used, spec.moment_R,
+                                         rng.mix64(cell_seed, rng.TAG_SECOND))
+        main = gaussian_approx_bound(L, m_y.value, p, n, params.K1)
         rows.append(ScanRow(
             n=n, p=p, rho_hat=gap.sup_diff, noise_floor=gap.noise_floor,
             D1=rate_terms(params.B_n, p, n)["D1"], main_bound=main,

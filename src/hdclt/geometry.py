@@ -468,12 +468,6 @@ def sandwich_check(inner: Polytope, sset: SparseConvexSet, eps: float,
 # JSON descriptors
 # ---------------------------------------------------------------------------
 
-def _num_out(x: float):
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return float(x)
-
-
 def _num_in(x) -> float:
     """A rectangle bound: a JSON number, or the string "inf" or "-inf"."""
     if x in ("inf", "-inf"):
@@ -485,16 +479,12 @@ def _num_in(x) -> float:
 
 def set_to_config(set_) -> dict:
     if isinstance(set_, Hyperrectangle):
-        return {
-            "kind": "rect",
-            "lower": [_num_out(v) for v in set_.lower],
-            "upper": [_num_out(v) for v in set_.upper],
-        }
+        return {"kind": "rect", "lower": set_.lower.tolist(), "upper": set_.upper.tolist()}
     if isinstance(set_, Polytope):
         return {
             "kind": "polytope",
             "facets": [
-                {"v": [float(x) for x in v], "c": float(c)}
+                {"v": v.tolist(), "c": float(c)}
                 for v, c in zip(set_.normals, set_.offsets)
             ],
         }
@@ -503,10 +493,10 @@ def set_to_config(set_) -> dict:
         for piece in set_.pieces:
             if isinstance(piece, SparseHalfspace):
                 pieces.append({"type": "halfspace",
-                               "v": [float(x) for x in piece.v], "c": float(piece.c)})
+                               "v": piece.v.tolist(), "c": float(piece.c)})
             else:
                 pieces.append({"type": "ball", "J": list(piece.indices),
-                               "center": [float(x) for x in piece.center],
+                               "center": piece.center.tolist(),
                                "radius": float(piece.radius)})
         return {"kind": "sparse", "s": set_.s, "p": set_.p, "pieces": pieces}
     raise ParameterError(f"unknown set type {type(set_).__name__}")

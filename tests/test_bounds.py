@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from hdclt import bounds, rng, serialize
+from hdclt import bounds, montecarlo, rng, serialize
 from hdclt.bounds import (
     BoundParams,
     _population_tail_x,
@@ -268,6 +268,22 @@ def test_bounded_design_below_cutoff_draws_no_row(monkeypatch, design):
     wide = DesignSpec(kind="log_concave", p=10, variant="uniform", scale=4.0)
     with pytest.raises(AssertionError, match="row was drawn"):
         report_from_design(wide, n, moment_R=1000, seed=3)
+
+
+def test_moment_R_below_two_raises_before_any_row_is_drawn(monkeypatch):
+    # a tail moment's standard error needs two replications: the floor is
+    # checked before a design row (M_x) or a sampler draw (M_y) is made
+    def no_rows(*args):
+        raise AssertionError("a row was drawn")
+
+    monkeypatch.setattr(bounds, "values_from_row_keys", no_rows)
+    monkeypatch.setattr(montecarlo._Sampler, "map_chunks", no_rows)
+    ds = Dataset(np.random.default_rng(3).standard_normal((20, 5)))
+    for R in (0, 1):
+        with pytest.raises(ParameterError, match="need moment_R >= 2"):
+            report_from_design(DesignSpec(kind="gaussian", p=5), 50, moment_R=R, seed=1)
+        with pytest.raises(ParameterError, match="need moment_R >= 2"):
+            tail_third_moment_bootstrap(ds, 1.0, R, 4)
 
 
 def test_report_from_dataset_shape():

@@ -595,6 +595,20 @@ def test_nazarov_builds_its_covariance_without_a_design(tmp_path, monkeypatch):
         assert repr(key) in err
 
 
+@pytest.mark.parametrize("command, make_config", [
+    ("bounds", lambda tmp_path: {"seed": 1, "out": str(tmp_path / "b.json"), "n": 50,
+                                 "design": {"kind": "gaussian", "p": 5}}),
+    ("rate-scan", scan_config),
+], ids=["bounds", "rate-scan"])
+def test_moment_R_below_two_exits_2(tmp_path, monkeypatch, command, make_config):
+    forbid(monkeypatch, "rate_scan")  # a scan is checked whole before it runs
+    path = write_config(tmp_path, "c.json", make_config(tmp_path))
+    for value in ("0", "1"):
+        code, _, err = run_cli([command, "--config", path, "--set", f"moment_R={value}"])
+        assert code == 2, err
+        assert f"need moment_R >= 2 replications, got {value}" in err
+
+
 def test_rate_scan_checks_every_cell_before_any_runs(tmp_path, monkeypatch):
     forbid(monkeypatch, "rate_scan")
     # exp(8) is a dimension, exp(1000) overflows

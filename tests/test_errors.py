@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import re
 
 import pytest
@@ -53,3 +55,29 @@ def test_list_items_take_their_kind():
         config_value(CFG, "xs", list, item=str)
     with pytest.raises(ConfigError, match="config key 'xs' must be an array of integers"):
         config_value({"xs": [1, True]}, "xs", list, item=int)
+
+
+def _config_keys(tree):
+    # the key each config_value call reads: its string argument, or each
+    # string of the tuple a comprehension binds its key name to
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "config_value"]
+    bound = {}
+    for comp in ast.walk(tree):
+        if isinstance(comp, (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp)):
+            gen = comp.generators[0]
+            for call in ast.walk(comp):
+                if call in calls and getattr(call.args[1], "id", None) == gen.target.id:
+                    bound[call] = [elt.value for elt in gen.iter.elts]
+    for call in calls:
+        key = call.args[1]
+        yield from [key.value] if isinstance(key, ast.Constant) else bound[call]
+
+
+def test_readme_names_every_config_key():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    keys = {key for path in sorted((root / "src" / "hdclt").glob("*.py"))
+            for key in _config_keys(ast.parse(path.read_text()))}
+    assert {"seed", "K1", "alpha", "label"} <= keys
+    assert sorted(k for k in keys if f"`{k}`" not in readme and f'"{k}"' not in readme) == []

@@ -12,6 +12,7 @@ from hdclt.errors import ParameterError
 from hdclt.experiments import (
     NazarovResult,
     ScanSpec,
+    _ls_slope,
     dimension_rule,
     nazarov_check,
     rate_scan,
@@ -81,33 +82,33 @@ def test_rate_scan_decay_and_slope():
 
 
 def test_rate_scan_varying_p_reports_logp_slope():
-    spec = ScanSpec(design={"kind": "rademacher"}, n_grid=(8, 32, 128),
+    # a grid whose rows all clear the noise floor, so that the fit runs
+    spec = ScanSpec(design={"kind": "rademacher"}, n_grid=(4, 8, 16),
                     p_rule={"rule": "power", "c": 0.75, "coef": 4.0},
                     family_K=30, R=50_000, seed=13, moment_R=1000)
     res = rate_scan(spec, workers=2)
-    if sum(not r.censored for r in res.rows) >= 2:
-        assert res.slope_logp is not None
+    kept = [r for r in res.rows if not r.censored]
+    assert [r.p for r in kept] == [11, 19, 32]
+    expect, _ = _ls_slope(np.log([math.log(r.p) for r in kept]),
+                          np.log([r.rho_hat for r in kept]))
+    assert res.slope_logp == expect
 
 
-def test_rate_scan_errors_carry_cell_context():
-    # a design error is raised when the spec is made (see below), so the
-    # cell error here is one that only a running cell finds
-    spec = ScanSpec(design={"kind": "rademacher"}, n_grid=(8,),
-                    p_rule={"rule": "fixed", "p": 10}, family_K=5, R=500, seed=1)
-    with pytest.raises(ParameterError, match=r"\(n=8, p=10\): need R >= 1000"):
-        rate_scan(spec)
-
-
-@pytest.mark.parametrize("design, n_grid, message", [
-    ({"kind": "rademacher"}, (8, 1000), r"exp_power.*n=1000"),  # exp(1000) overflows
-    ({"kind": "heavy_tail"}, (8, 1000), "heavy_tail needs tail_index"),
-    ({"kind": "rademacher", "p": 5}, (8,), "must omit 'p'"),
+@pytest.mark.parametrize("design, n_grid, message, spec_args", [
+    ({"kind": "rademacher"}, (8, 1000), r"exp_power.*n=1000", {}),  # exp(1000) overflows
+    ({"kind": "heavy_tail"}, (8, 1000), "heavy_tail needs tail_index", {}),
+    ({"kind": "rademacher", "p": 5}, (8,), "must omit 'p'", {}),
+    ({"kind": "rademacher"}, (8,), "need R >= 1000", {"R": 500}),
+    ({"kind": "rademacher"}, (8,), "need moment_R >= 2", {"moment_R": 0}),
+    ({"kind": "rademacher"}, (8,), "need moment_R >= 2", {"moment_R": 1}),
 ])
-def test_scan_spec_checks_every_cell_before_any_runs(monkeypatch, design, n_grid, message):
+def test_scan_spec_checks_every_cell_before_any_runs(monkeypatch, design, n_grid, message,
+                                                     spec_args):
     monkeypatch.setattr(experiments, "gaussian_approx_gap", None)  # no cell may run
+    args = dict(design=design, n_grid=n_grid, family_K=5, R=2000, seed=1,
+                p_rule={"rule": "exp_power", "c": 1.0})
     with pytest.raises(ParameterError, match=message):
-        rate_scan(ScanSpec(design=design, n_grid=n_grid, family_K=5, R=2000, seed=1,
-                           p_rule={"rule": "exp_power", "c": 1.0}))
+        rate_scan(ScanSpec(**{**args, **spec_args}))
 
 
 def test_rate_scan_factors_each_cell_once(monkeypatch):

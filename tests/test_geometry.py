@@ -1,9 +1,11 @@
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
-from hdclt import rng
+from hdclt import cli, rng, serialize
 from hdclt.errors import ParameterError
 from hdclt.geometry import (
     _rect_hit_count,
@@ -246,7 +248,7 @@ def test_family_requires_homogeneous_dimension():
 def test_set_config_round_trips():
     rect = Hyperrectangle(np.array([-np.inf, 0.0]), np.array([1.5, np.inf]))
     cfg = set_to_config(rect)
-    assert cfg["lower"][0] == "-inf" and cfg["upper"][1] == "inf"
+    assert serialize.dumps(cfg) == '{"kind":"rect","lower":["-inf",0],"upper":[1.5,"inf"]}\n'
     back = set_from_config(cfg)
     assert np.array_equal(back.lower, rect.lower)
     assert np.array_equal(back.upper, rect.upper)
@@ -289,3 +291,39 @@ def test_family_config_needs_labelled_sets():
     for cfg in ({"p": 1, "sets": 5}, {"p": 1, "sets": [rect]}, {"p": 1, "sets": [5]}):
         with pytest.raises(ParameterError):
             family_from_config(cfg)
+
+
+def mixed_family(p=4):
+    # one member of each kind a family config names, each holding some of
+    # the standard normal points below
+    return SetFamily((
+        Hyperrectangle(np.array([-1.0, -np.inf, -0.5, -np.inf]),
+                       np.array([1.0, 0.5, np.inf, np.inf])),
+        Hyperrectangle(np.full(p, -np.inf), np.full(p, 0.8)),  # max-type
+        approximate_ball((0, 1), np.array([0.2, -0.1]), 1.0, 0.2, p),
+        SparseConvexSet(p=p, s=2, pieces=(
+            SparseHalfspace(np.array([0.0, 0.0, 0.6, 0.8]), 0.5),
+            SparseBall((1, 3), np.array([0.0, 0.2]), 1.2),
+        )),
+    ), ("rect", "max", "polytope", "sparse"))
+
+
+def test_hit_counts_of_a_mixed_family_match_membership():
+    family = mixed_family()
+    points = np.random.default_rng(2).standard_normal((2000, 4))
+    expect = [int(np.count_nonzero(s.contains_batch(points))) for s in family.sets]
+    assert all(0 < c < len(points) for c in expect)
+    assert hit_counts(family, points).tolist() == expect
+
+
+def test_estimate_rho_reports_every_member_of_a_mixed_family(tmp_path):
+    family = mixed_family()
+    cfg = {"seed": 3, "out": str(tmp_path / "rho.json"), "n": 20, "R": 1000,
+           "design": {"kind": "rademacher", "p": 4}, "family": family_to_config(family)}
+    path = tmp_path / "c.json"
+    path.write_text(serialize.dumps(cfg))  # infinite bounds as "inf" and "-inf"
+    err = io.StringIO()
+    code = cli.run(["estimate-rho", "--config", str(path)], stdout=io.StringIO(), stderr=err)
+    assert code == 0, err.getvalue()
+    rows = json.loads((tmp_path / "rho.json").read_text())["estimate"]["per_set"]
+    assert [row["label"] for row in rows] == list(family.labels)
