@@ -26,6 +26,13 @@ def _check_moment_R(R: int) -> None:
         raise ParameterError(f"need moment_R >= 2 replications, got {R!r}")
 
 
+def _check_B_n(B_n: float, prefix: str = "") -> None:
+    # the rate terms take B_n**2, so it too must be a positive float
+    if not (B_n > 0.0 and 0.0 < B_n * B_n < math.inf):
+        raise ParameterError(f"{prefix}B_n must be positive with a finite, positive square, "
+                             f"got {B_n!r}")
+
+
 def _check_q_alpha(q: float | None, alpha: float | None, prefix: str = "") -> None:
     if q is not None and not (q > 2.0):
         raise ParameterError(f"{prefix}q must exceed 2, got {q!r}")
@@ -38,7 +45,7 @@ class BoundParams:
     """Constants entering the rate formulas.
 
     ``alpha`` is a confidence level and must lie in (0, 1/e); ``q`` is a
-    polynomial moment order above 2.
+    polynomial moment order above 2; ``B_n**2`` must be a positive float.
     """
 
     b: float
@@ -49,10 +56,11 @@ class BoundParams:
     alpha: float | None = None
 
     def __post_init__(self):
-        for name in ("b", "B_n", "K1", "K2"):
+        for name in ("b", "K1", "K2"):
             v = getattr(self, name)
             if not (v > 0.0) or not math.isfinite(v):
                 raise ParameterError(f"params.{name} must be positive, got {v!r}")
+        _check_B_n(self.B_n, "params.")
         _check_q_alpha(self.q, self.alpha, "params.")
 
 
@@ -188,8 +196,7 @@ def rate_terms(B_n: float, p: int, n: int, q: float | None = None,
     Absent inputs simply omit the corresponding keys.
     """
     _check_rate_args(p, n)
-    if not (B_n > 0.0):
-        raise ParameterError(f"B_n must be positive, got {B_n!r}")
+    _check_B_n(B_n)
     _check_q_alpha(q, alpha)
     lpn = math.log(p * n)
     out = {"D1": (B_n**2 * lpn**7 / n) ** (1.0 / 6.0)}

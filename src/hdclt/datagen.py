@@ -108,6 +108,11 @@ class DesignSpec:
     exceed 4 so that fourth moments exist.  ``standardize`` rescales the
     coordinates to unit variance (and the reported scale constants along
     with them).
+
+    ``law``, the coordinates' common law that ``population_moments`` and
+    ``values_from_row_keys`` read, is made and checked once, when the design
+    is: a design whose reported b, fourth moment, L_n or B_n, or L_n**2 or
+    B_n**2, is not a finite positive float is rejected.
     """
 
     kind: str
@@ -147,6 +152,22 @@ class DesignSpec:
         if (self.kind == "rademacher" or self.gaussian) and self.scale != 1.0:
             what = "gaussian log_concave variant" if self.variant else f"design {self.kind!r}"
             raise ParameterError(f"{what} has a fixed scale of 1")
+        try:  # makes the law; the rate formulas take L_n**2 and B_n**2
+            m = population_moments(self)
+            fits = all(0.0 < v < math.inf for v in (
+                m.b_lower, m.fourth_moment_max, m.L_n_population, m.B_n,
+                m.L_n_population**2, m.B_n**2))
+        except (OverflowError, ZeroDivisionError):
+            fits = False
+        if not fits:
+            raise ParameterError(f"design {self.kind!r} with scale {self.scale!r} "
+                                 "has moments outside the float range")
+
+    @functools.cached_property
+    def law(self) -> dict:
+        """The coordinates' common law (see ``_base_moments``); not a field, so
+        equality, hashing and the reports keep their shape."""
+        return _base_moments(self)
 
     @property
     def gaussian(self) -> bool:
@@ -262,27 +283,13 @@ def _pareto_max_moment(p: int, shape: float, order: float) -> float:
     return 1.0 + ratio * val
 
 
-def _heavy_tail_params(design: DesignSpec) -> tuple[float, float, float]:
-    """(pareto shape, scale multiplier c, E[(max |X|/B)^q]) of a heavy design.
-
-    The Pareto shape is q+1: at shape exactly q the q-th max-moment is
-    infinite, while shape q+1 keeps moments up to order q finite so the
-    polynomial-tail condition can be pinned at 90% of its ceiling.
-    """
-    q = design.tail_index
-    a = q + 1.0
-    target = 1.8
-    emax = _pareto_max_moment(design.p, a, q)
-    c = design.scale * (target / emax) ** (1.0 / q)
-    return a, c, target
-
-
 def _base_moments(design: DesignSpec) -> dict:
-    """Unstandardized per-coordinate moments; coordinates share one law.
+    """The law of ``DesignSpec.law``: unstandardized moments and row parameters.
 
     ``mgf(t)`` is ``E exp(t |X_j|)`` and ``bound`` the almost-sure bound of
     ``|X_j|``, ``None`` when the law is unbounded; a polynomial-tail law also
-    gives ``e2``, its ``E[(max_j |X_j| / B_n)^q]``.
+    gives ``e2``, its ``E[(max_j |X_j| / B_n)^q]``.  The row transforms read
+    ``lam`` (trunc_exp), ``a`` and ``c`` (heavy_tail) and ``h`` (uniform cube).
     """
     if design.kind == "rademacher":
         return dict(var=1.0, third=1.0, fourth=1.0, B=1.0, bound=1.0, mgf=math.exp)
@@ -290,16 +297,22 @@ def _base_moments(design: DesignSpec) -> dict:
         lam = design.scale / 2.0
         return dict(
             var=2.0 * lam**2, third=6.0 * lam**3, fourth=24.0 * lam**4,
-            B=design.scale, bound=None,
+            B=design.scale, bound=None, lam=lam,
             mgf=lambda t: math.inf if lam * t >= 1.0 else 1.0 / (1.0 - lam * t),
         )
     if design.kind == "heavy_tail":
-        a, c, e2 = _heavy_tail_params(design)
+        # Pareto shape q + 1: at shape exactly q the q-th max-moment is
+        # infinite, while q + 1 keeps moments up to order q finite, so the
+        # polynomial-tail condition is pinned at 1.8, 90% of its ceiling
+        q = design.tail_index
+        a = q + 1.0
+        e2 = 1.8
+        c = design.scale * (e2 / _pareto_max_moment(design.p, a, q)) ** (1.0 / q)
         return dict(
             var=c**2 * a / (a - 2.0),
             third=c**3 * a / (a - 3.0),
             fourth=c**4 * a / (a - 4.0),
-            B=design.scale, bound=None, mgf=lambda t: math.inf, e2=e2,
+            B=design.scale, bound=None, a=a, c=c, mgf=lambda t: math.inf, e2=e2,
         )
     if design.gaussian:
         return dict(var=1.0, third=_GAUSS_THIRD, fourth=3.0, B=math.sqrt(3.0), bound=None,
@@ -308,14 +321,20 @@ def _base_moments(design: DesignSpec) -> dict:
     h = math.sqrt(3.0) * design.scale
     third = h**3 / 4.0
     fourth = h**4 / 5.0
+
+    def mgf(t):
+        try:
+            return math.expm1(h * t) / (h * t)
+        except OverflowError:  # beyond the floats: E.1 fails rather than raises
+            return math.inf
+
     return dict(var=design.scale**2, third=third, fourth=fourth,
-                B=max(third, math.sqrt(fourth)), bound=h,
-                mgf=lambda t: math.expm1(h * t) / (h * t))
+                B=max(third, math.sqrt(fourth)), bound=h, h=h, mgf=mgf)
 
 
 def population_moments(design: DesignSpec) -> MomentReport:
     """Analytic moments and moment-condition flags of a design."""
-    base = _base_moments(design)
+    base = design.law
     sd = math.sqrt(base["var"]) if design.standardize else 1.0
     var = base["var"] / sd**2
     third = base["third"] / sd**3
@@ -376,7 +395,7 @@ def values_from_row_keys(design: DesignSpec, row_keys: np.ndarray) -> np.ndarray
     values are the only arrays of their size, and the words, once read,
     hold the scratch values.
     """
-    p = design.p
+    p, law = design.p, design.law
     if design.kind == "rademacher":
         w = rng.word_grid(row_keys, words_per_row(design))
         bits = np.unpackbits(
@@ -391,18 +410,17 @@ def values_from_row_keys(design: DesignSpec, row_keys: np.ndarray) -> np.ndarray
             # -lam * sign(v) * log1p(-|v|), with the sign taken from v itself
             np.copysign(x, -1.0, out=t)
             np.log1p(t, out=t)
-            t *= design.scale / 2.0
+            t *= law["lam"]
             np.copysign(t, x, out=x)
         elif design.kind == "heavy_tail":
             # (c * sign(v)) * |v|**(-1/a), in that order: v = 0 gives NaN
-            a, c, _ = _heavy_tail_params(design)
             np.abs(x, out=t)
-            np.power(t, -1.0 / a, out=t)
+            np.power(t, -1.0 / law["a"], out=t)
             np.sign(x, out=x)
-            x *= c
+            x *= law["c"]
             x *= t
         else:  # the uniform log-concave cube
-            x *= math.sqrt(3.0) * design.scale
+            x *= law["h"]
     else:  # gaussian, or the gaussian log-concave variant: made in blocks
         cov = design.covariance
         if cov.kind == "equicorrelated":
@@ -413,7 +431,7 @@ def values_from_row_keys(design: DesignSpec, row_keys: np.ndarray) -> np.ndarray
             x = gaussian_draw_batch(cov.factor(p), row_keys)
 
     if design.standardize:
-        x /= math.sqrt(_base_moments(design)["var"])
+        x /= math.sqrt(law["var"])
     return x
 
 

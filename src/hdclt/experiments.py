@@ -85,7 +85,7 @@ class ScanSpec:
         if ns[0] < 4:
             raise ParameterError(f"every n must be at least 4, got {ns[0]}")
         if self.family_K < 1:
-            raise ParameterError("family_K must be positive")
+            raise ParameterError(f"family_K must be positive, got {self.family_K!r}")
         if "p" in self.design:
             raise ParameterError("rate-scan design must omit 'p'; the p_rule supplies it")
         _check_gap_args(self.R)
@@ -227,7 +227,7 @@ def nazarov_check(sigma: ModelCovariance | CovMatrix, y_count: int, a_grid, R: i
     if p < 3:
         raise ParameterError(f"anti-concentration check needs p >= 3, got {p}")
     if y_count < 1:
-        raise ParameterError("need at least one anchor point")
+        raise ParameterError(f"need y_count >= 1 anchor points, got {y_count!r}")
     a_grid = [float(a) for a in a_grid]
     if not a_grid or any(a < 0 for a in a_grid):
         raise ParameterError("offsets must be nonnegative")
@@ -297,7 +297,7 @@ def smoothmax_check(beta_grid, p_grid, trials: int, seed: int) -> float:
     if len(p_grid) > 1000:  # cell (bi, pi) is keyed by bi * 1000 + pi
         raise ParameterError("p grid must hold at most 1000 dimensions")
     if trials < 1:
-        raise ParameterError("need at least one trial")
+        raise ParameterError(f"need trials >= 1, got {trials!r}")
 
     worst = -math.inf
     for bi, beta in enumerate(beta_grid):

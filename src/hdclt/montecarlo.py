@@ -385,7 +385,7 @@ def interpolation_gap(design: DesignSpec, n: int,
     """
     v_grid = [float(v) for v in v_grid]
     if not v_grid:
-        raise ParameterError("need a nonempty grid of interpolation weights")
+        raise ParameterError("v_grid must hold at least one interpolation weight")
     _check_gap_args(R)
     _require_lower_orthants(family)
     factor = sigma.factor

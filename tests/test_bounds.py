@@ -8,7 +8,9 @@ import pytest
 from hdclt import bounds, montecarlo, rng, serialize
 from hdclt.bounds import (
     BoundParams,
+    _phi_pair,
     _population_tail_x,
+    default_params,
     gaussian_approx_bound,
     max_covariance_gap,
     max_third_moment,
@@ -21,7 +23,7 @@ from hdclt.bounds import (
     tail_third_moment_bootstrap,
     truncation_threshold,
 )
-from hdclt.datagen import CovarianceModel, Dataset, DesignSpec, sample_dataset
+from hdclt.datagen import CovarianceModel, Dataset, DesignSpec, population_moments, sample_dataset
 from hdclt.errors import ParameterError
 from hdclt.sums import CovMatrix, empirical_covariance
 
@@ -191,6 +193,60 @@ def test_rate_terms_domain_errors():
         rate_terms(1.0, 2, 1000)
     with pytest.raises(ParameterError):
         BoundParams(b=1.0, B_n=1.0, alpha=0.4)
+
+
+def test_B_n_square_must_be_a_positive_float():
+    # the rate terms take B_n**2: 1e200 overflows it and 1e-200 underflows it
+    for B_n in (1e200, 1e-200, math.inf, -1.0):
+        with pytest.raises(ParameterError, match="params.B_n must be positive with a finite"):
+            BoundParams(b=1.0, B_n=B_n)
+        with pytest.raises(ParameterError, match="B_n must be positive with a finite"):
+            rate_terms(B_n, 100, 1000)
+
+
+FREE_SCALE = [dict(kind="trunc_exp"), dict(kind="log_concave", variant="uniform"),
+              *(dict(kind="heavy_tail", tail_index=q) for q in (4.5, 5.0, 50.0))]
+FIXED_SCALE = [dict(kind="rademacher"), dict(kind="gaussian"),
+               dict(kind="log_concave", variant="gaussian")]
+SCALE_EXPONENTS = range(-300, 301, 5)
+
+
+def _rate_arithmetic(design):
+    # every draw-free number the commands derive from a design's moments
+    m = population_moments(design)
+    params = default_params(m)
+    values = [m.b_lower, m.fourth_moment_max, m.L_n_population, m.B_n, params.b, params.B_n]
+    for n in (4, 64, 10_000):
+        phi, phi_used = _phi_pair(m.L_n_population, design.p, n, params.K2)
+        values += [phi, phi_used, truncation_threshold(phi_used, n, design.p),
+                   gaussian_approx_bound(m.L_n_population, m.L_n_population, design.p, n),
+                   *rate_terms(params.B_n, design.p, n, q=5.0, alpha=0.05).values()]
+    return m, values
+
+
+@pytest.mark.parametrize("design", FREE_SCALE + FIXED_SCALE,
+                         ids=lambda d: "-".join(str(v) for v in d.values()))
+def test_every_design_that_constructs_has_finite_rate_arithmetic(design):
+    # draw-free: a design is either rejected naming its kind and scale, or
+    # every rate quantity of it is a finite float (E exp(|X|/B_n) may be inf)
+    exponents = SCALE_EXPONENTS if design in FREE_SCALE else (0,)
+    accepted, rejected = set(), set()
+    for standardize in (False, True):
+        for e in exponents:
+            scale = 10.0**e
+            try:
+                spec = DesignSpec(p=5, scale=scale, standardize=standardize, **design)
+            except ParameterError as exc:
+                assert f"design {design['kind']!r} with scale {scale!r}" in str(exc)
+                rejected.add(e)
+                continue
+            accepted.add(e)
+            m, values = _rate_arithmetic(spec)
+            assert all(math.isfinite(v) for v in values), (standardize, e, values)
+            assert m.e1_value > 0.0
+    assert set(range(-30, 31)) & set(exponents) <= accepted - rejected
+    if design["kind"] == "trunc_exp":
+        assert accepted - rejected and rejected
 
 
 def test_covariance_gaps():

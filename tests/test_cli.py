@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -616,3 +617,103 @@ def test_rate_scan_checks_every_cell_before_any_runs(tmp_path, monkeypatch):
     code, _, err = run_cli(["rate-scan", "--config", write_config(tmp_path, "s.json", cfg)])
     assert code == 2, err
     assert "exp_power" in err and "n=1000" in err
+
+
+def _input_files(tmp_path):
+    # a config whose root is a list, and version 1 and version 2 datasets of shape (2, 5)
+    (tmp_path / "root.json").write_text("[1]")
+    for version in (1, 2):
+        header = b"HDCB" + struct.pack("<IQQ", version, 2, 5)
+        (tmp_path / f"v{version}.bin").write_bytes(header + np.zeros(10).tobytes())
+
+
+INPUT_CONFIGS = {
+    "estimate-rho": small_rho_config,
+    "rate-scan": scan_config,
+    "nazarov": nazarov_config,
+    "simulate": lambda tmp_path: {"seed": 1, "out": str(tmp_path / "d.bin"), "n": 10,
+                                  "design": {"kind": "gaussian", "p": 5}},
+    "bootstrap": lambda tmp_path: {"seed": 1, "out": str(tmp_path / "boot.json"),
+                                   "dataset": str(tmp_path / "v1.bin"), "mode": "MB", "R": 1000,
+                                   "sigma": {"source": "empirical"}, "family": {"K": 5}},
+    "smoothmax": lambda tmp_path: {"seed": 1, "out": str(tmp_path / "sm.json"),
+                                   "beta_grid": [1.0], "p_grid": [2], "trials": 10},
+}
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("estimate-rho", ["--set", "R"], "--set needs key=value, got 'R'"),
+    ("estimate-rho", ["--bogus", "1"], "unknown argument '--bogus'"),
+    ("estimate-rho", None, "--config is required"),
+    ("estimate-rho", ["--config", "{tmp}/root.json"], "config root must be a JSON object"),
+    ("estimate-rho", ["--set", "family=" + json.dumps(ORTHANT)],
+     "family dimension 4 does not match p=6"),
+    ("estimate-rho", ["--set", "family.kind=orthants"], "unknown family kind 'orthants'"),
+    ("bootstrap", ["--set", "sigma.source=model"], "unknown sigma source 'model'"),
+    ("simulate", ["--set", "format=xyz"], "unknown dataset format 'xyz'"),
+    ("bootstrap", ["--set", 'sigma={"source": "design", "design": {"kind": "gaussian", "p": 7}}'],
+     "sigma dimension 7 does not match dataset p=5"),
+    ("estimate-rho", ["--set", 'design={"kind": "trunc_exp", "p": 6, "scale": 0}'],
+     "design scale must be positive, got 0"),
+    ("estimate-rho", ["--set", 'design={"kind": "trunc_exp", "p": 6, "scale": -1}'],
+     "design scale must be positive, got -1"),
+    ("estimate-rho", ["--set", "design.shape=1"], "unknown design keys: ['shape']"),
+    ("bootstrap", ["--set", "dataset={tmp}/v2.bin"], "unsupported dataset version 2"),
+    ("rate-scan", ["--set", "n_grid=[]"], "n_grid must be nonempty"),
+    ("rate-scan", ["--set", "n_grid=[2, 8]"], "every n must be at least 4, got 2"),
+    ("rate-scan", ["--set", "family.K=0"], "family_K must be positive, got 0"),
+    ("nazarov", ["--set", "sigma.p=2"], "needs p >= 3, got 2"),
+    ("nazarov", ["--set", "y_count=0"], "need y_count >= 1 anchor points, got 0"),
+    ("smoothmax", ["--set", "trials=0"], "need trials >= 1, got 0"),
+    ("estimate-rho", ["--set", "v_grid=[]"], "v_grid must hold at least one interpolation weight"),
+], ids=["set-without-equals", "unknown-argument", "missing-config", "root-not-object",
+        "family-sets-dimension", "family-kind", "sigma-source", "simulate-format",
+        "bootstrap-sigma-p", "design-scale-0", "design-scale-negative", "design-key",
+        "dataset-version", "n_grid-empty", "n-below-4", "family-K-0", "nazarov-sigma-p",
+        "y_count-0", "smoothmax-trials-0", "v_grid-empty"])
+def test_input_errors_exit_2_naming_the_input(tmp_path, command, args, message):
+    _input_files(tmp_path)
+    path = write_config(tmp_path, "c.json", INPUT_CONFIGS[command](tmp_path))
+    # args follow "--config <file>" unless they name their own config; None gives none
+    if args is None:
+        args = ["--set", "R=1000"]
+    elif args[0] != "--config":
+        args = ["--config", path, *args]
+    code, _, err = run_cli([command, *(a.replace("{tmp}", str(tmp_path)) for a in args)])
+    assert code == 2, err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_uniform_cube_beyond_the_exponential_moment_runs(tmp_path):
+    # E exp(|X| / B_n) overflows at this scale: E.1 fails, the gap still runs
+    cfg = small_rho_config(tmp_path, n=8, R=1000, design={"kind": "log_concave", "p": 5,
+                                                          "variant": "uniform", "scale": 1e-3})
+    code, _, err = run_cli(["estimate-rho", "--config", write_config(tmp_path, "c.json", cfg)])
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("scale", [1e-60, 1e60])
+def test_bounds_on_moments_outside_the_float_range_exits_2(tmp_path, monkeypatch, scale):
+    forbid(monkeypatch, "report_from_design")
+    cfg = {"seed": 1, "out": str(tmp_path / "b.json"), "n": 8,
+           "design": {"kind": "trunc_exp", "p": 5, "scale": scale}}
+    code, _, err = run_cli(["bounds", "--config", write_config(tmp_path, "b.json", cfg)])
+    assert code == 2, err
+    assert f"design 'trunc_exp' with scale {scale!r} has moments outside the float range" in err
+
+
+@pytest.mark.parametrize("command, make_config", [
+    ("bounds", lambda tmp_path: {"seed": 1, "out": str(tmp_path / "b.json"), "n": 8,
+                                 "design": {"kind": "rademacher", "p": 5}}),
+    ("rate-scan", scan_config),
+], ids=["bounds", "rate-scan"])
+def test_params_B_n_with_an_overflowing_square_exits_2(tmp_path, monkeypatch, command,
+                                                       make_config):
+    # the rate terms take B_n**2, which overflows for B_n = 1e200
+    forbid(monkeypatch, "report_from_design", "rate_scan")
+    cfg = make_config(tmp_path)
+    cfg["params"] = {"b": 1.0, "B_n": 1e200}
+    code, _, err = run_cli([command, "--config", write_config(tmp_path, "c.json", cfg)])
+    assert code == 2, err
+    assert "params.B_n must be positive with a finite, positive square, got 1e+200" in err

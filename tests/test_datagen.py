@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,6 @@ from hdclt.datagen import (
     Dataset,
     DesignSpec,
     MomentReport,
-    _base_moments,
-    _heavy_tail_params,
     population_moments,
     read_dataset,
     sample_dataset,
@@ -54,6 +53,25 @@ def test_invalid_designs_rejected():
         DesignSpec(kind="log_concave", p=3)
     with pytest.raises(ParameterError):
         sample_dataset(DesignSpec(kind="rademacher", p=3), 1, 0)
+
+
+@pytest.mark.parametrize("kind, scale, extra", [
+    ("trunc_exp", 1e-60, {}),
+    ("trunc_exp", 1e60, {}),
+    ("trunc_exp", 1e100, {"standardize": True}),
+    ("log_concave", 1e60, {"variant": "uniform"}),
+])
+def test_design_rejects_moments_outside_the_float_range(kind, scale, extra):
+    message = f"design {kind!r} with scale {scale!r} has moments outside the float range"
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        DesignSpec(kind=kind, p=5, scale=scale, **extra)
+
+
+def test_overflowing_exponential_moment_fails_E1():
+    # the uniform cube's E exp(|X| / B_n) = expm1(h t) / (h t) at h t = 1291
+    m = population_moments(DesignSpec(kind="log_concave", p=5, variant="uniform", scale=1e-3))
+    assert m.e1_value == math.inf
+    assert m.condition_flags["E.1"] == "fails"
 
 
 def test_rademacher_support():
@@ -273,12 +291,12 @@ def _literal_oracle(design, w):
             lam = design.scale / 2.0
             x = -lam * np.sign(v) * np.log1p(-np.abs(v))
         elif design.kind == "heavy_tail":
-            a, c, _ = _heavy_tail_params(design)
+            a, c = design.law["a"], design.law["c"]
             x = c * np.sign(v) * np.abs(v) ** (-1.0 / a)
         else:
             x = math.sqrt(3.0) * design.scale * (2.0 * u - 1.0)
     if design.standardize:
-        x = x / math.sqrt(_base_moments(design)["var"])
+        x = x / math.sqrt(design.law["var"])
     return x
 
 

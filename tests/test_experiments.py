@@ -101,6 +101,8 @@ def test_rate_scan_varying_p_reports_logp_slope():
     ({"kind": "rademacher"}, (8,), "need R >= 1000", {"R": 500}),
     ({"kind": "rademacher"}, (8,), "need moment_R >= 2", {"moment_R": 0}),
     ({"kind": "rademacher"}, (8,), "need moment_R >= 2", {"moment_R": 1}),
+    ({"kind": "trunc_exp", "scale": 1e60}, (8,),
+     r"design 'trunc_exp' with scale 1e\+60 has moments outside the float range", {}),
 ])
 def test_scan_spec_checks_every_cell_before_any_runs(monkeypatch, design, n_grid, message,
                                                      spec_args):

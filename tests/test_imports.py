@@ -98,3 +98,21 @@ def test_only_sums_applies_a_covariance_factor():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "apply"]
     assert calls == []
+
+
+def test_design_law_has_one_owner():
+    # one law per design: DesignSpec.law alone calls _base_moments, and the
+    # row transforms read their parameters from that law, not from the fields
+    tree = ast.parse((pathlib.Path(hdclt.__file__).parent / "datagen.py").read_text())
+    functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    functions += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    callers = [f"{name}:{node.lineno}" for name, fn in functions for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "_base_moments"]
+    reads = [f"datagen.py:{node.lineno}" for name, fn in functions
+             if name == "values_from_row_keys" for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute) and node.attr in ("scale", "tail_index")]
+    assert [c.split(":")[0] for c in callers] == ["DesignSpec.law"], callers
+    assert reads == []
