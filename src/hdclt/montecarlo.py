@@ -41,8 +41,11 @@ from .sums import (
 )
 
 BATCH = 1 << 13  # fixed batch size; must not depend on the worker count
-# elements one draw call may materialize; like BATCH, free of the worker count
-DRAW_BUDGET = 1 << 22
+# elements one product slice may materialize: it fixes how many rows each
+# matrix product gets, so the bits of its draws; changing it changes the stream
+TILE = 1 << 22
+# draw values one worker holds at a time; it changes no number
+DRAW_BUDGET = 1 << 20
 
 
 def noise_floor(R: int, K: int) -> float:
@@ -51,6 +54,9 @@ def noise_floor(R: int, K: int) -> float:
 
 
 def default_workers() -> int:
+    """One worker per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 
@@ -63,28 +69,37 @@ class _Sampler:
 
     ``map_chunks`` is the one place that turns a batch ``(seed, start,
     count)`` into replication keys; ``draw_keys`` maps keys to one draw per
-    key.  ``size`` is the element count of the largest array one draw
-    materializes, so ``draw_keys`` gets consecutive slices of at most
-    ``DRAW_BUDGET // size`` keys (``rng.blocked``).  Those slices are
-    grouped into chunks of at most ``DRAW_BUDGET`` draw values, and each
-    chunk is reduced by the caller's function before the next one is
-    drawn: memory per worker is bounded whatever n and p are.  Every slice
-    boundary sits where one unchunked batch would put it, so the chunking
-    never changes a number.  The slicing itself may: a BLAS product can
-    round a row differently when it is given fewer rows.
+    key.  Each chunk of keys is drawn and then reduced by the caller's
+    function before the next one is drawn, so memory per worker is bounded
+    whatever n and p are.
+
+    ``product`` says whether a matrix product makes the draws.  A product
+    may round a row differently when it is given fewer rows, so a product
+    sampler's ``draw_keys`` gets the slices of ``TILE // size`` keys that one
+    unchunked batch would get (``rng.blocked``), ``size`` being the element
+    count of the largest array one draw materializes; its chunks group
+    whole slices into at most ``TILE`` draw values.  Every other sampler is
+    row-local: a row's bits depend on its key alone, and its kernel blocks
+    internally, so each chunk of ``DRAW_BUDGET // p`` keys is one
+    ``draw_keys`` call.  Neither chunking changes a number.
     """
 
     p: int
     size: int
+    product: bool
 
     def map_chunks(self, seed: int, start: int, count: int, fn) -> list:
         """``[fn(draws), ...]`` over the chunks of a batch, in key order."""
         keys = rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
-        per_call = max(1, DRAW_BUDGET // self.size)
-        per = per_call * max(1, DRAW_BUDGET // (self.p * per_call))
+        if self.product:
+            per_call = max(1, TILE // self.size)
+            per = per_call * max(1, TILE // (self.p * per_call))
+            draw = lambda chunk: rng.blocked(self.draw_keys, chunk, self.size, TILE)
+        else:
+            per = max(1, DRAW_BUDGET // self.p)
+            draw = self.draw_keys
         # fn reduces each chunk inside the loop, so no two chunks are alive
-        return [fn(rng.blocked(self.draw_keys, keys[i:i + per], self.size, DRAW_BUDGET))
-                for i in range(0, count, per)]
+        return [fn(draw(keys[i:i + per])) for i in range(0, count, per)]
 
     def draw_keys(self, keys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -96,6 +111,7 @@ class GaussianSumSampler(_Sampler):
     def __init__(self, factor):
         self.factor = factor
         self.p = self.size = factor.p
+        self.product = factor.block_rows is None  # a dense factor
 
     def draw_keys(self, keys: np.ndarray) -> np.ndarray:
         return gaussian_draw_batch(self.factor, keys)
@@ -117,6 +133,8 @@ class DesignSumSampler(_Sampler):
     Shortcut draws consume different stream words than the literal path but
     have exactly the law of the sum statistic.
     """
+
+    product = False
 
     def __init__(self, design: DesignSpec, n: int, exact_law: bool = True):
         if n < 2:
@@ -174,6 +192,7 @@ class InterpolatedSampler(_Sampler):
         self.v = v
         self.p = design.p
         self.size = self.inner_x.size + self.inner_y.size
+        self.product = self.inner_y.product
 
     def draw_keys(self, keys: np.ndarray) -> np.ndarray:
         sx = self.inner_x.draw_keys(rng.mix64_keys(keys, rng.TAG_FIRST))
@@ -182,6 +201,8 @@ class InterpolatedSampler(_Sampler):
 
 
 class _DatasetSampler(_Sampler):
+    product = True  # the weights or row counts times the data
+
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
         self.p = dataset.p

@@ -113,6 +113,17 @@ def test_doubling_R_shrinks_identical_law_sup():
     assert 1.2 <= ratio <= 1.7
 
 
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    # a process pinned to 2 of 64 CPUs starts 2 workers, not 64
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {3, 17}, raising=False)
+    assert montecarlo.default_workers() == 2
+    monkeypatch.delattr(montecarlo.os, "sched_getaffinity")  # not on every platform
+    assert montecarlo.default_workers() == 64
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+    assert montecarlo.default_workers() == 1
+
+
 def test_worker_count_invariance():
     design = DesignSpec(kind="rademacher", p=8)
     sigma = population_moments(design).sigma
@@ -222,7 +233,12 @@ def _slicing_samplers():
 
 # kinds whose draw is a matrix product: its per-row rounding may depend on
 # how many rows it gets, so only the same slices give the same bits
-PRODUCT_KINDS = {"gaussian", "interpolated", "MB", "EB", "MB-wide", "EB-wide"}
+PRODUCT_KINDS = {kind for kind, s in _slicing_samplers().items() if s.product}
+
+
+def test_product_kinds_are_the_matrix_products():
+    # no kind switches between product and row-local slicing silently
+    assert PRODUCT_KINDS == {"gaussian", "interpolated", "MB", "EB", "MB-wide", "EB-wide"}
 
 
 def _keys(seed, start, count):
@@ -250,20 +266,23 @@ def _chunk_consumers(sampler, monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(_slicing_samplers()))
 def test_draw_slices_batch_to_budget(monkeypatch, kind):
-    # map_chunks hands draw_keys the DRAW_BUDGET // size slices of one
-    # unchunked batch and groups them into chunks of at most DRAW_BUDGET
-    # draw values; on 100 keys the slices give the bits of the slices drawn
-    # one by one, and of one unsliced call for a kind without a product; on
-    # 1000 keys (at least 3 chunks) the chunks and every consumer's
-    # reduction of them equal the slices drawn one by one
+    # map_chunks hands a product kind's draw_keys the TILE // size slices of
+    # one unchunked batch and groups them into chunks of at most TILE draw
+    # values; a row-local kind draws each chunk of DRAW_BUDGET // p keys in
+    # one call.  On 100 keys the chunks give the bits of the slices drawn
+    # one by one, and of one unsliced call for a row-local kind; on 1000
+    # keys (at least 3 chunks) the chunks and every consumer's reduction of
+    # them equal the slices drawn one by one
     sampler = _slicing_samplers()[kind]
     budget, R = 200, 1000
-    monkeypatch.setattr(montecarlo, "DRAW_BUDGET", budget)
-    per = max(1, budget // sampler.size)
     draw_keys = sampler.draw_keys
     if kind in PRODUCT_KINDS:
+        monkeypatch.setattr(montecarlo, "TILE", budget)
+        per = max(1, budget // sampler.size)
         whole = _sliced_batch(draw_keys, 9, 3, 100, per)
     else:
+        monkeypatch.setattr(montecarlo, "DRAW_BUDGET", budget)
+        per = max(1, budget // sampler.p)
         whole = draw_keys(_keys(9, 3, 100))
     np.testing.assert_array_equal(
         np.concatenate(sampler.map_chunks(9, 3, 100, lambda chunk: chunk)), whole)
@@ -290,6 +309,34 @@ def test_draw_slices_batch_to_budget(monkeypatch, kind):
     monkeypatch.setattr(sampler, "map_chunks", lambda seed, start, count, fn:
                         [fn(_sliced_batch(draw_keys, seed, start, count, per))])
     assert _chunk_consumers(sampler, monkeypatch) == (hits, nazarov, tail)
+
+
+def _row_count_samplers():
+    # products whose rows round differently on 10 to 40 rows than on 8192
+    # (OpenBLAS, 1 or 2 threads); those of _slicing_samplers round the same
+    square = sample_dataset(DesignSpec(kind="trunc_exp", p=20), 20, 8)
+    return {
+        "gaussian-p40": GaussianSumSampler(
+            robust_cholesky(CovMatrix(CovarianceModel("ar1", 0.5).matrix(40)))),
+        "MB-square": MultiplierSampler(square),
+        "EB-square": EmpiricalSampler(square),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_slicing_samplers()) + sorted(_row_count_samplers()))
+def test_draw_budget_changes_no_bit(monkeypatch, kind):
+    # DRAW_BUDGET sizes the chunks of a batch, never a product's slices
+    sampler = {**_slicing_samplers(), **_row_count_samplers()}[kind]
+    family = sample_rectangles(sampler.p, 8, np.ones(sampler.p), 5)
+    R = montecarlo.BATCH
+    runs = []
+    for budget in (200, 1 << 20, 1 << 22):
+        monkeypatch.setattr(montecarlo, "DRAW_BUDGET", budget)
+        runs.append((np.concatenate(sampler.map_chunks(9, 0, R, lambda chunk: chunk)),
+                     family_hit_counts(sampler, family, R, 9, 1)))
+    for draws, hits in runs[1:]:
+        np.testing.assert_array_equal(draws, runs[0][0])
+        np.testing.assert_array_equal(hits, runs[0][1])
 
 
 @pytest.mark.parametrize("kind", sorted(_slicing_samplers()))
