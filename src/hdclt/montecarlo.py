@@ -73,15 +73,16 @@ class _Sampler:
     function before the next one is drawn, so memory per worker is bounded
     whatever n and p are.
 
-    ``product`` says whether a matrix product makes the draws.  A product
-    may round a row differently when it is given fewer rows, so a product
-    sampler's ``draw_keys`` gets the slices of ``TILE // size`` keys that one
-    unchunked batch would get (``rng.blocked``), ``size`` being the element
-    count of the largest array one draw materializes; its chunks group
-    whole slices into at most ``TILE`` draw values.  Every other sampler is
-    row-local: a row's bits depend on its key alone, and its kernel blocks
-    internally, so each chunk of ``DRAW_BUDGET // p`` keys is one
-    ``draw_keys`` call.  Neither chunking changes a number.
+    ``size`` is the element count of the largest array one draw
+    materializes, so ``draw_keys`` gets consecutive slices of at most
+    ``budget // size`` keys (``rng.blocked``), grouped into chunks of at
+    most ``budget`` draw values.  Every slice boundary sits where one
+    unchunked batch would put it, so the chunking never changes a number.
+    The slicing itself may: a matrix product can round a row differently
+    when it is given fewer rows.  So ``product`` says whether a matrix
+    product makes the draws, and picks the budget: ``TILE`` for a product
+    sampler, which fixes its bits, and ``DRAW_BUDGET`` for a row-local one,
+    whose row bits depend on the row's key alone.
     """
 
     p: int
@@ -91,15 +92,12 @@ class _Sampler:
     def map_chunks(self, seed: int, start: int, count: int, fn) -> list:
         """``[fn(draws), ...]`` over the chunks of a batch, in key order."""
         keys = rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
-        if self.product:
-            per_call = max(1, TILE // self.size)
-            per = per_call * max(1, TILE // (self.p * per_call))
-            draw = lambda chunk: rng.blocked(self.draw_keys, chunk, self.size, TILE)
-        else:
-            per = max(1, DRAW_BUDGET // self.p)
-            draw = self.draw_keys
+        budget = TILE if self.product else DRAW_BUDGET
+        per_call = max(1, budget // self.size)
+        per = per_call * max(1, budget // (self.p * per_call))
         # fn reduces each chunk inside the loop, so no two chunks are alive
-        return [fn(draw(keys[i:i + per])) for i in range(0, count, per)]
+        return [fn(rng.blocked(self.draw_keys, keys[i:i + per], self.size, budget))
+                for i in range(0, count, per)]
 
     def draw_keys(self, keys: np.ndarray) -> np.ndarray:
         raise NotImplementedError

@@ -156,10 +156,8 @@ def blocked(fn, rows: np.ndarray, width: int, budget: int | None = None) -> np.n
     never changes a number; a matrix product does not qualify, since its
     per-row rounding may depend on how many rows it gets.  A caller that
     first cuts ``rows`` into chunks keeps every slice, and so every number,
-    when each chunk starts at a multiple of ``budget // width`` rows: that
-    is how ``montecarlo._Sampler.map_chunks`` feeds a matrix product its
-    ``TILE`` slices.  A row-wise kernel needs no such care, so a row-local
-    sampler gets each chunk in one call and blocks it here itself.
+    when each chunk starts at a multiple of ``budget // width`` rows
+    (``montecarlo._Sampler.map_chunks``).
     """
     per = max(1, (BLOCK if budget is None else budget) // width)
     if per >= len(rows):

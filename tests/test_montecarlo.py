@@ -266,23 +266,21 @@ def _chunk_consumers(sampler, monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(_slicing_samplers()))
 def test_draw_slices_batch_to_budget(monkeypatch, kind):
-    # map_chunks hands a product kind's draw_keys the TILE // size slices of
-    # one unchunked batch and groups them into chunks of at most TILE draw
-    # values; a row-local kind draws each chunk of DRAW_BUDGET // p keys in
-    # one call.  On 100 keys the chunks give the bits of the slices drawn
-    # one by one, and of one unsliced call for a row-local kind; on 1000
-    # keys (at least 3 chunks) the chunks and every consumer's reduction of
-    # them equal the slices drawn one by one
+    # map_chunks hands draw_keys the budget // size slices of one unchunked
+    # batch and groups them into chunks of at most budget draw values, the
+    # budget being TILE for a product kind and DRAW_BUDGET for a row-local
+    # one; on 100 keys the slices give the bits of the slices drawn one by
+    # one, and of one unsliced call for a row-local kind; on 1000 keys (at
+    # least 3 chunks) the chunks and every consumer's reduction of them
+    # equal the slices drawn one by one
     sampler = _slicing_samplers()[kind]
     budget, R = 200, 1000
+    monkeypatch.setattr(montecarlo, "TILE" if kind in PRODUCT_KINDS else "DRAW_BUDGET", budget)
+    per = max(1, budget // sampler.size)
     draw_keys = sampler.draw_keys
     if kind in PRODUCT_KINDS:
-        monkeypatch.setattr(montecarlo, "TILE", budget)
-        per = max(1, budget // sampler.size)
         whole = _sliced_batch(draw_keys, 9, 3, 100, per)
     else:
-        monkeypatch.setattr(montecarlo, "DRAW_BUDGET", budget)
-        per = max(1, budget // sampler.p)
         whole = draw_keys(_keys(9, 3, 100))
     np.testing.assert_array_equal(
         np.concatenate(sampler.map_chunks(9, 3, 100, lambda chunk: chunk)), whole)
