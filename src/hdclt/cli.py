@@ -34,7 +34,7 @@ from .bounds import MOMENT_R, BoundParams, default_params, report_from_dataset, 
 from .datagen import (CovarianceModel, DesignSpec, population_moments, read_dataset,
                       sample_dataset, write_dataset)
 from .errors import (REQUIRED, ConfigError, NotPositiveSemidefiniteError, ParameterError,
-                     config_value)
+                     Size, config_value)
 from .experiments import ScanSpec, nazarov_check, rate_scan, smoothmax_check
 from .geometry import family_from_config, family_to_config, sample_rectangles
 from .montecarlo import bootstrap_gap, gaussian_approx_gap, interpolation_gap
@@ -118,7 +118,7 @@ def _family(cfg: dict, p: int, sigma_diag: np.ndarray, seed: int):
     fam_seed = config_value(block, "seed", int, None)
     if fam_seed is None:
         fam_seed = rng.mix64(seed, rng.TAG_FAMILY)
-    return sample_rectangles(p, config_value(block, "K", int, FAMILY_K), sigma_diag, fam_seed)
+    return sample_rectangles(p, config_value(block, "K", Size, FAMILY_K), sigma_diag, fam_seed)
 
 
 def _sigma_for(cfg: dict, dataset) -> ModelCovariance | CovMatrix:
@@ -178,7 +178,7 @@ def _write_report(cfg: dict, command: str, fields: dict, rows) -> None:
 # after the config echo and the rows of its csv table (None without one).
 
 def _cmd_simulate(cfg: dict, workers) -> None:
-    dataset = sample_dataset(_design(cfg), config_value(cfg, "n", int),
+    dataset = sample_dataset(_design(cfg), config_value(cfg, "n", Size),
                              config_value(cfg, "seed", int))
     write_dataset(dataset, config_value(cfg, "out", str),
                   config_value(cfg, "format", str, None))
@@ -186,7 +186,7 @@ def _cmd_simulate(cfg: dict, workers) -> None:
 
 def _cmd_bounds(cfg: dict, workers):
     seed = config_value(cfg, "seed", int)
-    moment_R = config_value(cfg, "moment_R", int, MOMENT_R)
+    moment_R = config_value(cfg, "moment_R", Size, MOMENT_R)
     if "dataset" in cfg:
         dataset = read_dataset(config_value(cfg, "dataset", str))
         sigma = _sigma_for(cfg, dataset) if "sigma" in cfg or "design" in cfg else None
@@ -195,7 +195,7 @@ def _cmd_bounds(cfg: dict, workers):
         report = report_from_dataset(dataset, params, moment_R, seed, sigma)
     else:
         design = _design(cfg)
-        n = config_value(cfg, "n", int)
+        n = config_value(cfg, "n", Size)
         params = _params(cfg, default_params(population_moments(design)))
         report = report_from_design(design, n, params, moment_R, seed)
     return {"report": report}, None
@@ -203,9 +203,9 @@ def _cmd_bounds(cfg: dict, workers):
 
 def _cmd_estimate_rho(cfg: dict, workers):
     design = _design(cfg)
-    n = config_value(cfg, "n", int)
+    n = config_value(cfg, "n", Size)
     seed = config_value(cfg, "seed", int)
-    R = config_value(cfg, "R", int)
+    R = config_value(cfg, "R", Size)
     moments = population_moments(design)
     _params(cfg, default_params(moments))  # validates q / alpha if given
     sigma = moments.sigma
@@ -225,7 +225,7 @@ def _cmd_bootstrap(cfg: dict, workers):
     dataset = read_dataset(config_value(cfg, "dataset", str))
     mode = config_value(cfg, "mode", str)
     seed = config_value(cfg, "seed", int)
-    R = config_value(cfg, "R", int)
+    R = config_value(cfg, "R", Size)
     sigma = _sigma_for(cfg, dataset)
     if sigma.p != dataset.p:
         raise ConfigError(
@@ -245,13 +245,13 @@ def _cmd_rate_scan(cfg: dict, workers):
         raise ConfigError(f"rate-scan reads only family.K (and kind 'rectangles'), not {unread}")
     spec = ScanSpec(
         design=config_value(cfg, "design", dict),
-        n_grid=tuple(config_value(cfg, "n_grid", list, item=int)),
+        n_grid=tuple(config_value(cfg, "n_grid", list, item=Size)),
         p_rule=config_value(cfg, "p_rule", dict),
-        family_K=config_value(family, "K", int, FAMILY_K),
-        R=config_value(cfg, "R", int),
+        family_K=config_value(family, "K", Size, FAMILY_K),
+        R=config_value(cfg, "R", Size),
         seed=seed,
         params=params,
-        moment_R=config_value(cfg, "moment_R", int, MOMENT_R),
+        moment_R=config_value(cfg, "moment_R", Size, MOMENT_R),
         exact_law=config_value(cfg, "exact_law", bool, True),
     )
     result = rate_scan(spec, workers)
@@ -263,10 +263,10 @@ def _cmd_nazarov(cfg: dict, workers):
     block = config_value(cfg, "sigma", dict)
     cov = config_value(block, "covariance", dict, {"model": "identity"})
     result = nazarov_check(
-        ModelCovariance(CovarianceModel.from_config(cov), config_value(block, "p", int)),
-        y_count=config_value(cfg, "y_count", int, 9),
+        ModelCovariance(CovarianceModel.from_config(cov), config_value(block, "p", Size)),
+        y_count=config_value(cfg, "y_count", Size, 9),
         a_grid=config_value(cfg, "a_grid", list, item=float),
-        R=config_value(cfg, "R", int),
+        R=config_value(cfg, "R", Size),
         seed=seed,
         workers=workers,
     )
@@ -277,8 +277,8 @@ def _cmd_smoothmax(cfg: dict, workers):
     seed = config_value(cfg, "seed", int)
     worst = smoothmax_check(
         beta_grid=config_value(cfg, "beta_grid", list, item=float),
-        p_grid=config_value(cfg, "p_grid", list, item=int),
-        trials=config_value(cfg, "trials", int),
+        p_grid=config_value(cfg, "p_grid", list, item=Size),
+        trials=config_value(cfg, "trials", Size),
         seed=seed,
     )
     return {"max_violation": worst, "passes": bool(worst <= 1e-12)}, None

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import rng
-from .errors import ParameterError, config_value
+from .errors import ParameterError, Size, config_value
 from .sums import (AR1Factor, CovMatrix, EquicorrelatedFactor, ModelCovariance,
                    ScaledIdentityFactor, _normals, gaussian_draw_batch)
 
@@ -183,7 +183,7 @@ class DesignSpec:
         cov = config_value(cfg, "covariance", dict, None)
         return DesignSpec(
             kind=config_value(cfg, "kind", str),
-            p=config_value(cfg, "p", int),
+            p=config_value(cfg, "p", Size),
             covariance=IDENTITY if cov is None else CovarianceModel.from_config(cov),
             scale=config_value(cfg, "scale", float, 1.0),
             tail_index=config_value(cfg, "tail_index", float, None),

@@ -15,15 +15,29 @@ class NotPositiveSemidefiniteError(ArithmeticError):
 
 REQUIRED = object()  # the default of a config key that must be given
 
+# the one ceiling of every count and dimension a config gives (n, p, R, K,
+# trials, ...): no run makes arrays, batch lists or loops of more entries;
+# a seed is an int and keeps its full 64-bit range
+MAX_SIZE = 2**31 - 1
+
+
+class Size(int):
+    """The kind of a count or dimension: an integer of at most ``MAX_SIZE``."""
+
+
 # each kind: how one value is named, and how a list of them is
 _KIND_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
                bool: ("true or false", "booleans"), str: ("a string", "strings"),
-               dict: ("an object", "objects"), list: ("an array", "arrays")}
+               dict: ("an object", "objects"), list: ("an array", "arrays"),
+               Size: (f"an integer of at most {MAX_SIZE}", f"integers of at most {MAX_SIZE}")}
 
 
 def _typed(value, kind):
     """``value`` as a ``kind``, or None when it is not one.  A JSON boolean is
     not a number, and an integer takes any number with an integral value."""
+    if kind is Size:
+        size = _typed(value, int)
+        return size if size is not None and size <= MAX_SIZE else None
     if isinstance(value, bool) != (kind is bool):
         return None
     if kind is int and isinstance(value, float) and value.is_integer():
@@ -35,7 +49,7 @@ def _typed(value, kind):
 
 def config_value(cfg: dict, key: str, kind: type, default=REQUIRED, item: type | None = None):
     """The value of ``key`` in the config object ``cfg`` as a ``kind``: one of
-    int, float, bool, str, dict or list, a list holding ``item``s if given.
+    int, Size, float, bool, str, dict or list, a list holding ``item``s if given.
 
     An absent key gives ``default`` (a ConfigError if it is REQUIRED), and so
     does null where ``default`` is None; any other value of the wrong type is

@@ -21,7 +21,7 @@ from .bounds import (
     tail_third_moment_gaussian,
 )
 from .datagen import DesignSpec, population_moments
-from .errors import ParameterError, config_value
+from .errors import MAX_SIZE, ParameterError, Size, config_value
 from .geometry import sample_rectangles
 from .montecarlo import (
     GaussianSumSampler,
@@ -45,15 +45,18 @@ def dimension_rule(rule: dict, n: int) -> int:
     """
     kind = config_value(rule, "rule", str)
     if kind == "fixed":
-        return max(3, config_value(rule, "p", int))
+        return max(3, config_value(rule, "p", Size))
     if kind not in ("power", "exp_power"):
         raise ParameterError(f"unknown dimension rule {kind!r}")
     coef, c = config_value(rule, "coef", float, 1.0), config_value(rule, "c", float)
     try:
         a_nc = coef * n ** c
-        return max(3, round(a_nc if kind == "power" else math.exp(a_nc)))
+        p = max(3, round(a_nc if kind == "power" else math.exp(a_nc)))
     except (OverflowError, ValueError) as exc:  # p infinite or NaN
         raise ParameterError(f"dimension rule {kind!r} gives no dimension at n={n}: {exc}") from exc
+    if p > MAX_SIZE:
+        raise ParameterError(f"dimension rule {kind!r} gives p={p} above {MAX_SIZE} at n={n}")
+    return p
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import rng
-from .errors import ParameterError, config_value
+from .errors import ParameterError, Size, config_value
 
 _UNIT_TOL = 1e-12
 
@@ -526,7 +526,7 @@ def set_from_config(cfg: dict):
                                          config_value(pc, "radius", float)))
             else:
                 raise ParameterError(f"unknown sparse piece type {piece!r}")
-        return SparseConvexSet(p=config_value(cfg, "p", int), s=config_value(cfg, "s", int),
+        return SparseConvexSet(p=config_value(cfg, "p", Size), s=config_value(cfg, "s", Size),
                                pieces=tuple(pieces))
     raise ParameterError(f"unknown set kind {kind!r}")
 

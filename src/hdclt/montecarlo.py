@@ -21,6 +21,7 @@ class, so every estimate records the family that produced it.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -83,6 +84,15 @@ class _Sampler:
     product makes the draws, and picks the budget: ``TILE`` for a product
     sampler, which fixes its bits, and ``DRAW_BUDGET`` for a row-local one,
     whose row bits depend on the row's key alone.
+
+    A product sampler makes the product operand of every slice (normals or
+    resample row counts, at most ``TILE`` values) in one buffer of
+    ``max(TILE, size)`` values that ``map_chunks`` allocates per batch.  So
+    one worker holds that buffer and one chunk: at most ``TILE`` draw values
+    for a product sampler, ``DRAW_BUDGET`` for a row-local one.  At 32 MiB
+    or more the buffer is past glibc's mmap ceiling, so it goes back to the
+    system after each batch; an operand made per slice sat just under the
+    ceiling and stayed on the heap.
     """
 
     p: int
@@ -95,11 +105,16 @@ class _Sampler:
         budget = TILE if self.product else DRAW_BUDGET
         per_call = max(1, budget // self.size)
         per = per_call * max(1, budget // (self.p * per_call))
+        draw = self.draw_keys
+        if self.product:  # every slice's product operand goes into one buffer
+            draw = functools.partial(draw, out=np.empty(max(TILE, self.size)))
         # fn reduces each chunk inside the loop, so no two chunks are alive
-        return [fn(rng.blocked(self.draw_keys, keys[i:i + per], self.size, budget))
+        return [fn(rng.blocked(draw, keys[i:i + per], self.size, budget))
                 for i in range(0, count, per)]
 
-    def draw_keys(self, keys: np.ndarray) -> np.ndarray:
+    def draw_keys(self, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """One draw per key; a product sampler makes its product operand in
+        the prefix of the flat float buffer ``out``, if given."""
         raise NotImplementedError
 
 
@@ -111,8 +126,8 @@ class GaussianSumSampler(_Sampler):
         self.p = self.size = factor.p
         self.product = factor.block_rows is None  # a dense factor
 
-    def draw_keys(self, keys: np.ndarray) -> np.ndarray:
-        return gaussian_draw_batch(self.factor, keys)
+    def draw_keys(self, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return gaussian_draw_batch(self.factor, keys, out)
 
 
 class DesignSumSampler(_Sampler):
@@ -152,7 +167,8 @@ class DesignSumSampler(_Sampler):
             self.size = self.p
             self._cdf = binom.cdf(np.arange(n + 1), n, 0.5)
 
-    def draw_keys(self, keys: np.ndarray) -> np.ndarray:
+    def draw_keys(self, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # row-local: map_chunks passes no buffer
         if self.mode == "gaussian":  # datagen makes gaussian rows in blocks
             return values_from_row_keys(self.design, keys)
         # a literal block holds 2 * BLOCK values: each numpy call releases
@@ -192,9 +208,9 @@ class InterpolatedSampler(_Sampler):
         self.size = self.inner_x.size + self.inner_y.size
         self.product = self.inner_y.product
 
-    def draw_keys(self, keys: np.ndarray) -> np.ndarray:
+    def draw_keys(self, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         sx = self.inner_x.draw_keys(rng.mix64_keys(keys, rng.TAG_FIRST))
-        sy = self.inner_y.draw_keys(rng.mix64_keys(keys, rng.TAG_SECOND))
+        sy = self.inner_y.draw_keys(rng.mix64_keys(keys, rng.TAG_SECOND), out)
         return math.sqrt(self.v) * sx + math.sqrt(1.0 - self.v) * sy
 
 
@@ -211,15 +227,15 @@ class _DatasetSampler(_Sampler):
 class MultiplierSampler(_DatasetSampler):
     """Multiplier-bootstrap draws of a fixed dataset."""
 
-    def draw_keys(self, keys: np.ndarray) -> np.ndarray:
-        return multiplier_draw_batch(self.dataset, keys)
+    def draw_keys(self, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return multiplier_draw_batch(self.dataset, keys, out)
 
 
 class EmpiricalSampler(_DatasetSampler):
     """Empirical-bootstrap draws of a fixed dataset."""
 
-    def draw_keys(self, keys: np.ndarray) -> np.ndarray:
-        return empirical_resample_draw_batch(self.dataset, keys)
+    def draw_keys(self, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return empirical_resample_draw_batch(self.dataset, keys, out)
 
 
 # ---------------------------------------------------------------------------

@@ -147,9 +147,11 @@ def to_normal(w: np.ndarray) -> np.ndarray:
     return ndtri(to_uniform(w))
 
 
-def blocked(fn, rows: np.ndarray, width: int, budget: int | None = None) -> np.ndarray:
+def blocked(fn, rows: np.ndarray, width: int, budget: int | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
     """``fn(rows)``, evaluated on consecutive slices of at most
-    ``budget // width`` rows (at least one) and written into one output.
+    ``budget // width`` rows (at least one) and written into one output:
+    ``out`` if given (its first axis one entry per row), else a new array.
 
     ``width`` is the element count one row costs and ``budget`` defaults to
     ``BLOCK``.  ``fn`` must treat every row independently, so the slicing
@@ -160,12 +162,15 @@ def blocked(fn, rows: np.ndarray, width: int, budget: int | None = None) -> np.n
     (``montecarlo._Sampler.map_chunks``).
     """
     per = max(1, (BLOCK if budget is None else budget) // width)
-    if per >= len(rows):
-        return fn(rows)
-    first = fn(rows[:per])
-    out = np.empty((len(rows),) + first.shape[1:], dtype=first.dtype)
-    out[:per] = first
-    del first  # the output holds it; keep one slice alive, not two
-    for i in range(per, len(rows), per):
+    start = 0
+    if out is None:
+        if per >= len(rows):
+            return fn(rows)
+        first = fn(rows[:per])
+        out = np.empty((len(rows),) + first.shape[1:], dtype=first.dtype)
+        out[:per] = first
+        del first  # the output holds it; keep one slice alive, not two
+        start = per
+    for i in range(start, len(rows), per):
         out[i:i + per] = fn(rows[i:i + per])
     return out

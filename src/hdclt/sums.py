@@ -217,38 +217,57 @@ def robust_cholesky(cov: CovMatrix) -> CholFactor:
     )
 
 
-def _normals(keys: np.ndarray, count: int, then=None, budget=None) -> np.ndarray:
+def _rows_of(buf: np.ndarray | None, rows: int, width: int) -> np.ndarray | None:
+    """The first ``rows * width`` values of the flat buffer ``buf`` as a
+    (rows, width) array, or None without a buffer."""
+    return None if buf is None else buf[:rows * width].reshape(rows, width)
+
+
+def _normals(keys: np.ndarray, count: int, then=None, budget=None,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Words 0..count-1 of each key's stream as standard normals, made in
     ``rng.blocked`` blocks of ``budget`` elements; ``then``, if given, maps each
-    block while it is still in cache, and must treat every row independently."""
+    block while it is still in cache, and must treat every row independently.
+    ``out``, a flat float buffer of at least ``len(keys) * count`` values,
+    receives the normals in its prefix instead of a new array."""
     def block_normals(block):
         z = rng.to_normal(rng.word_grid(block, count))
         return z if then is None else then(z)
 
-    return rng.blocked(block_normals, keys, count, budget)
+    return rng.blocked(block_normals, keys, count, budget, _rows_of(out, len(keys), count))
 
 
-def gaussian_draw_batch(factor, keys: np.ndarray) -> np.ndarray:
+# The product kernels below take ``out``, a flat float buffer of at least
+# len(keys) * (operand row width) values, and write their product operand
+# (the normals or the resample row counts) into its prefix, so a caller that
+# draws slice after slice reuses one buffer; the bits are the same either way.
+
+def gaussian_draw_batch(factor, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One N(0, F F') draw per replication key, F the covariance factor;
-    word t of a key's stream feeds coordinate t."""
+    word t of a key's stream feeds coordinate t.  ``out`` holds the normals
+    of a dense factor's product; a structured factor does not read it."""
     if factor.block_rows is None:
-        return factor.apply(_normals(keys, factor.p))
+        return factor.apply(_normals(keys, factor.p, out=out))
     # the batch is written once, not once as normals and once as draws
     return _normals(keys, factor.p, factor.apply,
                     max(rng.BLOCK, factor.block_rows * factor.p))
 
 
-def multiplier_draw_batch(dataset: Dataset, keys: np.ndarray) -> np.ndarray:
+def multiplier_draw_batch(dataset: Dataset, keys: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """n^{-1/2} sum of centered rows weighted by independent standard normals,
     one draw per replication key (word i of a key's stream weights row i).
 
     Conditional on the data each draw is exactly gaussian with the empirical
     covariance.
     """
-    return _normals(keys, dataset.n) @ dataset.centered / math.sqrt(dataset.n)
+    draws = _normals(keys, dataset.n, out=out) @ dataset.centered
+    draws /= math.sqrt(dataset.n)
+    return draws
 
 
-def empirical_resample_draw_batch(dataset: Dataset, keys: np.ndarray) -> np.ndarray:
+def empirical_resample_draw_batch(dataset: Dataset, keys: np.ndarray,
+                                  out: np.ndarray | None = None) -> np.ndarray:
     """n^{-1/2} sum of n rows resampled with replacement, centered at the
     mean, one draw per replication key (word i of a key's stream picks the
     i-th resampled row).
@@ -266,5 +285,7 @@ def empirical_resample_draw_batch(dataset: Dataset, keys: np.ndarray) -> np.ndar
         counts = np.bincount(idx.ravel(), minlength=len(block) * n)
         return counts.reshape(len(block), n).astype(np.float64)
 
-    totals = rng.blocked(row_counts, keys, n) @ dataset.values
-    return (totals - n * dataset.mean) / math.sqrt(n)
+    totals = rng.blocked(row_counts, keys, n, out=_rows_of(out, len(keys), n)) @ dataset.values
+    totals -= n * dataset.mean
+    totals /= math.sqrt(n)
+    return totals

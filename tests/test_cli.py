@@ -11,7 +11,7 @@ import pytest
 
 from hdclt import cli, serialize
 from hdclt.datagen import DesignSpec, population_moments, read_dataset
-from hdclt.errors import NotPositiveSemidefiniteError
+from hdclt.errors import MAX_SIZE, NotPositiveSemidefiniteError
 from hdclt.experiments import nazarov_check
 from hdclt.sums import CovMatrix
 
@@ -638,6 +638,8 @@ INPUT_CONFIGS = {
                                    "sigma": {"source": "empirical"}, "family": {"K": 5}},
     "smoothmax": lambda tmp_path: {"seed": 1, "out": str(tmp_path / "sm.json"),
                                    "beta_grid": [1.0], "p_grid": [2], "trials": 10},
+    "bounds": lambda tmp_path: {"seed": 1, "out": str(tmp_path / "b.json"), "n": 50,
+                                "design": {"kind": "gaussian", "p": 5}},
 }
 
 
@@ -683,6 +685,52 @@ def test_input_errors_exit_2_naming_the_input(tmp_path, command, args, message):
     assert code == 2, err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, override, key", [
+    ("simulate", "n=1e30", "n"),
+    ("estimate-rho", "n=1e30", "n"),
+    ("estimate-rho", "design.p=1e30", "p"),
+    ("estimate-rho", "R=1e30", "R"),
+    ("estimate-rho", f"R={MAX_SIZE + 1}", "R"),
+    ("estimate-rho", "family.K=1e30", "K"),
+    ("bootstrap", "R=1e30", "R"),
+    ("bootstrap", "family.K=1e30", "K"),
+    ("bounds", "n=1e30", "n"),
+    ("bounds", "moment_R=1e30", "moment_R"),
+    ("rate-scan", "n_grid=[8, 1e30]", "n_grid"),
+    ("rate-scan", "p_rule.p=1e30", "p"),
+    ("rate-scan", "family.K=1e30", "K"),
+    ("rate-scan", "R=1e30", "R"),
+    ("rate-scan", "moment_R=1e30", "moment_R"),
+    ("nazarov", "sigma.p=1e30", "p"),
+    ("nazarov", "y_count=1e30", "y_count"),
+    ("nazarov", "R=1e30", "R"),
+    ("smoothmax", "trials=1e30", "trials"),
+    ("smoothmax", "p_grid=[2, 1e30]", "p_grid"),
+])
+def test_oversized_sizes_exit_2_naming_the_key(tmp_path, command, override, key):
+    # every count and dimension has one ceiling, checked where its key is read
+    _input_files(tmp_path)
+    path = write_config(tmp_path, "c.json", INPUT_CONFIGS[command](tmp_path))
+    code, _, err = run_cli([command, "--config", path, "--set", override])
+    assert code == 2, err
+    assert f"config key {key!r} must be" in err and f"at most {MAX_SIZE}" in err
+    assert "Traceback" not in err
+
+
+def test_dimension_rule_above_the_size_ceiling_exits_2(tmp_path):
+    # exp(30) = 1.07e13 is a finite dimension, but above the ceiling
+    cfg = scan_config(tmp_path, n_grid=[30], p_rule={"rule": "exp_power", "c": 1.0})
+    code, _, err = run_cli(["rate-scan", "--config", write_config(tmp_path, "s.json", cfg)])
+    assert code == 2, err
+    assert f"above {MAX_SIZE}" in err and "n=30" in err
+
+
+def test_seeds_keep_their_64_bit_range(tmp_path):
+    path = write_config(tmp_path, "c.json", INPUT_CONFIGS["simulate"](tmp_path))
+    code, _, err = run_cli(["simulate", "--config", path, "--set", f"seed={2**64 - 1}"])
+    assert code == 0, err
 
 
 def test_uniform_cube_beyond_the_exponential_moment_runs(tmp_path):

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from hdclt.errors import REQUIRED, ConfigError, ParameterError, config_value
+from hdclt.errors import MAX_SIZE, REQUIRED, ConfigError, ParameterError, Size, config_value
 
 CFG = {"i": 3, "big": 1e4, "frac": 2.5, "t": True, "s": "x", "d": {}, "xs": [1, 2.0],
        "null": None, "nan": math.nan}
@@ -55,6 +55,18 @@ def test_list_items_take_their_kind():
         config_value(CFG, "xs", list, item=str)
     with pytest.raises(ConfigError, match="config key 'xs' must be an array of integers"):
         config_value({"xs": [1, True]}, "xs", list, item=int)
+
+
+def test_sizes_have_one_ceiling_and_seeds_none():
+    assert config_value({"n": MAX_SIZE}, "n", Size) == MAX_SIZE
+    assert type(config_value(CFG, "big", Size)) is int
+    for value in (MAX_SIZE + 1, 1e30, 2.5, True):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"config key 'n' must be an integer of at most {MAX_SIZE}, got {value!r}")):
+            config_value({"n": value}, "n", Size)
+    with pytest.raises(ConfigError, match=f"'ns' must be an array of integers of at most {MAX_SIZE}"):
+        config_value({"ns": [4, 1e30]}, "ns", list, item=Size)
+    assert config_value({"seed": 2**64 - 1}, "seed", int) == 2**64 - 1
 
 
 def _config_keys(tree):

@@ -5,34 +5,41 @@ materializes several arrays of R * n = 10^8 elements, 763 MiB each.
 ``_Sampler.map_chunks`` hands these product kernels slices of at most
 ``montecarlo.TILE`` elements per array, and the words, uniforms,
 resample indices and normals are made in blocks of ``rng.BLOCK``
-elements inside a slice, which keeps a whole run near 95 MiB (96 and 94
-MiB for multiplier and empirical draws; 158 and 155 MiB with slicing
-alone).  At p = 5000 a batch of 8192 draws is 312 MiB; ``map_chunks``
-makes it in chunks of at most ``TILE`` draw values and the hit counts
-reduce each chunk before the next is drawn, so multiplier and empirical
-hit counts of an n = 50 dataset peak at 93 and 123 MiB, where the whole
-batch took 406 and 421 MiB.  A row-local sampler draws chunks of
-``montecarlo.DRAW_BUDGET`` (2^20) values: a ``nazarov`` run at p = 1000
-(equicorrelated, R = 16384) peaks at 64 MiB, and has its own limit of 75
-MiB.  With 2^22-value chunks it took 88 MiB: each 33.5 MB chunk sits
-just under glibc's 32 MiB mmap ceiling, so after the first free the
-chunks came from the heap, and two of them stayed resident.  ``bounds``
-on a design draws its ``moment_R`` data-side rows in ``rng.BLOCK``
-blocks and keeps one cube per row: at p = 200 and moment_R = 2 * 10^5 it
-peaks at 98 MiB, where the whole R x p matrix took 1631 MiB.
-``smoothmax`` at 10^5 trials of p = 1000 peaks at 58 MiB; it needs 763
-MiB per trials x p array, and more than the 2 GiB cap without blocks.  A
-``rate-scan`` of sign rows whose ``exp_power`` rule gives p = 2981 and
-22026 peaks at 167 MiB: the Gaussian side of a design covariance is
-drawn through its closed-form factor, where the dense p x p covariance
-alone would take 3.6 GiB at p = 22026.  About 55 MiB of each peak is the
-interpreter with numpy and ``scipy.special``
-(``tests/test_imports.py``).  Each run happens in a fresh interpreter
-and reports ``VmHWM``, the peak resident size of its own address space.
-Its ``ru_maxrss`` would not do: Linux carries the high-water mark of the
-forking process (here the whole test session) across exec.  The child's
-address space is capped at 2 GiB, so a regression fails with a
-MemoryError instead of taking gigabytes of a shared machine.
+elements inside a slice, which keeps a whole run near 97 MiB (97 MiB for
+multiplier and for empirical draws; 158 and 155 MiB with slicing alone).
+At p = 5000 a batch of 8192 draws is 312 MiB; ``map_chunks`` makes it in
+chunks of at most ``TILE`` draw values and the hit counts reduce each
+chunk before the next is drawn, so multiplier and empirical hit counts of
+an n = 50 dataset peak at 93 and 91 MiB, where the whole batch took 406
+and 421 MiB.  A product sampler writes the operand of every slice (its
+normals or resample row counts) into one buffer of ``TILE`` values per
+batch.  With a fresh operand per slice the empirical case took 123 MiB,
+and the ``bootstrap_n2000`` benchmark's commands (simulate n = 2000,
+p = 20, then MB and EB at R = 16384, in one interpreter) took 121 MiB,
+where they take 91 MiB now: a 33.5 MB operand sits just under glibc's 32
+MiB mmap ceiling, so after the first free such operands came from the
+heap and two of them stayed resident, while the 32 MiB buffer is past the
+ceiling and goes back to the system after each batch.  A row-local
+sampler draws chunks of ``montecarlo.DRAW_BUDGET`` (2^20) values: a
+``nazarov`` run at p = 1000 (equicorrelated, R = 16384) peaks at 64 MiB,
+and has its own limit of 75 MiB; with 2^22-value chunks it took 88 MiB,
+for the same heap reason.  ``bounds`` on a design draws its ``moment_R``
+data-side rows in ``rng.BLOCK`` blocks and keeps one cube per row: at
+p = 200 and moment_R = 2 * 10^5 it peaks at 74 MiB, where the whole
+R x p matrix took 1631 MiB.  ``smoothmax`` at 10^5 trials of p = 1000
+peaks at 58 MiB; it needs 763 MiB per trials x p array, and more than the
+2 GiB cap without blocks.  A ``rate-scan`` of sign rows whose
+``exp_power`` rule gives p = 2981 and 22026 peaks at 119 MiB: the
+Gaussian side of a design covariance is drawn through its closed-form
+factor, where the dense p x p covariance alone would take 3.6 GiB at
+p = 22026.  About 55 MiB of each peak is the interpreter with numpy and
+``scipy.special`` (``tests/test_imports.py``).  Each run happens in a
+fresh interpreter and reports ``VmHWM``, the peak resident size of its
+own address space.  Its ``ru_maxrss`` would not do: Linux carries the
+high-water mark of the forking process (here the whole test session)
+across exec.  The child's address space is capped at 2 GiB, so a
+regression fails with a MemoryError instead of taking gigabytes of a
+shared machine.
 """
 import json
 import os
@@ -45,8 +52,9 @@ import hdclt
 from hdclt import cli
 
 LIMIT_MIB = 256
-WIDE_LIMIT_MIB = 200
+WIDE_LIMIT_MIB = 105
 CASE_LIMIT_MIB = {"nazarov": 75}
+BENCH_SHAPE_LIMIT_MIB = 105
 N = 100_000
 
 CAP = """
@@ -57,9 +65,13 @@ PEAK = """
 with open("/proc/self/status") as fh:
     print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))  # KiB
 """
+# runs the CLI commands of a JSON list of argument lists, up to the first failure
 CHILD = CAP + """
+import json
 from hdclt import cli
-code = cli.run(sys.argv[1:])
+code = 0
+for argv in json.loads(sys.argv[1]):
+    code = code or cli.run(argv)
 """ + PEAK + """
 sys.exit(code)
 """
@@ -134,7 +146,7 @@ def test_peak_rss_bounded(dataset_dir, case):
     cfg = dict(cfg, out=f"{case}.json")
     path = dataset_dir / f"{case}.cfg.json"
     path.write_text(json.dumps(cfg))
-    peak_mib = _peak_mib(CHILD, [command, "--config", str(path), "--workers", "1"],
+    peak_mib = _peak_mib(CHILD, [json.dumps([[command, "--config", str(path), "--workers", "1"]])],
                          dataset_dir)
     limit = CASE_LIMIT_MIB.get(case, LIMIT_MIB)
     assert peak_mib < limit, f"{case}: peak RSS {peak_mib:.0f} MiB"
@@ -145,3 +157,21 @@ def test_peak_rss_bounded(dataset_dir, case):
 def test_wide_bootstrap_draws_reduced_chunk_by_chunk(tmp_path, mode):
     peak_mib = _peak_mib(WIDE_CHILD, [mode], tmp_path)
     assert peak_mib < WIDE_LIMIT_MIB, f"{mode}: peak RSS {peak_mib:.0f} MiB"
+
+
+@needs_proc
+def test_bootstrap_bench_shape_in_one_interpreter(tmp_path):
+    # the bootstrap_n2000 benchmark's commands, in one interpreter as in its
+    # children: simulate n = 2000, p = 20 AR(1) rows, then MB and EB at R = 16384
+    design = {"kind": "gaussian", "p": 20, "covariance": {"model": "ar1", "r": 0.5}}
+    runs = [("simulate", {"seed": 1, "out": "data.bin", "design": design, "n": 2000})]
+    runs += [("bootstrap", {"seed": 1, "out": f"boot_{mode}.json", "dataset": "data.bin",
+                            "mode": mode, "family": {"kind": "rectangles", "K": 50},
+                            "R": 16384, "sigma": {"source": "design", "design": design}})
+             for mode in ("MB", "EB")]
+    argvs = []
+    for i, (command, cfg) in enumerate(runs):
+        (tmp_path / f"{i}.json").write_text(json.dumps(cfg))
+        argvs.append([command, "--config", f"{i}.json", "--workers", "1"])
+    peak_mib = _peak_mib(CHILD, [json.dumps(argvs)], tmp_path)
+    assert peak_mib < BENCH_SHAPE_LIMIT_MIB, f"peak RSS {peak_mib:.0f} MiB"

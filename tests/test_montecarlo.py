@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -287,9 +288,9 @@ def test_draw_slices_batch_to_budget(monkeypatch, kind):
 
     seen = []
 
-    def counting(keys):
+    def counting(keys, out=None):  # a product kind gets the batch's buffer
         seen.append(len(keys))
-        return draw_keys(keys)
+        return draw_keys(keys, out)
 
     monkeypatch.setattr(sampler, "draw_keys", counting)
     chunks = sampler.map_chunks(9, 3, R, lambda chunk: chunk)
@@ -335,6 +336,37 @@ def test_draw_budget_changes_no_bit(monkeypatch, kind):
     for draws, hits in runs[1:]:
         np.testing.assert_array_equal(draws, runs[0][0])
         np.testing.assert_array_equal(hits, runs[0][1])
+
+
+def _buffer_samplers():
+    # each key's product operand is `size` values: MB normals and EB row
+    # counts (n = 2000 > p), the normals of a dense factor (p)
+    data = sample_dataset(DesignSpec(kind="gaussian", p=20,
+                                     covariance=CovarianceModel("ar1", 0.5)), 2000, 8)
+    return {
+        "MB": MultiplierSampler(data),
+        "EB": EmpiricalSampler(data),
+        "gaussian-dense": GaussianSumSampler(
+            robust_cholesky(CovMatrix(CovarianceModel("ar1", 0.5).matrix(500)))),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_buffer_samplers()))
+def test_product_buffer_changes_no_bit(kind):
+    # a kernel that writes its operand into a NaN-filled buffer gives the
+    # bytes of one that allocates it, on one key, 17 keys, one full TILE
+    # slice and two slices whose last is short
+    sampler = _buffer_samplers()[kind]
+    tile, size = montecarlo.TILE, sampler.size
+    per = tile // size
+    for count in (1, 17, per, per + 5):
+        keys = _keys(9, 3, count)
+        buf = np.full(max(tile, size), np.nan)
+        into = rng.blocked(functools.partial(sampler.draw_keys, out=buf), keys, size, tile)
+        fresh = rng.blocked(sampler.draw_keys, keys, size, tile)
+        assert into.tobytes() == fresh.tobytes()
+        # the buffer was used: the last slice's operand is in its prefix
+        assert not np.isnan(buf[:(count - (count - 1) // per * per) * size]).any()
 
 
 @pytest.mark.parametrize("kind", sorted(_slicing_samplers()))
