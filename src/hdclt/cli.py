@@ -9,7 +9,8 @@ smoothmax.  The config is a single JSON document (key tree documented in
 the README); ``--set`` overrides a leaf by dotted path, parsing the value
 as JSON when possible and as a string otherwise.  Every output embeds the
 config as given; omitted keys take this version's defaults, which the
-report does not record yet (ROADMAP item 4).
+report does not record yet (ROADMAP item 4).  A JSON report records its
+``provenance``: the stream version and ``montecarlo.BATCH`` and ``TILE``.
 A seed is always required: reproducibility is mandatory, not opt-in.
 Config values are typed: an integer key takes any number with an integral
 value (``1e4`` is 10000), a number key any JSON number, a flag only true or
@@ -37,7 +38,7 @@ from .errors import (REQUIRED, ConfigError, NotPositiveSemidefiniteError, Parame
                      Size, config_value)
 from .experiments import ScanSpec, nazarov_check, rate_scan, smoothmax_check
 from .geometry import family_from_config, family_to_config, sample_rectangles
-from .montecarlo import bootstrap_gap, gaussian_approx_gap, interpolation_gap
+from .montecarlo import BATCH, STREAM, TILE, bootstrap_gap, gaussian_approx_gap, interpolation_gap
 from .sums import CovMatrix, ModelCovariance
 
 # commands whose report has a table of rows, written with ``format: csv``
@@ -161,7 +162,8 @@ def _write_report(cfg: dict, command: str, fields: dict, rows) -> None:
     else:
         # everything needed to reproduce the numbers; the worker knob is
         # deliberately excluded because it never changes them
-        text = serialize.dumps(dict(fields, command=command, config=cfg))
+        provenance = {"stream": STREAM, "batch": BATCH, "tile": TILE}
+        text = serialize.dumps(dict(fields, command=command, config=cfg, provenance=provenance))
     path = config_value(cfg, "out", str)
     try:
         with open(path, "w", newline="") as fh:

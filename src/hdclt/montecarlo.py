@@ -21,7 +21,6 @@ class, so every estimate records the family that produced it.
 """
 from __future__ import annotations
 
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -42,9 +41,12 @@ from .sums import (
 )
 
 BATCH = 1 << 13  # fixed batch size; must not depend on the worker count
-# elements one product slice may materialize: it fixes how many rows each
-# matrix product gets, so the bits of its draws; changing it changes the stream
-TILE = 1 << 22
+# the version of the streams: which words make each draw and how a draw's
+# product is tiled; every change that moves a draw bumps it
+STREAM = 2
+# values one matrix-product tile may hold: it fixes the tile of each product,
+# so the bits of its draws; changing it changes the stream
+TILE = 1 << 20
 # draw values one worker holds at a time; it changes no number
 DRAW_BUDGET = 1 << 20
 
@@ -75,46 +77,46 @@ class _Sampler:
     whatever n and p are.
 
     ``size`` is the element count of the largest array one draw
-    materializes, so ``draw_keys`` gets consecutive slices of at most
-    ``budget // size`` keys (``rng.blocked``), grouped into chunks of at
-    most ``budget`` draw values.  Every slice boundary sits where one
-    unchunked batch would put it, so the chunking never changes a number.
-    The slicing itself may: a matrix product can round a row differently
-    when it is given fewer rows.  So ``product`` says whether a matrix
-    product makes the draws, and picks the budget: ``TILE`` for a product
-    sampler, which fixes its bits, and ``DRAW_BUDGET`` for a row-local one,
-    whose row bits depend on the row's key alone.
-
-    A product sampler makes the product operand of every slice (normals or
-    resample row counts, at most ``TILE`` values) in one buffer of
-    ``max(TILE, size)`` values that ``map_chunks`` allocates per batch.  So
-    one worker holds that buffer and one chunk: at most ``TILE`` draw values
-    for a product sampler, ``DRAW_BUDGET`` for a row-local one.  At 32 MiB
-    or more the buffer is past glibc's mmap ceiling, so it goes back to the
-    system after each batch; an operand made per slice sat just under the
-    ceiling and stayed on the heap.
+    materializes.  ``product`` says whether a matrix product makes the
+    draws.  A product sampler (a dense factor, the bootstrap weights) runs
+    every product on a tile of T rows, T the largest power of two at most
+    ``BATCH`` and ``TILE // size``: tile t holds replications [tT, (t+1)T)
+    of every run, and the rows of keys not asked for are zero
+    (``sums._tile_product``).  So its draws depend on their keys alone,
+    whatever R, the batch start or the worker count, and the padding costs
+    product flops on a run's last tile, never stream words.  Its
+    ``draw_keys`` gets each chunk with the tile keywords: ``out``, one
+    T x ``size`` buffer per batch, and ``start``.  A row-local sampler gets
+    slices of ``DRAW_BUDGET // size`` keys (``rng.blocked``), a whole number
+    of ``block_rows`` when that fits; the budget changes no number.  Chunks
+    of whole tiles or slices from the batch start hold at most ``TILE``
+    (product) or ``DRAW_BUDGET`` draw values, so one worker holds one chunk
+    plus, for a product sampler, the tile buffer.
     """
 
     p: int
     size: int
     product: bool
+    block_rows = 1
 
     def map_chunks(self, seed: int, start: int, count: int, fn) -> list:
         """``[fn(draws), ...]`` over the chunks of a batch, in key order."""
         keys = rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
-        budget = TILE if self.product else DRAW_BUDGET
-        per_call = max(1, budget // self.size)
-        per = per_call * max(1, budget // (self.p * per_call))
-        draw = self.draw_keys
-        if self.product:  # every slice's product operand goes into one buffer
-            draw = functools.partial(draw, out=np.empty(max(TILE, self.size)))
+        if self.product:  # a power of two divides BATCH: no tile spans two batches
+            budget, rows = TILE, 1 << (max(1, min(BATCH, TILE // self.size)).bit_length() - 1)
+            tile = np.empty((rows, self.size))
+            draw = lambda i, j: self.draw_keys(keys[i:j], out=tile, start=start + i)
+        else:
+            budget, rows = DRAW_BUDGET, max(1, DRAW_BUDGET // self.size)
+            rows -= rows % self.block_rows if rows >= self.block_rows else 0
+            draw = lambda i, j: rng.blocked(self.draw_keys, keys[i:j], self.size, rows * self.size)
+        per = rows * max(1, budget // (self.p * rows))
         # fn reduces each chunk inside the loop, so no two chunks are alive
-        return [fn(rng.blocked(draw, keys[i:i + per], self.size, budget))
-                for i in range(0, count, per)]
+        return [fn(draw(i, min(i + per, count))) for i in range(0, count, per)]
 
-    def draw_keys(self, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """One draw per key; a product sampler makes its product operand in
-        the prefix of the flat float buffer ``out``, if given."""
+    def draw_keys(self, keys: np.ndarray, **tile) -> np.ndarray:
+        """One draw per key; a product sampler passes the tile keywords
+        ``out`` and ``start`` on to its kernel."""
         raise NotImplementedError
 
 
@@ -124,10 +126,11 @@ class GaussianSumSampler(_Sampler):
     def __init__(self, factor):
         self.factor = factor
         self.p = self.size = factor.p
+        self.block_rows = factor.block_rows
         self.product = factor.block_rows is None  # a dense factor
 
-    def draw_keys(self, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return gaussian_draw_batch(self.factor, keys, out)
+    def draw_keys(self, keys: np.ndarray, **tile) -> np.ndarray:
+        return gaussian_draw_batch(self.factor, keys, **tile)
 
 
 class DesignSumSampler(_Sampler):
@@ -167,8 +170,7 @@ class DesignSumSampler(_Sampler):
             self.size = self.p
             self._cdf = binom.cdf(np.arange(n + 1), n, 0.5)
 
-    def draw_keys(self, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # row-local: map_chunks passes no buffer
+    def draw_keys(self, keys: np.ndarray) -> np.ndarray:
         if self.mode == "gaussian":  # datagen makes gaussian rows in blocks
             return values_from_row_keys(self.design, keys)
         # a literal block holds 2 * BLOCK values: each numpy call releases
@@ -206,11 +208,11 @@ class InterpolatedSampler(_Sampler):
         self.v = v
         self.p = design.p
         self.size = self.inner_x.size + self.inner_y.size
-        self.product = self.inner_y.product
+        self.product, self.block_rows = self.inner_y.product, self.inner_y.block_rows
 
-    def draw_keys(self, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def draw_keys(self, keys: np.ndarray, **tile) -> np.ndarray:
         sx = self.inner_x.draw_keys(rng.mix64_keys(keys, rng.TAG_FIRST))
-        sy = self.inner_y.draw_keys(rng.mix64_keys(keys, rng.TAG_SECOND), out)
+        sy = self.inner_y.draw_keys(rng.mix64_keys(keys, rng.TAG_SECOND), **tile)
         return math.sqrt(self.v) * sx + math.sqrt(1.0 - self.v) * sy
 
 
@@ -227,15 +229,15 @@ class _DatasetSampler(_Sampler):
 class MultiplierSampler(_DatasetSampler):
     """Multiplier-bootstrap draws of a fixed dataset."""
 
-    def draw_keys(self, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return multiplier_draw_batch(self.dataset, keys, out)
+    def draw_keys(self, keys: np.ndarray, **tile) -> np.ndarray:
+        return multiplier_draw_batch(self.dataset, keys, **tile)
 
 
 class EmpiricalSampler(_DatasetSampler):
     """Empirical-bootstrap draws of a fixed dataset."""
 
-    def draw_keys(self, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return empirical_resample_draw_batch(self.dataset, keys, out)
+    def draw_keys(self, keys: np.ndarray, **tile) -> np.ndarray:
+        return empirical_resample_draw_batch(self.dataset, keys, **tile)
 
 
 # ---------------------------------------------------------------------------

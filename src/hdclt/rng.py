@@ -156,10 +156,8 @@ def blocked(fn, rows: np.ndarray, width: int, budget: int | None = None,
     ``width`` is the element count one row costs and ``budget`` defaults to
     ``BLOCK``.  ``fn`` must treat every row independently, so the slicing
     never changes a number; a matrix product does not qualify, since its
-    per-row rounding may depend on how many rows it gets.  A caller that
-    first cuts ``rows`` into chunks keeps every slice, and so every number,
-    when each chunk starts at a multiple of ``budget // width`` rows
-    (``montecarlo._Sampler.map_chunks``).
+    per-row rounding may depend on how many rows it gets (``sums`` runs
+    every product on a fixed tile instead).
     """
     per = max(1, (BLOCK if budget is None else budget) // width)
     start = 0

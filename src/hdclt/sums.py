@@ -91,7 +91,8 @@ class ModelCovariance:
 # values of a row in the same order, so one stream word feeds one coordinate.
 # ``gaussian_draw_batch`` applies a kind that gives the same bits for any
 # slicing of the rows to each block of max(rng.BLOCK, block_rows * p) normals
-# as it is made; a kind whose ``block_rows`` is None is applied once per call.
+# as it is made; a kind whose ``block_rows`` is None, a matrix product, is
+# applied to fixed tiles of rows (``_tile_product``).
 
 @dataclass(frozen=True)
 class CholFactor:
@@ -217,57 +218,78 @@ def robust_cholesky(cov: CovMatrix) -> CholFactor:
     )
 
 
-def _rows_of(buf: np.ndarray | None, rows: int, width: int) -> np.ndarray | None:
-    """The first ``rows * width`` values of the flat buffer ``buf`` as a
-    (rows, width) array, or None without a buffer."""
-    return None if buf is None else buf[:rows * width].reshape(rows, width)
-
-
 def _normals(keys: np.ndarray, count: int, then=None, budget=None,
              out: np.ndarray | None = None) -> np.ndarray:
     """Words 0..count-1 of each key's stream as standard normals, made in
     ``rng.blocked`` blocks of ``budget`` elements; ``then``, if given, maps each
     block while it is still in cache, and must treat every row independently.
-    ``out``, a flat float buffer of at least ``len(keys) * count`` values,
-    receives the normals in its prefix instead of a new array."""
+    ``out``, a (len(keys), count) float array, receives the normals instead
+    of a new array."""
     def block_normals(block):
         z = rng.to_normal(rng.word_grid(block, count))
         return z if then is None else then(z)
 
-    return rng.blocked(block_normals, keys, count, budget, _rows_of(out, len(keys), count))
+    return rng.blocked(block_normals, keys, count, budget, out)
 
 
-# The product kernels below take ``out``, a flat float buffer of at least
-# len(keys) * (operand row width) values, and write their product operand
-# (the normals or the resample row counts) into its prefix, so a caller that
-# draws slice after slice reuses one buffer; the bits are the same either way.
+def _tile_product(keys: np.ndarray, width: int, operand, product,
+                  out: np.ndarray | None, start: int) -> np.ndarray:
+    """``product`` of the operand rows of ``keys``, which ``operand(keys,
+    out=rows)`` writes into ``rows``.  Without ``out`` one product takes
+    every key.  With ``out``, a buffer of T rows of at least ``width``
+    values, each product runs on T rows of it: key i, replication
+    ``start + i``, sits on row ``(start + i) % T`` and the rows of keys not
+    asked for are zero, so a draw's bits depend on its key alone."""
+    if out is None:
+        return product(operand(keys, out=np.empty((len(keys), width))))
+    T = len(out)
+    tile = out.reshape(-1)[:T * width].reshape(T, width)
+    draws = None
+    ends = [*range(T - start % T, len(keys), T), len(keys)]
+    for i, j in zip([0, *ends], ends):  # keys[i:j] fall in one tile
+        row = (start + i) % T
+        tile[:row] = tile[row + j - i:] = 0.0
+        operand(keys[i:j], out=tile[row:row + j - i])
+        part = product(tile)
+        if draws is None:
+            draws = np.empty((len(keys), part.shape[1]))
+        draws[i:j] = part[row:row + j - i]
+        del part  # one tile's product alive at a time, not two
+    return draws
 
-def gaussian_draw_batch(factor, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+
+# The product kernels below take ``out``, the tile buffer of ``_tile_product``,
+# and ``start``, the replication index of their first key.
+
+def gaussian_draw_batch(factor, keys: np.ndarray, out: np.ndarray | None = None,
+                        start: int = 0) -> np.ndarray:
     """One N(0, F F') draw per replication key, F the covariance factor;
-    word t of a key's stream feeds coordinate t.  ``out`` holds the normals
-    of a dense factor's product; a structured factor does not read it."""
+    word t of a key's stream feeds coordinate t.  Only a dense factor's
+    product reads ``out`` and ``start``."""
     if factor.block_rows is None:
-        return factor.apply(_normals(keys, factor.p, out=out))
+        return _tile_product(keys, factor.p, functools.partial(_normals, count=factor.p),
+                             factor.apply, out, start)
     # the batch is written once, not once as normals and once as draws
     return _normals(keys, factor.p, factor.apply,
                     max(rng.BLOCK, factor.block_rows * factor.p))
 
 
 def multiplier_draw_batch(dataset: Dataset, keys: np.ndarray,
-                          out: np.ndarray | None = None) -> np.ndarray:
+                          out: np.ndarray | None = None, start: int = 0) -> np.ndarray:
     """n^{-1/2} sum of centered rows weighted by independent standard normals,
     one draw per replication key (word i of a key's stream weights row i).
 
     Conditional on the data each draw is exactly gaussian with the empirical
     covariance.
     """
-    draws = _normals(keys, dataset.n, out=out) @ dataset.centered
+    draws = _tile_product(keys, dataset.n, functools.partial(_normals, count=dataset.n),
+                          lambda weights: weights @ dataset.centered, out, start)
     draws /= math.sqrt(dataset.n)
     return draws
 
 
 def empirical_resample_draw_batch(dataset: Dataset, keys: np.ndarray,
-                                  out: np.ndarray | None = None) -> np.ndarray:
+                                  out: np.ndarray | None = None, start: int = 0) -> np.ndarray:
     """n^{-1/2} sum of n rows resampled with replacement, centered at the
     mean, one draw per replication key (word i of a key's stream picks the
     i-th resampled row).
@@ -285,7 +307,8 @@ def empirical_resample_draw_batch(dataset: Dataset, keys: np.ndarray,
         counts = np.bincount(idx.ravel(), minlength=len(block) * n)
         return counts.reshape(len(block), n).astype(np.float64)
 
-    totals = rng.blocked(row_counts, keys, n, out=_rows_of(out, len(keys), n)) @ dataset.values
+    totals = _tile_product(keys, n, functools.partial(rng.blocked, row_counts, width=n),
+                           lambda counts: counts @ dataset.values, out, start)
     totals -= n * dataset.mean
     totals /= math.sqrt(n)
     return totals

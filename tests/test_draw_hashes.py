@@ -18,6 +18,23 @@ bytes differ between the two has its 2-thread hash in ``AT_TWO_THREADS``.
 Re-record with ``OPENBLAS_NUM_THREADS=1 python tests/test_draw_hashes.py``
 (and ``=2``), which prints the table.  A moved hash is a stream change:
 re-record it only with its cause.
+
+Re-recorded hashes (1 thread; 2 threads where they differ), each with its
+cause:
+
+* stream 2, every product on a fixed tile of T rows anchored at the
+  replication index, zero rows for keys not asked for; no row-local entry
+  moved, nor any product entry whose stream-1 slices were long:
+
+  - ``gaussian-dense-p500`` b1657a8b -> 116fbd1d (98494e82 -> eb6d8b3b):
+    1000 keys were one 1000-row product, now rows of a 2048-row tile;
+  - ``MB-square20`` 3d754114 -> 6457deda and ``EB-square20`` d322fb41 ->
+    4147be99: a 1000 x 20 x 20 product, below OpenBLAS's small-matrix
+    threshold, now rows of an 8192-row tile;
+  - ``gaussian-dense-p40@mid1`` e1939038 -> 7e118548: one key went
+    through the matrix-vector kernel, now one row of an 8192-row tile;
+  - ``EB-n5000@mid7`` 9509b364 -> ff10b3ed (-> d45c3b90): a 7-row
+    product, now 7 rows of a 128-row tile.
 """
 import hashlib
 import json
@@ -111,7 +128,7 @@ def draw_hashes() -> dict:
 
 HASHES = {
     "gaussian-dense-p40": "e1d5b4b07b4cd346b4ba1d4b7fbc1a80f2ae3d717ae3b21c132bf9bc56a9ca71",
-    "gaussian-dense-p500": "b1657a8befa218189fe943931452f4546fa3bd2a7bb35cb1964772084a295df4",
+    "gaussian-dense-p500": "116fbd1d66382d0c944184c096c228721e52892462e9a85e6b0575244f47365b",
     "gaussian-identity": "684f537ac550258e97b8ba8a967c8f3c73347aa86e20e389b7a961af1af89228",
     "gaussian-equicorrelated-p1000": "e627366d650592289d7d68bbf8172e7ed158e372a47267e756c879a867ee63f3",
     "gaussian-ar1-r0.3": "097e39f637d746698b734f5c108ef3c51c3eba0264c9c6f144a73c6b9aba3835",
@@ -125,22 +142,23 @@ HASHES = {
     "binomial": "00f9015fe3ddb368a3208d63d254f24ee31bd75745eee4ed2fc215286cda8e60",
     "MB-n5000": "fd2baee3ea2752e28520d5d1dc31d0b98562c65ce7879de3e8cf2de7773a6aca",
     "EB-n5000": "1914899f2fcad3b0066951ef0dfb76638100d7f4db3059f8ea85b83d90f90800",
-    "MB-square20": "3d754114ebaf092ac85f451edb91723bf9f5b4af1df0f96a07887e973dc43919",
-    "EB-square20": "d322fb417a9cc27c5134dede97caf12de4be9d67793bdfe5d30a48edd5a18e9f",
+    "MB-square20": "6457deda78941c1e49af57b62b72b229ee23ebe5226eb9b2f0399dc22c38b17f",
+    "EB-square20": "4147be994b1a8ff3dd06f68ee134b5e1aa9985efee1fae024e5a28ffc5ba8fdb",
     "interpolated-v0.5": "daf96b9825b2d1d495de94a95a76b0195ea0b37cdb8f75c99bfb484d0ec8ce98",
     "gaussian-dense-p40@mid": "5c844f50ad5143ffb2d7ed08196e27f0afc2cfe11f35491aa12b06d6ff9fb02c",
-    "gaussian-dense-p40@mid1": "e19390387de6a3678623bdbccad3824d3f7fe3eb9fcb73eb83c5d67ddc4d1781",
+    "gaussian-dense-p40@mid1": "7e118548a1b5b4446b6855e799e631671008da599029555441d61b25a94093c8",
     "MB-n5000@mid": "068b71c6aa200bb191d7b7ea7ea4f42ace3724874359d37a7e57bbfb744f9843",
-    "EB-n5000@mid7": "9509b36464b6c079d35260252933d300330826095abe4d88b954f31c845608f1",
+    "EB-n5000@mid7": "ff10b3ed46646ba26c739dfd75d15f4120993bea3550eafc8d531f5481d9b082",
     "bounds-M_x": "58da23a1469e9a8c6150711d924bfd45ce20ec5c34055e335532c9f6f6d63195",
     "bounds-M_y": "659dfaf51cc39f344f0f5704d7dab9164714eeee0b655da3e3f855d6b03c7ee1",
 }
 
 AT_TWO_THREADS = {
-    "gaussian-dense-p500": "98494e82ccae2c46ea33e71ca449917a5f198691de3d1608c68618889d38e28d",
+    "gaussian-dense-p500": "eb6d8b3beb5c79a276d06777dc1b3d9403c5195b056065cb2844accca4243169",
     "MB-n5000": "c4a6b57eb5c2ea10d8a2beb1e8172fbb0ba4ff11fa7a15b055aae13d5fa2d229",
     "EB-n5000": "683a0fa3323aa567b28e567ece8d322b35e787cc6a2f5ee6925933bdead6514a",
     "MB-n5000@mid": "732dfe0259bba57deea8b5fdbe933f163d6b4bba68d476356b79a8cb88e4c8b2",
+    "EB-n5000@mid7": "d45c3b902c37d1253afa95612779fb08e24e280e72b69bcfd823bc370c23a696",
 }
 
 

@@ -10,11 +10,14 @@ dataset (the multiplier tail moment), ``bootstrap`` EB with csv output,
 of ``rate-scan`` (with a censored row) and ``nazarov``, and the optional
 report fields (``rate-scan`` with explicit ``params``, ``bounds`` with
 ``params.q`` and ``params.alpha``).  In the last seven runs one batch
-of draws holds more than 2**22 elements of draw work, so a sampler that
-bounds the memory of one draw call splits it into slices: multiplier and
-empirical draws at n=1000, the gaussian side at p=600, the literal sum
-path at n*p=5000 and the interpolated sampler at n=2000.  The gaussian
-side at p=600 also makes each batch in two chunks of draws.
+of draws holds more than 2**22 elements of draw work, so it is made in
+several slices or tiles: the multiplier and empirical products at n=1000
+run on tiles of 1024 rows (the largest power of two at most ``TILE //
+size``), anchored at the replication index and zero-padded on a run's last
+tile; the gaussian side at p=600 and the literal sum path at n*p=5000 are
+row-local, sliced by ``DRAW_BUDGET``; the interpolated sampler at n=2000
+is row-local too.  The gaussian side at p=600 also makes each batch in
+several chunks of draws.
 
 Reports echo their config, so every run happens in a temporary working
 directory with relative ``out``/``dataset`` paths.  The hashes pin one
@@ -26,6 +29,12 @@ n=400 and p=8, hash differently).  The hashes were recorded at two
 threads, so the runs happen in a child interpreter started with
 ``OPENBLAS_NUM_THREADS=2``, whatever the calling process pinned.
 
+Every JSON report records ``provenance: {"stream": 2, "batch": 8192,
+"tile": 1048576}``; a CSV table does not.  Stream 2 runs every matrix
+product on a fixed tile of rows, so a draw depends on its key alone; it
+moved no report byte here.  Each JSON report, with the provenance entry
+taken out, is byte for byte its stream-1 report, at one and two workers.
+
 Re-recorded hashes, each with its cause:
 
 * ``bounds`` 943dac99... -> 6ccea1ac... and ``bounds-q-alpha``
@@ -35,6 +44,18 @@ Re-recorded hashes, each with its cause:
   differently in their last bits, which moves the last digit of
   ``M_y_se`` (and of ``M_y`` and ``main_bound`` in ``bounds-q-alpha``).
   The stream words and every hit count are unchanged.
+* the sixteen JSON reports, for the ``provenance`` entry alone (stream 2):
+  ``bounds`` 6ccea1ac -> b27ea9ab, ``estimate-rho`` cf3e3901 -> f883f619,
+  ``bootstrap`` fe9936f8 -> 4f30525f, ``rate-scan`` fc860158 -> 1b591e35,
+  ``nazarov`` 944e4c36 -> 02f33b7c, ``smoothmax`` eb7ca42c -> 9d45311d,
+  ``bounds-dataset`` b4687814 -> c3ad5265, ``estimate-rho-vgrid``
+  7e4a0d16 -> e0cd9995, ``estimate-rho-literal`` 1a7fa5df -> 3029c78c,
+  ``rate-scan-params`` bb84b925 -> cb2698b4, ``bounds-q-alpha`` 4be22182
+  -> 1b1c0726, ``bootstrap-n1000`` f9ef51d0 -> 22c21064,
+  ``bounds-dataset-n1000`` d561d577 -> 3260841f, ``nazarov-p600``
+  c71a4105 -> fae58edd, ``estimate-rho-literal-p50`` 00814826 -> 953c37b8
+  and ``estimate-rho-vgrid-n2000`` 74061786 -> 85e52f6f.  The two
+  ``simulate`` datasets and the four CSV tables keep their hashes.
 """
 import hashlib
 import json
@@ -133,27 +154,27 @@ RUNS = (
 
 GOLDEN = {
     "simulate": "66b1a79310a3e9d7f0d013ace84c0a00586e8355154df8a83715834ff67dfedb",
-    "bounds": "6ccea1acf09b6f3376eddcefab42654c5fd73c8b37ab06af0224c86a7f06efeb",
-    "estimate-rho": "cf3e3901617c7700c3a85cce5021a7a39a3bfbccd9089f3d37a3ac6751d534b6",
-    "bootstrap": "fe9936f8ca07897bdc0fde9d23be07a227ef7860fa6b19c45b094c0763a43135",
-    "rate-scan": "fc86015831ae51e12ccf7eb5f37b35eb51fc209484f228bda4abc6daf679ad3c",
-    "nazarov": "944e4c36b0fd2ff0450c9d2d22110ecd2ef5fbd18147a069837565799734a5d4",
-    "smoothmax": "eb7ca42caa4ca41ad3f62e8048ec127d3acf2161deb8f18207426d9f97fd3e13",
-    "bounds-dataset": "b4687814807f0dbe64bdf9ed04006ee355566f44be083e0f61a53ef63825fdf7",
+    "bounds": "b27ea9ab144e2ba95ad6216f1f038f97267ccf4e95d722f0d53d152967f826d6",
+    "estimate-rho": "f883f6197c476a4b9d0e74e40beacbbd44fce00780f84c55698a2325f197d15b",
+    "bootstrap": "4f30525fcdf9ee557c3127390f14e20501ad20c877913ac53c3c1186a44a2b49",
+    "rate-scan": "1b591e35094eb310aafef990c63fe204aedfbe1bab65b9012a36cf90e4ce1b2c",
+    "nazarov": "02f33b7cdd21dbb1c0e3da3b420eec84c74b117ae40eaefc7fc667bbc164c653",
+    "smoothmax": "9d45311dcb36ee818bde9f378169104cf73d0ad53c6cf8f3210b1231bc39a25b",
+    "bounds-dataset": "c3ad5265fe518e5c87b26c33907803e73779b7ea2768e1009df2cb94e8f7844e",
     "bootstrap-eb-csv": "a6730b2b3102539db0538aee4a12a4b61f343085238d66bf699b035173806a67",
-    "estimate-rho-vgrid": "7e4a0d16c2ab0ea1b47fa5890a62c3038fcbed72be632b06fd9d95ad76c4d232",
-    "estimate-rho-literal": "1a7fa5df05a1dface89c05df5a370109f1ff3c3780921b96c0ec4d1a27086cd4",
+    "estimate-rho-vgrid": "e0cd99958f9a66ae26c928bc5691f73e5a65260457ec9a5a15f08c0dd34666bb",
+    "estimate-rho-literal": "3029c78c27f898af93a8e615d117cd916dff45305af995f9667f5959f6c767a4",
     "rate-scan-csv": "07a9495086b1cdbdee371bbaca514e20b770d8644eee4280332e92d2b167de33",
     "nazarov-csv": "39051cd04cc4e445b7bb5e78c258998085892a58109828b508f907acf007a5e2",
-    "rate-scan-params": "bb84b9257463694b4c76338821ed6ef846cb0d797edba785bde313168afa2ddb",
-    "bounds-q-alpha": "4be22182fd521957dd3fecf73a768b77cc94ad942126732aa6516f3224730d02",
+    "rate-scan-params": "cb2698b4d3d6a7e71840c8b1514b1f6bbb27d7413efe10d9f1e9cf3b939d5f28",
+    "bounds-q-alpha": "1b1c072677466bae36e07f1fef7a7243f43f03a9e8bae2b1473e1cb4d718bb49",
     "simulate-n1000": "746534fd8c557016928e6ac0835aac9ad5d9c3d2bb839e5cb7036e74b77578b3",
-    "bootstrap-n1000": "f9ef51d0230fbab20462af7438ced53944799b6d8f7c92dae478d461c90547fa",
+    "bootstrap-n1000": "22c2106455e79589ed4420fd28b1d8ca4123f96955dd301e44325c7fd53be2e6",
     "bootstrap-eb-n1000-csv": "2ce44919f4eaf724c808a48a8fdc5f86dbadef75715a0918a24a7ce8d1cd43c5",
-    "bounds-dataset-n1000": "d561d577b42850b82f10b990bb6591b8b803edf2bbbe87aeb04203ddc4a6890c",
-    "nazarov-p600": "c71a41053853bf2167331b0ee6c151c88dfd99d3b5206fd99dca7a94d80bf493",
-    "estimate-rho-literal-p50": "0081482626f90c9c4d63ca391e809f653980cb52dc122250e70ac28436b77431",
-    "estimate-rho-vgrid-n2000": "740617864ff855ee638cb1f02b23bc1f614a2cd2a6ca839f3112ae6c722e7ba5",
+    "bounds-dataset-n1000": "3260841f8e0cfa8b24b9d98f14408fb593f921f693a5d126e3cf9b43111c51f2",
+    "nazarov-p600": "fae58edd423a7d3a2ce378aa514c60b767a66a8ebda0d61431af8cbefa101452",
+    "estimate-rho-literal-p50": "953c37b8668c771c7e0b9b9197b9f7af0f4d46e038a6caafc057babdbcb184bc",
+    "estimate-rho-vgrid-n2000": "85e52f6fd5784b2b59d9671a13a30e5e25f18b0ef802f07140c4c966f49506b1",
 }
 
 

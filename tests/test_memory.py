@@ -1,27 +1,28 @@
 """Memory of a run is bounded by fixed budgets, not by n, p, R or the trial count.
 
 At n = 10^5 one unsliced batch of R = 1000 multiplier or empirical draws
-materializes several arrays of R * n = 10^8 elements, 763 MiB each.
-``_Sampler.map_chunks`` hands these product kernels slices of at most
-``montecarlo.TILE`` elements per array, and the words, uniforms,
-resample indices and normals are made in blocks of ``rng.BLOCK``
-elements inside a slice, which keeps a whole run near 97 MiB (97 MiB for
-multiplier and for empirical draws; 158 and 155 MiB with slicing alone).
-At p = 5000 a batch of 8192 draws is 312 MiB; ``map_chunks`` makes it in
-chunks of at most ``TILE`` draw values and the hit counts reduce each
-chunk before the next is drawn, so multiplier and empirical hit counts of
-an n = 50 dataset peak at 93 and 91 MiB, where the whole batch took 406
-and 421 MiB.  A product sampler writes the operand of every slice (its
-normals or resample row counts) into one buffer of ``TILE`` values per
-batch.  With a fresh operand per slice the empirical case took 123 MiB,
-and the ``bootstrap_n2000`` benchmark's commands (simulate n = 2000,
-p = 20, then MB and EB at R = 16384, in one interpreter) took 121 MiB,
-where they take 91 MiB now: a 33.5 MB operand sits just under glibc's 32
-MiB mmap ceiling, so after the first free such operands came from the
-heap and two of them stayed resident, while the 32 MiB buffer is past the
-ceiling and goes back to the system after each batch.  A row-local
-sampler draws chunks of ``montecarlo.DRAW_BUDGET`` (2^20) values: a
-``nazarov`` run at p = 1000 (equicorrelated, R = 16384) peaks at 64 MiB,
+materializes several arrays of R * n = 10^8 elements, 763 MiB each.  A
+product sampler runs each matrix product on a tile of T rows, T the largest
+power of two at most ``montecarlo.BATCH`` and ``montecarlo.TILE`` (2^20)
+// size, here 8 rows of 10^5 values, and the words, uniforms, resample
+indices and normals are made in blocks of ``rng.BLOCK`` elements inside a
+tile, which keeps a whole run near 71 MiB for multiplier and for empirical
+draws (97 MiB with the 2^22-value slices of stream 1; 158 and 155 MiB with
+slicing alone).  At p = 5000 a batch of 8192 draws is 312 MiB;
+``map_chunks`` makes it in chunks of at most ``TILE`` draw values and the
+hit counts reduce each chunk before the next is drawn, so multiplier and
+empirical hit counts of an n = 50 dataset peak at 70 and 68 MiB (92 and
+91 MiB with 2^22-value slices), where the whole batch took 406 and 421
+MiB.  A product sampler writes the operand of every tile (its normals or
+resample row counts) into one buffer of T x size values per batch, at most
+``TILE`` values (8 MiB).  The ``bootstrap_n2000`` benchmark's commands
+(simulate n = 2000, p = 20, then MB and EB at R = 16384, in one
+interpreter) peak at 67 MiB on tiles of 512 rows.  Stream 1's 2^22-value
+buffer, 32 MiB, took them to 91 MiB; with a fresh operand per slice they
+took 121 MiB, since a 33.5 MB operand sits just under glibc's 32 MiB mmap
+ceiling, so after the first free such operands came from the heap and two
+of them stayed resident.  A row-local sampler draws chunks of
+``montecarlo.DRAW_BUDGET`` (2^20) values: a ``nazarov`` run at p = 1000 (equicorrelated, R = 16384) peaks at 64 MiB,
 and has its own limit of 75 MiB; with 2^22-value chunks it took 88 MiB,
 for the same heap reason.  ``bounds`` on a design draws its ``moment_R``
 data-side rows in ``rng.BLOCK`` blocks and keeps one cube per row: at
@@ -54,7 +55,7 @@ from hdclt import cli
 LIMIT_MIB = 256
 WIDE_LIMIT_MIB = 105
 CASE_LIMIT_MIB = {"nazarov": 75}
-BENCH_SHAPE_LIMIT_MIB = 105
+BENCH_SHAPE_LIMIT_MIB = 80
 N = 100_000
 
 CAP = """

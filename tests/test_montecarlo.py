@@ -1,6 +1,8 @@
-import functools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from hdclt.montecarlo import (
     interpolation_gap,
     noise_floor,
 )
-from hdclt.sums import CovMatrix, normalized_sum, robust_cholesky
+from hdclt.sums import AR1Factor, CovMatrix, normalized_sum, robust_cholesky
 
 
 def gaussian_sampler(p):
@@ -233,7 +235,7 @@ def _slicing_samplers():
 
 
 # kinds whose draw is a matrix product: its per-row rounding may depend on
-# how many rows it gets, so only the same slices give the same bits
+# the shape of the product, so every product runs on a fixed tile of rows
 PRODUCT_KINDS = {kind for kind, s in _slicing_samplers().items() if s.product}
 
 
@@ -246,11 +248,20 @@ def _keys(seed, start, count):
     return rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
 
 
-def _sliced_batch(draw_keys, seed, start, count, per):
-    # the draws of one batch, one draw_keys call per slice of `per` keys,
-    # made without rng.blocked or map_chunks
-    keys = _keys(seed, start, count)
-    return np.concatenate([draw_keys(keys[i:i + per]) for i in range(0, count, per)])
+def _tile_rows(sampler):
+    # T, the largest power of two at most BATCH and TILE // size
+    T = 1
+    while 2 * T <= min(montecarlo.BATCH, montecarlo.TILE // sampler.size):
+        T *= 2
+    return T
+
+
+def _full_tiles(draw_keys, seed, start, count, T):
+    # the draws of keys [start, start + count), each taken from one product
+    # over every key of its tile [tT, (t+1)T), made with no buffer or padding
+    first = start // T * T
+    rows = np.concatenate([draw_keys(_keys(seed, t, T)) for t in range(first, start + count, T)])
+    return rows[start - first:start - first + count]
 
 
 def _chunk_consumers(sampler, monkeypatch):
@@ -267,52 +278,66 @@ def _chunk_consumers(sampler, monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(_slicing_samplers()))
 def test_draw_slices_batch_to_budget(monkeypatch, kind):
-    # map_chunks hands draw_keys the budget // size slices of one unchunked
-    # batch and groups them into chunks of at most budget draw values, the
-    # budget being TILE for a product kind and DRAW_BUDGET for a row-local
-    # one; on 100 keys the slices give the bits of the slices drawn one by
-    # one, and of one unsliced call for a row-local kind; on 1000 keys (at
-    # least 3 chunks) the chunks and every consumer's reduction of them
-    # equal the slices drawn one by one
+    # map_chunks cuts a batch, from its start, into chunks of at most budget
+    # draw values: TILE for a product kind, DRAW_BUDGET for a row-local one.
+    # A product kind's draw_keys gets each chunk with the T-row tile buffer
+    # and the index of the chunk's first key, and its draws are those of
+    # whole tiles, even where the batch starts mid-tile; a row-local kind's
+    # gets slices of budget // size keys, and its draws are those of one
+    # unsliced call.  Every consumer's reduction of the chunks equals its
+    # reduction of those draws
     sampler = _slicing_samplers()[kind]
-    budget, R = 200, 1000
-    monkeypatch.setattr(montecarlo, "TILE" if kind in PRODUCT_KINDS else "DRAW_BUDGET", budget)
-    per = max(1, budget // sampler.size)
+    budget, start, R = 200, 3, 1000
+    product = kind in PRODUCT_KINDS
+    monkeypatch.setattr(montecarlo, "TILE" if product else "DRAW_BUDGET", budget)
     draw_keys = sampler.draw_keys
-    if kind in PRODUCT_KINDS:
-        whole = _sliced_batch(draw_keys, 9, 3, 100, per)
+    if product:
+        T = _tile_rows(sampler)
+        rows = T
+
+        def whole(seed, start, count):
+            return _full_tiles(draw_keys, seed, start, count, T)
     else:
-        whole = draw_keys(_keys(9, 3, 100))
-    np.testing.assert_array_equal(
-        np.concatenate(sampler.map_chunks(9, 3, 100, lambda chunk: chunk)), whole)
+        rows = budget // sampler.size
+        rows -= rows % sampler.block_rows if rows >= sampler.block_rows else 0
+
+        def whole(seed, start, count):
+            return draw_keys(_keys(seed, start, count))
+    per = rows * max(1, budget // (sampler.p * rows))
+    edges = [*range(start, start + R, per), start + R]
 
     seen = []
 
-    def counting(keys, out=None):  # a product kind gets the batch's buffer
-        seen.append(len(keys))
-        return draw_keys(keys, out)
+    def counting(keys, **tile):  # a product kind gets the tile buffer and start
+        seen.append((len(keys),) + tuple(getattr(a, "shape", a) for a in tile.values()))
+        return draw_keys(keys, **tile)
 
     monkeypatch.setattr(sampler, "draw_keys", counting)
-    chunks = sampler.map_chunks(9, 3, R, lambda chunk: chunk)
-    assert seen == [per] * (R // per) + ([R % per] if R % per else [])
+    chunks = sampler.map_chunks(9, start, R, lambda chunk: chunk)
+    assert [len(chunk) for chunk in chunks] == [j - i for i, j in zip(edges, edges[1:])]
     assert len(chunks) >= 3 and max(chunk.size for chunk in chunks) <= budget
-    np.testing.assert_array_equal(np.concatenate(chunks),
-                                  _sliced_batch(draw_keys, 9, 3, R, per))
+    if product:
+        assert seen == [(j - i, (T, sampler.size), i) for i, j in zip(edges, edges[1:])]
+    else:
+        assert seen == [(min(rows, j - k),) for i, j in zip(edges, edges[1:])
+                        for k in range(i, j, rows)]
+    np.testing.assert_array_equal(np.concatenate(chunks), whole(9, start, R))
 
     hits, nazarov, tail = _chunk_consumers(sampler, monkeypatch)
-    whole = _sliced_batch(draw_keys, 9, 0, R, per)
-    assert hits == [np.count_nonzero(s.contains_batch(whole)) for s in
+    draws = whole(9, 0, R)
+    assert hits == [np.count_nonzero(s.contains_batch(draws)) for s in
                     sample_rectangles(sampler.p, 8, np.ones(sampler.p), 5).sets]
-    g = np.max(np.abs(whole), axis=1)
+    g = np.max(np.abs(draws), axis=1)
     assert tail.value == float(np.where(g > 1.0, g**3, 0.0).sum()) / R
     monkeypatch.setattr(sampler, "map_chunks", lambda seed, start, count, fn:
-                        [fn(_sliced_batch(draw_keys, seed, start, count, per))])
+                        [fn(whole(seed, start, count))])
     assert _chunk_consumers(sampler, monkeypatch) == (hits, nazarov, tail)
 
 
 def _row_count_samplers():
-    # products whose rows round differently on 10 to 40 rows than on 8192
-    # (OpenBLAS, 1 or 2 threads); those of _slicing_samplers round the same
+    # products whose rows rounded differently on 10 to 40 rows than on 8192
+    # (OpenBLAS, 1 or 2 threads), so whose slices of the stream-1 rule were
+    # not key-local
     square = sample_dataset(DesignSpec(kind="trunc_exp", p=20), 20, 8)
     return {
         "gaussian-p40": GaussianSumSampler(
@@ -324,7 +349,7 @@ def _row_count_samplers():
 
 @pytest.mark.parametrize("kind", sorted(_slicing_samplers()) + sorted(_row_count_samplers()))
 def test_draw_budget_changes_no_bit(monkeypatch, kind):
-    # DRAW_BUDGET sizes the chunks of a batch, never a product's slices
+    # DRAW_BUDGET sizes the chunks of a batch, never a product's tiles
     sampler = {**_slicing_samplers(), **_row_count_samplers()}[kind]
     family = sample_rectangles(sampler.p, 8, np.ones(sampler.p), 5)
     R = montecarlo.BATCH
@@ -353,20 +378,96 @@ def _buffer_samplers():
 
 @pytest.mark.parametrize("kind", sorted(_buffer_samplers()))
 def test_product_buffer_changes_no_bit(kind):
-    # a kernel that writes its operand into a NaN-filled buffer gives the
-    # bytes of one that allocates it, on one key, 17 keys, one full TILE
-    # slice and two slices whose last is short
+    # a kernel that runs its products on a NaN-filled T-row tile buffer gives
+    # the bytes of whole tiles drawn without one, on one key, 17 keys, one
+    # full tile and a run over three tiles; the buffer then holds the last
+    # tile's operand, on the rows of its keys, and zero on every other row
     sampler = _buffer_samplers()[kind]
-    tile, size = montecarlo.TILE, sampler.size
-    per = tile // size
-    for count in (1, 17, per, per + 5):
-        keys = _keys(9, 3, count)
-        buf = np.full(max(tile, size), np.nan)
-        into = rng.blocked(functools.partial(sampler.draw_keys, out=buf), keys, size, tile)
-        fresh = rng.blocked(sampler.draw_keys, keys, size, tile)
-        assert into.tobytes() == fresh.tobytes()
-        # the buffer was used: the last slice's operand is in its prefix
-        assert not np.isnan(buf[:(count - (count - 1) // per * per) * size]).any()
+    T = _tile_rows(sampler)
+    assert T * sampler.size <= montecarlo.TILE < 2 * T * sampler.size
+    for start, count in ((0, 1), (3, 17), (T, T), (T - 2, T + 5)):
+        buf = np.full((T, sampler.size), np.nan)
+        draws = sampler.draw_keys(_keys(9, start, count), out=buf, start=start)
+        assert draws.tobytes() == _full_tiles(sampler.draw_keys, 9, start, count, T).tobytes()
+        last = (start + count - 1) // T * T  # the last tile's first replication
+        lo, hi = max(start, last) - last, start + count - last
+        assert not np.isnan(buf).any() and buf[lo:hi].any()
+        assert not buf[:lo].any() and not buf[hi:].any()
+
+
+# stream 1 cut a batch into slices of OLD_TILE // size keys from its start,
+# each one product of exactly its keys; kept as an oracle for the tiles
+OLD_TILE = 1 << 22
+
+
+def _old_slices(sampler, seed, start, count):
+    return rng.blocked(sampler.draw_keys, _keys(seed, start, count), sampler.size, OLD_TILE)
+
+
+def _key_local_samplers():
+    # every product kind, at the shapes whose stream-1 slices were not
+    # key-local: a dense factor at p = 40 and 500, MB and EB at n = 2000
+    # and on a 20 x 20 dataset
+    bench = _buffer_samplers()
+    return {**{kind: s for kind, s in _slicing_samplers().items() if s.product},
+            **_row_count_samplers(), "gaussian-p500": bench["gaussian-dense"],
+            "MB-n2000": bench["MB"], "EB-n2000": bench["EB"]}
+
+
+def key_local_failures() -> list:
+    """Each product kind where keys [k0, k0 + m) drawn alone differ from the
+    same keys in their full batch, for an unaligned k0 and m in {1, 7, 100,
+    1000}, or where the full batch differs from stream 1's slices: bit for
+    bit on full old slices, by more than 4 ulps of a row's largest value on
+    a short one."""
+    failures = []
+    B = montecarlo.BATCH
+    for kind, sampler in _key_local_samplers().items():
+        batch = np.concatenate(sampler.map_chunks(9, B, B, lambda d: d))
+        for m in (1, 7, 100, 1000):
+            k0 = B + 1001
+            alone = np.concatenate(sampler.map_chunks(9, k0, m, lambda d: d))
+            if alone.tobytes() != batch[k0 - B:k0 - B + m].tobytes():
+                failures.append(f"{kind}: keys [{k0}, {k0 + m}) alone")
+        old = _old_slices(sampler, 9, B, B)
+        full = B // (OLD_TILE // sampler.size) * (OLD_TILE // sampler.size)
+        if old[:full].tobytes() != batch[:full].tobytes():
+            failures.append(f"{kind}: full old slices")
+        ulp = np.spacing(np.max(np.abs(old[full:]), axis=1, keepdims=True))
+        if np.any(np.abs(batch[full:] - old[full:]) > 4 * ulp):
+            failures.append(f"{kind}: short old slice")
+    return failures
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_product_draws_are_key_local(threads):
+    # a draw depends on its key alone, at a pinned BLAS thread count: run in a
+    # child interpreter, whatever the calling process pinned
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize("p, calls", [(200, 41), (1000, 9)])
+def test_ar1_chunks_line_up_with_its_blocks(monkeypatch, p, calls):
+    # a row-local chunk is a whole number of block_rows = p rows while
+    # DRAW_BUDGET // p holds one: at p = 1000 a batch takes 9 recursions of
+    # 1000 rows, where chunks of 1048 rows took 15 (42 at p = 200)
+    sampler = GaussianSumSampler(CovarianceModel("ar1", 0.3).factor(p))
+    apply = AR1Factor.apply
+    seen = []
+
+    def counting(factor, z):
+        seen.append(len(z))
+        return apply(factor, z)
+
+    monkeypatch.setattr(AR1Factor, "apply", counting)
+    assert sum(sampler.map_chunks(9, 0, montecarlo.BATCH, len)) == montecarlo.BATCH
+    assert len(seen) == calls and max(seen) == p
 
 
 @pytest.mark.parametrize("kind", sorted(_slicing_samplers()))
@@ -456,3 +557,7 @@ def test_gap_estimate_serialization_schema():
     header, *rows = serialize.csv_table(est.per_set).splitlines()
     assert header == "label,p_x,p_y,diff,se_diff"
     assert len(rows) == 5
+
+
+if __name__ == "__main__":
+    print(json.dumps(key_local_failures()))
