@@ -8,7 +8,6 @@ from .datagen import (
     DesignSpec,
     population_moments,
     sample_dataset,
-    verify_conditions,
 )
 from .geometry import (
     Hyperrectangle,
@@ -26,17 +25,17 @@ from .montecarlo import (
     interpolation_gap,
     noise_floor,
 )
-from .sums import CovMatrix, empirical_covariance, normalized_sum, robust_cholesky
+from .sums import CovMatrix, empirical_covariance, robust_cholesky
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CovarianceModel", "Dataset", "DesignSpec", "population_moments",
-    "sample_dataset", "verify_conditions",
+    "sample_dataset",
     "Hyperrectangle", "Polytope", "SetFamily", "SparseBall",
     "SparseConvexSet", "SparseHalfspace", "sample_rectangles",
     "bootstrap_gap", "estimate_prob", "gaussian_approx_gap",
     "interpolation_gap", "noise_floor",
-    "CovMatrix", "empirical_covariance", "normalized_sum", "robust_cholesky",
+    "CovMatrix", "empirical_covariance", "robust_cholesky",
     "__version__",
 ]

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -41,11 +40,6 @@ _GAUSS_THIRD = 2.0 * math.sqrt(2.0 / math.pi)  # E|N(0,1)|^3
 
 DESIGN_KINDS = ("rademacher", "trunc_exp", "heavy_tail", "gaussian", "log_concave")
 COVARIANCE_KINDS = ("identity", "equicorrelated", "ar1")
-
-# Fixed internal seed for the coordinate-subset sample in verify_conditions.
-_SUBSET_SEED = 0x5EED5EED
-_SUBSET_SAMPLE = 10_000
-_EXHAUSTIVE_LIMIT = 100_000
 
 _SIGNS = np.array([1.0, -1.0])  # the value of a clear and of a set sign bit
 
@@ -440,63 +434,6 @@ def sample_dataset(design: DesignSpec, n: int, seed: int) -> Dataset:
     if not isinstance(n, int) or n < 2:
         raise ParameterError(f"need n >= 2 rows, got {n!r}")
     return Dataset(values=values_from_row_keys(design, rng.words(seed, n)))
-
-
-# ---------------------------------------------------------------------------
-# condition checks
-# ---------------------------------------------------------------------------
-
-def _subset_min_eigs(sigma: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    sub = sigma[subsets[:, :, None], subsets[:, None, :]]
-    return np.linalg.eigvalsh(sub)[:, 0]
-
-
-def verify_conditions(report: MomentReport, s: int) -> dict:
-    """Flag the variance-floor conditions of a design, including the sparse one.
-
-    The sparse variant requires a positive variance floor for every unit
-    vector supported on at most ``s`` coordinates, which equals the minimum
-    eigenvalue over all ``s x s`` principal submatrices of the covariance.
-    All subsets are enumerated when there are at most 100000 of them;
-    otherwise 10000 subsets are sampled from a fixed internal stream and
-    the result is marked ``sampled``.
-    """
-    sigma = np.asarray(report.sigma.matrix, dtype=np.float64)
-    p = sigma.shape[0]
-    if not (1 <= s <= p):
-        raise ParameterError(f"subset size s must be in [1, {p}], got {s}")
-
-    tol = 1e-10 * max(1.0, float(np.max(np.diag(sigma))))
-    b1 = float(np.min(np.diag(sigma)))
-    required_B = max(report.L_n_population, math.sqrt(report.fourth_moment_max))
-
-    total = math.comb(p, s)
-    if s == 1:
-        b_sparse, sampled = b1, False
-    elif total <= _EXHAUSTIVE_LIMIT:
-        subsets = np.array(list(itertools.combinations(range(p), s)), dtype=np.intp)
-        b_sparse = float(np.min(_subset_min_eigs(sigma, subsets)))
-        sampled = False
-    else:
-        keys = rng.words(_SUBSET_SEED, _SUBSET_SAMPLE)
-        u = rng.to_uniform(rng.word_grid(keys, p))
-        subsets = np.argpartition(u, s - 1, axis=1)[:, :s].astype(np.intp)
-        b_sparse = float(np.min(_subset_min_eigs(sigma, subsets)))
-        sampled = True
-
-    return {
-        "M.1": {"status": "holds" if b1 > tol else "fails", "constant": b1},
-        "M.2": {
-            "status": "holds" if required_B <= report.B_n + 1e-12 else "fails",
-            "constant": required_B,
-        },
-        "M.1''": {
-            "status": "holds" if b_sparse > tol else "fails",
-            "constant": b_sparse,
-            "s": s,
-            "sampled": sampled,
-        },
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -207,14 +207,6 @@ class SetFamily:
 # membership
 # ---------------------------------------------------------------------------
 
-def contains(set_, w: np.ndarray) -> bool:
-    """Closed-set membership of a single point."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or w.shape[0] != set_.p:
-        raise ParameterError(f"point dimension {w.shape} does not match set dimension {set_.p}")
-    return bool(set_.contains_batch(w[None, :])[0])
-
-
 def _rect_hit_count(rect: Hyperrectangle, points: np.ndarray) -> int:
     """Count of points inside a rectangle, filtering survivors coordinate by
     coordinate so near-empty sets exit early."""
@@ -350,25 +342,6 @@ def approximate_ball(indices, center, radius: float, eps: float, p: int) -> Poly
     normals[:, list(idx)] = local
     offsets = radius * cos_theta + local @ ctr
     return Polytope(normals, offsets)
-
-
-def to_polytope(sset: SparseConvexSet, eps: float) -> Polytope:
-    """Replace every ball piece by its polytope approximation; halfspaces pass
-    through unchanged.  The result P satisfies P inside the set inside
-    expand(P, eps), and its normals keep the pieces' coordinate support."""
-    if not (eps > 0.0):
-        raise ParameterError(f"approximation precision must be positive, got {eps!r}")
-    normals = []
-    offsets = []
-    for piece in sset.pieces:
-        if isinstance(piece, SparseHalfspace):
-            normals.append(piece.v[None, :])
-            offsets.append(np.array([piece.c]))
-        else:
-            poly = approximate_ball(piece.indices, piece.center, piece.radius, eps, sset.p)
-            normals.append(poly.normals)
-            offsets.append(poly.offsets)
-    return Polytope(np.vstack(normals), np.concatenate(offsets))
 
 
 # ---------------------------------------------------------------------------
@@ -545,4 +518,8 @@ def family_from_config(cfg: dict) -> SetFamily:
     for entry in config_value(cfg, "sets", list, item=dict):
         labels.append(config_value(entry, "label", str))
         sets.append(set_from_config({k: v for k, v in entry.items() if k != "label"}))
-    return SetFamily(tuple(sets), tuple(labels))
+    family = SetFamily(tuple(sets), tuple(labels))
+    p = config_value(cfg, "p", Size, family.p)  # family_to_config writes it
+    if p != family.p:
+        raise ParameterError(f"family.p={p} does not match the sets' dimension {family.p}")
+    return family

@@ -163,6 +163,9 @@ class DesignSumSampler(_Sampler):
         if exact_law and design.gaussian:
             self.mode = "gaussian"
             self.size = words_per_row(design)
+            # identity and AR(1) rows are draws of their model's factor
+            if design.covariance.kind != "equicorrelated":
+                self.block_rows = design.covariance.factor(self.p).block_rows
         elif exact_law and design.kind == "rademacher":
             from scipy.stats import binom  # deferred: slow to import, only sign sums use it
 

@@ -185,11 +185,6 @@ class AR1Factor:
         return np.ascontiguousarray(x.T).reshape(z.shape)
 
 
-def normalized_sum(dataset: Dataset) -> np.ndarray:
-    """Column sums scaled by n^{-1/2}."""
-    return dataset.values.sum(axis=0) / math.sqrt(dataset.n)
-
-
 def empirical_covariance(dataset: Dataset) -> CovMatrix:
     """Centered second-moment matrix with divisor n: ``dataset.covariance``."""
     return dataset.covariance

@@ -1,14 +1,11 @@
 import io
 import json
-import os
 import struct
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import run_child
 from hdclt import cli, serialize
 from hdclt.datagen import DesignSpec, population_moments, read_dataset
 from hdclt.errors import MAX_SIZE, NotPositiveSemidefiniteError
@@ -557,10 +554,7 @@ def test_internal_error_exits_1_with_a_traceback(tmp_path):
         f"sys.argv = ['hdclt', 'estimate-rho', '--config', {path!r}]\n"
         "runpy.run_module('hdclt.cli', run_name='__main__', alter_sys=True)\n"
     )
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = run_child(["-c", code], None, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" in proc.stderr and "KeyError: 'boom'" in proc.stderr
 
@@ -652,6 +646,8 @@ INPUT_CONFIGS = {
     ("estimate-rho", ["--set", "family=" + json.dumps(ORTHANT)],
      "family dimension 4 does not match p=6"),
     ("estimate-rho", ["--set", "family.kind=orthants"], "unknown family kind 'orthants'"),
+    ("estimate-rho", ["--set", "design.p=4", "--set", "family=" + json.dumps(dict(ORTHANT, p=99))],
+     "family.p=99 does not match the sets' dimension 4"),
     ("bootstrap", ["--set", "sigma.source=model"], "unknown sigma source 'model'"),
     ("simulate", ["--set", "format=xyz"], "unknown dataset format 'xyz'"),
     ("bootstrap", ["--set", 'sigma={"source": "design", "design": {"kind": "gaussian", "p": 7}}'],
@@ -670,7 +666,7 @@ INPUT_CONFIGS = {
     ("smoothmax", ["--set", "trials=0"], "need trials >= 1, got 0"),
     ("estimate-rho", ["--set", "v_grid=[]"], "v_grid must hold at least one interpolation weight"),
 ], ids=["set-without-equals", "unknown-argument", "missing-config", "root-not-object",
-        "family-sets-dimension", "family-kind", "sigma-source", "simulate-format",
+        "family-sets-dimension", "family-kind", "family-p", "sigma-source", "simulate-format",
         "bootstrap-sigma-p", "design-scale-0", "design-scale-negative", "design-key",
         "dataset-version", "n_grid-empty", "n-below-4", "family-K-0", "nazarov-sigma-p",
         "y_count-0", "smoothmax-trials-0", "v_grid-empty"])

@@ -10,12 +10,10 @@ from hdclt.datagen import (
     CovarianceModel,
     Dataset,
     DesignSpec,
-    MomentReport,
     population_moments,
     read_dataset,
     sample_dataset,
     values_from_row_keys,
-    verify_conditions,
     write_dataset,
 )
 from hdclt.errors import ParameterError
@@ -197,36 +195,6 @@ def test_moment_report_bound(design, bound):
     if bound is not None:
         rows = sample_dataset(design, 2000, 6).values
         assert np.max(np.abs(rows)) <= bound
-
-
-def test_verify_conditions_examples():
-    identity = population_moments(DesignSpec(kind="gaussian", p=3))
-    out = verify_conditions(identity, 2)
-    assert out["M.1''"]["status"] == "holds"
-    assert out["M.1''"]["constant"] == pytest.approx(1.0)
-
-    equi = population_moments(
-        DesignSpec(kind="gaussian", p=3, covariance=CovarianceModel("equicorrelated", 0.5))
-    )
-    out = verify_conditions(equi, 2)
-    assert out["M.1''"]["constant"] == pytest.approx(0.5)
-    assert not out["M.1''"]["sampled"]
-
-    from hdclt.sums import CovMatrix
-
-    singular = MomentReport(
-        b_lower=1.0, B_n=1.0, L_n_population=1.0, fourth_moment_max=1.0,
-        sigma=CovMatrix(np.ones((3, 3))), condition_flags={},
-    )
-    assert verify_conditions(singular, 2)["M.1''"]["status"] == "fails"
-
-
-def test_verify_conditions_sampled_branch():
-    m = population_moments(DesignSpec(kind="gaussian", p=50))
-    out = verify_conditions(m, 4)  # C(50, 4) = 230300 subsets
-    assert out["M.1''"]["sampled"]
-    assert out["M.1''"]["status"] == "holds"
-    assert out["M.1''"]["constant"] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("design", ALL_DESIGNS, ids=lambda d: f"{d.kind}-{d.covariance.kind}-{d.variant}-{d.standardize}")

@@ -39,13 +39,11 @@ cause:
 import hashlib
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import hdclt
+from conftest import run_child
 from hdclt import bounds
 from hdclt.datagen import CovarianceModel, DesignSpec, sample_dataset
 from hdclt.montecarlo import (
@@ -164,11 +162,7 @@ AT_TWO_THREADS = {
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_draw_hashes(threads):
-    src = os.path.dirname(os.path.dirname(hdclt.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
-                          capture_output=True, text=True, timeout=600)
+    proc = run_child([os.path.abspath(__file__)], threads, timeout=600)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     want = dict(HASHES, **(AT_TWO_THREADS if threads == "2" else {}))

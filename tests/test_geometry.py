@@ -16,7 +16,6 @@ from hdclt.geometry import (
     SparseConvexSet,
     SparseHalfspace,
     approximate_ball,
-    contains,
     covering_angle,
     expand,
     family_from_config,
@@ -27,7 +26,6 @@ from hdclt.geometry import (
     sandwich_check,
     set_from_config,
     set_to_config,
-    to_polytope,
 )
 
 
@@ -35,19 +33,21 @@ def unit_disk(p=2, s=2):
     return SparseConvexSet(p=p, s=s, pieces=(SparseBall((0, 1), np.zeros(2), 1.0),))
 
 
+def contains(set_, w):
+    return set_.contains_batch(np.array(w)[None])[0]
+
+
 def test_contains_rectangle():
     r = Hyperrectangle(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    assert contains(r, np.array([0.5, -0.2]))
-    assert contains(r, np.array([1.0, 1.0]))  # closed boundary
-    assert not contains(r, np.array([1.0001, 0.0]))
-    with pytest.raises(ParameterError):
-        contains(r, np.array([0.0, 0.0, 0.0]))
+    assert contains(r, [0.5, -0.2])
+    assert contains(r, [1.0, 1.0])  # closed boundary
+    assert not contains(r, [1.0001, 0.0])
 
 
 def test_contains_polytope_boundary():
     po = Polytope(np.array([[1.0, 0.0]]), np.array([0.0]))
-    assert contains(po, np.array([0.0, 5.0]))
-    assert not contains(po, np.array([1e-9, 5.0]))
+    assert contains(po, [0.0, 5.0])
+    assert not contains(po, [1e-9, 5.0])
 
 
 def test_contains_sparse_set():
@@ -55,9 +55,9 @@ def test_contains_sparse_set():
         SparseBall((0, 1), np.zeros(2), 1.0),
         SparseHalfspace(np.array([0.0, 0.0, 1.0]), 0.0),
     ))
-    assert contains(ss, np.array([0.6, 0.8, -1.0]))
-    assert not contains(ss, np.array([0.6, 0.81, -1.0]))  # 0.36 + 0.6561 > 1
-    assert not contains(ss, np.array([0.6, 0.8, 0.5]))
+    assert contains(ss, [0.6, 0.8, -1.0])
+    assert not contains(ss, [0.6, 0.81, -1.0])  # 0.36 + 0.6561 > 1
+    assert not contains(ss, [0.6, 0.8, 0.5])
 
 
 def test_sparse_set_validates_support():
@@ -138,24 +138,6 @@ def test_fibonacci_sphere_unit_norm():
     assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) < 1e-12
 
 
-def test_to_polytope_composition():
-    hs = SparseConvexSet(p=2, s=1, pieces=(SparseHalfspace(np.array([1.0, 0.0]), 0.7),))
-    poly = to_polytope(hs, 0.5)
-    assert poly.m == 1 and poly.offsets[0] == 0.7
-
-    disk = unit_disk()
-    assert to_polytope(disk, 0.01).m == 23
-
-    boxed = SparseConvexSet(p=2, s=2, pieces=(
-        SparseBall((0, 1), np.zeros(2), 1.0),
-        SparseHalfspace(np.array([1.0, 0.0]), 1.0),
-        SparseHalfspace(np.array([-1.0, 0.0]), 1.0),
-        SparseHalfspace(np.array([0.0, 1.0]), 1.0),
-        SparseHalfspace(np.array([0.0, -1.0]), 1.0),
-    ))
-    assert to_polytope(boxed, 0.01).m == 27
-
-
 def test_sandwich_disk():
     disk = unit_disk()
     inner = approximate_ball((0, 1), np.zeros(2), 1.0, 0.01, 2)
@@ -168,7 +150,7 @@ def test_sandwich_exact_halfspace_representation():
         SparseHalfspace(np.array([1.0, 0.0]), 0.3),
         SparseHalfspace(np.array([0.0, -1.0]), 0.4),
     ))
-    inner = to_polytope(sset, 1e-6)
+    inner = Polytope(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([0.3, 0.4]))
     assert sandwich_check(inner, sset, 1e-6, 20_000, 2.0, 9) == 0
 
 

@@ -1,4 +1,4 @@
-"""Golden CLI outputs: the sha256 of twenty-two reports, at one and two workers.
+"""Golden CLI outputs: the sha256 of twenty-four reports, at one and two workers.
 
 Refactors of the draw, batch and emit paths must leave every report byte
 for byte as it was; a hash that moves means a stream or float-order change,
@@ -9,10 +9,17 @@ dataset (the multiplier tail moment), ``bootstrap`` EB with csv output,
 ``estimate-rho`` on the literal path (``exact_law: false``), the csv tables
 of ``rate-scan`` (with a censored row) and ``nazarov``, and the optional
 report fields (``rate-scan`` with explicit ``params``, ``bounds`` with
-``params.q`` and ``params.alpha``).  In the last seven runs one batch
-of draws holds more than 2**22 elements of draw work, so it is made in
-several slices or tiles: the multiplier and empirical products at n=1000
-run on tiles of 1024 rows (the largest power of two at most ``TILE //
+``params.q`` and ``params.alpha``), and ``bounds`` on AR(1) rows at r=0.7
+and on equicorrelated rows at r=0.3, whose tail moments carry the floats of
+the structured factors at a correlation where ``r * x`` is not exact.  A
+last-bit change of the draws reaches a tail-moment sum only now and then,
+so their seeds are ones at which such a change moves the report: the AR(1)
+recursion as LAPACK's banded solve ``dtbtrs`` moves 18 of seeds 23 to 62,
+the first at 28, and the equicorrelated prefix sum as the inclusive
+``cumsum`` minus the row's own term moves 7, the first two at 28 and 30.
+In the last seven runs one batch of draws holds more than 2**22 elements
+of draw work, so it is made in several slices or tiles: the multiplier and
+empirical products at n=1000 run on tiles of 1024 rows (the largest power of two at most ``TILE //
 size``), anchored at the replication index and zero-padded on a run's last
 tile; the gaussian side at p=600 and the literal sum path at n*p=5000 are
 row-local, sliced by ``DRAW_BUDGET``; the interpolated sampler at n=2000
@@ -60,12 +67,11 @@ Re-recorded hashes, each with its cause:
 import hashlib
 import json
 import os
-import subprocess
 import sys
 
 import pytest
 
-import hdclt
+from conftest import run_child
 from hdclt import cli
 
 DESIGN = {"kind": "gaussian", "p": 8, "covariance": {"model": "ar1", "r": 0.5}}
@@ -127,6 +133,15 @@ RUNS = (
     ("bounds-q-alpha", "bounds",
      {"seed": 15, "out": "bounds_qa.json", "design": DESIGN, "n": 100, "moment_R": 2000,
       "params": {"q": 4.0, "alpha": 0.1}}),
+    ("bounds-ar1-r07", "bounds",
+     {"seed": 28, "out": "bounds_ar1_r07.json",
+      "design": {"kind": "gaussian", "p": 8, "covariance": {"model": "ar1", "r": 0.7}},
+      "n": 100, "moment_R": 2000}),
+    ("bounds-equi-r03", "bounds",
+     {"seed": 30, "out": "bounds_equi_r03.json",
+      "design": {"kind": "gaussian", "p": 8,
+                 "covariance": {"model": "equicorrelated", "r": 0.3}},
+      "n": 100, "moment_R": 2000}),
     ("simulate-n1000", "simulate",
      {"seed": 16, "out": "data1000.bin", "design": DESIGN4, "n": 1000}),
     ("bootstrap-n1000", "bootstrap",
@@ -168,6 +183,8 @@ GOLDEN = {
     "nazarov-csv": "39051cd04cc4e445b7bb5e78c258998085892a58109828b508f907acf007a5e2",
     "rate-scan-params": "cb2698b4d3d6a7e71840c8b1514b1f6bbb27d7413efe10d9f1e9cf3b939d5f28",
     "bounds-q-alpha": "1b1c072677466bae36e07f1fef7a7243f43f03a9e8bae2b1473e1cb4d718bb49",
+    "bounds-ar1-r07": "9efdaeaef7ad660cbf7eaacc554d6d9fb570e583a78b75be242f6d6e20b54c2b",
+    "bounds-equi-r03": "1dbdbfefa04dec395ead63e8b00be61eb935776acdf001b16e7b8ca281a8c8d4",
     "simulate-n1000": "746534fd8c557016928e6ac0835aac9ad5d9c3d2bb839e5cb7036e74b77578b3",
     "bootstrap-n1000": "22c2106455e79589ed4420fd28b1d8ca4123f96955dd301e44325c7fd53be2e6",
     "bootstrap-eb-n1000-csv": "2ce44919f4eaf724c808a48a8fdc5f86dbadef75715a0918a24a7ce8d1cd43c5",
@@ -194,12 +211,7 @@ def run_all(workers: str) -> dict:
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_golden_reports(tmp_path, workers):
-    src = os.path.dirname(os.path.dirname(hdclt.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, os.path.abspath(__file__), workers],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=600)
+    proc = run_child([os.path.abspath(__file__), workers], "2", cwd=tmp_path, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == GOLDEN
 

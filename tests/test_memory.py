@@ -44,12 +44,10 @@ shared machine.
 """
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
-import hdclt
+from conftest import run_child
 from hdclt import cli
 
 LIMIT_MIB = 256
@@ -127,11 +125,7 @@ CASES = {
 
 def _peak_mib(code, args, cwd):
     """Runs ``code`` in a fresh interpreter and returns its VmHWM in MiB."""
-    src = os.path.dirname(os.path.dirname(hdclt.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=600)
+    proc = run_child(["-c", code, *args], "1", cwd=cwd, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout.split()[-1]) / 1024
 

@@ -1,13 +1,12 @@
 import json
 import math
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import run_child
 from hdclt import rng, serialize
 from hdclt.datagen import CovarianceModel, Dataset, DesignSpec, population_moments, sample_dataset
 from hdclt.errors import ParameterError
@@ -27,7 +26,7 @@ from hdclt.montecarlo import (
     interpolation_gap,
     noise_floor,
 )
-from hdclt.sums import AR1Factor, CovMatrix, normalized_sum, robust_cholesky
+from hdclt.sums import AR1Factor, CovMatrix, robust_cholesky
 
 
 def gaussian_sampler(p):
@@ -200,8 +199,8 @@ def test_literal_sampler_matches_normalized_sum():
     sampler = DesignSumSampler(design, 10, exact_law=False)
     draws = np.concatenate(sampler.map_chunks(55, 0, 8, lambda chunk: chunk))
     for r in (0, 3, 7):
-        ds = sample_dataset(design, 10, rng.mix64(55, r))
-        assert np.allclose(draws[r], normalized_sum(ds), rtol=1e-12, atol=1e-14)
+        values = sample_dataset(design, 10, rng.mix64(55, r)).values
+        assert np.allclose(draws[r], values.sum(axis=0) / math.sqrt(10), rtol=1e-12, atol=1e-14)
 
 
 def _slicing_samplers():
@@ -443,21 +442,21 @@ def key_local_failures() -> list:
 def test_product_draws_are_key_local(threads):
     # a draw depends on its key alone, at a pinned BLAS thread count: run in a
     # child interpreter, whatever the calling process pinned
-    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
-                          capture_output=True, text=True, timeout=600)
+    proc = run_child([os.path.abspath(__file__)], threads, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
 
 
-@pytest.mark.parametrize("p, calls", [(200, 41), (1000, 9)])
-def test_ar1_chunks_line_up_with_its_blocks(monkeypatch, p, calls):
+@pytest.mark.parametrize("p, calls, design", [(200, 41, False), (1000, 9, False), (1000, 9, True)],
+                         ids=["200-41", "1000-9", "design-1000-9"])
+def test_ar1_chunks_line_up_with_its_blocks(monkeypatch, p, calls, design):
     # a row-local chunk is a whole number of block_rows = p rows while
     # DRAW_BUDGET // p holds one: at p = 1000 a batch takes 9 recursions of
-    # 1000 rows, where chunks of 1048 rows took 15 (42 at p = 200)
-    sampler = GaussianSumSampler(CovarianceModel("ar1", 0.3).factor(p))
+    # 1000 rows, where chunks of 1048 rows took 15 (42 at p = 200); design
+    # rows draw through the same factor, so they are cut the same way
+    model = CovarianceModel("ar1", 0.3)
+    sampler = (DesignSumSampler(DesignSpec(kind="gaussian", p=p, covariance=model), 12)
+               if design else GaussianSumSampler(model.factor(p)))
     apply = AR1Factor.apply
     seen = []
 

@@ -22,7 +22,6 @@ from hdclt.sums import (
     empirical_resample_draw_batch,
     gaussian_draw_batch,
     multiplier_draw_batch,
-    normalized_sum,
     robust_cholesky,
 )
 
@@ -34,20 +33,6 @@ def keys(seed, count):
 
 def one_key(key):
     return np.array([key], dtype=np.uint64)
-
-
-def test_normalized_sum_hand_cases():
-    assert normalized_sum(Dataset(np.ones((4, 1))))[0] == 2.0
-    alt = Dataset(np.array([[1.0], [-1.0], [1.0], [-1.0]]))
-    assert normalized_sum(alt)[0] == 0.0
-    two = Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert np.allclose(normalized_sum(two), 1.0 / math.sqrt(2.0))
-
-
-def test_normalized_sum_negation():
-    ds = sample_dataset(DesignSpec(kind="gaussian", p=3), 10, 3)
-    neg = Dataset(-ds.values)
-    assert np.array_equal(normalized_sum(neg), -normalized_sum(ds))
 
 
 def test_empirical_covariance_divisor_n():
@@ -209,7 +194,7 @@ def test_interpolated_boundaries_exact():
     chol = robust_cholesky(CovMatrix(np.eye(3)))
     key = one_key(99)
     at_one = InterpolatedSampler(design, 10, chol, 1.0, exact_law=False).draw_keys(key)
-    sx = normalized_sum(sample_dataset(design, 10, rng.mix64(99, 1)))
+    sx = sample_dataset(design, 10, rng.mix64(99, 1)).values.sum(axis=0) / math.sqrt(10)
     assert np.array_equal(at_one[0], sx)
     at_zero = InterpolatedSampler(design, 10, chol, 0.0, exact_law=False).draw_keys(key)
     sy = GaussianSumSampler(chol).draw_keys(one_key(rng.mix64(99, 2)))
