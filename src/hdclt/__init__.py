@@ -25,7 +25,7 @@ from .montecarlo import (
     interpolation_gap,
     noise_floor,
 )
-from .sums import CovMatrix, empirical_covariance, robust_cholesky
+from .sums import CovMatrix, robust_cholesky
 
 __version__ = "0.1.0"
 
@@ -36,6 +36,6 @@ __all__ = [
     "SparseConvexSet", "SparseHalfspace", "sample_rectangles",
     "bootstrap_gap", "estimate_prob", "gaussian_approx_gap",
     "interpolation_gap", "noise_floor",
-    "CovMatrix", "empirical_covariance", "robust_cholesky",
+    "CovMatrix", "robust_cholesky",
     "__version__",
 ]

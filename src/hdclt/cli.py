@@ -35,7 +35,7 @@ from .bounds import MOMENT_R, BoundParams, default_params, report_from_dataset, 
 from .datagen import (CovarianceModel, DesignSpec, population_moments, read_dataset,
                       sample_dataset, write_dataset)
 from .errors import (REQUIRED, ConfigError, NotPositiveSemidefiniteError, ParameterError,
-                     Size, config_value)
+                     Size, config_block, config_value)
 from .experiments import ScanSpec, nazarov_check, rate_scan, smoothmax_check
 from .geometry import family_from_config, family_to_config, sample_rectangles
 from .montecarlo import BATCH, STREAM, TILE, bootstrap_gap, gaussian_approx_gap, interpolation_gap
@@ -93,17 +93,13 @@ def _params(cfg: dict, defaults: BoundParams | None = None) -> BoundParams:
     # an omitted K1 or K2 takes its default from BoundParams; null q or alpha is absent
     given.update((k, config_value(block, k, float)) for k in ("K1", "K2") if k in block)
     given.update((k, config_value(block, k, float, None)) for k in ("q", "alpha"))
-    try:
+    with config_block("params"):
         return BoundParams(**given)
-    except ParameterError as exc:
-        raise ConfigError(f"params: {exc}") from exc
 
 
 def _design(cfg: dict) -> DesignSpec:
-    try:
+    with config_block("design"):
         return DesignSpec.from_config(config_value(cfg, "design", dict))
-    except ParameterError as exc:
-        raise ConfigError(f"design: {exc}") from exc
 
 
 def _family(cfg: dict, p: int, sigma_diag: np.ndarray, seed: int):
@@ -113,13 +109,15 @@ def _family(cfg: dict, p: int, sigma_diag: np.ndarray, seed: int):
         if fam.p != p:
             raise ConfigError(f"family dimension {fam.p} does not match p={p}")
         return fam
-    kind = config_value(block, "kind", str, "rectangles")
-    if kind != "rectangles":
-        raise ConfigError(f"unknown family kind {kind!r}")
-    fam_seed = config_value(block, "seed", int, None)
+    with config_block("family"):
+        kind = config_value(block, "kind", str, "rectangles")
+        if kind != "rectangles":
+            raise ConfigError(f"unknown family kind {kind!r}")
+        fam_seed = config_value(block, "seed", int, None)
+        K = config_value(block, "K", Size, FAMILY_K)
     if fam_seed is None:
         fam_seed = rng.mix64(seed, rng.TAG_FAMILY)
-    return sample_rectangles(p, config_value(block, "K", Size, FAMILY_K), sigma_diag, fam_seed)
+    return sample_rectangles(p, K, sigma_diag, fam_seed)
 
 
 def _sigma_for(cfg: dict, dataset) -> ModelCovariance | CovMatrix:
@@ -245,11 +243,13 @@ def _cmd_rate_scan(cfg: dict, workers):
     unread = {k: v for k, v in family.items() if k != "K" and (k, v) != ("kind", "rectangles")}
     if unread:
         raise ConfigError(f"rate-scan reads only family.K (and kind 'rectangles'), not {unread}")
+    with config_block("family"):
+        family_K = config_value(family, "K", Size, FAMILY_K)
     spec = ScanSpec(
         design=config_value(cfg, "design", dict),
         n_grid=tuple(config_value(cfg, "n_grid", list, item=Size)),
         p_rule=config_value(cfg, "p_rule", dict),
-        family_K=config_value(family, "K", Size, FAMILY_K),
+        family_K=family_K,
         R=config_value(cfg, "R", Size),
         seed=seed,
         params=params,
@@ -263,10 +263,11 @@ def _cmd_rate_scan(cfg: dict, workers):
 def _cmd_nazarov(cfg: dict, workers):
     seed = config_value(cfg, "seed", int)
     block = config_value(cfg, "sigma", dict)
-    cov = config_value(block, "covariance", dict, {"model": "identity"})
+    with config_block("sigma"):
+        cov = config_value(block, "covariance", dict, {"model": "identity"})
+        sigma = ModelCovariance(CovarianceModel.from_config(cov), config_value(block, "p", Size))
     result = nazarov_check(
-        ModelCovariance(CovarianceModel.from_config(cov), config_value(block, "p", Size)),
-        y_count=config_value(cfg, "y_count", Size, 9),
+        sigma, y_count=config_value(cfg, "y_count", Size, 9),
         a_grid=config_value(cfg, "a_grid", list, item=float),
         R=config_value(cfg, "R", Size),
         seed=seed,

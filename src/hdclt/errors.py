@@ -1,4 +1,5 @@
 """Exception types shared across the package, and the one reader of config values."""
+import contextlib
 
 
 class ParameterError(ValueError):
@@ -66,3 +67,12 @@ def config_value(cfg: dict, key: str, kind: type, default=REQUIRED, item: type |
         what = _KIND_NAMES[kind][0] + (f" of {_KIND_NAMES[item][1]}" if item else "")
         raise ConfigError(f"config key {key!r} must be {what}, got {cfg[key]!r}")
     return typed
+
+
+@contextlib.contextmanager
+def config_block(name: str):
+    """Prefix the errors raised while the config object ``name`` is read with it."""
+    try:
+        yield
+    except ParameterError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc

@@ -21,7 +21,7 @@ from .bounds import (
     tail_third_moment_gaussian,
 )
 from .datagen import DesignSpec, population_moments
-from .errors import MAX_SIZE, ParameterError, Size, config_value
+from .errors import MAX_SIZE, ParameterError, Size, config_block, config_value
 from .geometry import sample_rectangles
 from .montecarlo import (
     GaussianSumSampler,
@@ -43,12 +43,13 @@ def dimension_rule(rule: dict, n: int) -> int:
     giving p = round(A * n^C); {"rule": "exp_power", "c": C, "coef": A}
     giving p = round(exp(A * n^C)).  Dimensions are floored at 3.
     """
-    kind = config_value(rule, "rule", str)
-    if kind == "fixed":
-        return max(3, config_value(rule, "p", Size))
+    with config_block("p_rule"):
+        kind = config_value(rule, "rule", str)
+        if kind == "fixed":
+            return max(3, config_value(rule, "p", Size))
+        coef, c = config_value(rule, "coef", float, 1.0), config_value(rule, "c", float)
     if kind not in ("power", "exp_power"):
         raise ParameterError(f"unknown dimension rule {kind!r}")
-    coef, c = config_value(rule, "coef", float, 1.0), config_value(rule, "c", float)
     try:
         a_nc = coef * n ** c
         p = max(3, round(a_nc if kind == "power" else math.exp(a_nc)))
@@ -205,23 +206,14 @@ class NazarovResult:
     seed: int
 
 
-def _anchor_gaps(draws: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """max_j (w_j - y_j) of each draw w against each anchor row y."""
-    if np.all(anchors == anchors[:, :1]):
-        # constant anchor rows (equal sds): rounding is monotone, so
-        # max_j fl(w_j - y) == fl(max_j w_j - y) bit for bit
-        return np.max(draws, axis=1)[:, None] - anchors[:, 0]
-    return rng.blocked(lambda rows: np.max(rows[:, None, :] - anchors, axis=2),
-                       draws, anchors.size)
-
-
 def nazarov_check(sigma: ModelCovariance | CovMatrix, y_count: int, a_grid, R: int,
                   seed: int, workers: int | None = None) -> NazarovResult:
     """Orthant-increment check P(Y <= y + a) - P(Y <= y) against a*sqrt(log p).
 
-    Anchors are coordinatewise equal quantile levels: y_j = Phi^{-1}(u) *
-    sd_j for u on an even grid, covering the center and both tails.  The
-    two orthant probabilities are estimated from the same draws, so each
+    Anchors are coordinatewise equal levels y = Phi^{-1}(u) * sd for u on an
+    even grid, covering the center and both tails, so every coordinate must
+    have the variance sd^2 (as every model covariance does).  The two
+    orthant probabilities are estimated from the same draws, so each
     increment is the fraction of draws in the slab and is nonnegative by
     construction; the laws on the two sides coincide, which is what makes
     the pairing variance-safe here.
@@ -236,16 +228,17 @@ def nazarov_check(sigma: ModelCovariance | CovMatrix, y_count: int, a_grid, R: i
         raise ParameterError("offsets must be nonnegative")
     _check_gap_args(R)
     diag = sigma.diag()
-    if float(np.min(diag)) <= 0.0:
-        raise ParameterError("anchor quantiles need positive coordinate variances")
+    if not (diag[0] > 0.0 and np.all(diag == diag[0])):
+        raise ParameterError("anchor levels need equal positive coordinate variances")
 
-    sd = np.sqrt(diag)
+    sd = math.sqrt(diag[0])
     levels = [(k + 1) / (y_count + 1) for k in range(y_count)]
     anchors = np.array([float(ndtri(u)) * sd for u in levels])
     sampler = GaussianSumSampler(sigma.factor)
 
     def anchor_counts(draws: np.ndarray) -> np.ndarray:
-        gaps = _anchor_gaps(draws, anchors)
+        # rounding is monotone: fl(max_j w_j - y) == max_j fl(w_j - y) bit for bit
+        gaps = np.max(draws, axis=1)[:, None] - anchors
         return np.stack([np.count_nonzero(gaps <= a, axis=0)
                          for a in [0.0] + a_grid], axis=1)
 

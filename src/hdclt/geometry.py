@@ -4,9 +4,9 @@ All sets are closed (boundaries count as inside) and immutable.  A polytope
 is stored in halfspace form as unit outward normals with offsets, so that
 an epsilon-expansion is just an offset shift.  Sparsely convex sets are
 intersections of pieces that each depend on a small number of coordinates;
-the supported pieces are sparse halfspaces and low-dimensional balls, and
-every ball can be replaced by a circumscribing-polytope approximation whose
-normals inherit the same coordinate support.
+the supported pieces are sparse halfspaces and low-dimensional balls, whose
+hits count by exact membership.  A disk also has an inner polygon whose
+expansion covers it (``approximate_ball``).
 """
 from __future__ import annotations
 
@@ -259,88 +259,41 @@ def expand(poly: Polytope, eps: float) -> Polytope:
     return Polytope(poly.normals, poly.offsets + eps)
 
 
-def fibonacci_sphere(m: int) -> np.ndarray:
-    """m spiral points on the unit 2-sphere (golden-angle construction)."""
-    i = np.arange(m, dtype=np.float64)
-    z = 1.0 - (2.0 * i + 1.0) / m
-    theta = i * (math.pi * (3.0 - math.sqrt(5.0)))
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([rho * np.cos(theta), rho * np.sin(theta), z])
-
-
-def covering_angle(directions: np.ndarray) -> float:
-    """Largest angle from any unit direction to its nearest point of the set.
-
-    Equals the largest angular circumradius over the faces of the convex
-    hull of the points (the spherical Delaunay triangulation), computed
-    exactly from the face planes.
-    """
-    from scipy.spatial import ConvexHull  # deferred: slow to import, rarely used
-
-    hull = ConvexHull(directions)
-    worst = 0.0
-    pts = directions
-    for simplex in hull.simplices:
-        a, b, c = pts[simplex]
-        nrm = np.cross(b - a, c - a)
-        nn = float(np.linalg.norm(nrm))
-        if nn == 0.0:
-            continue
-        nrm = nrm / nn
-        d = float(nrm @ a)
-        if d < 0.0:
-            nrm, d = -nrm, -d
-        worst = max(worst, math.acos(min(1.0, max(-1.0, d))))
-    return worst
-
-
 def approximate_ball(indices, center, radius: float, eps: float, p: int) -> Polytope:
-    """Circumscribe-from-inside polytope for a 2- or 3-dimensional ball.
+    """Circumscribe-from-inside polygon for a 2-dimensional ball (a disk).
 
-    Returns an inner polytope whose eps-expansion covers the ball: with
-    tangent-direction normals v_k and offsets radius*cos(theta) (theta the
-    covering angle of the normal set), every polytope point lies inside the
-    ball and the ball's support in each normal direction exceeds the offset
-    by at most radius*(1 - cos(theta)) <= eps.  The normals live in the full
-    p-dimensional space but are supported on the given coordinates only.
+    Returns an inner polytope whose eps-expansion covers the disk: with m
+    equiangular normals v_k and offsets radius*cos(pi/m), every polytope
+    point lies inside the disk and the disk's support in each normal
+    direction exceeds the offset by radius*(1 - cos(pi/m)) <= eps.  The
+    normals live in the full p-dimensional space but are supported on the
+    two given coordinates only.
     """
     idx = tuple(int(j) for j in indices)
-    if len(idx) not in (2, 3):
-        raise ParameterError(f"ball approximation supports 2 or 3 coordinates, got {len(idx)}")
+    if len(idx) != 2:
+        raise ParameterError(f"ball approximation supports 2 coordinates, got {len(idx)}")
     if not (0.0 < eps < radius):
         raise ParameterError(f"need 0 < eps < radius, got eps={eps!r}, radius={radius!r}")
     if max(idx) >= p or min(idx) < 0:
         raise ParameterError("ball indices out of range for the ambient dimension")
     ctr = np.asarray(center, dtype=np.float64)
-    if ctr.shape != (len(idx),):
+    if ctr.shape != (2,):
         raise ParameterError("center must have one entry per ball coordinate")
 
-    if len(idx) == 2:
-        # equiangular normals; the polygon's vertices sit exactly on the sphere.
-        # ceil of pi/acos(1 - eps/r) up to float rounding at integer quotients,
-        # so pin m to the smallest verified count instead
-        m = max(3, math.ceil(math.pi / math.acos(1.0 - eps / radius)))
-        while radius * (1.0 - math.cos(math.pi / m)) > eps:
-            m += 1
-        while m > 3 and radius * (1.0 - math.cos(math.pi / (m - 1))) <= eps:
-            m -= 1
-        angles = 2.0 * math.pi * np.arange(m) / m
-        local = np.column_stack([np.cos(angles), np.sin(angles)])
-        cos_theta = math.cos(math.pi / m)
-    else:
-        theta_target = math.acos(1.0 - eps / radius)
-        m = max(8, math.ceil(2.2 / (1.0 - math.cos(theta_target))))
-        while True:
-            local = fibonacci_sphere(m)
-            theta = covering_angle(local)
-            if radius * (1.0 - math.cos(theta)) <= eps:
-                cos_theta = math.cos(theta)
-                break
-            m = m + max(1, m // 16)
+    # the polygon's vertices sit exactly on the circle.  m is the ceil of
+    # pi/acos(1 - eps/r) up to float rounding at integer quotients, so pin it
+    # to the smallest verified count instead
+    m = max(3, math.ceil(math.pi / math.acos(1.0 - eps / radius)))
+    while radius * (1.0 - math.cos(math.pi / m)) > eps:
+        m += 1
+    while m > 3 and radius * (1.0 - math.cos(math.pi / (m - 1))) <= eps:
+        m -= 1
+    angles = 2.0 * math.pi * np.arange(m) / m
+    local = np.column_stack([np.cos(angles), np.sin(angles)])
 
     normals = np.zeros((m, p))
     normals[:, list(idx)] = local
-    offsets = radius * cos_theta + local @ ctr
+    offsets = radius * math.cos(math.pi / m) + local @ ctr
     return Polytope(normals, offsets)
 
 

@@ -44,10 +44,10 @@ BATCH = 1 << 13  # fixed batch size; must not depend on the worker count
 # the version of the streams: which words make each draw and how a draw's
 # product is tiled; every change that moves a draw bumps it
 STREAM = 2
-# values one matrix-product tile may hold: it fixes the tile of each product,
-# so the bits of its draws; changing it changes the stream
+# values one matrix-product tile may hold: it fixes the tile shape of each
+# product, so the bits of its draws; changing it changes the stream
 TILE = 1 << 20
-# draw values one worker holds at a time; it changes no number
+# draw values one chunk of any sampler holds; it changes no number
 DRAW_BUDGET = 1 << 20
 
 
@@ -86,12 +86,13 @@ class _Sampler:
     whatever R, the batch start or the worker count, and the padding costs
     product flops on a run's last tile, never stream words.  Its
     ``draw_keys`` gets each chunk with the tile keywords: ``out``, one
-    T x ``size`` buffer per batch, and ``start``.  A row-local sampler gets
-    slices of ``DRAW_BUDGET // size`` keys (``rng.blocked``), a whole number
-    of ``block_rows`` when that fits; the budget changes no number.  Chunks
-    of whole tiles or slices from the batch start hold at most ``TILE``
-    (product) or ``DRAW_BUDGET`` draw values, so one worker holds one chunk
-    plus, for a product sampler, the tile buffer.
+    T x ``size`` buffer per batch, and ``start``.  A row-local sampler's
+    kernels work in ``rng.BLOCK`` blocks, so its ``draw_keys`` gets each
+    chunk whole.  A chunk is a whole number of units from the batch start,
+    at most ``DRAW_BUDGET`` draw values when a unit fits; a unit is the
+    tile, or ``block_rows`` keys (one key when ``block_rows * p`` exceeds
+    the budget).  So one worker holds one chunk plus, for a product
+    sampler, the tile buffer; the budget changes no number.
     """
 
     p: int
@@ -103,14 +104,13 @@ class _Sampler:
         """``[fn(draws), ...]`` over the chunks of a batch, in key order."""
         keys = rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
         if self.product:  # a power of two divides BATCH: no tile spans two batches
-            budget, rows = TILE, 1 << (max(1, min(BATCH, TILE // self.size)).bit_length() - 1)
-            tile = np.empty((rows, self.size))
+            unit = 1 << (max(1, min(BATCH, TILE // self.size)).bit_length() - 1)
+            tile = np.empty((unit, self.size))
             draw = lambda i, j: self.draw_keys(keys[i:j], out=tile, start=start + i)
         else:
-            budget, rows = DRAW_BUDGET, max(1, DRAW_BUDGET // self.size)
-            rows -= rows % self.block_rows if rows >= self.block_rows else 0
-            draw = lambda i, j: rng.blocked(self.draw_keys, keys[i:j], self.size, rows * self.size)
-        per = rows * max(1, budget // (self.p * rows))
+            unit = self.block_rows if self.block_rows * self.p <= DRAW_BUDGET else 1
+            draw = lambda i, j: self.draw_keys(keys[i:j])
+        per = unit * max(1, DRAW_BUDGET // (self.p * unit))
         # fn reduces each chunk inside the loop, so no two chunks are alive
         return [fn(draw(i, min(i + per, count))) for i in range(0, count, per)]
 
@@ -216,7 +216,10 @@ class InterpolatedSampler(_Sampler):
     def draw_keys(self, keys: np.ndarray, **tile) -> np.ndarray:
         sx = self.inner_x.draw_keys(rng.mix64_keys(keys, rng.TAG_FIRST))
         sy = self.inner_y.draw_keys(rng.mix64_keys(keys, rng.TAG_SECOND), **tile)
-        return math.sqrt(self.v) * sx + math.sqrt(1.0 - self.v) * sy
+        # sqrt(v) * sx + sqrt(1 - v) * sy in place: no temporary of a chunk's size
+        sx *= math.sqrt(self.v)
+        sx += np.multiply(sy, math.sqrt(1.0 - self.v), out=sy)
+        return sx
 
 
 class _DatasetSampler(_Sampler):

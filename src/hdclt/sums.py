@@ -185,11 +185,6 @@ class AR1Factor:
         return np.ascontiguousarray(x.T).reshape(z.shape)
 
 
-def empirical_covariance(dataset: Dataset) -> CovMatrix:
-    """Centered second-moment matrix with divisor n: ``dataset.covariance``."""
-    return dataset.covariance
-
-
 BASE_JITTER = 1e-10
 
 

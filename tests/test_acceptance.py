@@ -31,11 +31,7 @@ from hdclt.montecarlo import (
     gaussian_approx_gap,
 )
 from hdclt.bounds import rate_terms, smoothing_parameter
-from hdclt.sums import (
-    CovMatrix,
-    empirical_covariance,
-    robust_cholesky,
-)
+from hdclt.sums import CovMatrix, robust_cholesky
 
 mpmath.mp.dps = 50
 
@@ -92,7 +88,7 @@ def test_criterion_03_one_dimensional_oracle():
 def test_criterion_04_bootstrap_conditional_identities():
     design = DesignSpec(kind="gaussian", p=20, covariance=CovarianceModel("ar1", 0.5))
     data = sample_dataset(design, 500, 99)
-    shat = empirical_covariance(data).matrix
+    shat = data.covariance.matrix
     R = 100_000
 
     outer = np.sum(MultiplierSampler(data).map_chunks(31, 0, R, lambda d: d.T @ d),

@@ -25,7 +25,7 @@ from hdclt.bounds import (
 )
 from hdclt.datagen import CovarianceModel, Dataset, DesignSpec, population_moments, sample_dataset
 from hdclt.errors import ParameterError
-from hdclt.sums import CovMatrix, empirical_covariance
+from hdclt.sums import CovMatrix
 
 mpmath.mp.dps = 50
 
@@ -95,7 +95,7 @@ def test_bootstrap_tail_moment_against_brute_force_oracle():
     est = tail_third_moment_bootstrap(ds, 1e12, 20_000, 9)
 
     # oracle: independent sampler (numpy Generator) for E max|N(0, S_hat)|^3
-    shat = empirical_covariance(ds).matrix
+    shat = ds.covariance.matrix
     g = np.random.default_rng(123)
     total = total_sq = 0.0
     R = 10_000_000
@@ -351,6 +351,6 @@ def test_report_from_dataset_shape():
     assert cfg["provenance"] == "empirical"
     assert {"D1", "D2q", "D1_alpha", "D2q_alpha", "delta_nr"} <= set(cfg)
     assert cfg["delta_nr"] == pytest.approx(
-        max_covariance_gap(empirical_covariance(ds), sigma)
+        max_covariance_gap(ds.covariance, sigma)
     )
     assert cfg["params"]["q"] == 5.0

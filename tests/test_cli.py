@@ -707,12 +707,15 @@ def test_input_errors_exit_2_naming_the_input(tmp_path, command, args, message):
     ("smoothmax", "p_grid=[2, 1e30]", "p_grid"),
 ])
 def test_oversized_sizes_exit_2_naming_the_key(tmp_path, command, override, key):
-    # every count and dimension has one ceiling, checked where its key is read
+    # every count and dimension has one ceiling, checked where its key is read;
+    # a key of a nested object is named after that object ("sigma: ")
     _input_files(tmp_path)
     path = write_config(tmp_path, "c.json", INPUT_CONFIGS[command](tmp_path))
     code, _, err = run_cli([command, "--config", path, "--set", override])
     assert code == 2, err
-    assert f"config key {key!r} must be" in err and f"at most {MAX_SIZE}" in err
+    block = override.split("=")[0].rpartition(".")[0]
+    where = f"{block}: " if block else ""
+    assert f"error: {where}config key {key!r} must be" in err and f"at most {MAX_SIZE}" in err
     assert "Traceback" not in err
 
 

@@ -4,10 +4,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from hdclt import experiments, montecarlo, rng
 from hdclt.bounds import rate_terms
-from hdclt.datagen import DesignSpec, population_moments
+from hdclt.datagen import CovarianceModel, DesignSpec, population_moments
 from hdclt.errors import ParameterError
 from hdclt.experiments import (
     NazarovResult,
@@ -19,7 +20,7 @@ from hdclt.experiments import (
     smoothmax_check,
     smoothmax_gap,
 )
-from hdclt.sums import CovMatrix
+from hdclt.sums import CovMatrix, ModelCovariance
 
 mpmath.mp.dps = 50
 
@@ -195,25 +196,39 @@ def test_nazarov_small_offset_doubling():
     assert 1.5 <= ratio <= 2.5
 
 
-_SD = np.array([0.5, 1.0, 2.0, 3.0, 0.25])
-
-
 @pytest.mark.parametrize("sigma", [
-    CovMatrix(0.5 * np.eye(5) + 0.5),  # equicorrelated, equal variances
-    CovMatrix(np.outer(_SD, _SD) * 0.3 ** np.abs(np.subtract.outer(range(5), range(5)))),
-], ids=["equicorrelated", "unequal-variance"])
+    CovMatrix(0.5 * np.eye(5) + 0.5),  # equicorrelated: a dense factor's tiles
+    ModelCovariance(CovarianceModel("ar1", 0.3), 5, var=2.25),  # row-local draws
+], ids=["equicorrelated", "ar1-model"])
 def test_nazarov_row_max_blocks_leave_results_unchanged(monkeypatch, sigma):
-    # blocked rows, one block, and the literal (rows, anchors, p) max, which
-    # the one row max of equal-variance anchors must match bit for bit
+    # the one row max of equal-variance anchors, with tiny and with whole
+    # rng.BLOCK blocks, matches the literal (rows, anchors, p) max bit for bit
+    y_count, a_grid, R, seed = 3, [0.05, 0.5], 3000, 4
     runs = []
     for block in (7, 1 << 30):
         monkeypatch.setattr(rng, "BLOCK", block)
-        runs.append(nazarov_check(sigma, 3, [0.05, 0.5], 3000, 4))
-    monkeypatch.setattr(experiments, "_anchor_gaps",
-                        lambda draws, anchors: np.max(draws[:, None, :] - anchors, axis=2))
-    runs.append(nazarov_check(sigma, 3, [0.05, 0.5], 3000, 4))
-    assert runs[0] == runs[1] == runs[2]
-    assert any(r.diff_hat > 0.0 for r in runs[0].rows)
+        runs.append(nazarov_check(sigma, y_count, a_grid, R, seed))
+    draws = np.concatenate(montecarlo.GaussianSumSampler(sigma.factor).map_chunks(
+        seed, 0, R, lambda chunk: chunk))
+    levels = [(k + 1) / (y_count + 1) for k in range(y_count)]
+    anchors = np.array([float(ndtri(u)) * np.sqrt(sigma.diag()) for u in levels])
+    gaps = np.max(draws[:, None, :] - anchors, axis=2)  # (rows, anchors)
+    base = np.count_nonzero(gaps <= 0.0, axis=0) / R
+    oracle = [np.count_nonzero(gaps[:, k] <= a) / R - base[k]
+              for k in range(y_count) for a in a_grid]
+    assert runs[0] == runs[1]
+    assert [r.diff_hat for r in runs[0].rows] == oracle
+    assert any(d > 0.0 for d in oracle)
+
+
+def test_nazarov_rejects_unequal_variances():
+    # anchor levels are one quantile per level only when every sd is equal
+    sd = np.array([0.5, 1.0, 2.0, 3.0, 0.25])
+    sigma = CovMatrix(np.outer(sd, sd) * 0.3 ** np.abs(np.subtract.outer(range(5), range(5))))
+    with pytest.raises(ParameterError, match="equal positive coordinate variances"):
+        nazarov_check(sigma, 3, [0.05], 3000, 4)
+    with pytest.raises(ParameterError, match="equal positive coordinate variances"):
+        nazarov_check(CovMatrix(np.zeros((3, 3))), 3, [0.05], 3000, 4)
 
 
 def test_nazarov_validation():

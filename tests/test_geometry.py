@@ -16,11 +16,9 @@ from hdclt.geometry import (
     SparseConvexSet,
     SparseHalfspace,
     approximate_ball,
-    covering_angle,
     expand,
     family_from_config,
     family_to_config,
-    fibonacci_sphere,
     hit_counts,
     sample_rectangles,
     sandwich_check,
@@ -121,21 +119,9 @@ def test_ball_normals_unit_and_sparse():
 def test_ball_approximation_errors():
     with pytest.raises(ParameterError):
         approximate_ball((0, 1), np.zeros(2), 1.0, 1.0, 2)
-    with pytest.raises(ParameterError):
-        approximate_ball((0, 1, 2, 3), np.zeros(4), 1.0, 0.1, 5)
-
-
-def test_three_dim_ball_covering_verified():
-    ball = approximate_ball((0, 1, 2), np.zeros(3), 1.0, 0.05, 3)
-    theta = covering_angle(ball.normals)
-    assert 1.0 * (1.0 - math.cos(theta)) <= 0.05
-    sset = SparseConvexSet(p=3, s=3, pieces=(SparseBall((0, 1, 2), np.zeros(3), 1.0),))
-    assert sandwich_check(ball, sset, 0.05, 20_000, 1.3, 21) == 0
-
-
-def test_fibonacci_sphere_unit_norm():
-    pts = fibonacci_sphere(200)
-    assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) < 1e-12
+    for idx in ((0, 1, 2), (0, 1, 2, 3)):  # only a disk has a cover
+        with pytest.raises(ParameterError, match="supports 2 coordinates"):
+            approximate_ball(idx, np.zeros(len(idx)), 1.0, 0.1, 5)
 
 
 def test_sandwich_disk():

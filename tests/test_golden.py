@@ -22,8 +22,8 @@ of draw work, so it is made in several slices or tiles: the multiplier and
 empirical products at n=1000 run on tiles of 1024 rows (the largest power of two at most ``TILE //
 size``), anchored at the replication index and zero-padded on a run's last
 tile; the gaussian side at p=600 and the literal sum path at n*p=5000 are
-row-local, sliced by ``DRAW_BUDGET``; the interpolated sampler at n=2000
-is row-local too.  The gaussian side at p=600 also makes each batch in
+row-local, made in chunks of at most ``DRAW_BUDGET`` draw values; the
+interpolated sampler at n=2000 is row-local too.  The gaussian side at p=600 also makes each batch in
 several chunks of draws.
 
 Reports echo their config, so every run happens in a temporary working

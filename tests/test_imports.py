@@ -1,15 +1,15 @@
 """Cold start: a run loads only the scipy subpackages it calls.  Also the
-import-level rules that only ``sums`` applies a covariance factor and that
-every top-level function or class of ``src/hdclt`` is reached by a command,
-an acceptance criterion or the benchmark.
+import-level rules that ``scipy.special`` is the one scipy subpackage
+imported at module level, that only ``sums`` applies a covariance factor
+and that every top-level function or class of ``src/hdclt`` is reached by a
+command, an acceptance criterion or the benchmark.
 
-``scipy.stats`` (binomial sign sums), ``scipy.integrate`` (heavy_tail
-moments) and ``scipy.spatial`` (ball covering angles) take about 1 s and
-46 MiB to import, so each is imported inside the function that uses it.
-Measured with one BLAS thread, ``import hdclt.cli`` peaks at 55 MiB with
-them deferred and at 101 MiB with them loaded at module level.  Each check
-runs in a fresh interpreter, since this test session has long since
-imported all three.
+``scipy.stats`` (binomial sign sums) and ``scipy.integrate`` (heavy_tail
+moments) are slow to import, so each is imported inside the function that
+uses it.  Measured with one BLAS thread, ``import hdclt.cli`` peaked at
+55 MiB with them and ``scipy.spatial`` (since gone) deferred, and at
+101 MiB with the three loaded at module level.  Each check runs in a fresh
+interpreter, since this test session has long since imported both.
 """
 import ast
 import json
@@ -22,7 +22,7 @@ import pytest
 import hdclt
 from conftest import run_child
 
-DEFERRED = ("scipy.stats", "scipy.integrate", "scipy.spatial")
+DEFERRED = ("scipy.stats", "scipy.integrate")
 IMPORT_LIMIT_MIB = 80
 
 needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
@@ -84,6 +84,30 @@ def test_runs_load_no_deferred_subpackage(workdir, case):
     out = _child(workdir, command, "--config", f"{case}.cfg.json", "--workers", "1")
     assert out["code"] == 0
     assert out["loaded"] == []
+
+
+def test_scipy_subpackages_are_special_or_deferred():
+    # scipy.special at module level, a DEFERRED subpackage only inside a
+    # function, and no other scipy import anywhere in src/hdclt
+    found = []
+    for path in sorted(pathlib.Path(hdclt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        deferred = {id(node) for fn in ast.walk(tree)
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                names = [f"scipy.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            allowed = DEFERRED if id(node) in deferred else ("scipy.special",)
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy" and name not in allowed]
+    assert found == []
 
 
 def test_only_sums_applies_a_covariance_factor():

@@ -9,7 +9,7 @@ indices and normals are made in blocks of ``rng.BLOCK`` elements inside a
 tile, which keeps a whole run near 71 MiB for multiplier and for empirical
 draws (97 MiB with the 2^22-value slices of stream 1; 158 and 155 MiB with
 slicing alone).  At p = 5000 a batch of 8192 draws is 312 MiB;
-``map_chunks`` makes it in chunks of at most ``TILE`` draw values and the
+``map_chunks`` makes it in chunks of at most ``DRAW_BUDGET`` draw values and the
 hit counts reduce each chunk before the next is drawn, so multiplier and
 empirical hit counts of an n = 50 dataset peak at 70 and 68 MiB (92 and
 91 MiB with 2^22-value slices), where the whole batch took 406 and 421
@@ -24,7 +24,10 @@ ceiling, so after the first free such operands came from the heap and two
 of them stayed resident.  A row-local sampler draws chunks of
 ``montecarlo.DRAW_BUDGET`` (2^20) values: a ``nazarov`` run at p = 1000 (equicorrelated, R = 16384) peaks at 64 MiB,
 and has its own limit of 75 MiB; with 2^22-value chunks it took 88 MiB,
-for the same heap reason.  ``bounds`` on a design draws its ``moment_R``
+for the same heap reason.  An interpolated ``estimate-rho`` at p = 1000
+(``trunc_exp``, n = 16, R = 8192) combines the two branches of each chunk
+in place and peaks at 72 MiB, under its limit of 80 MiB; adding the
+branches out of place took it to 89 MiB.  ``bounds`` on a design draws its ``moment_R``
 data-side rows in ``rng.BLOCK`` blocks and keeps one cube per row: at
 p = 200 and moment_R = 2 * 10^5 it peaks at 74 MiB, where the whole
 R x p matrix took 1631 MiB.  ``smoothmax`` at 10^5 trials of p = 1000
@@ -52,7 +55,7 @@ from hdclt import cli
 
 LIMIT_MIB = 256
 WIDE_LIMIT_MIB = 105
-CASE_LIMIT_MIB = {"nazarov": 75}
+CASE_LIMIT_MIB = {"nazarov": 75, "interpolated": 80}
 BENCH_SHAPE_LIMIT_MIB = 80
 N = 100_000
 
@@ -120,6 +123,11 @@ CASES = {
     "nazarov": ("nazarov", {"seed": 6, "y_count": 9, "a_grid": [0.05], "R": 16384,
                             "sigma": {"p": 1000, "covariance": {"model": "equicorrelated",
                                                                 "r": 0.5}}}),
+    # interpolated draws at p = 1000: each chunk's two branches, combined in place
+    "interpolated": ("estimate-rho", {
+        "seed": 7, "design": {"kind": "trunc_exp", "p": 1000}, "n": 16, "R": 8192,
+        "v_grid": [0.5], "family": {"sets": [{"label": "orthant", "kind": "rect",
+                                              "lower": ["-inf"] * 1000, "upper": [0.0] * 1000}]}}),
 }
 
 

@@ -264,11 +264,11 @@ def _full_tiles(draw_keys, seed, start, count, T):
 
 
 def _chunk_consumers(sampler, monkeypatch):
-    # the three reductions of draws: hit counts, Nazarov anchor counts (unequal
-    # sds, so the blocked row maxima run) and the tail cubes of bounds
+    # the three reductions of draws: hit counts, Nazarov anchor counts (equal
+    # sds, as the check requires) and the tail cubes of bounds
     p = sampler.p
     family = sample_rectangles(p, 8, np.ones(p), 5)
-    sigma = CovMatrix(np.diag(np.linspace(0.5, 2.0, p)))
+    sigma = CovMatrix(2.0 * np.eye(p))
     monkeypatch.setattr(experiments, "GaussianSumSampler", lambda chol: sampler)
     return (family_hit_counts(sampler, family, 1000, 9, 1).tolist(),
             nazarov_check(sigma, 3, [0.1, 0.5], 1000, 9, 1),
@@ -277,32 +277,31 @@ def _chunk_consumers(sampler, monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(_slicing_samplers()))
 def test_draw_slices_batch_to_budget(monkeypatch, kind):
-    # map_chunks cuts a batch, from its start, into chunks of at most budget
-    # draw values: TILE for a product kind, DRAW_BUDGET for a row-local one.
-    # A product kind's draw_keys gets each chunk with the T-row tile buffer
-    # and the index of the chunk's first key, and its draws are those of
-    # whole tiles, even where the batch starts mid-tile; a row-local kind's
-    # gets slices of budget // size keys, and its draws are those of one
-    # unsliced call.  Every consumer's reduction of the chunks equals its
-    # reduction of those draws
+    # map_chunks cuts a batch, from its start, into chunks of whole units of
+    # at most DRAW_BUDGET draw values: a unit is the T-row tile of a product
+    # kind (TILE fixes T) and block_rows keys of a row-local one.  A product
+    # kind's draw_keys gets each chunk with the T-row tile buffer and the
+    # index of the chunk's first key, and its draws are those of whole tiles,
+    # even where the batch starts mid-tile; a row-local kind's gets each
+    # chunk whole, and its draws are those of one call on every key.  Every
+    # consumer's reduction of the chunks equals its reduction of those draws
     sampler = _slicing_samplers()[kind]
     budget, start, R = 200, 3, 1000
     product = kind in PRODUCT_KINDS
-    monkeypatch.setattr(montecarlo, "TILE" if product else "DRAW_BUDGET", budget)
+    monkeypatch.setattr(montecarlo, "DRAW_BUDGET", budget)
     draw_keys = sampler.draw_keys
     if product:
-        T = _tile_rows(sampler)
-        rows = T
+        monkeypatch.setattr(montecarlo, "TILE", budget)
+        unit = T = _tile_rows(sampler)
 
         def whole(seed, start, count):
             return _full_tiles(draw_keys, seed, start, count, T)
     else:
-        rows = budget // sampler.size
-        rows -= rows % sampler.block_rows if rows >= sampler.block_rows else 0
+        unit = sampler.block_rows  # block_rows * p <= budget: p is 5
 
         def whole(seed, start, count):
             return draw_keys(_keys(seed, start, count))
-    per = rows * max(1, budget // (sampler.p * rows))
+    per = unit * max(1, budget // (sampler.p * unit))
     edges = [*range(start, start + R, per), start + R]
 
     seen = []
@@ -318,8 +317,7 @@ def test_draw_slices_batch_to_budget(monkeypatch, kind):
     if product:
         assert seen == [(j - i, (T, sampler.size), i) for i, j in zip(edges, edges[1:])]
     else:
-        assert seen == [(min(rows, j - k),) for i, j in zip(edges, edges[1:])
-                        for k in range(i, j, rows)]
+        assert seen == [(j - i,) for i, j in zip(edges, edges[1:])]
     np.testing.assert_array_equal(np.concatenate(chunks), whole(9, start, R))
 
     hits, nazarov, tail = _chunk_consumers(sampler, monkeypatch)
@@ -331,6 +329,17 @@ def test_draw_slices_batch_to_budget(monkeypatch, kind):
     monkeypatch.setattr(sampler, "map_chunks", lambda seed, start, count, fn:
                         [fn(whole(seed, start, count))])
     assert _chunk_consumers(sampler, monkeypatch) == (hits, nazarov, tail)
+
+
+def test_row_local_unit_is_one_key_when_its_blocks_overflow(monkeypatch):
+    # AR(1) rows at p = 5 block in 5 keys; a budget of 20 values holds no
+    # block of 25, so each chunk is 4 whole keys and the draws are unchanged
+    sampler = GaussianSumSampler(CovarianceModel("ar1", 0.5).factor(5))
+    whole = sampler.draw_keys(_keys(9, 0, 30))
+    monkeypatch.setattr(montecarlo, "DRAW_BUDGET", 20)
+    chunks = sampler.map_chunks(9, 0, 30, lambda chunk: chunk)
+    assert [len(chunk) for chunk in chunks] == [4] * 7 + [2]
+    np.testing.assert_array_equal(np.concatenate(chunks), whole)
 
 
 def _row_count_samplers():

@@ -18,7 +18,6 @@ from hdclt.sums import (
     CholFactor,
     CovMatrix,
     ModelCovariance,
-    empirical_covariance,
     empirical_resample_draw_batch,
     gaussian_draw_batch,
     multiplier_draw_batch,
@@ -36,10 +35,10 @@ def one_key(key):
 
 
 def test_empirical_covariance_divisor_n():
-    assert empirical_covariance(Dataset(np.array([[1.0], [-1.0]]))).matrix[0, 0] == 1.0
-    assert empirical_covariance(Dataset(np.array([[2.0], [0.0]]))).matrix[0, 0] == 1.0
+    assert Dataset(np.array([[1.0], [-1.0]])).covariance.matrix[0, 0] == 1.0
+    assert Dataset(np.array([[2.0], [0.0]])).covariance.matrix[0, 0] == 1.0
     const = Dataset(np.full((5, 3), 2.5))
-    assert np.all(empirical_covariance(const).matrix == 0.0)
+    assert np.all(const.covariance.matrix == 0.0)
 
 
 def test_covariance_validation():
@@ -217,7 +216,7 @@ def test_multiplier_draw_variance():
 
 def test_multiplier_conditional_covariance_identity():
     data = Dataset(np.random.default_rng(0).standard_normal((50, 4)))
-    shat = empirical_covariance(data).matrix
+    shat = data.covariance.matrix
     R = 100_000
     draws = multiplier_draw_batch(data, keys(77, R))
     got = draws.T @ draws / R
