@@ -14,7 +14,9 @@ report does not record yet (ROADMAP item 4).  A JSON report records its
 A seed is always required: reproducibility is mandatory, not opt-in.
 Config values are typed: an integer key takes any number with an integral
 value (``1e4`` is 10000), a number key any JSON number, a flag only true or
-false; null leaves out a key that has no default value (``params.q``).
+false; null leaves out a key that has no default value (``params.q``).  An
+error names a key by its dotted path (``sigma.design.p``), and a key given
+but never read exits 2 once the command has run, before any output.
 
 The worker count (``--workers``, one per CPU by default) only affects
 wall-clock time, never the numerical output.
@@ -34,8 +36,8 @@ from . import rng, serialize
 from .bounds import MOMENT_R, BoundParams, default_params, report_from_dataset, report_from_design
 from .datagen import (CovarianceModel, DesignSpec, population_moments, read_dataset,
                       sample_dataset, write_dataset)
-from .errors import (REQUIRED, ConfigError, NotPositiveSemidefiniteError, ParameterError,
-                     Size, config_block, config_value)
+from .errors import (REQUIRED, Config, ConfigError, NotPositiveSemidefiniteError,
+                     ParameterError, Size, config_value, unread_keys)
 from .experiments import ScanSpec, nazarov_check, rate_scan, smoothmax_check
 from .geometry import family_from_config, family_to_config, sample_rectangles
 from .montecarlo import BATCH, STREAM, TILE, bootstrap_gap, gaussian_approx_gap, interpolation_gap
@@ -57,7 +59,7 @@ def _fail(stream, code: int, message: str) -> int:
     return code
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, overrides: list) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -65,7 +67,9 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    return cfg
+    for assignment in overrides:
+        _apply_override(cfg, assignment)
+    return Config(cfg)
 
 
 def _apply_override(cfg: dict, assignment: str) -> None:
@@ -93,13 +97,13 @@ def _params(cfg: dict, defaults: BoundParams | None = None) -> BoundParams:
     # an omitted K1 or K2 takes its default from BoundParams; null q or alpha is absent
     given.update((k, config_value(block, k, float)) for k in ("K1", "K2") if k in block)
     given.update((k, config_value(block, k, float, None)) for k in ("q", "alpha"))
-    with config_block("params"):
-        return BoundParams(**given)
+    return BoundParams(**given)
 
 
-def _design(cfg: dict) -> DesignSpec:
-    with config_block("design"):
-        return DesignSpec.from_config(config_value(cfg, "design", dict))
+def _family_K(block: dict) -> int:
+    if config_value(block, "kind", str, "rectangles") != "rectangles":  # the one sampled kind
+        raise ConfigError(f"unknown family kind {block['kind']!r}")
+    return config_value(block, "K", Size, FAMILY_K)
 
 
 def _family(cfg: dict, p: int, sigma_diag: np.ndarray, seed: int):
@@ -109,12 +113,8 @@ def _family(cfg: dict, p: int, sigma_diag: np.ndarray, seed: int):
         if fam.p != p:
             raise ConfigError(f"family dimension {fam.p} does not match p={p}")
         return fam
-    with config_block("family"):
-        kind = config_value(block, "kind", str, "rectangles")
-        if kind != "rectangles":
-            raise ConfigError(f"unknown family kind {kind!r}")
-        fam_seed = config_value(block, "seed", int, None)
-        K = config_value(block, "K", Size, FAMILY_K)
+    K = _family_K(block)
+    fam_seed = config_value(block, "seed", int, None)
     if fam_seed is None:
         fam_seed = rng.mix64(seed, rng.TAG_FAMILY)
     return sample_rectangles(p, K, sigma_diag, fam_seed)
@@ -126,7 +126,8 @@ def _sigma_for(cfg: dict, dataset) -> ModelCovariance | CovMatrix:
     if source == "empirical":
         return dataset.covariance
     if source == "design":
-        return population_moments(_design(block if "design" in block else cfg)).sigma
+        design = config_value(block if "design" in block else cfg, "design", dict)
+        return population_moments(DesignSpec.from_config(design)).sigma
     raise ConfigError(f"unknown sigma source {source!r}")
 
 
@@ -152,9 +153,13 @@ def _check_output(cfg: dict, command: str) -> None:
         raise ConfigError(f"{what} has no csv table; use format 'json'")
 
 
-def _write_report(cfg: dict, command: str, fields: dict, rows) -> None:
-    """Write the report byte-stably: the config echo plus ``fields`` as
-    json, or the table ``rows`` under ``format: csv``."""
+def _write_output(cfg: dict, command: str, result) -> None:
+    """Write simulate's dataset, or a report byte-stably: the config echo
+    plus its fields as json, or its table rows under ``format: csv``."""
+    path = config_value(cfg, "out", str)
+    if command == "simulate":
+        return write_dataset(result, path, config_value(cfg, "format", str, None))
+    fields, rows = result
     if config_value(cfg, "format", str, "json") == "csv":
         text = serialize.csv_table(rows)
     else:
@@ -162,7 +167,6 @@ def _write_report(cfg: dict, command: str, fields: dict, rows) -> None:
         # deliberately excluded because it never changes them
         provenance = {"stream": STREAM, "batch": BATCH, "tile": TILE}
         text = serialize.dumps(dict(fields, command=command, config=cfg, provenance=provenance))
-    path = config_value(cfg, "out", str)
     try:
         with open(path, "w", newline="") as fh:
             fh.write(text)
@@ -174,14 +178,12 @@ def _write_report(cfg: dict, command: str, fields: dict, rows) -> None:
 # command implementations
 # ---------------------------------------------------------------------------
 
-# Each report command returns ``(fields, rows)``: the json report fields
-# after the config echo and the rows of its csv table (None without one).
+# Each report command returns ``(fields, rows)``: the json report fields after
+# the config echo and its csv table's rows (None without one); simulate, its dataset.
 
-def _cmd_simulate(cfg: dict, workers) -> None:
-    dataset = sample_dataset(_design(cfg), config_value(cfg, "n", Size),
-                             config_value(cfg, "seed", int))
-    write_dataset(dataset, config_value(cfg, "out", str),
-                  config_value(cfg, "format", str, None))
+def _cmd_simulate(cfg: dict, workers):
+    return sample_dataset(DesignSpec.from_config(config_value(cfg, "design", dict)),
+                          config_value(cfg, "n", Size), config_value(cfg, "seed", int))
 
 
 def _cmd_bounds(cfg: dict, workers):
@@ -194,7 +196,7 @@ def _cmd_bounds(cfg: dict, workers):
         params = _params(cfg, BoundParams(b=b_default if b_default > 0 else 1.0, B_n=1.0))
         report = report_from_dataset(dataset, params, moment_R, seed, sigma)
     else:
-        design = _design(cfg)
+        design = DesignSpec.from_config(config_value(cfg, "design", dict))
         n = config_value(cfg, "n", Size)
         params = _params(cfg, default_params(population_moments(design)))
         report = report_from_design(design, n, params, moment_R, seed)
@@ -202,7 +204,7 @@ def _cmd_bounds(cfg: dict, workers):
 
 
 def _cmd_estimate_rho(cfg: dict, workers):
-    design = _design(cfg)
+    design = DesignSpec.from_config(config_value(cfg, "design", dict))
     n = config_value(cfg, "n", Size)
     seed = config_value(cfg, "seed", int)
     R = config_value(cfg, "R", Size)
@@ -239,17 +241,11 @@ def _cmd_bootstrap(cfg: dict, workers):
 def _cmd_rate_scan(cfg: dict, workers):
     seed = config_value(cfg, "seed", int)
     params = _params(cfg) if "params" in cfg else None
-    family = config_value(cfg, "family", dict, {})  # one family of rectangles per p
-    unread = {k: v for k, v in family.items() if k != "K" and (k, v) != ("kind", "rectangles")}
-    if unread:
-        raise ConfigError(f"rate-scan reads only family.K (and kind 'rectangles'), not {unread}")
-    with config_block("family"):
-        family_K = config_value(family, "K", Size, FAMILY_K)
     spec = ScanSpec(
         design=config_value(cfg, "design", dict),
         n_grid=tuple(config_value(cfg, "n_grid", list, item=Size)),
         p_rule=config_value(cfg, "p_rule", dict),
-        family_K=family_K,
+        family_K=_family_K(config_value(cfg, "family", dict, {})),  # one family per p
         R=config_value(cfg, "R", Size),
         seed=seed,
         params=params,
@@ -263,9 +259,8 @@ def _cmd_rate_scan(cfg: dict, workers):
 def _cmd_nazarov(cfg: dict, workers):
     seed = config_value(cfg, "seed", int)
     block = config_value(cfg, "sigma", dict)
-    with config_block("sigma"):
-        cov = config_value(block, "covariance", dict, {"model": "identity"})
-        sigma = ModelCovariance(CovarianceModel.from_config(cov), config_value(block, "p", Size))
+    cov = config_value(block, "covariance", dict, {"model": "identity"})
+    sigma = ModelCovariance(CovarianceModel.from_config(cov), config_value(block, "p", Size))
     result = nazarov_check(
         sigma, y_count=config_value(cfg, "y_count", Size, 9),
         a_grid=config_value(cfg, "a_grid", list, item=float),
@@ -329,13 +324,12 @@ def run(argv: list, stdout=None, stderr=None) -> int:
         return _fail(stderr, 2, "--config is required")
 
     try:
-        cfg = _load_config(config_path)
-        for assignment in overrides:
-            _apply_override(cfg, assignment)
+        cfg = _load_config(config_path, overrides)
         _check_output(cfg, command)
-        report = _HANDLERS[command](cfg, workers)
-        if report is not None:  # simulate writes its dataset itself
-            _write_report(cfg, command, *report)
+        result = _HANDLERS[command](cfg, workers)
+        if unread := unread_keys(cfg):  # misspelled, or not used by this command or branch
+            raise ConfigError(f"config key(s) {unread} given but not read by {command}")
+        _write_output(cfg, command, result)
     except ParameterError as exc:  # ConfigError included
         return _fail(stderr, 2, str(exc))
     except NotPositiveSemidefiniteError as exc:

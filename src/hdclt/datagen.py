@@ -169,15 +169,12 @@ class DesignSpec:
         return self.kind == "gaussian" or self.variant == "gaussian"
 
     @staticmethod
-    def from_config(cfg: dict) -> "DesignSpec":
-        known = {"kind", "p", "covariance", "scale", "tail_index", "variant", "standardize"}
-        extra = set(cfg) - known
-        if extra:
-            raise ParameterError(f"unknown design keys: {sorted(extra)}")
+    def from_config(cfg: dict, p: int | None = None) -> "DesignSpec":
+        """The design of the config object ``cfg``, its ``p`` key given as ``p`` if set."""
         cov = config_value(cfg, "covariance", dict, None)
         return DesignSpec(
             kind=config_value(cfg, "kind", str),
-            p=config_value(cfg, "p", Size),
+            p=config_value(cfg, "p", Size) if p is None else p,
             covariance=IDENTITY if cov is None else CovarianceModel.from_config(cov),
             scale=config_value(cfg, "scale", float, 1.0),
             tail_index=config_value(cfg, "tail_index", float, None),

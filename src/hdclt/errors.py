@@ -1,5 +1,4 @@
 """Exception types shared across the package, and the one reader of config values."""
-import contextlib
 
 
 class ParameterError(ValueError):
@@ -48,31 +47,49 @@ def _typed(value, kind):
     return value if isinstance(value, kind) else None
 
 
+class Config(dict):
+    """A config object of a run as given, which knows the ``prefix`` that
+    names its keys by their dotted path in the run's config and the keys
+    ``config_value`` has ``read``.  Its objects, in arrays too, are Configs."""
+
+    def __init__(self, tree: dict, prefix: str = ""):
+        super().__init__((key, _node(value, prefix + key)) for key, value in tree.items())
+        self.prefix, self.read = prefix, set()
+
+
+def _node(value, name: str):
+    if isinstance(value, list):
+        return [_node(v, f"{name}[{i}]") for i, v in enumerate(value)]
+    return Config(value, name + ".") if isinstance(value, dict) else value
+
+
+def unread_keys(value) -> list:
+    """The paths of the keys given in ``value`` but never read; an unread object is named whole."""
+    if isinstance(value, Config):
+        return [path for key, v in value.items()
+                for path in (unread_keys(v) if key in value.read else [value.prefix + key])]
+    return [path for v in value for path in unread_keys(v)] if isinstance(value, list) else []
+
+
 def config_value(cfg: dict, key: str, kind: type, default=REQUIRED, item: type | None = None):
     """The value of ``key`` in the config object ``cfg`` as a ``kind``: one of
     int, Size, float, bool, str, dict or list, a list holding ``item``s if given.
 
     An absent key gives ``default`` (a ConfigError if it is REQUIRED), and so
     does null where ``default`` is None; any other value of the wrong type is
-    a ConfigError naming the key.
+    a ConfigError naming the key, by its path when ``cfg`` is a Config.
     """
+    name = cfg.prefix + key if isinstance(cfg, Config) else key
+    if isinstance(cfg, Config):
+        cfg.read.add(key)
     if key not in cfg or (cfg[key] is None and default is None):
         if default is REQUIRED:
-            raise ConfigError(f"missing required config key {key!r}")
+            raise ConfigError(f"missing required config key {name!r}")
         return default
     typed = _typed(cfg[key], kind)
     if item is not None and typed is not None:
         typed = [_typed(v, item) for v in typed]
     if typed is None or (item is not None and None in typed):
         what = _KIND_NAMES[kind][0] + (f" of {_KIND_NAMES[item][1]}" if item else "")
-        raise ConfigError(f"config key {key!r} must be {what}, got {cfg[key]!r}")
+        raise ConfigError(f"config key {name!r} must be {what}, got {cfg[key]!r}")
     return typed
-
-
-@contextlib.contextmanager
-def config_block(name: str):
-    """Prefix the errors raised while the config object ``name`` is read with it."""
-    try:
-        yield
-    except ParameterError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc

@@ -21,7 +21,7 @@ from .bounds import (
     tail_third_moment_gaussian,
 )
 from .datagen import DesignSpec, population_moments
-from .errors import MAX_SIZE, ParameterError, Size, config_block, config_value
+from .errors import MAX_SIZE, ParameterError, Size, config_value
 from .geometry import sample_rectangles
 from .montecarlo import (
     GaussianSumSampler,
@@ -43,11 +43,10 @@ def dimension_rule(rule: dict, n: int) -> int:
     giving p = round(A * n^C); {"rule": "exp_power", "c": C, "coef": A}
     giving p = round(exp(A * n^C)).  Dimensions are floored at 3.
     """
-    with config_block("p_rule"):
-        kind = config_value(rule, "rule", str)
-        if kind == "fixed":
-            return max(3, config_value(rule, "p", Size))
-        coef, c = config_value(rule, "coef", float, 1.0), config_value(rule, "c", float)
+    kind = config_value(rule, "rule", str)
+    if kind == "fixed":
+        return max(3, config_value(rule, "p", Size))
+    coef, c = config_value(rule, "coef", float, 1.0), config_value(rule, "c", float)
     if kind not in ("power", "exp_power"):
         raise ParameterError(f"unknown dimension rule {kind!r}")
     try:
@@ -100,7 +99,7 @@ class ScanSpec:
     @functools.cached_property
     def designs(self) -> tuple[DesignSpec, ...]:
         """Each cell's design; not a field, so the report holds the spec's inputs alone."""
-        return tuple(DesignSpec.from_config(dict(self.design, p=dimension_rule(self.p_rule, n)))
+        return tuple(DesignSpec.from_config(self.design, p=dimension_rule(self.p_rule, n))
                      for n in self.n_grid)
 
 

@@ -466,12 +466,9 @@ def family_to_config(family: SetFamily) -> dict:
 
 
 def family_from_config(cfg: dict) -> SetFamily:
-    sets = []
-    labels = []
-    for entry in config_value(cfg, "sets", list, item=dict):
-        labels.append(config_value(entry, "label", str))
-        sets.append(set_from_config({k: v for k, v in entry.items() if k != "label"}))
-    family = SetFamily(tuple(sets), tuple(labels))
+    entries = config_value(cfg, "sets", list, item=dict)
+    labels = tuple(config_value(entry, "label", str) for entry in entries)
+    family = SetFamily(tuple(set_from_config(entry) for entry in entries), labels)
     p = config_value(cfg, "p", Size, family.p)  # family_to_config writes it
     if p != family.p:
         raise ParameterError(f"family.p={p} does not match the sets' dimension {family.p}")

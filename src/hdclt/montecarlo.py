@@ -77,7 +77,7 @@ class _Sampler:
     whatever n and p are.
 
     ``size`` is the element count of the largest array one draw
-    materializes.  ``product`` says whether a matrix product makes the
+    materializes.  ``block_rows`` is None when a matrix product makes the
     draws.  A product sampler (a dense factor, the bootstrap weights) runs
     every product on a tile of T rows, T the largest power of two at most
     ``BATCH`` and ``TILE // size``: tile t holds replications [tT, (t+1)T)
@@ -97,13 +97,12 @@ class _Sampler:
 
     p: int
     size: int
-    product: bool
     block_rows = 1
 
     def map_chunks(self, seed: int, start: int, count: int, fn) -> list:
         """``[fn(draws), ...]`` over the chunks of a batch, in key order."""
         keys = rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
-        if self.product:  # a power of two divides BATCH: no tile spans two batches
+        if self.block_rows is None:  # a power of two divides BATCH: no tile spans two batches
             unit = 1 << (max(1, min(BATCH, TILE // self.size)).bit_length() - 1)
             tile = np.empty((unit, self.size))
             draw = lambda i, j: self.draw_keys(keys[i:j], out=tile, start=start + i)
@@ -127,7 +126,6 @@ class GaussianSumSampler(_Sampler):
         self.factor = factor
         self.p = self.size = factor.p
         self.block_rows = factor.block_rows
-        self.product = factor.block_rows is None  # a dense factor
 
     def draw_keys(self, keys: np.ndarray, **tile) -> np.ndarray:
         return gaussian_draw_batch(self.factor, keys, **tile)
@@ -149,8 +147,6 @@ class DesignSumSampler(_Sampler):
     Shortcut draws consume different stream words than the literal path but
     have exactly the law of the sum statistic.
     """
-
-    product = False
 
     def __init__(self, design: DesignSpec, n: int, exact_law: bool = True):
         if n < 2:
@@ -211,7 +207,7 @@ class InterpolatedSampler(_Sampler):
         self.v = v
         self.p = design.p
         self.size = self.inner_x.size + self.inner_y.size
-        self.product, self.block_rows = self.inner_y.product, self.inner_y.block_rows
+        self.block_rows = self.inner_y.block_rows
 
     def draw_keys(self, keys: np.ndarray, **tile) -> np.ndarray:
         sx = self.inner_x.draw_keys(rng.mix64_keys(keys, rng.TAG_FIRST))
@@ -223,7 +219,7 @@ class InterpolatedSampler(_Sampler):
 
 
 class _DatasetSampler(_Sampler):
-    product = True  # the weights or row counts times the data
+    block_rows = None  # a product: the weights or row counts times the data
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import struct
 
 import numpy as np
@@ -402,8 +403,9 @@ def test_bounds_builds_the_empirical_covariance_once(tmp_path, monkeypatch, sour
            "design": {"kind": "gaussian", "p": 6}}
     assert run_cli(["simulate", "--config", write_config(tmp_path, "s.json", sim)])[0] == 0
     cfg = {"seed": 10, "out": str(tmp_path / "b.json"), "dataset": str(tmp_path / "d.bin"),
-           "moment_R": 200, "design": {"kind": "gaussian", "p": 6},
-           "sigma": {"source": source}}
+           "moment_R": 200, "sigma": {"source": source}}
+    if source == "design":
+        cfg["design"] = {"kind": "gaussian", "p": 6}
     built = []
     original = CovMatrix.__post_init__
 
@@ -417,6 +419,13 @@ def test_bounds_builds_the_empirical_covariance_once(tmp_path, monkeypatch, sour
     assert len(built) == 1
     report = json.loads((tmp_path / "b.json").read_text())["report"]
     assert (report["delta_nr"] == 0.0) == (source == "empirical")
+    if source == "empirical":  # a branch that reads no design: a design is an error
+        (tmp_path / "b.json").unlink()
+        cfg["design"] = {"kind": "gaussian", "p": 6}
+        code, _, err = run_cli(["bounds", "--config", write_config(tmp_path, "c.json", cfg)])
+        assert code == 2, err
+        assert "config key(s) ['design'] given but not read by bounds" in err
+        assert not (tmp_path / "b.json").exists()
 
 
 def scan_config(tmp_path, **overrides):
@@ -458,14 +467,18 @@ def test_non_boolean_exact_law_exits_2(tmp_path, command, make_config, override)
     ({"K": 5, "kind": "rectangles"}, None),
 ])
 def test_rate_scan_reads_only_the_family_size(tmp_path, family, key):
-    # the scan derives one family per p, so any other family key is an error
+    # the scan derives one family of rectangles per p, so it reads no other
+    # family key: a seed or sets are unread, and another kind is unknown
     path = write_config(tmp_path, "scan.json", scan_config(tmp_path, family=family))
     code, _, err = run_cli(["rate-scan", "--config", path])
     if key is None:
         assert code == 0, err
+    elif key == "kind":
+        assert code == 2, err
+        assert "unknown family kind 'orthants'" in err
     else:
         assert code == 2, err
-        assert repr(key) in err
+        assert f"config key(s) ['family.{key}'] given but not read by rate-scan" in err
 
 
 def test_nazarov_non_object_sigma_exits_2(tmp_path):
@@ -494,21 +507,28 @@ def small_rho_config(tmp_path, **overrides):
 
 @pytest.mark.parametrize("command, make_config, override, key", [
     ("estimate-rho", small_rho_config, "R=2000.9", "R"),
-    ("estimate-rho", small_rho_config, "family.K=2.9", "K"),
-    ("estimate-rho", small_rho_config, "design.p=6.7", "p"),
-    ("estimate-rho", small_rho_config, 'design.standardize="false"', "standardize"),
+    ("estimate-rho", small_rho_config, "family.K=2.9", "family.K"),
+    ("estimate-rho", small_rho_config, "design.p=6.7", "design.p"),
+    ("estimate-rho", small_rho_config, 'design.standardize="false"', "design.standardize"),
     ("estimate-rho", small_rho_config, "n=abc", "n"),
-    ("estimate-rho", small_rho_config, "params.K1=null", "K1"),
+    ("estimate-rho", small_rho_config, "params.K1=null", "params.K1"),
     ("estimate-rho", small_rho_config, 'v_grid=["x"]', "v_grid"),
-    ("estimate-rho", small_rho_config, "family.sets=5", "sets"),
+    ("estimate-rho", small_rho_config, "family.sets=5", "family.sets"),
+    ("estimate-rho", small_rho_config, 'family={"sets": 5}', "family.sets"),
     ("estimate-rho", small_rho_config, "R=true", "R"),
     ("estimate-rho", small_rho_config, "seed=1.5", "seed"),
     ("rate-scan", scan_config, "n_grid=5", "n_grid"),
+    ("rate-scan", scan_config, "design.standardize=3", "design.standardize"),
     ("nazarov", nazarov_config, 'a_grid=["x"]', "a_grid"),
+    ("bootstrap", lambda tmp_path: INPUT_CONFIGS["bootstrap"](tmp_path), "sigma.source=5",
+     "sigma.source"),
 ])
 def test_bad_config_values_exit_2_naming_the_key(tmp_path, monkeypatch, command, make_config,
                                                  override, key):
-    forbid(monkeypatch, "gaussian_approx_gap", "interpolation_gap", "rate_scan", "nazarov_check")
+    # a key is named by its dotted path from the config's root
+    forbid(monkeypatch, "gaussian_approx_gap", "interpolation_gap", "rate_scan", "nazarov_check",
+           "bootstrap_gap")
+    _input_files(tmp_path)
     path = write_config(tmp_path, "c.json", make_config(tmp_path))
     code, _, err = run_cli([command, "--config", path, "--set", override])
     assert code == 2, err
@@ -584,8 +604,8 @@ def test_nazarov_builds_its_covariance_without_a_design(tmp_path, monkeypatch):
     path = write_config(tmp_path, "nz.json", cfg)
     code, _, err = run_cli(["nazarov", "--config", path])
     assert code == 0, err
-    for override, key in (('sigma.p="x"', "p"), ("sigma.covariance=5", "covariance"),
-                          ("sigma.covariance.model=5", "model")):
+    for override, key in (('sigma.p="x"', "sigma.p"), ("sigma.covariance=5", "sigma.covariance"),
+                          ("sigma.covariance.model=5", "sigma.covariance.model")):
         code, _, err = run_cli(["nazarov", "--config", path, "--set", override])
         assert code == 2, err
         assert repr(key) in err
@@ -630,7 +650,9 @@ INPUT_CONFIGS = {
                                   "design": {"kind": "gaussian", "p": 5}},
     "bootstrap": lambda tmp_path: {"seed": 1, "out": str(tmp_path / "boot.json"),
                                    "dataset": str(tmp_path / "v1.bin"), "mode": "MB", "R": 1000,
-                                   "sigma": {"source": "empirical"}, "family": {"K": 5}},
+                                   "sigma": {"source": "design",
+                                             "design": {"kind": "gaussian", "p": 5}},
+                                   "family": {"K": 5}},
     "smoothmax": lambda tmp_path: {"seed": 1, "out": str(tmp_path / "sm.json"),
                                    "beta_grid": [1.0], "p_grid": [2], "trials": 10},
     "bounds": lambda tmp_path: {"seed": 1, "out": str(tmp_path / "b.json"), "n": 50,
@@ -656,7 +678,8 @@ INPUT_CONFIGS = {
      "design scale must be positive, got 0"),
     ("estimate-rho", ["--set", 'design={"kind": "trunc_exp", "p": 6, "scale": -1}'],
      "design scale must be positive, got -1"),
-    ("estimate-rho", ["--set", "design.shape=1"], "unknown design keys: ['shape']"),
+    ("estimate-rho", ["--set", "design.shape=1"],
+     "config key(s) ['design.shape'] given but not read by estimate-rho"),
     ("bootstrap", ["--set", "dataset={tmp}/v2.bin"], "unsupported dataset version 2"),
     ("rate-scan", ["--set", "n_grid=[]"], "n_grid must be nonempty"),
     ("rate-scan", ["--set", "n_grid=[2, 8]"], "every n must be at least 4, got 2"),
@@ -693,6 +716,7 @@ def test_input_errors_exit_2_naming_the_input(tmp_path, command, args, message):
     ("estimate-rho", "family.K=1e30", "K"),
     ("bootstrap", "R=1e30", "R"),
     ("bootstrap", "family.K=1e30", "K"),
+    ("bootstrap", "sigma.design.p=1e30", "p"),
     ("bounds", "n=1e30", "n"),
     ("bounds", "moment_R=1e30", "moment_R"),
     ("rate-scan", "n_grid=[8, 1e30]", "n_grid"),
@@ -708,15 +732,45 @@ def test_input_errors_exit_2_naming_the_input(tmp_path, command, args, message):
 ])
 def test_oversized_sizes_exit_2_naming_the_key(tmp_path, command, override, key):
     # every count and dimension has one ceiling, checked where its key is read;
-    # a key of a nested object is named after that object ("sigma: ")
+    # a key of a nested object is named by its path ('sigma.p')
     _input_files(tmp_path)
     path = write_config(tmp_path, "c.json", INPUT_CONFIGS[command](tmp_path))
     code, _, err = run_cli([command, "--config", path, "--set", override])
     assert code == 2, err
     block = override.split("=")[0].rpartition(".")[0]
-    where = f"{block}: " if block else ""
-    assert f"error: {where}config key {key!r} must be" in err and f"at most {MAX_SIZE}" in err
+    name = f"{block}.{key}" if block else key
+    assert f"error: config key {name!r} must be" in err and f"at most {MAX_SIZE}" in err
     assert "Traceback" not in err
+
+
+RECT6 = {"label": "r", "kind": "rect", "lower": ["-inf"] * 6, "upper": [0.0] * 6}
+
+
+@pytest.mark.parametrize("command, override, key", [
+    ("simulate", "nn=10", "nn"),
+    ("simulate", "design.kindd=1", "design.kindd"),
+    ("simulate", 'design.covariance={"model": "ar1", "r": 0.5, "rr": 0.5}',
+     "design.covariance.rr"),
+    ("bounds", "params.bb=1", "params.bb"),
+    ("estimate-rho", "family.KK=3", "family.KK"),
+    ("estimate-rho", "family=" + json.dumps({"sets": [dict(RECT6, lowr=0)]}),
+     "family.sets[0].lowr"),
+    ("bootstrap", "sigma.sourse=design", "sigma.sourse"),
+    ("bootstrap", "sigma.design.pp=5", "sigma.design.pp"),
+    ("rate-scan", "p_rule.pp=3", "p_rule.pp"),
+    ("nazarov", "sigma.pp=3", "sigma.pp"),
+    ("smoothmax", "trails=10", "trails"),
+])
+def test_misspelled_keys_exit_2_naming_their_path(tmp_path, command, override, key):
+    # a key no reader takes is named by its path once the command returns,
+    # before its output is written
+    _input_files(tmp_path)
+    cfg = INPUT_CONFIGS[command](tmp_path)
+    code, _, err = run_cli([command, "--config", write_config(tmp_path, "c.json", cfg),
+                            "--set", override])
+    assert code == 2, err
+    assert f"error: config key(s) [{key!r}] given but not read by {command}" in err
+    assert not os.path.exists(cfg["out"])
 
 
 def test_dimension_rule_above_the_size_ceiling_exits_2(tmp_path):

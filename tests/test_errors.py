@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from hdclt.errors import MAX_SIZE, REQUIRED, ConfigError, ParameterError, Size, config_value
+from hdclt.errors import (MAX_SIZE, REQUIRED, Config, ConfigError, ParameterError, Size,
+                          config_value, unread_keys)
 
 CFG = {"i": 3, "big": 1e4, "frac": 2.5, "t": True, "s": "x", "d": {}, "xs": [1, 2.0],
        "null": None, "nan": math.nan}
@@ -67,6 +68,31 @@ def test_sizes_have_one_ceiling_and_seeds_none():
     with pytest.raises(ConfigError, match=f"'ns' must be an array of integers of at most {MAX_SIZE}"):
         config_value({"ns": [4, 1e30]}, "ns", list, item=Size)
     assert config_value({"seed": 2**64 - 1}, "seed", int) == 2**64 - 1
+
+
+def test_a_config_names_each_key_by_its_path_and_records_its_reads():
+    tree = {"sigma": {"design": {"p": 1e30}, "x": 1}, "family": {"sets": [{"kind": 5}]},
+            "seed": 1, "famly": {"K": 3}}
+    cfg = Config(tree)
+    assert cfg == tree  # the config as given
+    design = config_value(config_value(cfg, "sigma", dict), "design", dict)
+    with pytest.raises(ConfigError, match=re.escape("config key 'sigma.design.p' must be")):
+        config_value(design, "p", Size)
+    with pytest.raises(ConfigError, match="missing required config key 'sigma.design.kind'"):
+        config_value(design, "kind", str)
+    entry = config_value(config_value(cfg, "family", dict), "sets", list, item=dict)[0]
+    with pytest.raises(ConfigError, match=re.escape("config key 'family.sets[0].kind' must be")):
+        config_value(entry, "kind", str)
+    assert config_value(cfg, "seed", int) == 1
+    # an unread object is named whole, not by its keys
+    assert unread_keys(cfg) == ["sigma.x", "famly"]
+
+
+def test_a_plain_dict_names_the_bare_key():
+    block = config_value({"sigma": {"p": 1e30}}, "sigma", dict)
+    assert type(block) is dict
+    with pytest.raises(ConfigError, match=re.escape("config key 'p' must be")):
+        config_value(block, "p", Size)
 
 
 def _config_keys(tree):

@@ -235,7 +235,7 @@ def _slicing_samplers():
 
 # kinds whose draw is a matrix product: its per-row rounding may depend on
 # the shape of the product, so every product runs on a fixed tile of rows
-PRODUCT_KINDS = {kind for kind, s in _slicing_samplers().items() if s.product}
+PRODUCT_KINDS = {kind for kind, s in _slicing_samplers().items() if s.block_rows is None}
 
 
 def test_product_kinds_are_the_matrix_products():
@@ -417,7 +417,7 @@ def _key_local_samplers():
     # key-local: a dense factor at p = 40 and 500, MB and EB at n = 2000
     # and on a 20 x 20 dataset
     bench = _buffer_samplers()
-    return {**{kind: s for kind, s in _slicing_samplers().items() if s.product},
+    return {**{kind: s for kind, s in _slicing_samplers().items() if s.block_rows is None},
             **_row_count_samplers(), "gaussian-p500": bench["gaussian-dense"],
             "MB-n2000": bench["MB"], "EB-n2000": bench["EB"]}
 
