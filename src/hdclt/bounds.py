@@ -116,8 +116,9 @@ def truncation_threshold(phi: float, n: int, p: int) -> float:
 
 
 def _tail_cubes(rows: np.ndarray, tau: float) -> np.ndarray:
-    # each row's cubed max-abs coordinate, zero where it does not exceed tau
-    g = np.max(np.abs(rows), axis=1)
+    # each row's cubed max-abs coordinate, zero where it does not exceed tau;
+    # max |x| is max(max x, -min x) bit for bit, and makes no copy of rows
+    g = np.maximum(rows.max(axis=1), -rows.min(axis=1))
     return np.where(g > tau, g**3, 0.0)
 
 

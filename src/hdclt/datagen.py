@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import rng
-from .errors import ParameterError, Size, config_value
+from .errors import ParameterError, Size, config_object, config_value
 from .sums import (AR1Factor, CovMatrix, EquicorrelatedFactor, ModelCovariance,
                    ScaledIdentityFactor, _normals, gaussian_draw_batch)
 
@@ -84,8 +84,8 @@ class CovarianceModel:
 
     @staticmethod
     def from_config(cfg: dict) -> "CovarianceModel":
-        return CovarianceModel(kind=config_value(cfg, "model", str),
-                               r=config_value(cfg, "r", float, None))
+        return config_object(cfg, CovarianceModel, kind=config_value(cfg, "model", str),
+                             r=config_value(cfg, "r", float, None))
 
 
 IDENTITY = CovarianceModel("identity")
@@ -172,7 +172,8 @@ class DesignSpec:
     def from_config(cfg: dict, p: int | None = None) -> "DesignSpec":
         """The design of the config object ``cfg``, its ``p`` key given as ``p`` if set."""
         cov = config_value(cfg, "covariance", dict, None)
-        return DesignSpec(
+        return config_object(
+            cfg, DesignSpec,
             kind=config_value(cfg, "kind", str),
             p=config_value(cfg, "p", Size) if p is None else p,
             covariance=IDENTITY if cov is None else CovarianceModel.from_config(cov),

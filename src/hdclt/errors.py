@@ -63,6 +63,17 @@ def _node(value, name: str):
     return Config(value, name + ".") if isinstance(value, dict) else value
 
 
+def config_object(cfg: dict, make, **fields):
+    """``make(**fields)``, the object that the config object ``cfg`` gives: a
+    ParameterError of its checks names ``cfg`` by its path when it is a Config."""
+    try:
+        return make(**fields)
+    except ParameterError as exc:
+        if isinstance(cfg, Config) and cfg.prefix:
+            raise type(exc)(f"{cfg.prefix[:-1]}: {exc}") from exc
+        raise
+
+
 def unread_keys(value) -> list:
     """The paths of the keys given in ``value`` but never read; an unread object is named whole."""
     if isinstance(value, Config):

@@ -205,6 +205,13 @@ class NazarovResult:
     seed: int
 
 
+def _anchor_counts(draws: np.ndarray, anchors: np.ndarray, offsets: list) -> np.ndarray:
+    """Per anchor y and offset a, the draws whose coordinate maximum is at most y + a."""
+    # rounding is monotone: fl(max_j w_j - y) == max_j fl(w_j - y) bit for bit
+    gaps = np.max(draws, axis=1)[:, None] - anchors
+    return np.stack([np.count_nonzero(gaps <= a, axis=0) for a in offsets], axis=1)
+
+
 def nazarov_check(sigma: ModelCovariance | CovMatrix, y_count: int, a_grid, R: int,
                   seed: int, workers: int | None = None) -> NazarovResult:
     """Orthant-increment check P(Y <= y + a) - P(Y <= y) against a*sqrt(log p).
@@ -234,12 +241,7 @@ def nazarov_check(sigma: ModelCovariance | CovMatrix, y_count: int, a_grid, R: i
     levels = [(k + 1) / (y_count + 1) for k in range(y_count)]
     anchors = np.array([float(ndtri(u)) * sd for u in levels])
     sampler = GaussianSumSampler(sigma.factor)
-
-    def anchor_counts(draws: np.ndarray) -> np.ndarray:
-        # rounding is monotone: fl(max_j w_j - y) == max_j fl(w_j - y) bit for bit
-        gaps = np.max(draws, axis=1)[:, None] - anchors
-        return np.stack([np.count_nonzero(gaps <= a, axis=0)
-                         for a in [0.0] + a_grid], axis=1)
+    anchor_counts = functools.partial(_anchor_counts, anchors=anchors, offsets=[0.0] + a_grid)
 
     def work(start: int, count: int) -> np.ndarray:
         return np.sum(sampler.map_chunks(seed, start, count, anchor_counts), axis=0)

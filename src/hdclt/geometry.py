@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from . import rng
 from .errors import ParameterError, Size, config_value
@@ -56,8 +56,18 @@ class Hyperrectangle:
             return t
         return None
 
+    @functools.cached_property
+    def narrowest_first(self) -> tuple:
+        """The bounded coordinates (a side finite) by increasing N(0, 1)
+        content ndtr(upper) - ndtr(lower), ties in index order."""
+        bounded = np.flatnonzero((self.lower > -np.inf) | (self.upper < np.inf))
+        content = ndtr(self.upper[bounded]) - ndtr(self.lower[bounded])
+        return tuple(bounded[np.argsort(content, kind="stable")].tolist())
+
     def contains_batch(self, points: np.ndarray) -> np.ndarray:
-        return ((points >= self.lower) & (points <= self.upper)).all(axis=-1)
+        # a coordinate unbounded on both sides constrains nothing, not even a NaN
+        free = np.isneginf(self.lower) & np.isposinf(self.upper)
+        return (((points >= self.lower) & (points <= self.upper)) | free).all(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -209,15 +219,11 @@ class SetFamily:
 
 def _rect_hit_count(rect: Hyperrectangle, points: np.ndarray) -> int:
     """Count of points inside a rectangle, filtering survivors coordinate by
-    coordinate so near-empty sets exit early."""
+    coordinate, narrowest first, so that most sets empty in a few steps."""
     alive = None
-    for j in range(rect.p):
-        lo = rect.lower[j]
-        hi = rect.upper[j]
-        if lo == -np.inf and hi == np.inf:
-            continue
+    for j in rect.narrowest_first:
         col = points[:, j] if alive is None else points[alive, j]
-        keep = (col >= lo) & (col <= hi)
+        keep = (col >= rect.lower[j]) & (col <= rect.upper[j])
         alive = np.flatnonzero(keep) if alive is None else alive[keep]
         if alive.size == 0:
             return 0

@@ -89,15 +89,17 @@ class _Sampler:
     T x ``size`` buffer per batch, and ``start``.  A row-local sampler's
     kernels work in ``rng.BLOCK`` blocks, so its ``draw_keys`` gets each
     chunk whole.  A chunk is a whole number of units from the batch start,
-    at most ``DRAW_BUDGET`` draw values when a unit fits; a unit is the
-    tile, or ``block_rows`` keys (one key when ``block_rows * p`` exceeds
-    the budget).  So one worker holds one chunk plus, for a product
-    sampler, the tile buffer; the budget changes no number.
+    at most ``DRAW_BUDGET`` draw values when a unit fits, counting each of
+    the ``branches`` draws of p values that one key holds at once; a unit
+    is the tile, or ``block_rows`` keys (one key when ``block_rows * p``
+    exceeds the budget).  So one worker holds one chunk plus, for a
+    product sampler, the tile buffer; the budget changes no number.
     """
 
     p: int
     size: int
     block_rows = 1
+    branches = 1
 
     def map_chunks(self, seed: int, start: int, count: int, fn) -> list:
         """``[fn(draws), ...]`` over the chunks of a batch, in key order."""
@@ -109,7 +111,7 @@ class _Sampler:
         else:
             unit = self.block_rows if self.block_rows * self.p <= DRAW_BUDGET else 1
             draw = lambda i, j: self.draw_keys(keys[i:j])
-        per = unit * max(1, DRAW_BUDGET // (self.p * unit))
+        per = unit * max(1, DRAW_BUDGET // (self.branches * self.p * unit))
         # fn reduces each chunk inside the loop, so no two chunks are alive
         return [fn(draw(i, min(i + per, count))) for i in range(0, count, per)]
 
@@ -193,8 +195,10 @@ class InterpolatedSampler(_Sampler):
     Replication r derives ``s_r = mix64(seed, r)`` and feeds branch keys
     ``mix64(s_r, TAG_FIRST)`` (data) and ``mix64(s_r, TAG_SECOND)``
     (gaussian); at v = 1 or v = 0 the draw is exactly the corresponding
-    branch.
+    branch.  A chunk holds both branches' draws at once.
     """
+
+    branches = 2
 
     def __init__(self, design: DesignSpec, n: int, factor, v: float,
                  exact_law: bool = True):

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -609,6 +610,31 @@ def test_nazarov_builds_its_covariance_without_a_design(tmp_path, monkeypatch):
         code, _, err = run_cli(["nazarov", "--config", path, "--set", override])
         assert code == 2, err
         assert repr(key) in err
+
+
+@pytest.mark.parametrize("command, make_config, override, path", [
+    ("nazarov", nazarov_config, "sigma.covariance.model=foo", "sigma.covariance"),
+    ("nazarov", nazarov_config, 'sigma.covariance={"model": "ar1", "r": 1.5}',
+     "sigma.covariance"),
+    ("estimate-rho", small_rho_config, "design.kind=foo", "design"),
+    ("rate-scan", scan_config, "design.scale=2", "design"),
+    ("bootstrap", lambda tmp_path: INPUT_CONFIGS["bootstrap"](tmp_path),
+     "sigma.design.kind=foo", "sigma.design"),
+    ("bootstrap", lambda tmp_path: INPUT_CONFIGS["bootstrap"](tmp_path),
+     "sigma.design.covariance.model=foo", "sigma.design.covariance"),
+    ("estimate-rho", small_rho_config, "params.alpha=0.5", "params"),
+    ("rate-scan", scan_config, 'params={"b": -1, "B_n": 1}', "params"),
+])
+def test_nested_value_errors_name_their_object(tmp_path, monkeypatch, command, make_config,
+                                               override, path):
+    # a value the object's own checks reject names the object by its dotted
+    # path, or the key in it
+    forbid(monkeypatch, "gaussian_approx_gap", "rate_scan", "nazarov_check", "bootstrap_gap")
+    _input_files(tmp_path)
+    cfg = write_config(tmp_path, "c.json", make_config(tmp_path))
+    code, _, err = run_cli([command, "--config", cfg, "--set", override])
+    assert code == 2, err
+    assert re.match(rf"error: {re.escape(path)}[:.]", err), err
 
 
 @pytest.mark.parametrize("command, make_config", [

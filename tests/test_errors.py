@@ -6,7 +6,7 @@ import re
 import pytest
 
 from hdclt.errors import (MAX_SIZE, REQUIRED, Config, ConfigError, ParameterError, Size,
-                          config_value, unread_keys)
+                          config_object, config_value, unread_keys)
 
 CFG = {"i": 3, "big": 1e4, "frac": 2.5, "t": True, "s": "x", "d": {}, "xs": [1, 2.0],
        "null": None, "nan": math.nan}
@@ -93,6 +93,19 @@ def test_a_plain_dict_names_the_bare_key():
     assert type(block) is dict
     with pytest.raises(ConfigError, match=re.escape("config key 'p' must be")):
         config_value(block, "p", Size)
+
+
+def test_config_object_names_a_nested_object_by_its_path():
+    def make(v):
+        raise ParameterError(f"bad v {v}")
+
+    cfg = Config({"sigma": {"covariance": {"model": "x"}}})
+    with pytest.raises(ParameterError, match=r"^sigma\.covariance: bad v 1$"):
+        config_object(cfg["sigma"]["covariance"], make, v=1)
+    for plain in ({"v": 1}, cfg):  # a plain dict, and the root, add no name
+        with pytest.raises(ParameterError, match=r"^bad v 1$"):
+            config_object(plain, make, v=1)
+    assert config_object(cfg, dict, v=1) == {"v": 1}
 
 
 def _config_keys(tree):

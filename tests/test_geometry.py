@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from hdclt import cli, rng, serialize
 from hdclt.errors import ParameterError
@@ -204,6 +205,56 @@ def test_max_type_hit_count_edge_cases():
     assert [s.max_level for s in sets] == [1.0, None, -inf, None, None]
     fam = SetFamily(sets, tuple(f"s{k}" for k in range(len(sets))))
     assert hit_counts(fam, pts).tolist() == [_rect_hit_count(s, pts) for s in sets]
+
+
+def random_rectangles(p, K, seed):
+    """K rectangles of every shape the hit counts treat apart: whole-space,
+    empty (a pair lo > hi), max-type, half-bounded and two-sided sides."""
+    gen = np.random.default_rng(seed)
+    sets = []
+    for k in range(K):
+        lo = -gen.uniform(0.5, 4.0, p)
+        hi = gen.uniform(0.5, 4.0, p)
+        lo[gen.random(p) < 0.5] = -np.inf
+        hi[gen.random(p) < 0.5] = np.inf
+        shape = k % 5
+        if shape == 0:
+            lo[:], hi[:] = -np.inf, np.inf
+        elif shape == 1:
+            j = gen.integers(p)
+            lo[j], hi[j] = 0.5, -0.5
+        elif shape == 2:
+            lo[:], hi[:] = -np.inf, gen.uniform(0.0, 3.0)
+        sets.append(Hyperrectangle(lo, hi))
+    return SetFamily(tuple(sets), tuple(f"r{k}" for k in range(K)))
+
+
+@pytest.mark.parametrize("p", [3, 50])
+def test_hit_counts_equal_brute_force_membership(p):
+    family = random_rectangles(p, 200, p)
+    gen = np.random.default_rng(100 + p)
+    points = gen.standard_normal((3000, p))
+    points[gen.random(points.shape) < 0.002] = np.nan
+    points[:20, 0] = np.nan  # NaN where a set is bounded, and where it is not
+    points[20:30] = np.inf * np.sign(gen.standard_normal((10, p)))
+    expect = [int(np.count_nonzero(s.contains_batch(points))) for s in family.sets]
+    assert hit_counts(family, points).tolist() == expect
+    assert expect[0] == len(points)  # whole space: every row, NaN rows too
+    assert expect[1] == 0  # empty
+    assert any(0 < c < len(points) for c in expect[2::5])  # max-type
+    assert any(0 < c < len(points) for c in expect[3::5])
+
+
+def test_sweep_lists_the_bounded_coordinates_narrowest_first():
+    inf = np.inf
+    rect = Hyperrectangle(np.array([-inf, 0.0, -1.0, -inf, 2.0, -1.0]),
+                          np.array([0.0, inf, 1.0, inf, 1.0, 1.0]))
+    # contents 1/2, 1/2, 0.68, unbounded, empty, 0.68: ties keep index order
+    assert rect.narrowest_first == (4, 0, 1, 2, 5)
+    for s in random_rectangles(50, 200, 7).sets:
+        bounded = [j for j in range(s.p) if s.lower[j] > -inf or s.upper[j] < inf]
+        content = {j: ndtr(s.upper[j]) - ndtr(s.lower[j]) for j in bounded}
+        assert s.narrowest_first == tuple(sorted(bounded, key=lambda j: (content[j], j)))
 
 
 def test_family_requires_homogeneous_dimension():

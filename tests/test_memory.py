@@ -25,12 +25,19 @@ of them stayed resident.  A row-local sampler draws chunks of
 ``montecarlo.DRAW_BUDGET`` (2^20) values: a ``nazarov`` run at p = 1000 (equicorrelated, R = 16384) peaks at 64 MiB,
 and has its own limit of 75 MiB; with 2^22-value chunks it took 88 MiB,
 for the same heap reason.  An interpolated ``estimate-rho`` at p = 1000
-(``trunc_exp``, n = 16, R = 8192) combines the two branches of each chunk
-in place and peaks at 72 MiB, under its limit of 80 MiB; adding the
-branches out of place took it to 89 MiB.  ``bounds`` on a design draws its ``moment_R``
+(``trunc_exp``, n = 16, R = 8192) holds both branches of a chunk, so its
+chunks have half as many keys, and combines them in place: it peaks at
+69 MiB, under its limit of 75 MiB; chunks of ``DRAW_BUDGET`` values per
+branch took it to 72 MiB, and adding the branches out of place to 89 MiB.  ``bounds`` on a design draws its ``moment_R``
 data-side rows in ``rng.BLOCK`` blocks and keeps one cube per row: at
 p = 200 and moment_R = 2 * 10^5 it peaks at 74 MiB, where the whole
-R x p matrix took 1631 MiB.  ``smoothmax`` at 10^5 trials of p = 1000
+R x p matrix took 1631 MiB.  The ``scan_literal`` benchmark's ``rate-scan``
+(``trunc_exp`` p = 100, n 16 and 64, K = 100, R = 16384) peaks at 63 MiB,
+under its limit of 66 MiB: its tail moments take each row's max |x| from
+the row's max and min, where the ``np.abs`` copy of every chunk took it to
+69-75 MiB.  The reductions of a chunk (the tail cubes, the hit counts, the
+anchor counts of ``nazarov``) allocate at most a quarter of its size
+(``tracemalloc``, in process).  ``smoothmax`` at 10^5 trials of p = 1000
 peaks at 58 MiB; it needs 763 MiB per trials x p array, and more than the
 2 GiB cap without blocks.  A ``rate-scan`` of sign rows whose
 ``exp_power`` rule gives p = 2981 and 22026 peaks at 119 MiB: the
@@ -45,17 +52,21 @@ across exec.  The child's address space is capped at 2 GiB, so a
 regression fails with a MemoryError instead of taking gigabytes of a
 shared machine.
 """
+import functools
 import json
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import run_child
-from hdclt import cli
+from hdclt import bounds, cli, experiments, rng
+from hdclt.geometry import hit_counts, sample_rectangles
 
 LIMIT_MIB = 256
 WIDE_LIMIT_MIB = 105
-CASE_LIMIT_MIB = {"nazarov": 75, "interpolated": 80}
+CASE_LIMIT_MIB = {"nazarov": 75, "interpolated": 75, "scan_literal": 66}
 BENCH_SHAPE_LIMIT_MIB = 80
 N = 100_000
 
@@ -128,6 +139,11 @@ CASES = {
         "seed": 7, "design": {"kind": "trunc_exp", "p": 1000}, "n": 16, "R": 8192,
         "v_grid": [0.5], "family": {"sets": [{"label": "orthant", "kind": "rect",
                                               "lower": ["-inf"] * 1000, "upper": [0.0] * 1000}]}}),
+    # the scan_literal benchmark's shape: the tail moments reduce each chunk
+    # of draws without a copy of it
+    "scan_literal": ("rate-scan", {"seed": 1, "design": {"kind": "trunc_exp", "scale": 1.0},
+                                   "n_grid": [16, 64], "p_rule": {"rule": "fixed", "p": 100},
+                                   "family": {"K": 100}, "R": 16384, "moment_R": 10_000}),
 }
 
 
@@ -178,3 +194,29 @@ def test_bootstrap_bench_shape_in_one_interpreter(tmp_path):
         argvs.append([command, "--config", f"{i}.json", "--workers", "1"])
     peak_mib = _peak_mib(CHILD, [json.dumps(argvs)], tmp_path)
     assert peak_mib < BENCH_SHAPE_LIMIT_MIB, f"peak RSS {peak_mib:.0f} MiB"
+
+
+def _allocated(fn, *args) -> int:
+    """Peak bytes ``fn(*args)`` allocates beyond what is live when it starts."""
+    fn(*args)  # caches and first-call set-up stay out of the count
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("reduction", ["tail_cubes", "hit_counts", "anchor_counts"])
+def test_chunk_reductions_make_no_copy_of_the_chunk(reduction):
+    # an (8192, 100) chunk of draws, the scan_literal shape: 6.5 MB
+    p = 100
+    draws = rng.to_normal(rng.word_grid(rng.words(3, 8192), p))
+    fn, args = {
+        "tail_cubes": (bounds._tail_cubes, (draws, 1.0)),
+        "hit_counts": (hit_counts, (sample_rectangles(p, 100, np.ones(p), 4), draws)),
+        "anchor_counts": (functools.partial(experiments._anchor_counts,
+                                            anchors=np.linspace(-1.0, 3.0, 9),
+                                            offsets=[0.0, 0.05]), (draws,)),
+    }[reduction]
+    assert _allocated(fn, *args) <= draws.nbytes // 4

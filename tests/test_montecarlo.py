@@ -278,7 +278,8 @@ def _chunk_consumers(sampler, monkeypatch):
 @pytest.mark.parametrize("kind", sorted(_slicing_samplers()))
 def test_draw_slices_batch_to_budget(monkeypatch, kind):
     # map_chunks cuts a batch, from its start, into chunks of whole units of
-    # at most DRAW_BUDGET draw values: a unit is the T-row tile of a product
+    # at most DRAW_BUDGET draw values, counting each branch of a two-branch
+    # (interpolated) kind: a unit is the T-row tile of a product
     # kind (TILE fixes T) and block_rows keys of a row-local one.  A product
     # kind's draw_keys gets each chunk with the T-row tile buffer and the
     # index of the chunk's first key, and its draws are those of whole tiles,
@@ -301,7 +302,7 @@ def test_draw_slices_batch_to_budget(monkeypatch, kind):
 
         def whole(seed, start, count):
             return draw_keys(_keys(seed, start, count))
-    per = unit * max(1, budget // (sampler.p * unit))
+    per = unit * max(1, budget // (sampler.branches * sampler.p * unit))
     edges = [*range(start, start + R, per), start + R]
 
     seen = []
@@ -313,7 +314,8 @@ def test_draw_slices_batch_to_budget(monkeypatch, kind):
     monkeypatch.setattr(sampler, "draw_keys", counting)
     chunks = sampler.map_chunks(9, start, R, lambda chunk: chunk)
     assert [len(chunk) for chunk in chunks] == [j - i for i, j in zip(edges, edges[1:])]
-    assert len(chunks) >= 3 and max(chunk.size for chunk in chunks) <= budget
+    assert len(chunks) >= 3
+    assert max(chunk.size for chunk in chunks) * sampler.branches <= budget
     if product:
         assert seen == [(j - i, (T, sampler.size), i) for i, j in zip(edges, edges[1:])]
     else:
