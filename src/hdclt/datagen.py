@@ -417,7 +417,7 @@ def values_from_row_keys(design: DesignSpec, row_keys: np.ndarray) -> np.ndarray
         cov = design.covariance
         if cov.kind == "equicorrelated":
             # one shared normal, then p own ones: not the Cholesky factor's words
-            x = _normals(row_keys, words_per_row(design), lambda z: (
+            x = _normals(row_keys, words_per_row(design), lambda z, _: (
                 math.sqrt(cov.r) * z[..., :1] + math.sqrt(1.0 - cov.r) * z[..., 1:]))
         else:  # identity, or the AR(1) recursion of its factor
             x = gaussian_draw_batch(cov.factor(p), row_keys)

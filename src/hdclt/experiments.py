@@ -24,6 +24,7 @@ from .datagen import DesignSpec, population_moments
 from .errors import MAX_SIZE, ParameterError, Size, config_value
 from .geometry import sample_rectangles
 from .montecarlo import (
+    DRAW_BUDGET,
     GaussianSumSampler,
     _check_gap_args,
     _map_batches,
@@ -205,11 +206,27 @@ class NazarovResult:
     seed: int
 
 
-def _anchor_counts(draws: np.ndarray, anchors: np.ndarray, offsets: list) -> np.ndarray:
-    """Per anchor y and offset a, the draws whose coordinate maximum is at most y + a."""
-    # rounding is monotone: fl(max_j w_j - y) == max_j fl(w_j - y) bit for bit
-    gaps = np.max(draws, axis=1)[:, None] - anchors
-    return np.stack([np.count_nonzero(gaps <= a, axis=0) for a in offsets], axis=1)
+def _row_max(draws: np.ndarray) -> np.ndarray:
+    return np.max(draws, axis=1)
+
+
+def _anchor_counts(maxima: np.ndarray, anchors: np.ndarray, offsets: list) -> np.ndarray:
+    """Per anchor y and offset a, the draws whose coordinate maximum is at most y + a.
+
+    The anchors are taken in slices whose gap array holds at most a quarter
+    of ``DRAW_BUDGET`` values, whatever ``y_count``; each anchor is counted
+    on its own, so the slicing changes no count.
+    """
+    per = max(1, DRAW_BUDGET // 4 // max(1, len(maxima)))
+    counts = np.empty((len(anchors), len(offsets)), dtype=np.intp)
+    for k in range(0, len(anchors), per):
+        # rounding is monotone: fl(max_j w_j - y) == max_j fl(w_j - y) bit for bit;
+        # one row per anchor, so each count runs along contiguous memory
+        gaps = maxima - anchors[k:k + per, None]
+        for j, a in enumerate(offsets):
+            counts[k:k + per, j] = np.count_nonzero(gaps <= a, axis=1)
+        del gaps  # one slice's gaps alive at a time, not two
+    return counts
 
 
 def nazarov_check(sigma: ModelCovariance | CovMatrix, y_count: int, a_grid, R: int,
@@ -244,7 +261,9 @@ def nazarov_check(sigma: ModelCovariance | CovMatrix, y_count: int, a_grid, R: i
     anchor_counts = functools.partial(_anchor_counts, anchors=anchors, offsets=[0.0] + a_grid)
 
     def work(start: int, count: int) -> np.ndarray:
-        return np.sum(sampler.map_chunks(seed, start, count, anchor_counts), axis=0)
+        # each draw's coordinate maximum is taken as the draw is made
+        return np.sum(sampler.map_chunks(seed, start, count, anchor_counts, then=_row_max),
+                      axis=0)
 
     counts = np.sum(_map_batches(work, R, workers), axis=0)
 

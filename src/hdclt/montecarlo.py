@@ -91,26 +91,36 @@ class _Sampler:
     chunk whole.  A chunk is a whole number of units from the batch start,
     at most ``DRAW_BUDGET`` draw values when a unit fits, counting each of
     the ``branches`` draws of p values that one key holds at once; a unit
-    is the tile, or ``block_rows`` keys (one key when ``block_rows * p``
-    exceeds the budget).  So one worker holds one chunk plus, for a
+    is the tile, or ``block_rows`` keys (one key when those keys' draws
+    exceed the budget).  So one worker holds one chunk plus, for a
     product sampler, the tile buffer; the budget changes no number.
+    A row reducer ``then`` maps each chunk before ``fn`` does; a sampler
+    whose ``fuses_then`` is set passes it to ``draw_keys``, which applies it
+    as the draws are made (``sums.gaussian_draw_batch``), so its chunks
+    hold one reduced value per key, not the draws.
     """
 
     p: int
     size: int
     block_rows = 1
     branches = 1
+    fuses_then = False
 
-    def map_chunks(self, seed: int, start: int, count: int, fn) -> list:
-        """``[fn(draws), ...]`` over the chunks of a batch, in key order."""
+    def map_chunks(self, seed: int, start: int, count: int, fn, then=None) -> list:
+        """``[fn(draws), ...]`` over the chunks of a batch, in key order; with
+        ``then``, ``[fn(then(draws)), ...]``."""
         keys = rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
+        if then is not None and not self.fuses_then:
+            fn, then = (lambda draws, fn=fn, then=then: fn(then(draws))), None
+        reduce = {} if then is None else {"then": then}
         if self.block_rows is None:  # a power of two divides BATCH: no tile spans two batches
             unit = 1 << (max(1, min(BATCH, TILE // self.size)).bit_length() - 1)
             tile = np.empty((unit, self.size))
-            draw = lambda i, j: self.draw_keys(keys[i:j], out=tile, start=start + i)
+            draw = lambda i, j: self.draw_keys(keys[i:j], out=tile, start=start + i, **reduce)
         else:
-            unit = self.block_rows if self.block_rows * self.p <= DRAW_BUDGET else 1
-            draw = lambda i, j: self.draw_keys(keys[i:j])
+            fits = self.branches * self.block_rows * self.p <= DRAW_BUDGET
+            unit = self.block_rows if fits else 1
+            draw = lambda i, j: self.draw_keys(keys[i:j], **reduce)
         per = unit * max(1, DRAW_BUDGET // (self.branches * self.p * unit))
         # fn reduces each chunk inside the loop, so no two chunks are alive
         return [fn(draw(i, min(i + per, count))) for i in range(0, count, per)]
@@ -124,13 +134,15 @@ class _Sampler:
 class GaussianSumSampler(_Sampler):
     """Exact N(0, F F') draws of a covariance factor F (``sums``)."""
 
+    fuses_then = True
+
     def __init__(self, factor):
         self.factor = factor
         self.p = self.size = factor.p
         self.block_rows = factor.block_rows
 
-    def draw_keys(self, keys: np.ndarray, **tile) -> np.ndarray:
-        return gaussian_draw_batch(self.factor, keys, **tile)
+    def draw_keys(self, keys: np.ndarray, then=None, **tile) -> np.ndarray:
+        return gaussian_draw_batch(self.factor, keys, then=then, **tile)
 
 
 class DesignSumSampler(_Sampler):

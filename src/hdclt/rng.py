@@ -70,8 +70,10 @@ def mix64(seed: int, counter: int) -> int:
     return z
 
 
-def _finalize(z: np.ndarray) -> np.ndarray:
-    t = np.empty_like(z)
+def _finalize(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """The SplitMix64 output function of ``z``, in place; ``scratch``, a
+    uint64 array of z's shape, holds its shifts instead of a new array."""
+    t = np.empty_like(z) if scratch is None else scratch
     np.right_shift(z, np.uint64(30), out=t)
     np.bitwise_xor(z, t, out=z)
     np.multiply(z, _U64_MIX1, out=z)
@@ -104,25 +106,31 @@ def words(key: int, count: int) -> np.ndarray:
     return mix64_array(key, np.arange(count, dtype=np.uint64))
 
 
-def word_grid(keys: np.ndarray, count: int) -> np.ndarray:
+def word_grid(keys: np.ndarray, count: int, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
     """Words for many keys at once; returns shape ``keys.shape + (count,)``.
 
     ``word_grid(keys, c)[..., t] == mix64(keys[...], t)`` element-wise.
+    ``out`` receives the words and ``scratch`` holds the temporaries of
+    ``_finalize``, both uint64 arrays of that shape; without them new arrays
+    are made.
     """
     pre = (np.arange(count, dtype=np.uint64) + np.uint64(1)) * _U64_GAMMA
-    z = keys.astype(np.uint64)[..., None] + pre
-    return _finalize(z)
+    z = np.add(keys.astype(np.uint64, copy=False)[..., None], pre, out=out)
+    return _finalize(z, scratch)
 
 
-def to_uniform(w: np.ndarray) -> np.ndarray:
+def to_uniform(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Map 64-bit words to doubles in (0, 1].
 
     Uses the top 53 bits k = w >> 11 plus a half-step offset, (k + 0.5) *
     2**-53, so 0 is never hit.  Above k = 2**52 the sum k + 0.5 rounds to
     even: the 2**11 words w >= 2**64 - 2**11 give exactly 1.0 (and
-    ``to_normal`` +inf), and k = 2**52 gives exactly 0.5.
+    ``to_normal`` +inf), and k = 2**52 gives exactly 0.5.  The shift is cast
+    straight into ``out``, a float array of w's shape, or a new one.
     """
-    u = (w >> np.uint64(11)).astype(np.float64)
+    u = np.right_shift(w, np.uint64(11), out=np.empty(w.shape) if out is None else out,
+                       casting="unsafe")
     u += 0.5
     u *= _INV53
     return u
@@ -142,9 +150,11 @@ def to_symmetric(w: np.ndarray) -> np.ndarray:
     return v
 
 
-def to_normal(w: np.ndarray) -> np.ndarray:
-    """Map 64-bit words to standard normals via the inverse Gaussian CDF."""
-    return ndtri(to_uniform(w))
+def to_normal(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map 64-bit words to standard normals via the inverse Gaussian CDF,
+    written into ``out`` (as ``to_uniform``) or a new array."""
+    u = to_uniform(w, out)
+    return ndtri(u, out=u)
 
 
 def blocked(fn, rows: np.ndarray, width: int, budget: int | None = None,

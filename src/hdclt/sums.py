@@ -91,8 +91,11 @@ class ModelCovariance:
 # values of a row in the same order, so one stream word feeds one coordinate.
 # ``gaussian_draw_batch`` applies a kind that gives the same bits for any
 # slicing of the rows to each block of max(rng.BLOCK, block_rows * p) normals
-# as it is made; a kind whose ``block_rows`` is None, a matrix product, is
-# applied to fixed tiles of rows (``_tile_product``).
+# as it is made, as ``apply(z, out=z, spare=spare)``: ``out`` receives the
+# draws and ``spare``, a float array of z's shape, holds the temporaries, so
+# a block is drawn in place (without them ``apply`` makes new arrays).  A
+# kind whose ``block_rows`` is None, a matrix product, is applied to fixed
+# tiles of rows (``_tile_product``).
 
 @dataclass(frozen=True)
 class CholFactor:
@@ -120,8 +123,9 @@ class ScaledIdentityFactor:
     scale: float = 1.0
     block_rows = 1
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        return self.scale * z
+    def apply(self, z: np.ndarray, out: np.ndarray | None = None,
+              spare: np.ndarray | None = None) -> np.ndarray:
+        return np.multiply(z, self.scale, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,11 +155,12 @@ class EquicorrelatedFactor:
     def p(self) -> int:
         return len(self.d)
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
+    def apply(self, z: np.ndarray, out: np.ndarray | None = None,
+              spare: np.ndarray | None = None) -> np.ndarray:
         # coordinate i is d_i z_i plus the prefix sum of c_j z_j over j < i
-        below = self.c * z
+        below = np.multiply(self.c, z, out=spare)
         np.cumsum(below, axis=-1, out=below)
-        y = self.d * z
+        y = np.multiply(self.d, z, out=out)
         y[..., 1:] += below[..., :-1]
         return y
 
@@ -172,17 +177,21 @@ class AR1Factor:
     # the recursion takes one Python step per column per call
     block_rows = property(lambda self: self.p)
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
+    def apply(self, z: np.ndarray, out: np.ndarray | None = None,
+              spare: np.ndarray | None = None) -> np.ndarray:
         # leading dimensions become one; the recursion runs over the columns
         # of the transposed block, so each step reads one contiguous row
-        x = np.array(z.reshape(-1, self.p).T, order="C")
+        x = np.empty((self.p, z.size // self.p)) if spare is None else spare.reshape(self.p, -1)
+        np.copyto(x, z.reshape(-1, self.p).T)
         x[0] *= self.scale
         x[1:] *= self.scale * math.sqrt(1.0 - self.r**2)
         step = np.empty(x.shape[1])
         for j in range(1, self.p):
             np.multiply(x[j - 1], self.r, out=step)
             x[j] += step
-        return np.ascontiguousarray(x.T).reshape(z.shape)
+        y = np.empty(z.shape) if out is None else out
+        np.copyto(y.reshape(-1, self.p), x.T)
+        return y
 
 
 BASE_JITTER = 1e-10
@@ -211,27 +220,49 @@ def robust_cholesky(cov: CovMatrix) -> CholFactor:
 def _normals(keys: np.ndarray, count: int, then=None, budget=None,
              out: np.ndarray | None = None) -> np.ndarray:
     """Words 0..count-1 of each key's stream as standard normals, made in
-    ``rng.blocked`` blocks of ``budget`` elements; ``then``, if given, maps each
-    block while it is still in cache, and must treat every row independently.
-    ``out``, a (len(keys), count) float array, receives the normals instead
-    of a new array."""
-    def block_normals(block):
-        z = rng.to_normal(rng.word_grid(block, count))
-        return z if then is None else then(z)
+    blocks of ``budget`` elements (default ``rng.BLOCK``, at least one key)
+    on one workspace that every block reuses.
 
-    return rng.blocked(block_normals, keys, count, budget, out)
+    Without ``then`` the normals are written into ``out``, a (len(keys),
+    count) float array, or a new one.  ``then(z, spare)``, if given, maps
+    each block z of normals while it is still in cache and must treat every
+    row independently; ``spare``, a float array of z's shape, is free for
+    its temporaries, and it may overwrite z.  Its results are written into
+    ``out`` or a new array."""
+    per = max(1, (rng.BLOCK if budget is None else budget) // count)
+    shape = (min(per, len(keys)),) + keys.shape[1:] + (count,)
+    words = np.empty(shape, dtype=np.uint64)
+    normals = None if then is None else np.empty(shape)
+    if then is None and out is None:
+        out = np.empty(keys.shape + (count,))
+    # an empty batch still runs one block, which gives then's result shape
+    for i in range(0, max(1, len(keys)), per):
+        block = keys[i:i + per]
+        z = out[i:i + per] if then is None else normals[:len(block)]
+        # z holds the words' scratch until the normals overwrite it
+        w = rng.word_grid(block, count, out=words[:len(block)], scratch=z.view(np.uint64))
+        rng.to_normal(w, out=z)
+        if then is not None:
+            y = then(z, w.view(np.float64))
+            if out is None:
+                out = np.empty((len(keys),) + y.shape[1:], dtype=y.dtype)
+            out[i:i + per] = y
+    return out
 
 
 def _tile_product(keys: np.ndarray, width: int, operand, product,
-                  out: np.ndarray | None, start: int) -> np.ndarray:
+                  out: np.ndarray | None, start: int, then=None) -> np.ndarray:
     """``product`` of the operand rows of ``keys``, which ``operand(keys,
-    out=rows)`` writes into ``rows``.  Without ``out`` one product takes
-    every key.  With ``out``, a buffer of T rows of at least ``width``
-    values, each product runs on T rows of it: key i, replication
-    ``start + i``, sits on row ``(start + i) % T`` and the rows of keys not
-    asked for are zero, so a draw's bits depend on its key alone."""
+    out=rows)`` writes into ``rows``, mapped by the row reducer ``then`` if
+    given.  Without ``out`` one product takes every key.  With ``out``, a
+    buffer of T rows of at least ``width`` values, each product runs on T
+    rows of it: key i, replication ``start + i``, sits on row ``(start + i)
+    % T`` and the rows of keys not asked for are zero, so a draw's bits
+    depend on its key alone; ``then`` reduces each tile's rows."""
+    if then is None:
+        then = lambda rows: rows
     if out is None:
-        return product(operand(keys, out=np.empty((len(keys), width))))
+        return then(product(operand(keys, out=np.empty((len(keys), width)))))
     T = len(out)
     tile = out.reshape(-1)[:T * width].reshape(T, width)
     draws = None
@@ -240,10 +271,10 @@ def _tile_product(keys: np.ndarray, width: int, operand, product,
         row = (start + i) % T
         tile[:row] = tile[row + j - i:] = 0.0
         operand(keys[i:j], out=tile[row:row + j - i])
-        part = product(tile)
+        part = then(product(tile)[row:row + j - i])
         if draws is None:
-            draws = np.empty((len(keys), part.shape[1]))
-        draws[i:j] = part[row:row + j - i]
+            draws = np.empty((len(keys),) + part.shape[1:])
+        draws[i:j] = part
         del part  # one tile's product alive at a time, not two
     return draws
 
@@ -252,16 +283,22 @@ def _tile_product(keys: np.ndarray, width: int, operand, product,
 # and ``start``, the replication index of their first key.
 
 def gaussian_draw_batch(factor, keys: np.ndarray, out: np.ndarray | None = None,
-                        start: int = 0) -> np.ndarray:
+                        start: int = 0, then=None) -> np.ndarray:
     """One N(0, F F') draw per replication key, F the covariance factor;
     word t of a key's stream feeds coordinate t.  Only a dense factor's
-    product reads ``out`` and ``start``."""
+    product reads ``out`` and ``start``.  ``then``, a row reducer (a map of
+    a (rows, p) array of draws that treats every row independently), if
+    given, takes the draws as they are made and its results are returned:
+    per block of a row-local factor, per tile of a product."""
     if factor.block_rows is None:
         return _tile_product(keys, factor.p, functools.partial(_normals, count=factor.p),
-                             factor.apply, out, start)
-    # the batch is written once, not once as normals and once as draws
-    return _normals(keys, factor.p, factor.apply,
-                    max(rng.BLOCK, factor.block_rows * factor.p))
+                             factor.apply, out, start, then)
+
+    def draws(z, spare):  # in place on the block, which is still in cache
+        y = factor.apply(z, out=z, spare=spare)
+        return y if then is None else then(y)
+
+    return _normals(keys, factor.p, draws, max(rng.BLOCK, factor.block_rows * factor.p))
 
 
 def multiplier_draw_batch(dataset: Dataset, keys: np.ndarray,

@@ -51,8 +51,8 @@ def test_literal_batch_counts(monkeypatch):
     # (the row keys, then the row values) and R * n * p design values
     counts = {}
     for original in (rng.word_grid, datagen.values_from_row_keys):
-        def counting(*args, _fn=original):
-            out = _fn(*args)
+        def counting(*args, _fn=original, **kwargs):
+            out = _fn(*args, **kwargs)
             counts[_fn.__name__] = counts.get(_fn.__name__, 0) + out.size
             return out
 

@@ -221,6 +221,50 @@ def test_nazarov_row_max_blocks_leave_results_unchanged(monkeypatch, sigma):
     assert any(d > 0.0 for d in oracle)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("sigma", [
+    ModelCovariance(CovarianceModel("identity"), 20, var=2.0),
+    ModelCovariance(CovarianceModel("equicorrelated", 0.5), 20),
+    ModelCovariance(CovarianceModel("ar1", 0.3), 20, var=2.25),
+    CovMatrix(0.5 * np.eye(20) + 0.5),  # a dense factor's tiles
+], ids=["identity", "equicorrelated", "ar1", "dense"])
+def test_nazarov_counts_equal_anchor_counts_of_drawn_batches(monkeypatch, sigma, workers):
+    # the row maxima taken as each block or tile is drawn give the counts of
+    # _anchor_counts on the row maxima of the whole drawn batches
+    R, seed, offsets = 10_000, 6, [0.0, 0.05, 0.5]
+    anchor_counts, calls = experiments._anchor_counts, []
+
+    def recording(maxima, anchors, offsets):
+        counts = anchor_counts(maxima, anchors, offsets)
+        calls.append((anchors, counts))
+        return counts
+
+    monkeypatch.setattr(experiments, "_anchor_counts", recording)
+    nazarov_check(sigma, 5, offsets[1:], R, seed, workers)
+    sampler = montecarlo.GaussianSumSampler(sigma.factor)
+    draws = np.concatenate([
+        chunk for start in range(0, R, montecarlo.BATCH)
+        for chunk in sampler.map_chunks(seed, start, min(montecarlo.BATCH, R - start),
+                                        lambda chunk: chunk)])
+    want = anchor_counts(np.max(draws, axis=1), calls[0][0], offsets)
+    assert len(calls) >= 2
+    np.testing.assert_array_equal(sum(counts for _, counts in calls), want)
+    assert np.any(want[:, 1] > want[:, 0])
+
+
+def test_anchor_counts_slices_many_anchors():
+    # 600 maxima and 5000 anchors are counted in slices of DRAW_BUDGET // 4
+    # // 600 = 436 anchors; each anchor is counted on its own, so the counts
+    # equal those of the unsliced (maxima x anchors) gaps
+    maxima = np.max(rng.to_normal(rng.word_grid(rng.words(8, 600), 50)), axis=1)
+    anchors = np.array([float(ndtri((k + 1) / 5001)) for k in range(5000)]) + 2.0
+    offsets = [0.0, 0.05, 0.5]
+    gaps = maxima[:, None] - anchors
+    unsliced = np.stack([np.count_nonzero(gaps <= a, axis=0) for a in offsets], axis=1)
+    np.testing.assert_array_equal(experiments._anchor_counts(maxima, anchors, offsets),
+                                  unsliced)
+
+
 def test_nazarov_rejects_unequal_variances():
     # anchor levels are one quantile per level only when every sd is equal
     sd = np.array([0.5, 1.0, 2.0, 3.0, 0.25])

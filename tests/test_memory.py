@@ -22,9 +22,12 @@ buffer, 32 MiB, took them to 91 MiB; with a fresh operand per slice they
 took 121 MiB, since a 33.5 MB operand sits just under glibc's 32 MiB mmap
 ceiling, so after the first free such operands came from the heap and two
 of them stayed resident.  A row-local sampler draws chunks of
-``montecarlo.DRAW_BUDGET`` (2^20) values: a ``nazarov`` run at p = 1000 (equicorrelated, R = 16384) peaks at 64 MiB,
-and has its own limit of 75 MiB; with 2^22-value chunks it took 88 MiB,
-for the same heap reason.  An interpolated ``estimate-rho`` at p = 1000
+``montecarlo.DRAW_BUDGET`` (2^20) values, but ``nazarov`` takes each draw's
+row maximum as the draws are made, block by block on one reused workspace,
+so no chunk of draws is ever held: a run at p = 1000 (equicorrelated,
+R = 16384) peaks at 56 MiB, under its own limit of 62 MiB, where chunks
+of 2^20 draws took it to 64 MiB and chunks of 2^22 draws to 88 MiB, for
+the same heap reason.  An interpolated ``estimate-rho`` at p = 1000
 (``trunc_exp``, n = 16, R = 8192) holds both branches of a chunk, so its
 chunks have half as many keys, and combines them in place: it peaks at
 69 MiB, under its limit of 75 MiB; chunks of ``DRAW_BUDGET`` values per
@@ -37,9 +40,11 @@ under its limit of 66 MiB: its tail moments take each row's max |x| from
 the row's max and min, where the ``np.abs`` copy of every chunk took it to
 69-75 MiB.  The reductions of a chunk (the tail cubes, the hit counts, the
 anchor counts of ``nazarov``) allocate at most a quarter of its size
-(``tracemalloc``, in process).  ``smoothmax`` at 10^5 trials of p = 1000
-peaks at 58 MiB; it needs 763 MiB per trials x p array, and more than the
-2 GiB cap without blocks.  A ``rate-scan`` of sign rows whose
+(``tracemalloc``, in process); the anchor counts of 5000 anchors take
+their gaps in slices of ``DRAW_BUDGET // 4`` and stay within 3 MiB, and
+one fused 8192-key ``nazarov`` batch at p = 1000 allocates under 1 MiB.
+``smoothmax`` at 10^5 trials of p = 1000 peaks at 58 MiB; it needs 763
+MiB per trials x p array, and more than the 2 GiB cap without blocks.  A ``rate-scan`` of sign rows whose
 ``exp_power`` rule gives p = 2981 and 22026 peaks at 119 MiB: the
 Gaussian side of a design covariance is drawn through its closed-form
 factor, where the dense p x p covariance alone would take 3.6 GiB at
@@ -61,12 +66,14 @@ import numpy as np
 import pytest
 
 from conftest import run_child
-from hdclt import bounds, cli, experiments, rng
+from hdclt import bounds, cli, experiments, rng, sums
+from hdclt.datagen import CovarianceModel
 from hdclt.geometry import hit_counts, sample_rectangles
+from hdclt.montecarlo import DRAW_BUDGET, GaussianSumSampler
 
 LIMIT_MIB = 256
 WIDE_LIMIT_MIB = 105
-CASE_LIMIT_MIB = {"nazarov": 75, "interpolated": 75, "scan_literal": 66}
+CASE_LIMIT_MIB = {"nazarov": 62, "interpolated": 75, "scan_literal": 66}
 BENCH_SHAPE_LIMIT_MIB = 80
 N = 100_000
 
@@ -217,6 +224,38 @@ def test_chunk_reductions_make_no_copy_of_the_chunk(reduction):
         "hit_counts": (hit_counts, (sample_rectangles(p, 100, np.ones(p), 4), draws)),
         "anchor_counts": (functools.partial(experiments._anchor_counts,
                                             anchors=np.linspace(-1.0, 3.0, 9),
-                                            offsets=[0.0, 0.05]), (draws,)),
+                                            offsets=[0.0, 0.05]), (draws.max(axis=1),)),
     }[reduction]
     assert _allocated(fn, *args) <= draws.nbytes // 4
+
+
+def test_row_max_batch_holds_no_chunk_of_draws():
+    # nazarov's shape: one 8192-key equicorrelated p = 1000 batch, reduced to
+    # its row maxima as each block is drawn on one reused workspace; the
+    # unfused batch makes DRAW_BUDGET-value chunks of draws, 8 MiB each
+    sampler = GaussianSumSampler(CovarianceModel("equicorrelated", 0.5).factor(1000))
+    peak = _allocated(sampler.map_chunks, 3, 0, 8192, lambda maxima: maxima,
+                      experiments._row_max)
+    assert peak < 1 << 20
+
+
+def test_normals_workspace_does_not_grow_with_blocks():
+    # 2 and 64 blocks of rng.BLOCK normals written into a caller's array share
+    # one workspace; the larger call may only add a few Python ints, far
+    # less than one row of normals
+    p = 1000
+    keys = rng.words(4, 64 * (rng.BLOCK // p))
+    out = np.empty((len(keys), p))
+    peaks = [_allocated(lambda k: sums._normals(k, p, out=out[:len(k)]), keys[:n])
+             for n in (2 * (rng.BLOCK // p), len(keys))]
+    assert peaks[1] < peaks[0] + 8 * p
+
+
+def test_anchor_counts_bounded_in_y_count():
+    # 8192 row maxima against 5000 anchors: the unsliced (maxima x anchors)
+    # gaps take 328 MB; slices of DRAW_BUDGET // 4 gaps (2 MiB), their
+    # comparisons and the counts stay within 3 MiB
+    maxima = np.max(rng.to_normal(rng.word_grid(rng.words(8, 8192), 50)), axis=1)
+    anchors = np.linspace(-3.0, 3.0, 5000)
+    peak = _allocated(experiments._anchor_counts, maxima, anchors, [0.0, 0.05])
+    assert peak <= 3 * DRAW_BUDGET

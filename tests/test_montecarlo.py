@@ -328,8 +328,11 @@ def test_draw_slices_batch_to_budget(monkeypatch, kind):
                     sample_rectangles(sampler.p, 8, np.ones(sampler.p), 5).sets]
     g = np.max(np.abs(draws), axis=1)
     assert tail.value == float(np.where(g > 1.0, g**3, 0.0).sum()) / R
-    monkeypatch.setattr(sampler, "map_chunks", lambda seed, start, count, fn:
-                        [fn(whole(seed, start, count))])
+
+    def one_chunk(seed, start, count, fn, then=lambda draws: draws):
+        return [fn(then(whole(seed, start, count)))]
+
+    monkeypatch.setattr(sampler, "map_chunks", one_chunk)
     assert _chunk_consumers(sampler, monkeypatch) == (hits, nazarov, tail)
 
 
@@ -342,6 +345,26 @@ def test_row_local_unit_is_one_key_when_its_blocks_overflow(monkeypatch):
     chunks = sampler.map_chunks(9, 0, 30, lambda chunk: chunk)
     assert [len(chunk) for chunk in chunks] == [4] * 7 + [2]
     np.testing.assert_array_equal(np.concatenate(chunks), whole)
+
+
+def test_interpolated_chunks_hold_the_budget_over_both_branches(monkeypatch):
+    # an interpolated AR(1) draw at p = 1000 holds two branches of p values
+    # per key, so its 1000-key blocks would hold 2,000,000 values: its unit
+    # is one key, and its draws are those of one call on every key
+    p, count = 1000, 1500
+    design = DesignSpec(kind="gaussian", p=p, covariance=CovarianceModel("ar1", 0.3))
+    sampler = InterpolatedSampler(design, 12, design.covariance.factor(p), 0.5)
+    draw_keys, seen = sampler.draw_keys, []
+
+    def counting(keys, **tile):
+        seen.append(len(keys))
+        return draw_keys(keys, **tile)
+
+    monkeypatch.setattr(sampler, "draw_keys", counting)
+    chunks = sampler.map_chunks(9, 0, count, lambda chunk: chunk)
+    assert sum(seen) == count
+    assert max(seen) * sampler.branches * p <= montecarlo.DRAW_BUDGET
+    np.testing.assert_array_equal(np.concatenate(chunks), draw_keys(_keys(9, 0, count)))
 
 
 def _row_count_samplers():
@@ -471,9 +494,9 @@ def test_ar1_chunks_line_up_with_its_blocks(monkeypatch, p, calls, design):
     apply = AR1Factor.apply
     seen = []
 
-    def counting(factor, z):
+    def counting(factor, z, **kwargs):
         seen.append(len(z))
-        return apply(factor, z)
+        return apply(factor, z, **kwargs)
 
     monkeypatch.setattr(AR1Factor, "apply", counting)
     assert sum(sampler.map_chunks(9, 0, montecarlo.BATCH, len)) == montecarlo.BATCH
@@ -489,9 +512,9 @@ def test_draw_blocks_leave_draws_unchanged(monkeypatch, kind):
     word_grid = rng.word_grid
     rows = []
 
-    def counting(keys, count):
+    def counting(keys, count, **kwargs):
         rows.append(len(keys))
-        return word_grid(keys, count)
+        return word_grid(keys, count, **kwargs)
 
     monkeypatch.setattr(rng, "word_grid", counting)
     monkeypatch.setattr(rng, "BLOCK", 7)
