@@ -175,7 +175,7 @@ def smoothing_parameter(L_bar: float, p: int, n: int, K2: float = 1.0) -> float:
     _check_rate_args(p, n)
     if not (L_bar > 0.0):
         raise ParameterError(f"third-moment scale must be positive, got {L_bar!r}")
-    return K2 * (L_bar**2 * math.log(p) ** 4 / n) ** (-1.0 / 6.0)
+    return K2 * _rate_power(L_bar, p, n, 4, -1.0 / 6.0)
 
 
 def gaussian_approx_bound(L_bar: float, M_n: float, p: int, n: int,
@@ -186,7 +186,13 @@ def gaussian_approx_bound(L_bar: float, M_n: float, p: int, n: int,
         raise ParameterError(f"third-moment scale must be positive, got {L_bar!r}")
     if M_n < 0.0:
         raise ParameterError(f"tail moment must be nonnegative, got {M_n!r}")
-    return K1 * ((L_bar**2 * math.log(p) ** 7 / n) ** (1.0 / 6.0) + M_n / L_bar)
+    return K1 * (_rate_power(L_bar, p, n, 7, 1.0 / 6.0) + M_n / L_bar)
+
+
+def _rate_power(L_bar: float, p: int, n: int, k: int, e: float) -> float:
+    # (L^2 log^k(p) / n)^e as L^(2e) (log^k(p) / n)^e: the product L^2 log^k(p)
+    # may overflow where the power is a float, and each factor here is one
+    return L_bar ** (2.0 * e) * (math.log(p) ** k / n) ** e
 
 
 def rate_terms(B_n: float, p: int, n: int, q: float | None = None,

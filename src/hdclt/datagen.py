@@ -34,7 +34,7 @@ from scipy.special import ndtr
 from . import rng
 from .errors import ParameterError, Size, config_object, config_value
 from .sums import (AR1Factor, CovMatrix, EquicorrelatedFactor, ModelCovariance,
-                   ScaledIdentityFactor, _normals, gaussian_draw_batch)
+                   ScaledIdentityFactor, gaussian_draw_batch)
 
 _GAUSS_THIRD = 2.0 * math.sqrt(2.0 / math.pi)  # E|N(0,1)|^3
 
@@ -75,7 +75,7 @@ class CovarianceModel:
         return self.r ** np.abs(idx[:, None] - idx[None, :])
 
     def factor(self, p: int, scale: float = 1.0):
-        """Closed-form factor of ``scale**2 * matrix(p)``, built in O(p)."""
+        """Closed-form factor of ``scale**2 * matrix(p)``, built in O(1)."""
         if self.kind == "identity":
             return ScaledIdentityFactor(p, scale)
         if self.kind == "equicorrelated":
@@ -368,15 +368,6 @@ def population_moments(design: DesignSpec) -> MomentReport:
 # sampling
 # ---------------------------------------------------------------------------
 
-def words_per_row(design: DesignSpec) -> int:
-    """Number of 64-bit stream words one row consumes."""
-    if design.kind == "rademacher":
-        return (design.p + 63) // 64
-    if design.covariance.kind == "equicorrelated":
-        return design.p + 1
-    return design.p
-
-
 def values_from_row_keys(design: DesignSpec, row_keys: np.ndarray) -> np.ndarray:
     """Realize rows from their stream keys; output shape is ``row_keys.shape + (p,)``.
 
@@ -389,7 +380,7 @@ def values_from_row_keys(design: DesignSpec, row_keys: np.ndarray) -> np.ndarray
     """
     p, law = design.p, design.law
     if design.kind == "rademacher":
-        w = rng.word_grid(row_keys, words_per_row(design))
+        w = rng.word_grid(row_keys, (p + 63) // 64)  # 64 signs per word
         bits = np.unpackbits(
             np.ascontiguousarray(w).view(np.uint8), axis=-1, bitorder="little"
         )[..., :p]
@@ -413,14 +404,8 @@ def values_from_row_keys(design: DesignSpec, row_keys: np.ndarray) -> np.ndarray
             x *= t
         else:  # the uniform log-concave cube
             x *= law["h"]
-    else:  # gaussian, or the gaussian log-concave variant: made in blocks
-        cov = design.covariance
-        if cov.kind == "equicorrelated":
-            # one shared normal, then p own ones: not the Cholesky factor's words
-            x = _normals(row_keys, words_per_row(design), lambda z, _: (
-                math.sqrt(cov.r) * z[..., :1] + math.sqrt(1.0 - cov.r) * z[..., 1:]))
-        else:  # identity, or the AR(1) recursion of its factor
-            x = gaussian_draw_batch(cov.factor(p), row_keys)
+    else:  # gaussian, or the gaussian log-concave variant: its model's factor
+        x = gaussian_draw_batch(design.covariance.factor(p), row_keys)
 
     if design.standardize:
         x /= math.sqrt(law["var"])

@@ -150,7 +150,7 @@ def rate_scan(spec: ScanSpec, workers: int | None = None) -> ScanResult:
     for idx, (n, design) in enumerate(zip(spec.n_grid, spec.designs)):
         p = design.p
         moments = population_moments(design)
-        cell_seed = rng.mix64(spec.seed, idx)
+        cell_seed = rng.mix64(rng.mix64(spec.seed, rng.TAG_CELL), idx)
         sd = np.sqrt(moments.sigma.diag())
         # family seed depends on p only: equal-dimension cells share one
         # family, so decay across n is measured on the same sets
@@ -161,9 +161,8 @@ def rate_scan(spec: ScanSpec, workers: int | None = None) -> ScanResult:
         params = spec.params or default_params(moments)
         L = moments.L_n_population
         phi_used = _phi_pair(L, p, n, params.K2)[1]
-        # the same stream as the gap's Gaussian side (see rng.TAG_SECOND)
         m_y = tail_third_moment_gaussian(moments.sigma, n, phi_used, spec.moment_R,
-                                         rng.mix64(cell_seed, rng.TAG_SECOND))
+                                         rng.mix64(cell_seed, rng.TAG_MOMENT))
         main = gaussian_approx_bound(L, m_y.value, p, n, params.K1)
         rows.append(ScanRow(
             n=n, p=p, rho_hat=gap.sup_diff, noise_floor=gap.noise_floor,
@@ -249,6 +248,9 @@ def nazarov_check(sigma: ModelCovariance | CovMatrix, y_count: int, a_grid, R: i
     a_grid = [float(a) for a in a_grid]
     if not a_grid or any(a < 0 for a in a_grid):
         raise ParameterError("offsets must be nonnegative")
+    if y_count * (1 + len(a_grid)) > DRAW_BUDGET:  # the levels, counts and rows it makes
+        raise ParameterError(f"y_count={y_count} gives {y_count * (1 + len(a_grid))} "
+                             f"anchor counts, above {DRAW_BUDGET}")
     _check_gap_args(R)
     diag = sigma.diag()
     if not (diag[0] > 0.0 and np.all(diag == diag[0])):

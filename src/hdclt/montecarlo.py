@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .datagen import Dataset, DesignSpec, values_from_row_keys, words_per_row
+from .datagen import Dataset, DesignSpec, values_from_row_keys
 from .errors import ParameterError
 from .geometry import Hyperrectangle, SetFamily, hit_counts
 from .sums import (
@@ -43,7 +43,7 @@ from .sums import (
 BATCH = 1 << 13  # fixed batch size; must not depend on the worker count
 # the version of the streams: which words make each draw and how a draw's
 # product is tiled; every change that moves a draw bumps it
-STREAM = 2
+STREAM = 3
 # values one matrix-product tile may hold: it fixes the tile shape of each
 # product, so the bits of its draws; changing it changes the stream
 TILE = 1 << 20
@@ -172,10 +172,9 @@ class DesignSumSampler(_Sampler):
         self.size = n * self.p  # one fresh (n, p) dataset per key
         if exact_law and design.gaussian:
             self.mode = "gaussian"
-            self.size = words_per_row(design)
-            # identity and AR(1) rows are draws of their model's factor
-            if design.covariance.kind != "equicorrelated":
-                self.block_rows = design.covariance.factor(self.p).block_rows
+            self.size = self.p
+            # a row is a draw of its model's factor
+            self.block_rows = design.covariance.factor(self.p).block_rows
         elif exact_law and design.kind == "rademacher":
             from scipy.stats import binom  # deferred: slow to import, only sign sums use it
 

@@ -42,16 +42,17 @@ BLOCK = 1 << 15
 #   TAG_FIRST   side 1 of montecarlo._gap, the data branch of an interpolated
 #               draw, the M_x rows of bounds.report_from_design
 #   TAG_SECOND  side 2 of _gap, the Gaussian branch of an interpolated draw,
-#               M_y of both bounds reports, and rate_scan's M_y: it reads
-#               mix64(cell_seed, TAG_SECOND), the cell gap's Gaussian stream
-#   TAG_FAMILY  a rectangle family derived from the run seed (cli, rate_scan).
-#               rate_scan's cell 3 seed mix64(s, 3) is this family root too;
-#               the cell reads its tags 1 and 2 below it and the families
-#               their p >= 3, so no stream is shared (tests/test_experiments)
+#               M_y of both bounds reports
+#   TAG_FAMILY  a rectangle family derived from the run seed (cli, rate_scan)
+#   TAG_CELL    rate_scan's cell idx has the seed mix64(mix64(s, TAG_CELL), idx)
+#   TAG_MOMENT  rate_scan's M_y, below its cell seed: its own stream, not the
+#               cell gap's Gaussian side
 #   TAG_GRID    interpolation_gap's grid point k uses TAG_GRID + k
 TAG_FIRST = 1
 TAG_SECOND = 2
 TAG_FAMILY = 3
+TAG_CELL = 4
+TAG_MOMENT = 5
 TAG_GRID = 16
 
 

@@ -7,8 +7,8 @@ replication with the dense ``CholFactor`` of data and explicit covariance
 matrices, and O(p) with the closed-form factors of the identity,
 equicorrelated and AR(1) models, which never build a p x p array.
 ``gaussian_draw_batch`` is the one kernel that applies a factor: the
-Gaussian side of every comparison and the identity and AR(1) rows of a
-gaussian design (:mod:`hdclt.datagen`) are drawn through it.  The multiplier
+Gaussian side of every comparison and the rows of a gaussian design
+(:mod:`hdclt.datagen`) are drawn through it.  The multiplier
 and empirical bootstrap draws are computed from their defining weighted sums.
 
 Each draw kernel maps an array of replication keys to one draw per key;
@@ -128,40 +128,31 @@ class ScaledIdentityFactor:
         return np.multiply(z, self.scale, out=out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EquicorrelatedFactor:
-    """The exact Cholesky factor of ``scale**2 * ((1 - r) I + r 1 1')``.
+    """The symmetric square root ``a I + b 1 1'`` of ``scale**2 * ((1 - r) I
+    + r 1 1')``, applied as ``a z + b (row sum of z)``; see ``of``."""
 
-    Column j holds ``d[j]`` on the diagonal and ``c[j]`` in every row below
-    it (see ``of``).
-    """
-
-    d: np.ndarray
-    c: np.ndarray
+    p: int
+    a: float
+    b: float
     block_rows = 1
 
     @staticmethod
     def of(p: int, r: float, scale: float = 1.0) -> "EquicorrelatedFactor":
-        """Closed form in O(p): s_0 = 0, d_j = sqrt(1 - s_j),
-        c_j = (r - s_j) / d_j, s_{j+1} = s_j + c_j^2."""
-        d, c, s = [], [], 0.0
-        for _ in range(p):
-            d.append(math.sqrt(1.0 - s))
-            c.append((r - s) / d[-1])
-            s += c[-1] * c[-1]
-        return EquicorrelatedFactor(scale * np.array(d), scale * np.array(c))
-
-    @property
-    def p(self) -> int:
-        return len(self.d)
+        """a = scale sqrt(1 - r) and a + p b = scale sqrt(1 - r + p r), the roots
+        of the eigenvalues; b is formed without that difference's cancellation."""
+        root = math.sqrt(1.0 - r)
+        b = scale * r / (math.sqrt(1.0 - r + p * r) + root)
+        return EquicorrelatedFactor(p, scale * root, b)
 
     def apply(self, z: np.ndarray, out: np.ndarray | None = None,
               spare: np.ndarray | None = None) -> np.ndarray:
-        # coordinate i is d_i z_i plus the prefix sum of c_j z_j over j < i
-        below = np.multiply(self.c, z, out=spare)
-        np.cumsum(below, axis=-1, out=below)
-        y = np.multiply(self.d, z, out=out)
-        y[..., 1:] += below[..., :-1]
+        # numpy's row sum, not a BLAS product: a draw's bits are its key's alone
+        shared = z.sum(axis=-1, keepdims=True)
+        shared *= self.b
+        y = np.multiply(z, self.a, out=out)
+        y += shared
         return y
 
 

@@ -153,6 +153,31 @@ def test_gaussian_approx_bound_worked_value():
     assert gaussian_approx_bound(1.0, 0.0, 3, 1000, 3.0) == pytest.approx(3.0 * base)
 
 
+def test_rate_powers_do_not_overflow_at_large_L_and_p():
+    # L^2 log^k(p) overflows here (L_n = 7.5e152, log^4(10^6) = 3.6e4) while
+    # phi_n and the bound are floats: each matches a 50-digit evaluation
+    L = population_moments(DesignSpec(kind="trunc_exp", p=10**6, scale=1e51)).L_n_population
+    base = mpmath.mpf(L) ** 2 * mpmath.log(10**6) ** 4 / 64
+    phi = smoothing_parameter(L, 10**6, 64)
+    assert phi == pytest.approx(float(base ** mpmath.mpf("-1/6")), rel=1e-14)
+    assert 3e-52 < phi < 5e-52
+    got = gaussian_approx_bound(L, 1.0, 10**6, 64)
+    expect = (mpmath.mpf(L) ** 2 * mpmath.log(10**6) ** 7 / 64) ** mpmath.mpf("1/6") + 1 / L
+    assert math.isfinite(got) and got == pytest.approx(float(expect), rel=1e-14)
+
+
+def test_rate_powers_stay_within_ulps_of_the_direct_formula():
+    # where L^2 log^k(p) / n is a float, the split powers agree with it
+    for L in (0.01, 0.5, 1.0, 1.6, 10.0, 1e3):
+        for p in (3, 100, 10**4, 10**6):
+            for n in (4, 64, 2000, 10**7):
+                phi = (L**2 * math.log(p) ** 4 / n) ** (-1.0 / 6.0)
+                bound = (L**2 * math.log(p) ** 7 / n) ** (1.0 / 6.0)
+                assert smoothing_parameter(L, p, n) == pytest.approx(phi, rel=4 * 2.0**-52)
+                assert gaussian_approx_bound(L, 0.0, p, n) == pytest.approx(
+                    bound, rel=4 * 2.0**-52)
+
+
 def test_rate_terms_worked_values():
     lpn = mpmath.log(mpmath.mpf(100) * 1000)
     d1 = float((lpn**7 / 1000) ** mpmath.mpf("1/6"))

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hdclt import cli, serialize
 from hdclt.datagen import DesignSpec, population_moments, read_dataset
 from hdclt.errors import MAX_SIZE, NotPositiveSemidefiniteError
 from hdclt.experiments import nazarov_check
+from hdclt.montecarlo import DRAW_BUDGET
 from hdclt.sums import CovMatrix
 
 
@@ -318,7 +320,7 @@ def test_report_round_trip(tmp_path):
     assert outputs[0].endswith(b"\n")
     payload = json.loads(outputs[0])
     assert set(payload) == {"command", "config", "provenance", "result"}
-    assert payload["provenance"] == {"stream": 2, "batch": 8192, "tile": 1 << 20}
+    assert payload["provenance"] == {"stream": 3, "batch": 8192, "tile": 1 << 20}
     # the report is the result dataclass, field by field
     sigma = population_moments(DesignSpec(kind="gaussian", p=3)).sigma
     res = nazarov_check(sigma, 3, [0.1], 2000, 7)
@@ -767,6 +769,18 @@ def test_oversized_sizes_exit_2_naming_the_key(tmp_path, command, override, key)
     name = f"{block}.{key}" if block else key
     assert f"error: config key {name!r} must be" in err and f"at most {MAX_SIZE}" in err
     assert "Traceback" not in err
+
+
+def test_nazarov_y_count_at_the_ceiling_exits_2_before_allocating(tmp_path):
+    # y_count passes the size reader, but its levels, counts and rows would
+    # not fit: the check runs before any of them is made
+    path = write_config(tmp_path, "c.json", nazarov_config(tmp_path))
+    start = time.perf_counter()
+    code, _, err = run_cli(["nazarov", "--config", path, "--set", f"y_count={MAX_SIZE}"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2, err
+    assert f"y_count={MAX_SIZE} gives {2 * MAX_SIZE} anchor counts, above {DRAW_BUDGET}" in err
+    assert not (tmp_path / "out.json").exists()
 
 
 RECT6 = {"label": "r", "kind": "rect", "lower": ["-inf"] * 6, "upper": [0.0] * 6}

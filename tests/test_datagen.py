@@ -17,6 +17,9 @@ from hdclt.datagen import (
     write_dataset,
 )
 from hdclt.errors import ParameterError
+from hdclt.geometry import hit_counts, sample_rectangles
+from hdclt.montecarlo import noise_floor
+from hdclt.sums import gaussian_draw_batch
 
 ALL_DESIGNS = [
     DesignSpec(kind="rademacher", p=3),
@@ -322,6 +325,41 @@ def test_ar1_rows_match_column_loop(p):
     assert np.array_equal(values_from_row_keys(design, keys), x)
     assert np.array_equal(values_from_row_keys(design, keys.reshape(8, 8)),
                           x.reshape(8, 8, p))
+
+
+def _one_factor(z, r):
+    # the equicorrelated rows of stream 2, kept as a law oracle: from p + 1
+    # normals per row, one shared z_0 and p own ones, sqrt(r) z_0 + sqrt(1 - r) z_j
+    return math.sqrt(r) * z[..., :1] + math.sqrt(1.0 - r) * z[..., 1:]
+
+
+@pytest.mark.parametrize("p", [3, 50, 1000])
+@pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+def test_equicorrelated_rows_are_factor_draws(r, p):
+    cov = CovarianceModel("equicorrelated", r)
+    design = DesignSpec(kind="gaussian", p=p, covariance=cov)
+    keys = rng.mix64_array(6, np.arange(64, dtype=np.uint64))
+    # a row is a draw of the model's factor, p words per row, whatever the
+    # shape of the keys
+    rows = gaussian_draw_batch(cov.factor(p), keys)
+    np.testing.assert_array_equal(values_from_row_keys(design, keys), rows)
+    np.testing.assert_array_equal(values_from_row_keys(design, keys.reshape(8, 8)),
+                                  rows.reshape(8, 8, p))
+    # the one-factor map is z @ G.T with G G' the covariance: the same law
+    G = _one_factor(np.eye(p + 1), r).T
+    assert np.max(np.abs(G @ G.T - cov.matrix(p))) <= 1e-15
+
+
+def test_equicorrelated_rows_match_the_one_factor_rows_in_law():
+    # hit fractions of rows and of the oracle's rows, on independent words,
+    # agree within the identical-law noise floor
+    p, r, R, K = 50, 0.5, 20_000, 20
+    design = DesignSpec(kind="gaussian", p=p, covariance=CovarianceModel("equicorrelated", r))
+    family = sample_rectangles(p, K, np.ones(p), 3)
+    rows = values_from_row_keys(design, rng.words(7, R))
+    oracle = _one_factor(rng.to_normal(rng.word_grid(rng.words(8, R), p + 1)), r)
+    diff = (hit_counts(family, rows) - hit_counts(family, oracle)) / R
+    assert np.max(np.abs(diff)) <= noise_floor(R, K)
 
 
 def test_dataset_file_round_trips(tmp_path):

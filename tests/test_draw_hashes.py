@@ -35,6 +35,18 @@ cause:
     through the matrix-vector kernel, now one row of an 8192-row tile;
   - ``EB-n5000@mid7`` 9509b364 -> ff10b3ed (-> d45c3b90): a 7-row
     product, now 7 rows of a 128-row tile.
+
+* stream 3, the equicorrelated factor is the symmetric square root
+  ``a I + b 1 1'``, applied as ``a z + b (row sum of z)``, and equicorrelated
+  design rows are its draws (p words per row, not p + 1); the same at 1 and
+  2 threads:
+
+  - ``gaussian-equicorrelated-p1000`` e627366d -> ca5f1aca: the factor;
+  - ``literal-gaussian-equicorrelated`` and
+    ``design-gaussian-equicorrelated-p50`` are new entries for the design
+    rows (12ee3c99 and 13c2bc60 on the stream-2 rows, cef3519d and 4c2cd564
+    now).  A last-bit mutant of ``apply``, ``a (z + (b / a) s)``, moves all
+    three.
 """
 import hashlib
 import json
@@ -84,6 +96,10 @@ def _samplers():
         "literal-uniform": _literal(kind="log_concave", p=6, variant="uniform", scale=1.3),
         "literal-gaussian-ar1": _literal(kind="gaussian", p=6,
                                          covariance=CovarianceModel("ar1", 0.7)),
+        "literal-gaussian-equicorrelated": _literal(
+            kind="gaussian", p=6, covariance=CovarianceModel("equicorrelated", 0.3)),
+        "design-gaussian-equicorrelated-p50": DesignSumSampler(DesignSpec(
+            kind="gaussian", p=50, covariance=CovarianceModel("equicorrelated", 0.3)), 10),
         "binomial": DesignSumSampler(DesignSpec(kind="rademacher", p=6), 25),
         "MB-n5000": MultiplierSampler(wide_n),
         "EB-n5000": EmpiricalSampler(wide_n),
@@ -128,7 +144,7 @@ HASHES = {
     "gaussian-dense-p40": "e1d5b4b07b4cd346b4ba1d4b7fbc1a80f2ae3d717ae3b21c132bf9bc56a9ca71",
     "gaussian-dense-p500": "116fbd1d66382d0c944184c096c228721e52892462e9a85e6b0575244f47365b",
     "gaussian-identity": "684f537ac550258e97b8ba8a967c8f3c73347aa86e20e389b7a961af1af89228",
-    "gaussian-equicorrelated-p1000": "e627366d650592289d7d68bbf8172e7ed158e372a47267e756c879a867ee63f3",
+    "gaussian-equicorrelated-p1000": "ca5f1aca13ef518700983284bbfd6d21033f38d3907a47473bbf3dacded81821",
     "gaussian-ar1-r0.3": "097e39f637d746698b734f5c108ef3c51c3eba0264c9c6f144a73c6b9aba3835",
     "gaussian-ar1-r0.7": "d8659244f4300018519821dddc8d01d400ae88bcac2bf3785a2271c3a43c2c74",
     "literal-signs": "a6dca8046bb217f6b93cd1aabc69105a2f07e8e84db3425d0c2f62e95a71d21d",
@@ -137,6 +153,8 @@ HASHES = {
     "literal-heavy_tail-q50": "c61d6f2ac3ee14d155853cd8a7aab5d41540540fa07cf25a38a95d06ccc1155b",
     "literal-uniform": "381ed19604f84f728ebb59e426a86f7a0a733c89d577804f2d1b4ae8f1a37a19",
     "literal-gaussian-ar1": "2d18a055075b5a58723c33e86e473ea9ae227f0a2720a800ad4bf99077d4accf",
+    "literal-gaussian-equicorrelated": "cef3519d5c7707b0d694d806284e121c358d925a9d6c0a13e42e951c2b8a2bc7",
+    "design-gaussian-equicorrelated-p50": "4c2cd56478d7aaa1546375bca13044413a0e2a2f575c4fcf3212b732ab8b0fa8",
     "binomial": "00f9015fe3ddb368a3208d63d254f24ee31bd75745eee4ed2fc215286cda8e60",
     "MB-n5000": "fd2baee3ea2752e28520d5d1dc31d0b98562c65ce7879de3e8cf2de7773a6aca",
     "EB-n5000": "1914899f2fcad3b0066951ef0dfb76638100d7f4db3059f8ea85b83d90f90800",

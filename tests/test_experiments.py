@@ -142,9 +142,10 @@ def _recording(log, fn, *positions):
 
 
 def test_rate_scan_streams_are_pairwise_distinct(monkeypatch):
-    # cell 3's seed mix64(s, 3) is the family root mix64(s, TAG_FAMILY); the
-    # streams read below them must still differ: both gap sides of every
-    # cell (M_y reads the Gaussian side on purpose) and the family of each p
+    # cell idx has the seed mix64(mix64(s, TAG_CELL), idx) and the family of
+    # p the seed mix64(mix64(s, TAG_FAMILY), p); below its cell seed, M_y has
+    # its own tag.  So every stream differs: both gap sides and M_y of every
+    # cell, and the family of each p
     sides, m_y, families = [], [], []
     monkeypatch.setattr(montecarlo, "family_hit_counts",
                         _recording(sides, montecarlo.family_hit_counts, 3))
@@ -157,13 +158,20 @@ def test_rate_scan_streams_are_pairwise_distinct(monkeypatch):
                     seed=7, moment_R=100)
     res = rate_scan(spec, workers=1)
     assert [r.p for r in res.rows] == [3, 3, 4, 5, 6]
-    assert rng.mix64(7, 3) == rng.mix64(7, rng.TAG_FAMILY)
-    assert m_y == sides[1::2]
+    cell_0 = rng.mix64(rng.mix64(7, rng.TAG_CELL), 0)
+    assert sides[:2] == [(rng.mix64(cell_0, rng.TAG_FIRST),), (rng.mix64(cell_0, rng.TAG_SECOND),)]
+    assert m_y[0] == (rng.mix64(cell_0, rng.TAG_MOMENT),)
     family_of = dict(families)
     assert len(set(families)) == len(family_of) == 4  # one family per p
-    streams = [seed for seed, in sides] + list(family_of.values())
-    assert len(streams) == 2 * 5 + 4
+    streams = [seed for seed, in sides + m_y] + list(family_of.values())
+    assert len(streams) == 3 * 5 + 4
     assert len(set(streams)) == len(streams)
+    # the first draws of M_y are not those of the cell gap's Gaussian side
+    for row, (gaussian,), (moment,) in zip(res.rows, sides[1::2], m_y):
+        sampler = montecarlo.GaussianSumSampler(
+            population_moments(DesignSpec(kind="gaussian", p=row.p)).sigma.factor)
+        first = [sampler.map_chunks(seed, 0, 100, lambda d: d)[0] for seed in (gaussian, moment)]
+        assert np.all(first[0] != first[1])
 
 
 @pytest.mark.parametrize("n_grid", [(8, 8, 32), (32, 8)])

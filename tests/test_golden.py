@@ -15,8 +15,11 @@ the structured factors at a correlation where ``r * x`` is not exact.  A
 last-bit change of the draws reaches a tail-moment sum only now and then,
 so their seeds are ones at which such a change moves the report: the AR(1)
 recursion as LAPACK's banded solve ``dtbtrs`` moves 18 of seeds 23 to 62,
-the first at 28, and the equicorrelated prefix sum as the inclusive
-``cumsum`` minus the row's own term moves 7, the first two at 28 and 30.
+the first at 28, and the equicorrelated root as ``a (z + (b / a) s)`` in
+place of ``a z + b s`` (s the row sum) moves 22, seed 30 among them.  The
+``nazarov`` reports are hit counts alone: a last-bit change moves one only
+if a draw's maximum falls within an ulp of an anchor, so no seed makes
+them catch such a mutant, and ``tests/test_draw_hashes.py`` does instead.
 In the last seven runs one batch of draws holds more than 2**22 elements
 of draw work, so it is made in several slices or tiles: the multiplier and
 empirical products at n=1000 run on tiles of 1024 rows (the largest power of two at most ``TILE //
@@ -36,11 +39,14 @@ n=400 and p=8, hash differently).  The hashes were recorded at two
 threads, so the runs happen in a child interpreter started with
 ``OPENBLAS_NUM_THREADS=2``, whatever the calling process pinned.
 
-Every JSON report records ``provenance: {"stream": 2, "batch": 8192,
+Every JSON report records ``provenance: {"stream": 3, "batch": 8192,
 "tile": 1048576}``; a CSV table does not.  Stream 2 runs every matrix
 product on a fixed tile of rows, so a draw depends on its key alone; it
 moved no report byte here.  Each JSON report, with the provenance entry
 taken out, is byte for byte its stream-1 report, at one and two workers.
+Stream 3 draws the equicorrelated model through its symmetric square root,
+design rows included, and gives ``rate-scan``'s cells and M_y their own
+substream tags.
 
 Re-recorded hashes, each with its cause:
 
@@ -63,6 +69,27 @@ Re-recorded hashes, each with its cause:
   c71a4105 -> fae58edd, ``estimate-rho-literal-p50`` 00814826 -> 953c37b8
   and ``estimate-rho-vgrid-n2000`` 74061786 -> 85e52f6f.  The two
   ``simulate`` datasets and the four CSV tables keep their hashes.
+* stream 3, each hash with the cause that moved it; the overflow-free
+  rate powers of ``bounds`` moved none:
+
+  - the provenance entry alone: ``bounds`` b27ea9ab -> cb7b4d24,
+    ``estimate-rho`` f883f619 -> 1c6a301d, ``bootstrap`` 4f30525f ->
+    9e360267, ``smoothmax`` 9d45311d -> a69ea498, ``bounds-dataset``
+    c3ad5265 -> abdceaf7, ``estimate-rho-vgrid`` e0cd9995 -> 96ff8c70,
+    ``estimate-rho-literal`` 3029c78c -> 44cefe3c, ``bounds-q-alpha``
+    1b1c0726 -> ead3e3c6, ``bounds-ar1-r07`` 9efdaeae -> f22b19f8,
+    ``bootstrap-n1000`` 22c21064 -> cb04d0b7, ``bounds-dataset-n1000``
+    3260841f -> 51170583, ``estimate-rho-literal-p50`` 953c37b8 ->
+    52ba8c10 and ``estimate-rho-vgrid-n2000`` 85e52f6f -> 63b00ce8;
+  - the rate-scan cell and M_y tags (``rng.TAG_CELL``, ``rng.TAG_MOMENT``),
+    after the provenance: ``rate-scan`` 1b591e35 -> feca6c6e -> 2ea64729,
+    ``rate-scan-csv`` 07a94950 -> 71f9e983 and ``rate-scan-params``
+    cb2698b4 -> c44c1a15 -> 5e51276e;
+  - the equicorrelated factor, after the provenance: ``nazarov`` 02f33b7c
+    -> fbfc3dbc -> da594402 and ``nazarov-p600`` fae58edd -> 92d64a0f ->
+    df7c3a94;
+  - ``bounds-equi-r03`` 1dbdbfef -> a3a1c2d4 (provenance) -> ba95ffce
+    (the factor, in M_y) -> ccd1eef0 (the design rows, in M_x).
 """
 import hashlib
 import json
@@ -169,29 +196,29 @@ RUNS = (
 
 GOLDEN = {
     "simulate": "66b1a79310a3e9d7f0d013ace84c0a00586e8355154df8a83715834ff67dfedb",
-    "bounds": "b27ea9ab144e2ba95ad6216f1f038f97267ccf4e95d722f0d53d152967f826d6",
-    "estimate-rho": "f883f6197c476a4b9d0e74e40beacbbd44fce00780f84c55698a2325f197d15b",
-    "bootstrap": "4f30525fcdf9ee557c3127390f14e20501ad20c877913ac53c3c1186a44a2b49",
-    "rate-scan": "1b591e35094eb310aafef990c63fe204aedfbe1bab65b9012a36cf90e4ce1b2c",
-    "nazarov": "02f33b7cdd21dbb1c0e3da3b420eec84c74b117ae40eaefc7fc667bbc164c653",
-    "smoothmax": "9d45311dcb36ee818bde9f378169104cf73d0ad53c6cf8f3210b1231bc39a25b",
-    "bounds-dataset": "c3ad5265fe518e5c87b26c33907803e73779b7ea2768e1009df2cb94e8f7844e",
+    "bounds": "cb7b4d24de830ab82d6cbe4b54958ba23feefb17b9e4ec7eefddd0f12cee774e",
+    "estimate-rho": "1c6a301dfbc95cffadba523b7066a06bd8903c3dc6d4c98e56cb5a4d95ec62e0",
+    "bootstrap": "9e360267e8ac5264d0a1a7d8761b1f947aa881ecef503ba4b1f8aa17ed4de29d",
+    "rate-scan": "2ea64729440910369f4f6d32307ec1d937c4646f60f467db2b944c2a454f8322",
+    "nazarov": "da594402acbf55b6bf58dd1cd1af37357ed10bd0d5abfd2ea643c946c7e37ce1",
+    "smoothmax": "a69ea4989fcfe793f879a7031719edf23641cd604a25b0d3672e3a49c8971cec",
+    "bounds-dataset": "abdceaf7f89c31bc4fd3e5f5ada4857eb2097aa05767b17761799488e4ad6920",
     "bootstrap-eb-csv": "a6730b2b3102539db0538aee4a12a4b61f343085238d66bf699b035173806a67",
-    "estimate-rho-vgrid": "e0cd99958f9a66ae26c928bc5691f73e5a65260457ec9a5a15f08c0dd34666bb",
-    "estimate-rho-literal": "3029c78c27f898af93a8e615d117cd916dff45305af995f9667f5959f6c767a4",
-    "rate-scan-csv": "07a9495086b1cdbdee371bbaca514e20b770d8644eee4280332e92d2b167de33",
+    "estimate-rho-vgrid": "96ff8c700d4d9be42898a3afe952349360c22af5077069e487aaf7a12e13f122",
+    "estimate-rho-literal": "44cefe3cfa97ad9ece7f076f2d57bea27e4000094744c3eddfd97e6efaf03312",
+    "rate-scan-csv": "71f9e983e6d423a00ffbc12fac76280823e4278cda967335606d290ec6119d53",
     "nazarov-csv": "39051cd04cc4e445b7bb5e78c258998085892a58109828b508f907acf007a5e2",
-    "rate-scan-params": "cb2698b4d3d6a7e71840c8b1514b1f6bbb27d7413efe10d9f1e9cf3b939d5f28",
-    "bounds-q-alpha": "1b1c072677466bae36e07f1fef7a7243f43f03a9e8bae2b1473e1cb4d718bb49",
-    "bounds-ar1-r07": "9efdaeaef7ad660cbf7eaacc554d6d9fb570e583a78b75be242f6d6e20b54c2b",
-    "bounds-equi-r03": "1dbdbfefa04dec395ead63e8b00be61eb935776acdf001b16e7b8ca281a8c8d4",
+    "rate-scan-params": "5e51276e49963acaeec6cb911caf16187044702c252dc2c78e88bb9007acf7dd",
+    "bounds-q-alpha": "ead3e3c6c5d683ff4448f4b032d53490e2f1d2ba23de2c8a6972fb09c2af5e21",
+    "bounds-ar1-r07": "f22b19f81f572a1367e0cae5479eb0e395738560d68807508abaa7ad099ae586",
+    "bounds-equi-r03": "ccd1eef0b36742b00330d8e6949fb000742f44e134791f3fe9a673c068075abb",
     "simulate-n1000": "746534fd8c557016928e6ac0835aac9ad5d9c3d2bb839e5cb7036e74b77578b3",
-    "bootstrap-n1000": "22c2106455e79589ed4420fd28b1d8ca4123f96955dd301e44325c7fd53be2e6",
+    "bootstrap-n1000": "cb04d0b7dd7ef4288cdd8704b97b186ece37d7ba9442a3396dcc636a29dfb1b9",
     "bootstrap-eb-n1000-csv": "2ce44919f4eaf724c808a48a8fdc5f86dbadef75715a0918a24a7ce8d1cd43c5",
-    "bounds-dataset-n1000": "3260841f8e0cfa8b24b9d98f14408fb593f921f693a5d126e3cf9b43111c51f2",
-    "nazarov-p600": "fae58edd423a7d3a2ce378aa514c60b767a66a8ebda0d61431af8cbefa101452",
-    "estimate-rho-literal-p50": "953c37b8668c771c7e0b9b9197b9f7af0f4d46e038a6caafc057babdbcb184bc",
-    "estimate-rho-vgrid-n2000": "85e52f6fd5784b2b59d9671a13a30e5e25f18b0ef802f07140c4c966f49506b1",
+    "bounds-dataset-n1000": "51170583be93c2b352ab0bec850265eb9d28e3bf8bec6ab6082babb67af3662d",
+    "nazarov-p600": "df7c3a94a6b971decff78257d0a0c5b65597d464a998fd6e194fda6678d0e581",
+    "estimate-rho-literal-p50": "52ba8c107acd99a057680e70058990da212addb7a0b8859decb6082005b1af73",
+    "estimate-rho-vgrid-n2000": "63b00ce8f9eb0e082193248f9530fe539ae678b6355e9d6aeaa46afa544f3f85",
 }
 
 

@@ -121,17 +121,63 @@ CORRELATED = [(kind, r) for kind in ("equicorrelated", "ar1") for r in (0.1, 0.5
 MODELS = [("identity", None), ("equicorrelated", 0.5), ("ar1", 0.5)]
 
 
+class Stream2EquicorrelatedFactor:
+    """The equicorrelated factor of stream 2, kept as a law oracle: the exact
+    Cholesky factor of ``scale**2 * ((1 - r) I + r 1 1')``, column j holding
+    ``d[j]`` on the diagonal and ``c[j]`` in every row below it, applied as
+    ``d * z`` plus the shifted prefix sum of ``c * z``."""
+
+    def __init__(self, p, r, scale=1.0):
+        # s_0 = 0, d_j = sqrt(1 - s_j), c_j = (r - s_j) / d_j, s_{j+1} = s_j + c_j^2
+        d, c, s = [], [], 0.0
+        for _ in range(p):
+            d.append(math.sqrt(1.0 - s))
+            c.append((r - s) / d[-1])
+            s += c[-1] * c[-1]
+        self.p, self.d, self.c = p, scale * np.array(d), scale * np.array(c)
+
+    def apply(self, z):
+        below = np.cumsum(self.c * z, axis=-1)
+        y = self.d * z
+        y[..., 1:] += below[..., :-1]
+        return y
+
+
+def _dense(factor):
+    # apply(z) = z @ F.T, so the factor applied to the identity is F.T
+    return factor.apply(np.eye(factor.p)).T
+
+
 @pytest.mark.parametrize("p", [3, 20, 1000])
 @pytest.mark.parametrize("kind, r", CORRELATED)
 def test_model_factor_matches_dense_cholesky(kind, r, p):
+    # AR(1) applies its Cholesky factor; the equicorrelated model its
+    # symmetric root, whose square is the covariance
     model = CovarianceModel(kind, r)
     factor = model.factor(p)
-    L = np.linalg.cholesky(model.matrix(p))
-    # apply(z) = z @ F.T, so the factor applied to the identity is F.T
-    assert np.max(np.abs(factor.apply(np.eye(p)).T - L)) <= 1e-14
+    F = _dense(factor)
+    if kind == "ar1":
+        assert np.max(np.abs(F - np.linalg.cholesky(model.matrix(p)))) <= 1e-14
+    else:
+        np.testing.assert_array_equal(F, F.T)
+        assert np.max(np.abs(F @ F - model.matrix(p))) <= 1e-13
     z = rng.to_normal(rng.word_grid(keys(p, 64), p))
-    want = z @ L.T
+    want = z @ F.T
     assert np.max(np.abs(factor.apply(z) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("p", [3, 20, 1000])
+@pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("scale", [1.0, 1.3])
+def test_equicorrelated_factors_share_one_law(scale, r, p):
+    # the symmetric root and the stream-2 Cholesky factor are two factors F of
+    # one covariance: each gives F F' = sigma, so their draws share one law
+    sigma = scale**2 * CovarianceModel("equicorrelated", r).matrix(p)
+    root = _dense(CovarianceModel("equicorrelated", r).factor(p, scale))
+    chol = _dense(Stream2EquicorrelatedFactor(p, r, scale))
+    assert np.max(np.abs(chol - np.linalg.cholesky(sigma))) <= 1e-14 * scale
+    for F in (root, chol):
+        assert np.max(np.abs(F @ F.T - sigma)) <= 1e-13 * scale**2
 
 
 @pytest.mark.parametrize("p", [3, 20, 1000])
@@ -145,12 +191,15 @@ def test_identity_factor_is_the_dense_product(var, p):
 
 @pytest.mark.parametrize("kind, r", MODELS)
 def test_model_factor_hit_counts_equal_dense(kind, r):
+    # against the dense product of the same factor: the Cholesky factor of
+    # the identity and AR(1) models, the symmetric root of the equicorrelated one
     p, R = 50, 20_000
     sigma = ModelCovariance(CovarianceModel(kind, r), p)
     family = sample_rectangles(p, 20, np.sqrt(sigma.diag()), 4)
     structured = family_hit_counts(GaussianSumSampler(sigma.factor), family, R, 5, 1)
-    dense = family_hit_counts(GaussianSumSampler(CovMatrix(sigma.matrix).factor),
-                              family, R, 5, 1)
+    dense_factor = (CholFactor(L=_dense(sigma.factor)) if kind == "equicorrelated"
+                    else CovMatrix(sigma.matrix).factor)
+    dense = family_hit_counts(GaussianSumSampler(dense_factor), family, R, 5, 1)
     np.testing.assert_array_equal(structured, dense)
 
 
