@@ -3,10 +3,13 @@
 All sets are closed (boundaries count as inside) and immutable.  A polytope
 is stored in halfspace form as unit outward normals with offsets, so that
 an epsilon-expansion is just an offset shift.  Sparsely convex sets are
-intersections of pieces that each depend on a small number of coordinates;
-the supported pieces are sparse halfspaces and low-dimensional balls, whose
-hits count by exact membership.  A disk also has an inner polygon whose
-expansion covers it (``approximate_ball``).
+intersections of pieces that each depend on at most s coordinates J: a
+sparse halfspace (J, w, c) and a low-dimensional ball (J, center, radius)
+are stored by their support and tested on the points' coordinates on J
+alone, so a piece costs O(s) whatever p is, and a coordinate outside J,
+even an infinite or NaN one, does not constrain it.  Hits count by exact
+membership.  A disk also has an inner polygon whose expansion covers it
+(``approximate_ball``).
 """
 from __future__ import annotations
 
@@ -104,25 +107,35 @@ class Polytope:
         return (points @ self.normals.T <= self.offsets).all(axis=-1)
 
 
+def _on_support(piece, name: str) -> None:
+    """Store ``piece.indices`` as a tuple of ints and ``piece.<name>`` as one
+    finite float per index; the set checks the indices themselves."""
+    idx = tuple(int(j) for j in piece.indices)
+    vec = np.asarray(getattr(piece, name), dtype=np.float64)
+    if vec.shape != (len(idx),) or not np.all(np.isfinite(vec)):
+        raise ParameterError(f"piece {name} must be finite with one entry per index")
+    object.__setattr__(piece, "indices", idx)
+    object.__setattr__(piece, name, vec)
+
+
 @dataclass(frozen=True)
 class SparseHalfspace:
-    """{w : w'v <= c} with v supported on few coordinates."""
+    """{x : (x_j)_{j in J}'w <= c}, a unit normal w on the coordinates J."""
 
-    v: np.ndarray
+    indices: tuple
+    w: np.ndarray
     c: float
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=np.float64)
-        if v.ndim != 1 or not np.all(np.isfinite(v)) or not math.isfinite(self.c):
-            raise ParameterError("halfspace needs a finite vector and offset")
-        nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > _UNIT_TOL:
+        _on_support(self, "w")
+        if not math.isfinite(self.c):
+            raise ParameterError(f"halfspace offset must be finite, got {self.c!r}")
+        if abs(float(np.linalg.norm(self.w)) - 1.0) > _UNIT_TOL:
             raise ParameterError("halfspace normal must be a unit vector")
-        object.__setattr__(self, "v", v)
 
-    @property
-    def support_size(self) -> int:
-        return int(np.count_nonzero(self.v))
+    def holds(self, x: np.ndarray) -> np.ndarray:
+        """Membership of points given by their coordinates on J."""
+        return (x * self.w).sum(axis=-1) <= self.c
 
 
 @dataclass(frozen=True)
@@ -134,20 +147,14 @@ class SparseBall:
     radius: float
 
     def __post_init__(self):
-        idx = tuple(int(j) for j in self.indices)
-        if len(idx) < 1 or len(set(idx)) != len(idx):
-            raise ParameterError("ball needs distinct coordinate indices")
-        ctr = np.asarray(self.center, dtype=np.float64)
-        if ctr.shape != (len(idx),) or not np.all(np.isfinite(ctr)):
-            raise ParameterError("ball center must be finite with one entry per index")
+        _on_support(self, "center")
         if not (self.radius > 0.0) or not math.isfinite(self.radius):
             raise ParameterError(f"ball radius must be positive, got {self.radius!r}")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "center", ctr)
 
-    @property
-    def support_size(self) -> int:
-        return len(self.indices)
+    def holds(self, x: np.ndarray) -> np.ndarray:
+        """Membership of points given by their coordinates on J."""
+        delta = x - self.center
+        return (delta * delta).sum(axis=-1) <= self.radius**2
 
 
 @dataclass(frozen=True)
@@ -164,28 +171,19 @@ class SparseConvexSet:
         if len(self.pieces) < 1:
             raise ParameterError("sparse set needs at least one piece")
         for piece in self.pieces:
-            if isinstance(piece, SparseHalfspace):
-                if piece.v.shape[0] != self.p:
-                    raise ParameterError("halfspace dimension mismatch")
-            elif isinstance(piece, SparseBall):
-                if max(piece.indices) >= self.p or min(piece.indices) < 0:
-                    raise ParameterError("ball indices out of range")
-            else:
+            if not isinstance(piece, (SparseHalfspace, SparseBall)):
                 raise ParameterError(f"unsupported piece type {type(piece).__name__}")
-            if piece.support_size > self.s:
-                raise ParameterError(
-                    f"piece depends on {piece.support_size} coordinates, more than s={self.s}"
-                )
+            J = piece.indices
+            if not J or len(set(J)) != len(J) or min(J) < 0 or max(J) >= self.p:
+                raise ParameterError(f"piece indices {J} must be distinct, in [0, {self.p})")
+            if len(J) > self.s:
+                raise ParameterError(f"piece depends on {len(J)} coordinates, more than s={self.s}")
         object.__setattr__(self, "pieces", tuple(self.pieces))
 
     def contains_batch(self, points: np.ndarray) -> np.ndarray:
         ok = np.ones(points.shape[:-1], dtype=bool)
         for piece in self.pieces:
-            if isinstance(piece, SparseHalfspace):
-                ok &= points @ piece.v <= piece.c
-            else:
-                delta = points[..., list(piece.indices)] - piece.center
-                ok &= (delta * delta).sum(axis=-1) <= piece.radius**2
+            ok &= piece.holds(points[..., list(piece.indices)])
         return ok
 
 
@@ -422,14 +420,12 @@ def set_to_config(set_) -> dict:
         }
     if isinstance(set_, SparseConvexSet):
         pieces = []
-        for piece in set_.pieces:
-            if isinstance(piece, SparseHalfspace):
-                pieces.append({"type": "halfspace",
-                               "v": piece.v.tolist(), "c": float(piece.c)})
-            else:
-                pieces.append({"type": "ball", "J": list(piece.indices),
-                               "center": piece.center.tolist(),
-                               "radius": float(piece.radius)})
+        for pc in set_.pieces:
+            numbers = ({"type": "halfspace", "w": pc.w.tolist(), "c": float(pc.c)}
+                       if isinstance(pc, SparseHalfspace) else
+                       {"type": "ball", "center": pc.center.tolist(),
+                        "radius": float(pc.radius)})
+            pieces.append(dict(J=list(pc.indices), **numbers))
         return {"kind": "sparse", "s": set_.s, "p": set_.p, "pieces": pieces}
     raise ParameterError(f"unknown set type {type(set_).__name__}")
 
@@ -450,14 +446,14 @@ def set_from_config(cfg: dict):
         for pc in config_value(cfg, "pieces", list, item=dict):
             piece = config_value(pc, "type", str)
             if piece == "halfspace":
-                pieces.append(SparseHalfspace(config_value(pc, "v", list, item=float),
-                                              config_value(pc, "c", float)))
+                make, numbers = SparseHalfspace, (config_value(pc, "w", list, item=float),
+                                                  config_value(pc, "c", float))
             elif piece == "ball":
-                pieces.append(SparseBall(config_value(pc, "J", list, item=int),
-                                         config_value(pc, "center", list, item=float),
-                                         config_value(pc, "radius", float)))
+                make, numbers = SparseBall, (config_value(pc, "center", list, item=float),
+                                             config_value(pc, "radius", float))
             else:
                 raise ParameterError(f"unknown sparse piece type {piece!r}")
+            pieces.append(make(config_value(pc, "J", list, item=int), *numbers))
         return SparseConvexSet(p=config_value(cfg, "p", Size), s=config_value(cfg, "s", Size),
                                pieces=tuple(pieces))
     raise ParameterError(f"unknown set kind {kind!r}")

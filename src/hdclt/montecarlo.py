@@ -327,10 +327,11 @@ def _map_batches(work, R: int, workers: int | None) -> list:
     """Run ``work(start, count)`` over the fixed batch grid.
 
     Results come back indexed by batch so the reduction order never depends
-    on scheduling.
+    on scheduling.  At most one thread per CPU runs, whatever ``workers``
+    asks, since each holds a chunk of draws and perhaps a tile buffer.
     """
     batches = _batches(R)
-    w = workers if workers else default_workers()
+    w = min(workers or default_workers(), default_workers())
     if w <= 1 or len(batches) <= 1:
         return [work(s, c) for s, c in batches]
     with ThreadPoolExecutor(max_workers=w) as pool:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -52,7 +53,7 @@ def test_contains_polytope_boundary():
 def test_contains_sparse_set():
     ss = SparseConvexSet(p=3, s=2, pieces=(
         SparseBall((0, 1), np.zeros(2), 1.0),
-        SparseHalfspace(np.array([0.0, 0.0, 1.0]), 0.0),
+        SparseHalfspace((2,), np.array([1.0]), 0.0),
     ))
     assert contains(ss, [0.6, 0.8, -1.0])
     assert not contains(ss, [0.6, 0.81, -1.0])  # 0.36 + 0.6561 > 1
@@ -62,6 +63,95 @@ def test_contains_sparse_set():
 def test_sparse_set_validates_support():
     with pytest.raises(ParameterError):
         SparseConvexSet(p=3, s=1, pieces=(SparseBall((0, 1), np.zeros(2), 1.0),))
+
+
+def test_coordinates_off_a_pieces_support_do_not_constrain_it():
+    # {w : w_2 <= 2}: an infinite or NaN coordinate outside J = {2} leaves a
+    # point inside, as an unconstrained rectangle side does
+    inf = np.inf
+    sset = SparseConvexSet(p=3, s=1, pieces=(SparseHalfspace((2,), np.array([1.0]), 2.0),))
+    pts = np.array([[inf, 0.0, 0.0], [-inf, 0.0, 0.0], [0.0, inf, 1.0],
+                    [np.nan, -inf, 2.0], [inf, 0.0, 3.0], [0.0, 0.0, inf]])
+    assert sset.contains_batch(pts).tolist() == [True, True, True, True, False, False]
+    family = SetFamily((sset,), ("half",))
+    assert hit_counts(family, pts).tolist() == [4]
+
+
+def random_sparse_pieces(p, s, K, gen):
+    """K pieces on random supports of 1 to s coordinates, halfspaces and balls
+    alternating, each with its dense form: a function of the points giving
+    the piece's membership and its value before the comparison."""
+    pieces, dense = [], []
+    for k in range(K):
+        J = tuple(gen.choice(p, gen.integers(1, s + 1), replace=False).tolist())
+        if k % 2 == 0:
+            w = gen.standard_normal(len(J))
+            pieces.append(SparseHalfspace(J, w / np.linalg.norm(w), gen.normal()))
+            v = np.zeros(p)
+            v[list(J)] = pieces[-1].w
+            dense.append(lambda pts, v=v, c=pieces[-1].c: (pts @ v <= c, pts @ v - c))
+        else:
+            pieces.append(SparseBall(J, 0.5 * gen.standard_normal(len(J)), gen.uniform(0.5, 2.5)))
+            dense.append(lambda pts, b=pieces[-1]: (
+                ((pts[:, list(b.indices)] - b.center) ** 2).sum(axis=-1) <= b.radius**2, None))
+    return pieces, dense
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 50, 1000])
+def test_sparse_pieces_count_as_their_dense_form(p, s):
+    gen = np.random.default_rng(10 * p + s)
+    pieces, dense = random_sparse_pieces(p, s, 40, gen)
+    points = gen.standard_normal((2000, p)) * gen.uniform(0.2, 3.0, (2000, 1))
+    for k, piece in enumerate(pieces):  # rows on, and 1e-12 outside, halfspace k's face
+        if isinstance(piece, SparseHalfspace):
+            points[k, list(piece.indices)] = piece.c * piece.w
+            points[40 + k, list(piece.indices)] = (piece.c + 1e-12) * piece.w
+    singles = [SparseConvexSet(p=p, s=s, pieces=(piece,)) for piece in pieces]
+    inside = [single.contains_batch(points) for single in singles]
+    for piece, ins, oracle in zip(pieces, inside, dense):
+        expect, gap = oracle(points)
+        differ = np.flatnonzero(ins != expect)
+        if differ.size:  # only within a few ulps of a halfspace's face
+            assert gap is not None, piece
+            x = points[differ][:, list(piece.indices)]
+            tol = 4 * s * np.finfo(float).eps * (np.abs(x) @ np.abs(piece.w) + abs(piece.c))
+            assert np.all(np.abs(gap[differ]) <= tol)
+        assert 0 < np.count_nonzero(ins) < len(points)
+    family = SetFamily(tuple(singles), tuple(f"k{k}" for k in range(len(singles))))
+    assert hit_counts(family, points).tolist() == [int(np.count_nonzero(i)) for i in inside]
+    whole = SparseConvexSet(p=p, s=s, pieces=tuple(pieces[:4]))
+    assert np.array_equal(whole.contains_batch(points), np.logical_and.reduce(inside[:4]))
+
+
+def test_sparse_family_holds_O_of_Ks_numbers():
+    # p = 10**5 with K = 100 pieces of s = 2: a dense normal would hold p
+    p, s, K = 100_000, 2, 100
+    pieces, _ = random_sparse_pieces(p, s, K, np.random.default_rng(5))
+    family = SetFamily(tuple(SparseConvexSet(p=p, s=s, pieces=tuple(pieces[i:i + 10]))
+                             for i in range(0, K, 10)), tuple(f"f{i}" for i in range(10)))
+    held = sum(np.size(getattr(pc, f.name)) for pc in pieces for f in dataclasses.fields(pc))
+    assert held <= 3 * K * s
+    text = serialize.dumps(family_to_config(family))
+    assert len(text) <= 100 * 3 * K * s
+    back = family_from_config(json.loads(text))
+    assert set_to_config(back.sets[3]) == set_to_config(family.sets[3])
+
+
+def test_halfspace_config_needs_w_not_v(tmp_path):
+    # the dense normal v is gone: a config giving it exits 2 naming the missing w
+    cfg = {"seed": 3, "out": str(tmp_path / "rho.json"), "n": 20, "R": 1000,
+           "design": {"kind": "rademacher", "p": 3},
+           "family": {"p": 3, "sets": [{"label": "h", "kind": "sparse", "p": 3, "s": 1,
+                                        "pieces": [{"type": "halfspace", "v": [0.0, 0.0, 1.0],
+                                                    "c": 0.5}]}]}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    code = cli.run(["estimate-rho", "--config", str(path)], stdout=io.StringIO(), stderr=err)
+    assert code == 2
+    assert "family.sets[0].pieces[0].w" in err.getvalue()
+    assert not (tmp_path / "rho.json").exists()
 
 
 def test_expand():
@@ -134,8 +224,8 @@ def test_sandwich_disk():
 
 def test_sandwich_exact_halfspace_representation():
     sset = SparseConvexSet(p=2, s=1, pieces=(
-        SparseHalfspace(np.array([1.0, 0.0]), 0.3),
-        SparseHalfspace(np.array([0.0, -1.0]), 0.4),
+        SparseHalfspace((0,), np.array([1.0]), 0.3),
+        SparseHalfspace((1,), np.array([-1.0]), 0.4),
     ))
     inner = Polytope(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([0.3, 0.4]))
     assert sandwich_check(inner, sset, 1e-6, 20_000, 2.0, 9) == 0
@@ -279,7 +369,7 @@ def test_set_config_round_trips():
 
     sset = SparseConvexSet(p=3, s=2, pieces=(
         SparseBall((0, 2), np.array([0.0, 1.0]), 2.0),
-        SparseHalfspace(np.array([0.0, 1.0, 0.0]), 0.5),
+        SparseHalfspace((1,), np.array([1.0]), 0.5),
     ))
     back = set_from_config(set_to_config(sset))
     assert back.s == 2 and back.p == 3 and len(back.pieces) == 2
@@ -321,7 +411,7 @@ def mixed_family(p=4):
         Hyperrectangle(np.full(p, -np.inf), np.full(p, 0.8)),  # max-type
         approximate_ball((0, 1), np.array([0.2, -0.1]), 1.0, 0.2, p),
         SparseConvexSet(p=p, s=2, pieces=(
-            SparseHalfspace(np.array([0.0, 0.0, 0.6, 0.8]), 0.5),
+            SparseHalfspace((2, 3), np.array([0.6, 0.8]), 0.5),
             SparseBall((1, 3), np.array([0.0, 0.2]), 1.2),
         )),
     ), ("rect", "max", "polytope", "sparse"))

@@ -1,4 +1,4 @@
-"""Golden CLI outputs: the sha256 of twenty-four reports, at one and two workers.
+"""Golden CLI outputs: the sha256 of twenty-five reports, at one and two workers.
 
 Refactors of the draw, batch and emit paths must leave every report byte
 for byte as it was; a hash that moves means a stream or float-order change,
@@ -11,7 +11,10 @@ of ``rate-scan`` (with a censored row) and ``nazarov``, and the optional
 report fields (``rate-scan`` with explicit ``params``, ``bounds`` with
 ``params.q`` and ``params.alpha``), and ``bounds`` on AR(1) rows at r=0.7
 and on equicorrelated rows at r=0.3, whose tail moments carry the floats of
-the structured factors at a correlation where ``r * x`` is not exact.  A
+the structured factors at a correlation where ``r * x`` is not exact, and
+``estimate-rho`` on an explicit family of sparsely convex sets at p=1000
+(halfspaces and a ball, each given by its support ``J``), the one run that
+reads and writes the sparse set descriptors.  A
 last-bit change of the draws reaches a tail-moment sum only now and then,
 so their seeds are ones at which such a change moves the report: the AR(1)
 recursion as LAPACK's banded solve ``dtbtrs`` moves 18 of seeds 23 to 62,
@@ -20,8 +23,9 @@ place of ``a z + b s`` (s the row sum) moves 22, seed 30 among them.  The
 ``nazarov`` reports are hit counts alone: a last-bit change moves one only
 if a draw's maximum falls within an ulp of an anchor, so no seed makes
 them catch such a mutant, and ``tests/test_draw_hashes.py`` does instead.
-In the last seven runs one batch of draws holds more than 2**22 elements
-of draw work, so it is made in several slices or tiles: the multiplier and
+In the seven runs before the sparse one, one batch of draws holds more
+than 2**22 elements of draw work, so it is made in several slices or
+tiles: the multiplier and
 empirical products at n=1000 run on tiles of 1024 rows (the largest power of two at most ``TILE //
 size``), anchored at the replication index and zero-padded on a run's last
 tile; the gaussian side at p=600 and the literal sum path at n*p=5000 are
@@ -109,6 +113,16 @@ ORTHANTS = {"p": 4, "sets": [
                                [-0.5, 1.0, 1.5, 0.5]))
 ]}
 
+# sparse sets at p = 1000: each piece is its support J and a few numbers
+SPARSE = {"p": 1000, "sets": [
+    {"label": "halves", "kind": "sparse", "p": 1000, "s": 2, "pieces": [
+        {"type": "halfspace", "J": [0, 999], "w": [0.6, 0.8], "c": 0.5},
+        {"type": "halfspace", "J": [17], "w": [-1.0], "c": 1.0}]},
+    {"label": "ball-half", "kind": "sparse", "p": 1000, "s": 3, "pieces": [
+        {"type": "ball", "J": [3, 500, 998], "center": [0.1, -0.2, 0.3], "radius": 2.0},
+        {"type": "halfspace", "J": [3, 4, 5], "w": [0.48, 0.6, 0.64], "c": 0.8}]},
+]}
+
 # (label, command, config); run in order, since later runs read data.bin
 RUNS = (
     ("simulate", "simulate",
@@ -192,6 +206,9 @@ RUNS = (
     ("estimate-rho-vgrid-n2000", "estimate-rho",
      {"seed": 22, "out": "rho_v2000.json", "design": {"kind": "trunc_exp", "p": 4},
       "n": 2000, "family": ORTHANTS, "v_grid": [0.5], "R": 2000}),
+    ("estimate-rho-sparse", "estimate-rho",
+     {"seed": 23, "out": "rho_sparse.json", "design": {"kind": "rademacher", "p": 1000},
+      "n": 40, "family": SPARSE, "R": 4000}),
 )
 
 GOLDEN = {
@@ -219,6 +236,7 @@ GOLDEN = {
     "nazarov-p600": "df7c3a94a6b971decff78257d0a0c5b65597d464a998fd6e194fda6678d0e581",
     "estimate-rho-literal-p50": "52ba8c107acd99a057680e70058990da212addb7a0b8859decb6082005b1af73",
     "estimate-rho-vgrid-n2000": "63b00ce8f9eb0e082193248f9530fe539ae678b6355e9d6aeaa46afa544f3f85",
+    "estimate-rho-sparse": "03ee3b88f357ac9a098332b366a9407d63e2b8b345ce5c654c245519683cd06b",
 }
 
 

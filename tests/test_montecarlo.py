@@ -126,6 +126,37 @@ def test_default_workers_follow_cpu_affinity(monkeypatch):
     assert montecarlo.default_workers() == 1
 
 
+def test_batch_map_starts_at_most_one_thread_per_cpu(monkeypatch):
+    # each thread holds a chunk of draws, so asking for more workers than
+    # CPUs must not start more threads; a stand-in pool records its size and
+    # runs the batches serially, so no real thread starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+    R = 10 * montecarlo.BATCH + 5
+    expect = montecarlo._batches(R)
+    for cpus, workers, started in ((2, 64, [2]), (2, 2, [2]), (2, None, [2]), (2, 1, []),
+                                   (1, 2, []), (4, 3, [3])):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+        sizes.clear()
+        assert montecarlo._map_batches(lambda s, c: (s, c), R, workers) == expect
+        assert sizes == started, (cpus, workers)
+
+
 def test_worker_count_invariance():
     design = DesignSpec(kind="rademacher", p=8)
     sigma = population_moments(design).sigma
