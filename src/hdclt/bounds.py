@@ -302,11 +302,14 @@ def report_from_dataset(dataset: Dataset, params: BoundParams,
 
 
 def _population_tail_x(design: DesignSpec, tau: float, R: int, seed: int) -> float:
-    # row r is the design row of key mix64(seed, r), made and reduced one
-    # block at a time; the cubes are summed once, in row order
-    cubes = rng.blocked(lambda k: _tail_cubes(values_from_row_keys(design, k), tau),
-                        rng.words(seed, R), design.p)
-    return float(np.mean(cubes))
+    # row r is the design row of key mix64(seed, r); as in _tail_moment, each
+    # batch is made and reduced one block at a time and its cubes summed at once
+    total = 0.0
+    for start, count in _batches(R):
+        keys = rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
+        total += float(rng.blocked(lambda k: _tail_cubes(values_from_row_keys(design, k), tau),
+                                   keys, design.p).sum())
+    return total / R
 
 
 def report_from_design(design: DesignSpec, n: int,

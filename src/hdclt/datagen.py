@@ -18,7 +18,8 @@ Five families are supported, all centered:
 moment-condition flags of a design, so that empirical checks have an exact
 reference.  Row ``i`` of a sampled matrix is a pure function of
 ``mix64(seed, i)`` (see :mod:`hdclt.rng`), which makes generation
-order-independent and safe to parallelize.
+order-independent and safe to parallelize; a ``trunc_exp``, ``heavy_tail``
+or uniform-cube coordinate is one word, drawn sign-magnitude.
 """
 from __future__ import annotations
 
@@ -373,10 +374,10 @@ def values_from_row_keys(design: DesignSpec, row_keys: np.ndarray) -> np.ndarray
 
     This is the single definition of every design's transform; batched
     samplers call it with a matrix of keys and get bit-identical rows to
-    one-at-a-time generation.  The transforms of ``trunc_exp``,
-    ``heavy_tail`` and the uniform cube run in place: the words and the
-    values are the only arrays of their size, and the words, once read,
-    hold the scratch values.
+    one-at-a-time generation.  ``trunc_exp``, ``heavy_tail`` and the uniform
+    cube make each value from one word w, sign-magnitude and in place: lam *
+    (-log u), c * u**(-1/a) or h * u of u = ``rng.to_uniform(w)``, strictly
+    inside (0, 1), then the sign of bit 0 of w (``rng.flip_signs``).
     """
     p, law = design.p, design.law
     if design.kind == "rademacher":
@@ -387,23 +388,16 @@ def values_from_row_keys(design: DesignSpec, row_keys: np.ndarray) -> np.ndarray
         x = _SIGNS[bits]
     elif design.kind in ("trunc_exp", "heavy_tail") or design.variant == "uniform":
         w = rng.word_grid(row_keys, p)
-        x = rng.to_symmetric(w)
-        t = w.view(np.float64)
+        x = rng.to_uniform(w)
         if design.kind == "trunc_exp":
-            # -lam * sign(v) * log1p(-|v|), with the sign taken from v itself
-            np.copysign(x, -1.0, out=t)
-            np.log1p(t, out=t)
-            t *= law["lam"]
-            np.copysign(t, x, out=x)
+            np.log(x, out=x)
+            x *= -law["lam"]  # lam * (-log u)
         elif design.kind == "heavy_tail":
-            # (c * sign(v)) * |v|**(-1/a), in that order: v = 0 gives NaN
-            np.abs(x, out=t)
-            np.power(t, -1.0 / law["a"], out=t)
-            np.sign(x, out=x)
+            np.power(x, -1.0 / law["a"], out=x)
             x *= law["c"]
-            x *= t
         else:  # the uniform log-concave cube
             x *= law["h"]
+        rng.flip_signs(x, w)
     else:  # gaussian, or the gaussian log-concave variant: its model's factor
         x = gaussian_draw_batch(design.covariance.factor(p), row_keys)
 

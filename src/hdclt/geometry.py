@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import rng
-from .errors import ParameterError, Size, config_value
+from .errors import ParameterError, Size, config_object, config_value
 
 _UNIT_TOL = 1e-12
 
@@ -383,7 +383,8 @@ def sandwich_check(inner: Polytope, sset: SparseConvexSet, eps: float,
     outer = expand(inner, eps)
 
     def violated(keys: np.ndarray) -> np.ndarray:
-        pts = box_halfwidth * rng.to_symmetric(rng.word_grid(keys, sset.p))
+        w = rng.word_grid(keys, sset.p)
+        pts = rng.flip_signs(box_halfwidth * rng.to_uniform(w), w)
         in_inner = inner.contains_batch(pts)
         in_set = sset.contains_batch(pts)
         in_outer = outer.contains_batch(pts)
@@ -430,32 +431,42 @@ def set_to_config(set_) -> dict:
     raise ParameterError(f"unknown set type {type(set_).__name__}")
 
 
+def _piece_from_config(pc: dict, p: int, s: int):
+    """A piece of a sparse set in R^p; a value error names the piece's path."""
+    piece = config_value(pc, "type", str)
+    if piece == "halfspace":
+        make, numbers = SparseHalfspace, dict(w=config_value(pc, "w", list, item=float),
+                                              c=config_value(pc, "c", float))
+    elif piece == "ball":
+        make, numbers = SparseBall, dict(center=config_value(pc, "center", list, item=float),
+                                         radius=config_value(pc, "radius", float))
+    else:
+        raise ParameterError(f"unknown sparse piece type {piece!r}")
+    # the piece is checked in a set of its own, so the set's checks of its
+    # support J name the piece too
+    return config_object(pc, lambda **f: SparseConvexSet(p, s, (make(**f),)).pieces[0],
+                         indices=config_value(pc, "J", list, item=int), **numbers)
+
+
 def set_from_config(cfg: dict):
+    """The set of a config object; a value error names the object's path."""
     kind = config_value(cfg, "kind", str)
     if kind == "rect":
-        return Hyperrectangle([_num_in(v) for v in config_value(cfg, "lower", list)],
-                              [_num_in(v) for v in config_value(cfg, "upper", list)])
+        return config_object(cfg, Hyperrectangle,
+                             lower=[_num_in(v) for v in config_value(cfg, "lower", list)],
+                             upper=[_num_in(v) for v in config_value(cfg, "upper", list)])
     if kind == "polytope":
         facets = config_value(cfg, "facets", list, item=dict)
         normals = [config_value(f, "v", list, item=float) for f in facets]
         if len({len(v) for v in normals}) > 1:
             raise ParameterError("polytope facet normals must share one length")
-        return Polytope(normals, [config_value(f, "c", float) for f in facets])
+        return config_object(cfg, Polytope, normals=normals,
+                             offsets=[config_value(f, "c", float) for f in facets])
     if kind == "sparse":
-        pieces = []
-        for pc in config_value(cfg, "pieces", list, item=dict):
-            piece = config_value(pc, "type", str)
-            if piece == "halfspace":
-                make, numbers = SparseHalfspace, (config_value(pc, "w", list, item=float),
-                                                  config_value(pc, "c", float))
-            elif piece == "ball":
-                make, numbers = SparseBall, (config_value(pc, "center", list, item=float),
-                                             config_value(pc, "radius", float))
-            else:
-                raise ParameterError(f"unknown sparse piece type {piece!r}")
-            pieces.append(make(config_value(pc, "J", list, item=int), *numbers))
-        return SparseConvexSet(p=config_value(cfg, "p", Size), s=config_value(cfg, "s", Size),
-                               pieces=tuple(pieces))
+        p, s = config_value(cfg, "p", Size), config_value(cfg, "s", Size)
+        pieces = tuple(_piece_from_config(pc, p, s)
+                       for pc in config_value(cfg, "pieces", list, item=dict))
+        return config_object(cfg, SparseConvexSet, p=p, s=s, pieces=pieces)
     raise ParameterError(f"unknown set kind {kind!r}")
 
 

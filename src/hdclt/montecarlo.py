@@ -43,7 +43,7 @@ from .sums import (
 BATCH = 1 << 13  # fixed batch size; must not depend on the worker count
 # the version of the streams: which words make each draw and how a draw's
 # product is tiled; every change that moves a draw bumps it
-STREAM = 3
+STREAM = 4
 # values one matrix-product tile may hold: it fixes the tile shape of each
 # product, so the bits of its draws; changing it changes the stream
 TILE = 1 << 20

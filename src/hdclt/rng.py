@@ -12,7 +12,8 @@ are derived by nesting: row ``i`` of a dataset drawn with seed ``s`` uses
 the key ``mix64(s, i)``, and the ``t``-th 64-bit word of that row is
 ``mix64(mix64(s, i), t)``.  Because every word is a closed-form function of
 (seed, counters), generation is order-independent: any partition of the
-work across threads or batches produces bit-identical output.
+work across threads or batches produces bit-identical output.  A word
+makes one value: a uniform in (0, 1), a normal, or a sign-magnitude value.
 """
 from __future__ import annotations
 
@@ -27,11 +28,6 @@ _MIX2 = 0x94D049BB133111EB
 _U64_GAMMA = np.uint64(GAMMA)
 _U64_MIX1 = np.uint64(_MIX1)
 _U64_MIX2 = np.uint64(_MIX2)
-
-# (word >> 11) spans [0, 2**53); adding 0.5 and scaling by 2**-53 gives
-# [2**-54, 1] (see to_uniform for the two rounded cases)
-_INV53 = float(2.0 ** -53)
-_INV52 = float(2.0 ** -52)
 
 # elements one block of an elementwise stage touches: its temporaries stay in
 # cache instead of streaming through memory
@@ -122,33 +118,29 @@ def word_grid(keys: np.ndarray, count: int, out: np.ndarray | None = None,
 
 
 def to_uniform(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Map 64-bit words to doubles in (0, 1].
+    """Map 64-bit words to doubles strictly inside (0, 1).
 
-    Uses the top 53 bits k = w >> 11 plus a half-step offset, (k + 0.5) *
-    2**-53, so 0 is never hit.  Above k = 2**52 the sum k + 0.5 rounds to
-    even: the 2**11 words w >= 2**64 - 2**11 give exactly 1.0 (and
-    ``to_normal`` +inf), and k = 2**52 gives exactly 0.5.  The shift is cast
-    straight into ``out``, a float array of w's shape, or a new one.
+    Uses the top 52 bits k = w >> 12 plus a half-step offset, exactly (k +
+    0.5) * 2**-52, in [2**-53, 1 - 2**-53]: every step is exact, so no word
+    rounds to 0 or 1, and ``to_normal`` is always finite.  Bit 0 of w is
+    left for ``flip_signs``.  The shift is cast straight into ``out``, a
+    float array of w's shape, or a new one.
     """
-    u = np.right_shift(w, np.uint64(11), out=np.empty(w.shape) if out is None else out,
+    u = np.right_shift(w, np.uint64(12), out=np.empty(w.shape) if out is None else out,
                        casting="unsafe")
     u += 0.5
-    u *= _INV53
+    u *= 2.0**-52
     return u
 
 
-def to_symmetric(w: np.ndarray) -> np.ndarray:
-    """``2 * to_uniform(w) - 1`` bit for bit, in [-1 + 2**-53, 1].
-
-    Doubling is exact, so this is (k + 0.5) * 2**-52 - 1; the shift is cast
-    into the output buffer by buffer, so the words are read once and one
-    array is made.
-    """
-    v = np.right_shift(w, np.uint64(11), out=np.empty(w.shape), casting="unsafe")
-    v += 0.5
-    v *= _INV52
-    v -= 1.0
-    return v
+def flip_signs(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Negate ``x`` in place where bit 0 of its word is set: one XOR of
+    ``w << 63`` into x's bits.  ``w``, the words x came from (of x's shape),
+    is overwritten.  With a magnitude from ``to_uniform(w)`` this makes a
+    symmetric value from one word, since to_uniform never reads bit 0."""
+    bits = np.left_shift(w, np.uint64(63), out=w)
+    np.bitwise_xor(x.view(np.uint64), bits, out=x.view(np.uint64))
+    return x
 
 
 def to_normal(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

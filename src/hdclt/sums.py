@@ -319,8 +319,8 @@ def empirical_resample_draw_batch(dataset: Dataset, keys: np.ndarray,
     n = dataset.n
 
     def row_counts(block: np.ndarray) -> np.ndarray:
+        # u <= 1 - 2**-53 makes fl(u * n) < n for every n < 2**53: no clamp
         idx = (rng.to_uniform(rng.word_grid(block, n)) * n).astype(np.int64)
-        np.minimum(idx, n - 1, out=idx)
         idx += (np.arange(len(block), dtype=np.int64) * n)[:, None]
         counts = np.bincount(idx.ravel(), minlength=len(block) * n)
         return counts.reshape(len(block), n).astype(np.float64)

@@ -48,7 +48,8 @@ def test_bench_batch_matches_package():
 
 def test_literal_batch_counts(monkeypatch):
     # the tracer's counts of one scan_literal batch: R * (n + n * p) words
-    # (the row keys, then the row values) and R * n * p design values
+    # (the row keys, then the row values) and R * n * p design values, for
+    # each sign-magnitude design: a value's sign comes from its own word
     counts = {}
     for original in (rng.word_grid, datagen.values_from_row_keys):
         def counting(*args, _fn=original, **kwargs):
@@ -62,9 +63,12 @@ def test_literal_batch_counts(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, key, counting)
     R, n, p = 300, workloads.SCAN_N_GRID[0], workloads.SCAN_P
-    sampler = montecarlo.DesignSumSampler(DesignSpec(kind="trunc_exp", p=p), n)
-    assert sum(sampler.map_chunks(5, 0, R, len)) == R
-    assert counts == {"word_grid": R * (n + n * p), "values_from_row_keys": R * n * p}
+    for design in (dict(kind="trunc_exp"), dict(kind="heavy_tail", tail_index=4.5),
+                   dict(kind="log_concave", variant="uniform")):
+        counts.clear()
+        sampler = montecarlo.DesignSumSampler(DesignSpec(p=p, **design), n)
+        assert sum(sampler.map_chunks(5, 0, R, len)) == R
+        assert counts == {"word_grid": R * (n + n * p), "values_from_row_keys": R * n * p}
 
 
 def test_bench_selftest_passes():

@@ -320,7 +320,7 @@ def test_report_round_trip(tmp_path):
     assert outputs[0].endswith(b"\n")
     payload = json.loads(outputs[0])
     assert set(payload) == {"command", "config", "provenance", "result"}
-    assert payload["provenance"] == {"stream": 3, "batch": 8192, "tile": 1 << 20}
+    assert payload["provenance"] == {"stream": 4, "batch": 8192, "tile": 1 << 20}
     # the report is the result dataclass, field by field
     sigma = population_moments(DesignSpec(kind="gaussian", p=3)).sigma
     res = nazarov_check(sigma, 3, [0.1], 2000, 7)

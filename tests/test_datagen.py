@@ -249,30 +249,43 @@ def test_determinism_and_row_substreams():
 
 
 def _literal_oracle(design, w):
-    # the transforms of the non-gaussian designs as first written, out of place
+    # the transforms of the non-gaussian designs, out of place: a magnitude
+    # from u = (k + 0.5) * 2**-52 of k = w >> 12, the sign from bit 0 of w
     if design.kind == "rademacher":
         bits = np.unpackbits(
             np.ascontiguousarray(w).view(np.uint8), axis=-1, bitorder="little"
         )[..., :design.p]
         x = 1.0 - 2.0 * bits.astype(np.float64)
     else:
-        u = rng.to_uniform(w)
-        v = 2.0 * u - 1.0
+        u = ((w >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+        sign = np.where(w & np.uint64(1), -1.0, 1.0)
         if design.kind == "trunc_exp":
-            lam = design.scale / 2.0
-            x = -lam * np.sign(v) * np.log1p(-np.abs(v))
+            x = sign * (design.scale / 2.0 * -np.log(u))
         elif design.kind == "heavy_tail":
-            a, c = design.law["a"], design.law["c"]
-            x = c * np.sign(v) * np.abs(v) ** (-1.0 / a)
+            x = sign * (design.law["c"] * u ** (-1.0 / design.law["a"]))
         else:
-            x = math.sqrt(3.0) * design.scale * (2.0 * u - 1.0)
+            x = sign * (math.sqrt(3.0) * design.scale * u)
     if design.standardize:
         x = x / math.sqrt(design.law["var"])
     return x
 
 
-# k = w >> 11 is 0, 2**52 (to_uniform gives 0.5) or 2**53 - 1 (it gives 1.0)
-EDGE_WORDS = [0, 2**11 - 1, 2**63, 2**63 + 2**10, 2**64 - 2**11, 2**64 - 1]
+# k = w >> 12 is 0, 2**51 or 2**52 - 1 (the ends of to_uniform), bit 0 is 0 or 1
+EDGE_WORDS = [0, 2**12 - 1, 2**12, 2**63, 2**64 - 2**12, 2**64 - 1]
+
+
+def _edged(monkeypatch, seen):
+    # rng.word_grid with the edge words at both ends of every grid it makes
+    word_grid = rng.word_grid
+
+    def edged(keys, count, **kwargs):
+        w = word_grid(keys, count, **kwargs)
+        flat = w.reshape(-1)
+        flat[:len(EDGE_WORDS)] = flat[-len(EDGE_WORDS):] = EDGE_WORDS
+        seen.append(w.copy())
+        return w
+
+    monkeypatch.setattr(rng, "word_grid", edged)
 
 
 @pytest.mark.parametrize("p", [3, 64, 100, 130])
@@ -284,30 +297,87 @@ EDGE_WORDS = [0, 2**11 - 1, 2**63, 2**63 + 2**10, 2**64 - 2**11, 2**64 - 1]
     dict(kind="log_concave", variant="uniform"),
     dict(kind="rademacher"),
 ], ids=lambda d: "-".join(str(v) for v in d.values()))
-@pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value")
 def test_literal_transforms_match_oracle(monkeypatch, design, p):
     # the in-place transforms against the oracle on the same words, bit for
-    # bit (NaN and inf included), with the edge words at both ends of a block
+    # bit, with the edge words at both ends of a block: every value is finite
     design = DesignSpec(p=p, **design)
-    word_grid, seen = rng.word_grid, []
-
-    def edged(keys, count):
-        w = word_grid(keys, count)
-        flat = w.reshape(-1)
-        flat[:len(EDGE_WORDS)] = flat[-len(EDGE_WORDS):] = EDGE_WORDS
-        seen.append(w.copy())
-        return w
-
-    monkeypatch.setattr(rng, "word_grid", edged)
+    seen = []
+    _edged(monkeypatch, seen)
     keys = rng.words(4, 40).reshape(8, 5)
     x = values_from_row_keys(design, keys)
     want = _literal_oracle(design, seen[0])
     assert x.shape == want.shape == (8, 5, p)
     np.testing.assert_array_equal(x.view(np.uint64), want.view(np.uint64))
-    if design.kind == "trunc_exp":
-        assert np.isinf(x).any()  # the words that to_uniform maps to 1.0
-    if design.kind == "heavy_tail":
-        assert np.isnan(x).any()  # the words that to_uniform maps to 0.5
+    assert np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("design", [
+    dict(kind="gaussian"),
+    dict(kind="trunc_exp"),
+    dict(kind="heavy_tail", tail_index=4.5),
+    dict(kind="heavy_tail", tail_index=50.0),
+    dict(kind="log_concave", variant="uniform"),
+], ids=lambda d: "-".join(str(v) for v in d.values()))
+def test_edge_words_give_finite_values(monkeypatch, design):
+    # stream 3 gave +inf (the normal, trunc_exp) and NaN (heavy_tail) here
+    design = DesignSpec(p=6, **design)
+    seen = []
+    _edged(monkeypatch, seen)
+    x = values_from_row_keys(design, rng.words(5, 3))
+    assert seen and all(w.size >= len(EDGE_WORDS) for w in seen)
+    assert np.all(np.isfinite(x))
+    if design.kind != "gaussian":
+        np.testing.assert_array_equal(x, _literal_oracle(design, seen[0]))
+
+
+# stream 3's maps, the oracle of the law of the sign-magnitude values: a
+# uniform of the top 53 bits in (0, 1], its symmetric v = 2u - 1, and the
+# transforms of v, bit for bit as stream 3 made them
+def _stream3_uniform(w):
+    return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def _stream3_symmetric(w):
+    return 2.0 * _stream3_uniform(w) - 1.0
+
+
+def _stream3_trunc_exp(v, law):
+    return np.copysign(np.log1p(np.copysign(v, -1.0)) * law["lam"], v)
+
+
+def _stream3_heavy_tail(v, law):
+    return np.sign(v) * law["c"] * np.abs(v) ** (-1.0 / law["a"])
+
+
+def _stream3_cube(v, law):
+    return law["h"] * v
+
+
+@pytest.mark.parametrize("design,stream3", [
+    (dict(kind="trunc_exp", scale=1.3), _stream3_trunc_exp),
+    (dict(kind="heavy_tail", tail_index=4.5), _stream3_heavy_tail),
+    (dict(kind="heavy_tail", tail_index=50.0), _stream3_heavy_tail),
+    (dict(kind="log_concave", variant="uniform", scale=1.3), _stream3_cube),
+], ids=["trunc_exp", "heavy_tail-q4.5", "heavy_tail-q50", "uniform"])
+def test_sign_magnitude_values_keep_the_stream3_law(design, stream3):
+    from scipy.stats import ks_2samp
+
+    design = DesignSpec(p=10, **design)
+    n = 200_000
+    old = stream3(_stream3_symmetric(rng.words(31, n)), design.law)
+    new = values_from_row_keys(design, rng.words(32, n // design.p)).ravel()
+    # the two-sample KS statistic below its 0.1% critical value
+    assert ks_2samp(old, new).statistic < math.sqrt(-0.5 * math.log(0.0005)) * math.sqrt(2.0 / n)
+    # the mean and the moments of population_moments, each within 5 standard
+    # errors; a heavy tail's k-th moment only where its estimate has a variance
+    m = population_moments(design)
+    for x in (old, new):
+        assert abs(x.mean()) < 5.0 * x.std() / math.sqrt(n)
+        for k, want in ((2, m.b_lower), (3, m.L_n_population), (4, m.fourth_moment_max)):
+            if design.kind == "heavy_tail" and 2 * k >= design.law["a"]:
+                continue
+            power = np.abs(x) ** k
+            assert abs(power.mean() - want) < 5.0 * power.std() / math.sqrt(n), k
 
 
 @pytest.mark.parametrize("p", [20, 100, 1000])

@@ -4,8 +4,9 @@ The golden reports of ``tests/test_golden.py`` are mostly hit counts, which
 a last-bit change in a draw almost never moves.  This table hashes the
 float64 bytes of ``_Sampler.map_chunks`` output instead: about 10^3 keys
 per entry, one entry per kind, plus runs that start mid-batch and the two
-tail-cube sums of ``bounds``.  A change that moves one bit of one draw
-moves its entry, and the failure names it.
+tail-cube sums of ``bounds``, the data side also over three batches.  A
+change that moves one bit of one draw moves its entry, and the failure
+names it.
 
 The row-local entries (the structured factors, the design transforms, the
 binomial mode, the tail cubes of design rows) are numpy-only.  The matrix
@@ -47,6 +48,40 @@ cause:
     rows (12ee3c99 and 13c2bc60 on the stream-2 rows, cef3519d and 4c2cd564
     now).  A last-bit mutant of ``apply``, ``a (z + (b / a) s)``, moves all
     three.
+
+* stream 4, the causes landed one at a time: the uniform (k + 0.5) *
+  2**-52 of k = w >> 12, the sign-magnitude literal values, M_x summed
+  batch by batch; ``literal-signs`` and ``binomial`` (sign bits and
+  binomial counts, no uniform) kept their hashes, and the provenance entry
+  and the deleted clamp of the empirical bootstrap's index moved none:
+
+  - the uniform map, through the normals or the resample indices:
+    ``gaussian-dense-p40`` e1d5b4b0 -> 0c2a472f, ``gaussian-dense-p500``
+    116fbd1d -> bcce6887 (eb6d8b3b -> 24f89d66), ``gaussian-identity``
+    684f537a -> bbe544ba, ``gaussian-equicorrelated-p1000`` ca5f1aca ->
+    f407614b, ``gaussian-ar1-r0.3`` 097e39f6 -> fc9a0bfd,
+    ``gaussian-ar1-r0.7`` d8659244 -> f4227fdd, ``literal-gaussian-ar1``
+    2d18a055 -> b1223ac7, ``literal-gaussian-equicorrelated`` cef3519d ->
+    df461c00, ``design-gaussian-equicorrelated-p50`` 4c2cd564 -> adb241a2,
+    ``MB-n5000`` fd2baee3 -> fde7be19 (c4a6b57e -> 3b102f61),
+    ``EB-n5000`` 1914899f -> 2c7fb742 (683a0fa3 -> 3f464926),
+    ``gaussian-dense-p40@mid`` 5c844f50 -> b64807f6,
+    ``gaussian-dense-p40@mid1`` 7e118548 -> b30352dd, ``MB-n5000@mid``
+    068b71c6 -> d44403b4 (732dfe02 -> 3b122084), ``EB-n5000@mid7``
+    ff10b3ed -> ca720463 (d45c3b90 -> 3f378080) and ``bounds-M_y``
+    659dfaf5 -> a7e69aaf;
+  - the sign-magnitude values: ``literal-trunc_exp`` 768f1534 ->
+    dbd3da6f, ``literal-heavy_tail-q4.5`` 5fd02ba6 -> b8ca0966,
+    ``literal-heavy_tail-q50`` c61d6f2a -> 1958ee0b, ``literal-uniform``
+    381ed196 -> fe96562b, ``EB-square20`` 4147be99 -> daccd816 (its
+    ``trunc_exp`` dataset) and ``bounds-M_x`` 58da23a1 -> 70338a43;
+  - both, the normals and a ``trunc_exp`` dataset or branch:
+    ``MB-square20`` 6457deda -> 57c0c5de -> 03469978 and
+    ``interpolated-v0.5`` daf96b98 -> 8589fb38 -> 76b8c7ff;
+  - ``bounds-M_x-3batches`` is new: M_x over 2 * BATCH + 500 rows, so
+    that the order of its batch sums shows (13 of seeds 79 to 118 move
+    with it).  It reads f2a36cb4 on stream 3, b308f3c0 with the
+    sign-magnitude values and 145fc26d with the batch sums.
 """
 import hashlib
 import json
@@ -136,45 +171,49 @@ def draw_hashes() -> dict:
     m_y = bounds._tail_moment(GaussianSumSampler(CovarianceModel("ar1", 0.7).factor(10)),
                               2.0, 1000, 78)
     out["bounds-M_x"] = _sha([m_x])
+    # M_x over three batches: it pins the order of the batch sums
+    out["bounds-M_x-3batches"] = _sha([bounds._population_tail_x(
+        DesignSpec(kind="trunc_exp", p=10), 2.0, 2 * BATCH + 500, 81)])
     out["bounds-M_y"] = _sha([m_y.value, m_y.se])
     return out
 
 
 HASHES = {
-    "gaussian-dense-p40": "e1d5b4b07b4cd346b4ba1d4b7fbc1a80f2ae3d717ae3b21c132bf9bc56a9ca71",
-    "gaussian-dense-p500": "116fbd1d66382d0c944184c096c228721e52892462e9a85e6b0575244f47365b",
-    "gaussian-identity": "684f537ac550258e97b8ba8a967c8f3c73347aa86e20e389b7a961af1af89228",
-    "gaussian-equicorrelated-p1000": "ca5f1aca13ef518700983284bbfd6d21033f38d3907a47473bbf3dacded81821",
-    "gaussian-ar1-r0.3": "097e39f637d746698b734f5c108ef3c51c3eba0264c9c6f144a73c6b9aba3835",
-    "gaussian-ar1-r0.7": "d8659244f4300018519821dddc8d01d400ae88bcac2bf3785a2271c3a43c2c74",
+    "gaussian-dense-p40": "0c2a472f1410edd67e28f1f252a5c38589ddc94949e29d4b66f5c936c460b4ac",
+    "gaussian-dense-p500": "bcce6887285a57a3b2c582d78a6149969e9d4cfdeac156e8e3f079b0afdcd424",
+    "gaussian-identity": "bbe544ba6c56853c5a46a445f69a0ca465bd501fde184afebe9cd1444ba07821",
+    "gaussian-equicorrelated-p1000": "f407614bc2525f34f4bb90dd22e257626fcc8481af3a82a1135bd6fea9c348b9",
+    "gaussian-ar1-r0.3": "fc9a0bfdfc8bf7b5b0124137a417ecefd7764f0de1647f82eeae225b5d4dd5ff",
+    "gaussian-ar1-r0.7": "f4227fddfdd760124969b3b81e390007ff016a9b23b905309224f4be619c6f5b",
     "literal-signs": "a6dca8046bb217f6b93cd1aabc69105a2f07e8e84db3425d0c2f62e95a71d21d",
-    "literal-trunc_exp": "768f15341b42536511bb389b79422c95b0c809386e1ce71eeed3a4d6259b7bb0",
-    "literal-heavy_tail-q4.5": "5fd02ba6f63d198fca94ed8fb902b0fb4ddc88ea674962761953390ce6bc5e8b",
-    "literal-heavy_tail-q50": "c61d6f2ac3ee14d155853cd8a7aab5d41540540fa07cf25a38a95d06ccc1155b",
-    "literal-uniform": "381ed19604f84f728ebb59e426a86f7a0a733c89d577804f2d1b4ae8f1a37a19",
-    "literal-gaussian-ar1": "2d18a055075b5a58723c33e86e473ea9ae227f0a2720a800ad4bf99077d4accf",
-    "literal-gaussian-equicorrelated": "cef3519d5c7707b0d694d806284e121c358d925a9d6c0a13e42e951c2b8a2bc7",
-    "design-gaussian-equicorrelated-p50": "4c2cd56478d7aaa1546375bca13044413a0e2a2f575c4fcf3212b732ab8b0fa8",
+    "literal-trunc_exp": "dbd3da6f046b5a64b774d7849752294ba83fa32c8e3288b27790c2bf9c2695cd",
+    "literal-heavy_tail-q4.5": "b8ca09662ad48b88238fd056090a6a4c9a682f4e1b7409f284ad961f55dc1ee9",
+    "literal-heavy_tail-q50": "1958ee0b06e9d48682c1c2a36e4254dfcc754bd098237753b1edf4991775bd87",
+    "literal-uniform": "fe96562bc3564e7a81aa1184ae74cfc73cfe1b26c33983bc4d0b1f6e9d48e82c",
+    "literal-gaussian-ar1": "b1223ac7b0c4265b7b1aaeb32057977e5f03611fb9703712efc53d73bc39bec5",
+    "literal-gaussian-equicorrelated": "df461c00ce3fd0512417923dac26857ff490aa740b2ab7a44a440f9abad76f31",
+    "design-gaussian-equicorrelated-p50": "adb241a2dcdca144dcaac5747047a54270546405b13fbff3ac7a14fb58b76530",
     "binomial": "00f9015fe3ddb368a3208d63d254f24ee31bd75745eee4ed2fc215286cda8e60",
-    "MB-n5000": "fd2baee3ea2752e28520d5d1dc31d0b98562c65ce7879de3e8cf2de7773a6aca",
-    "EB-n5000": "1914899f2fcad3b0066951ef0dfb76638100d7f4db3059f8ea85b83d90f90800",
-    "MB-square20": "6457deda78941c1e49af57b62b72b229ee23ebe5226eb9b2f0399dc22c38b17f",
-    "EB-square20": "4147be994b1a8ff3dd06f68ee134b5e1aa9985efee1fae024e5a28ffc5ba8fdb",
-    "interpolated-v0.5": "daf96b9825b2d1d495de94a95a76b0195ea0b37cdb8f75c99bfb484d0ec8ce98",
-    "gaussian-dense-p40@mid": "5c844f50ad5143ffb2d7ed08196e27f0afc2cfe11f35491aa12b06d6ff9fb02c",
-    "gaussian-dense-p40@mid1": "7e118548a1b5b4446b6855e799e631671008da599029555441d61b25a94093c8",
-    "MB-n5000@mid": "068b71c6aa200bb191d7b7ea7ea4f42ace3724874359d37a7e57bbfb744f9843",
-    "EB-n5000@mid7": "ff10b3ed46646ba26c739dfd75d15f4120993bea3550eafc8d531f5481d9b082",
-    "bounds-M_x": "58da23a1469e9a8c6150711d924bfd45ce20ec5c34055e335532c9f6f6d63195",
-    "bounds-M_y": "659dfaf51cc39f344f0f5704d7dab9164714eeee0b655da3e3f855d6b03c7ee1",
+    "MB-n5000": "fde7be199d16c9b9c51b82435bdeb890fe2c845546b13a9fc5bee193f0159f21",
+    "EB-n5000": "2c7fb7423303c5f878ee6f73684fd288b4376801048b4c840a63a9605bf67846",
+    "MB-square20": "0346997880f5f377e193020cd85401dbe2fa050b6168201b442c2e6a7b30332c",
+    "EB-square20": "daccd8167b93550860ab28de42adfd60fa49a5d3f3977e3497070b3d60bb1eb5",
+    "interpolated-v0.5": "76b8c7ffee6f1d5e64b2d3bd34de0187164fc7264d761576dbce024e0945501d",
+    "gaussian-dense-p40@mid": "b64807f60bfdac0a21dc21fba0ffcaa8812a7902499bf0997b2462e3a6fa9704",
+    "gaussian-dense-p40@mid1": "b30352dd97d3385b779170f9de4fc98e5cee721c5675b362cb3c6441a4edc905",
+    "MB-n5000@mid": "d44403b40bd4d22bf14deea8362f26297cf8820708e083552face5b81a92d4cc",
+    "EB-n5000@mid7": "ca720463f681e16248eff7c692fe09e3c938aaf9e10281f7d875f68338f777eb",
+    "bounds-M_x": "70338a43e47eb83204068dd2d78d276dbaffaef3a50e863855218741c76f3568",
+    "bounds-M_x-3batches": "145fc26d5b91316c36e2972c4b928f952be1ed30fb5ca010327ea394c8358c99",
+    "bounds-M_y": "a7e69aaf47b605061116526002922c86fc0b06313e77355593c6a3baff07b9af",
 }
 
 AT_TWO_THREADS = {
-    "gaussian-dense-p500": "eb6d8b3beb5c79a276d06777dc1b3d9403c5195b056065cb2844accca4243169",
-    "MB-n5000": "c4a6b57eb5c2ea10d8a2beb1e8172fbb0ba4ff11fa7a15b055aae13d5fa2d229",
-    "EB-n5000": "683a0fa3323aa567b28e567ece8d322b35e787cc6a2f5ee6925933bdead6514a",
-    "MB-n5000@mid": "732dfe0259bba57deea8b5fdbe933f163d6b4bba68d476356b79a8cb88e4c8b2",
-    "EB-n5000@mid7": "d45c3b902c37d1253afa95612779fb08e24e280e72b69bcfd823bc370c23a696",
+    "gaussian-dense-p500": "24f89d667e91b1a16ef74ef0c0b53c6e06b8b645b6e95d35be612447af1a98b1",
+    "MB-n5000": "3b102f6176db58bb4f1a4fa4000bae7f6060815c1656d0e7263c28f935f81aba",
+    "EB-n5000": "3f464926d1093ae6b30d103acaa1fd8b5e3e7fe34819850a7b066fc20fd2928a",
+    "MB-n5000@mid": "3b1220847c1e1d968ab409ffd31504dedb4b25d16483843037d4a0cac012f14f",
+    "EB-n5000@mid7": "3f378080062db4dd610e4beb8d7736cd6c698bcd60d455dd34f451878b000f91",
 }
 
 

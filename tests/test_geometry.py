@@ -154,6 +154,51 @@ def test_halfspace_config_needs_w_not_v(tmp_path):
     assert not (tmp_path / "rho.json").exists()
 
 
+@pytest.mark.parametrize("piece,message", [
+    ({"type": "halfspace", "J": [0, 2], "w": [0.6, 0.9], "c": 0.5},
+     "family.sets[0].pieces[1]: halfspace normal must be a unit vector"),
+    ({"type": "halfspace", "J": [2, 2], "w": [0.6, 0.8], "c": 0.5},
+     "family.sets[0].pieces[1]: piece indices (2, 2) must be distinct, in [0, 3)"),
+    ({"type": "ball", "J": [1], "center": [0.0], "radius": -1.0},
+     "family.sets[0].pieces[1]: ball radius must be positive"),
+    ({"type": "ball", "J": [0, 1], "center": [0.0, 0.0], "radius": 1.0},
+     "family.sets[0].pieces[1]: piece depends on 2 coordinates, more than s=1"),
+])
+def test_bad_sparse_piece_exits_2_naming_its_path(tmp_path, piece, message):
+    cfg = {"seed": 3, "out": str(tmp_path / "rho.json"), "n": 20, "R": 1000,
+           "design": {"kind": "rademacher", "p": 3},
+           "family": {"p": 3, "sets": [{"label": "h", "kind": "sparse", "p": 3, "s": 1,
+                                        "pieces": [{"type": "halfspace", "J": [0],
+                                                    "w": [1.0], "c": 0.5}, piece]}]}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    code = cli.run(["estimate-rho", "--config", str(path)], stdout=io.StringIO(), stderr=err)
+    assert code == 2
+    assert f"error: {message}" in err.getvalue()
+    assert not (tmp_path / "rho.json").exists()
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"kind": "rect", "lower": [0.0, 0.0, 0.0], "upper": [1.0, 1.0]},
+     "family.sets[0]: rectangle bounds must be 1-d arrays of equal length"),
+    ({"kind": "polytope", "facets": [{"v": [1.0, 1.0, 0.0], "c": 0.0}]},
+     "family.sets[0]: facet normals must be unit vectors within 1e-12"),
+    ({"kind": "sparse", "p": 3, "s": 1, "pieces": []},
+     "family.sets[0]: sparse set needs at least one piece"),
+])
+def test_bad_set_exits_2_naming_its_path(tmp_path, entry, message):
+    cfg = {"seed": 3, "out": str(tmp_path / "rho.json"), "n": 20, "R": 1000,
+           "design": {"kind": "rademacher", "p": 3},
+           "family": {"p": 3, "sets": [dict(label="a", **entry)]}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    code = cli.run(["estimate-rho", "--config", str(path)], stdout=io.StringIO(), stderr=err)
+    assert code == 2
+    assert f"error: {message}" in err.getvalue()
+
+
 def test_expand():
     po = Polytope(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 2.0]))
     assert expand(po, 0.0) is po

@@ -43,7 +43,7 @@ n=400 and p=8, hash differently).  The hashes were recorded at two
 threads, so the runs happen in a child interpreter started with
 ``OPENBLAS_NUM_THREADS=2``, whatever the calling process pinned.
 
-Every JSON report records ``provenance: {"stream": 3, "batch": 8192,
+Every JSON report records ``provenance: {"stream": 4, "batch": 8192,
 "tile": 1048576}``; a CSV table does not.  Stream 2 runs every matrix
 product on a fixed tile of rows, so a draw depends on its key alone; it
 moved no report byte here.  Each JSON report, with the provenance entry
@@ -94,6 +94,35 @@ Re-recorded hashes, each with its cause:
     df7c3a94;
   - ``bounds-equi-r03`` 1dbdbfef -> a3a1c2d4 (provenance) -> ba95ffce
     (the factor, in M_y) -> ccd1eef0 (the design rows, in M_x).
+* stream 4, the causes landed one at a time in this order: the
+  provenance entry, then the uniform (k + 0.5) * 2**-52 of k = w >> 12,
+  then the sign-magnitude literal values, then M_x summed batch by batch
+  (which moved no report: every ``moment_R`` here is one batch).  The same
+  at one and two workers; ``bootstrap-eb-csv``,
+  ``bootstrap-eb-n1000-csv`` and ``nazarov-csv`` kept their hashes.
+
+  - the provenance entry alone: ``nazarov`` da594402 -> daa3e64f,
+    ``smoothmax`` a69ea498 -> 31f4f124, ``nazarov-p600`` df7c3a94 ->
+    c253fdd1 and ``estimate-rho-sparse`` 03ee3b88 -> af1f9931;
+  - the uniform map alone, in the CSV and dataset outputs: ``simulate``
+    66b1a793 -> 74a88055, ``simulate-n1000`` 746534fd -> 3047b4a2 and
+    ``rate-scan-csv`` 71f9e983 -> 72cf8361;
+  - the provenance, then the uniform map (every normal moves in its last
+    bits, and with it the tail moments and some hit counts): ``bounds``
+    cb7b4d24 -> d6509398 -> 32bf2552, ``estimate-rho`` 1c6a301d ->
+    a6b2104d -> 63d42560, ``bootstrap`` 9e360267 -> 75aa392b -> 8ecd91d7,
+    ``rate-scan`` 2ea64729 -> c2828c1e -> 46570749, ``bounds-dataset``
+    abdceaf7 -> 21049225 -> 8bbea3b9, ``estimate-rho-literal`` 44cefe3c
+    -> 214f13f6 -> 37379f5e, ``rate-scan-params`` 5e51276e -> f619242f ->
+    4c528c93, ``bounds-q-alpha`` ead3e3c6 -> 7bd97494 -> b2e35813,
+    ``bounds-ar1-r07`` f22b19f8 -> 0434687b -> d38b1586,
+    ``bounds-equi-r03`` ccd1eef0 -> aedf0525 -> d0f1ae93,
+    ``bootstrap-n1000`` cb04d0b7 -> 5b1c7b25 -> 2755b909,
+    ``bounds-dataset-n1000`` 51170583 -> 97790770 -> a85ccfee and
+    ``estimate-rho-literal-p50`` 52ba8c10 -> f8134954 -> 39bec877;
+  - the provenance, then the sign-magnitude ``trunc_exp`` rows:
+    ``estimate-rho-vgrid`` 96ff8c70 -> 618c95a8 -> 45c93842 and
+    ``estimate-rho-vgrid-n2000`` 63b00ce8 -> 839266b9 -> 6e87f03e.
 """
 import hashlib
 import json
@@ -212,31 +241,31 @@ RUNS = (
 )
 
 GOLDEN = {
-    "simulate": "66b1a79310a3e9d7f0d013ace84c0a00586e8355154df8a83715834ff67dfedb",
-    "bounds": "cb7b4d24de830ab82d6cbe4b54958ba23feefb17b9e4ec7eefddd0f12cee774e",
-    "estimate-rho": "1c6a301dfbc95cffadba523b7066a06bd8903c3dc6d4c98e56cb5a4d95ec62e0",
-    "bootstrap": "9e360267e8ac5264d0a1a7d8761b1f947aa881ecef503ba4b1f8aa17ed4de29d",
-    "rate-scan": "2ea64729440910369f4f6d32307ec1d937c4646f60f467db2b944c2a454f8322",
-    "nazarov": "da594402acbf55b6bf58dd1cd1af37357ed10bd0d5abfd2ea643c946c7e37ce1",
-    "smoothmax": "a69ea4989fcfe793f879a7031719edf23641cd604a25b0d3672e3a49c8971cec",
-    "bounds-dataset": "abdceaf7f89c31bc4fd3e5f5ada4857eb2097aa05767b17761799488e4ad6920",
+    "simulate": "74a880556be5d30759c23e575638fc6ad544dc4b0ed8cd04f68bcaf9f4642861",
+    "bounds": "32bf2552316041f8bf00aa659fe39774553e99fb510407a1419724a284f0355d",
+    "estimate-rho": "63d425600d6d3da4d7e2328aa0c5978df5e7cf11427b894786c7854f2e0f48e8",
+    "bootstrap": "8ecd91d7248dffd66570f292809548810782530a177b4aca2ffa797747d7720a",
+    "rate-scan": "465707493b552c38658b60f3bfe598652dab3cd223ece5e4b900b780c40de36f",
+    "nazarov": "daa3e64f6f0981eb4532f38250c1b41718d5077fbe8dac10b524f71ac73a393c",
+    "smoothmax": "31f4f1241b3488e5950ff986baf1e438a5f11e14723aa96409d0a03621db5a2f",
+    "bounds-dataset": "8bbea3b97e254365046308a1b878ae9b7f3579b7a2e78756d01913cc05b35c13",
     "bootstrap-eb-csv": "a6730b2b3102539db0538aee4a12a4b61f343085238d66bf699b035173806a67",
-    "estimate-rho-vgrid": "96ff8c700d4d9be42898a3afe952349360c22af5077069e487aaf7a12e13f122",
-    "estimate-rho-literal": "44cefe3cfa97ad9ece7f076f2d57bea27e4000094744c3eddfd97e6efaf03312",
-    "rate-scan-csv": "71f9e983e6d423a00ffbc12fac76280823e4278cda967335606d290ec6119d53",
+    "estimate-rho-vgrid": "45c9384296aaa221f5f46b227fb6b399eab422c071ac02141136b4edc28a8d12",
+    "estimate-rho-literal": "37379f5e68b585be60f0a64d62a6dd701a4a52ad8423d88e4c20f18b0352d6ff",
+    "rate-scan-csv": "72cf836134d2ac6cd3da7e370bb9eea38b1d176e34a5bb98098534ceb1cfc0bf",
     "nazarov-csv": "39051cd04cc4e445b7bb5e78c258998085892a58109828b508f907acf007a5e2",
-    "rate-scan-params": "5e51276e49963acaeec6cb911caf16187044702c252dc2c78e88bb9007acf7dd",
-    "bounds-q-alpha": "ead3e3c6c5d683ff4448f4b032d53490e2f1d2ba23de2c8a6972fb09c2af5e21",
-    "bounds-ar1-r07": "f22b19f81f572a1367e0cae5479eb0e395738560d68807508abaa7ad099ae586",
-    "bounds-equi-r03": "ccd1eef0b36742b00330d8e6949fb000742f44e134791f3fe9a673c068075abb",
-    "simulate-n1000": "746534fd8c557016928e6ac0835aac9ad5d9c3d2bb839e5cb7036e74b77578b3",
-    "bootstrap-n1000": "cb04d0b7dd7ef4288cdd8704b97b186ece37d7ba9442a3396dcc636a29dfb1b9",
+    "rate-scan-params": "4c528c93af92c2251472d23fc9e3860f6374ea6e69c9c927213e1a89f87d854e",
+    "bounds-q-alpha": "b2e3581333d51a359f6d33f7d051176820b0f39d05833350bc60264853a2fc69",
+    "bounds-ar1-r07": "d38b15860c09c0e55316da300f9124f687a1152ea7ee50f74e82fc96b445da95",
+    "bounds-equi-r03": "d0f1ae93b93308e5fbedfeb7c4696540524f873a730dc1e11e11b54c11e694ed",
+    "simulate-n1000": "3047b4a23cf6749de3ac97f628f081a27bb4bf6ac7f3b40d10a119df59a631d5",
+    "bootstrap-n1000": "2755b9098bef01a2e996e5b3e336e35abf8433387672c3fcaf031c080bf4afe5",
     "bootstrap-eb-n1000-csv": "2ce44919f4eaf724c808a48a8fdc5f86dbadef75715a0918a24a7ce8d1cd43c5",
-    "bounds-dataset-n1000": "51170583be93c2b352ab0bec850265eb9d28e3bf8bec6ab6082babb67af3662d",
-    "nazarov-p600": "df7c3a94a6b971decff78257d0a0c5b65597d464a998fd6e194fda6678d0e581",
-    "estimate-rho-literal-p50": "52ba8c107acd99a057680e70058990da212addb7a0b8859decb6082005b1af73",
-    "estimate-rho-vgrid-n2000": "63b00ce8f9eb0e082193248f9530fe539ae678b6355e9d6aeaa46afa544f3f85",
-    "estimate-rho-sparse": "03ee3b88f357ac9a098332b366a9407d63e2b8b345ce5c654c245519683cd06b",
+    "bounds-dataset-n1000": "a85ccfee7e2645e738e6bd9716533a2b2cfef844a3ffa8073d2d40394d50261c",
+    "nazarov-p600": "c253fdd11189a45020208a49dd25415724664531fb7f82ce72cabee8ac847848",
+    "estimate-rho-literal-p50": "39bec877f6c74c163100c05eec8045447cf34e967abdc99d826d7b88182198b8",
+    "estimate-rho-vgrid-n2000": "6e87f03e90c5adea70e4e252d2f96acccb199f2eebcdf08fff012968f02259d0",
+    "estimate-rho-sparse": "af1f9931b77ef9bc055edaaba4ca9a56d6393d127485b86049048c4e9c23779f",
 }
 
 

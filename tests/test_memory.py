@@ -32,7 +32,8 @@ the same heap reason.  An interpolated ``estimate-rho`` at p = 1000
 chunks have half as many keys, and combines them in place: it peaks at
 69 MiB, under its limit of 75 MiB; chunks of ``DRAW_BUDGET`` values per
 branch took it to 72 MiB, and adding the branches out of place to 89 MiB.  ``bounds`` on a design draws its ``moment_R``
-data-side rows in ``rng.BLOCK`` blocks and keeps one cube per row: at
+data-side rows in ``rng.BLOCK`` blocks and sums their cubes batch by batch,
+so it holds the keys and cubes of one batch, not of all R rows: at
 p = 200 and moment_R = 2 * 10^5 it peaks at 74 MiB, where the whole
 R x p matrix took 1631 MiB.  The ``scan_literal`` benchmark's ``rate-scan``
 (``trunc_exp`` p = 100, n 16 and 64, K = 100, R = 16384) peaks at 63 MiB,
@@ -67,9 +68,9 @@ import pytest
 
 from conftest import run_child
 from hdclt import bounds, cli, experiments, rng, sums
-from hdclt.datagen import CovarianceModel
+from hdclt.datagen import CovarianceModel, DesignSpec
 from hdclt.geometry import hit_counts, sample_rectangles
-from hdclt.montecarlo import DRAW_BUDGET, GaussianSumSampler
+from hdclt.montecarlo import BATCH, DRAW_BUDGET, GaussianSumSampler
 
 LIMIT_MIB = 256
 WIDE_LIMIT_MIB = 105
@@ -249,6 +250,16 @@ def test_normals_workspace_does_not_grow_with_blocks():
     peaks = [_allocated(lambda k: sums._normals(k, p, out=out[:len(k)]), keys[:n])
              for n in (2 * (rng.BLOCK // p), len(keys))]
     assert peaks[1] < peaks[0] + 8 * p
+
+
+def test_population_tail_x_memory_does_not_grow_with_R():
+    # M_x sums its cubes batch by batch: 32 batches allocate at most 1.5
+    # times what 2 do (0.7 MB each); holding all R keys and R cubes, 32
+    # batches took 6.3 MB against 0.9 MB
+    design = DesignSpec(kind="trunc_exp", p=10)
+    peaks = [_allocated(bounds._population_tail_x, design, 2.0, batches * BATCH, 5)
+             for batches in (2, 32)]
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_anchor_counts_bounded_in_y_count():

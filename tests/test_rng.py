@@ -72,24 +72,30 @@ def test_blocked_slices_rows_and_matches_one_call(monkeypatch):
     assert seen == [23]
 
 
-# words at the rounding edges of to_uniform: k = w >> 11 is 0, 2**52 or 2**53 - 1
-EDGE_WORDS = np.array([0, 2**11 - 1, 2**63, 2**63 + 2**10, 2**64 - 2**11, 2**64 - 1],
+# words at the edges of to_uniform: k = w >> 12 is 0, 2**51 or 2**52 - 1, and
+# bit 0 (the sign of a literal value, which to_uniform never reads) is 0 or 1
+EDGE_WORDS = np.array([0, 2**12 - 1, 2**12, 2**63, 2**64 - 2**12, 2**64 - 1],
                       dtype=np.uint64)
 
 
 def test_uniform_rounding_edges():
-    # k + 0.5 rounds to even above 2**52: the top 2**11 words map to exactly
-    # 1.0 (a normal of +inf) and k = 2**52 to exactly 0.5; 0 is never hit
+    # every step of (k + 0.5) * 2**-52 is exact: no word rounds to 0, 0.5 or 1
     u = rng.to_uniform(EDGE_WORDS)
-    assert u.tolist() == [2.0**-54, 2.0**-54, 0.5, 0.5, 1.0, 1.0]
-    assert rng.to_uniform(np.array([2**64 - 2**11 - 1], dtype=np.uint64))[0] < 1.0
-    assert rng.to_normal(EDGE_WORDS[-1:])[0] == np.inf
+    assert u.tolist() == [(int(w) // 2**12 + 0.5) * 2.0**-52 for w in EDGE_WORDS]
+    assert u.tolist() == [2.0**-53, 2.0**-53, 1.5 * 2.0**-52, 0.5 + 2.0**-53,
+                          1.0 - 2.0**-53, 1.0 - 2.0**-53]
+    assert np.all((u > 0.0) & (u < 1.0))
+    z = rng.to_normal(EDGE_WORDS)
+    assert np.all(np.isfinite(z)) and z[0] == -z[-1]
 
 
-def test_symmetric_is_twice_uniform_minus_one():
+def test_flip_signs_negates_where_bit_0_is_set():
     w = np.concatenate([EDGE_WORDS, rng.words(8, 60_000)]).reshape(-1, 6)
-    v = rng.to_symmetric(w)
-    assert v.shape == w.shape
-    np.testing.assert_array_equal(v.view(np.uint64),
-                                  (2.0 * rng.to_uniform(w) - 1.0).view(np.uint64))
-    assert v[0].tolist() == [2.0**-53 - 1.0, 2.0**-53 - 1.0, 0.0, 0.0, 1.0, 1.0]
+    x = rng.to_uniform(w)
+    want = np.where(w & np.uint64(1), -x, x)
+    got = rng.flip_signs(x, w.copy())
+    assert got is x
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got[0].tolist() == [2.0**-53, -2.0**-53, 1.5 * 2.0**-52, 0.5 + 2.0**-53,
+                               1.0 - 2.0**-53, -(1.0 - 2.0**-53)]
+    assert abs(np.mean(got < 0.0) - 0.5) < 0.01

@@ -310,6 +310,32 @@ def test_empirical_batch_matches_single():
         assert np.allclose(batch[r], single, rtol=1e-12, atol=1e-14)
 
 
+# n at the ends of the int ranges, at a power of two and one past it
+CLAMP_N = [2, 3, 2000, 2**20, 2**20 + 1, 2**31 - 1]
+
+
+@pytest.mark.parametrize("n", CLAMP_N)
+def test_resample_index_needs_no_clamp(n):
+    # u <= 1 - 2**-53 makes fl(u * n) < n: the largest uniform picks row n - 1
+    top = rng.to_uniform(np.array([2**64 - 1], dtype=np.uint64))
+    assert top[0] == 1.0 - 2.0**-53
+    assert (top * n)[0] < n
+    assert int((top * n).astype(np.int64)[0]) == n - 1
+
+
+def test_resample_draws_equal_with_and_without_clamp():
+    # the clamp the kernel no longer applies, np.minimum(idx, n - 1), moves
+    # no resample index (the edge words included), so no row count and no
+    # draw: the kernel's draws still match the clamped oracle of
+    # test_empirical_batch_matches_single
+    words = np.concatenate([rng.word_grid(keys(9, 100), 2000).ravel(),
+                            np.array([0, 2**64 - 2**12, 2**64 - 1], dtype=np.uint64)])
+    u = rng.to_uniform(words)
+    for n in CLAMP_N:
+        idx = (u * n).astype(np.int64)
+        assert idx.min() >= 0 and np.array_equal(idx, np.minimum(idx, n - 1))
+
+
 class _CountedMean(np.ndarray):
     """An array that counts the calls of its ``mean``."""
 
