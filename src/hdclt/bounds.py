@@ -306,7 +306,7 @@ def _population_tail_x(design: DesignSpec, tau: float, R: int, seed: int) -> flo
     # batch is made and reduced one block at a time and its cubes summed at once
     total = 0.0
     for start, count in _batches(R):
-        keys = rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
+        keys = rng.words(seed, count, start)
         total += float(rng.blocked(lambda k: _tail_cubes(values_from_row_keys(design, k), tau),
                                    keys, design.p).sum())
     return total / R

@@ -63,15 +63,20 @@ def _node(value, name: str):
     return Config(value, name + ".") if isinstance(value, dict) else value
 
 
-def config_object(cfg: dict, make, **fields):
+def config_error(cfg: dict, message, key: str | None = None, kind=ParameterError):
+    """A ``kind`` error of ``message`` that names the config object ``cfg``,
+    or its ``key``, by its path when cfg is a Config (by the key alone if not)."""
+    path = (cfg.prefix + key if key else cfg.prefix[:-1]) if isinstance(cfg, Config) else key
+    return kind(f"{path}: {message}" if path else str(message))
+
+
+def config_object(cfg: dict, make, key: str | None = None, /, **fields):
     """``make(**fields)``, the object that the config object ``cfg`` gives: a
-    ParameterError of its checks names ``cfg`` by its path when it is a Config."""
+    ParameterError of its checks names cfg, or its ``key``, as config_error does."""
     try:
         return make(**fields)
     except ParameterError as exc:
-        if isinstance(cfg, Config) and cfg.prefix:
-            raise type(exc)(f"{cfg.prefix[:-1]}: {exc}") from exc
-        raise
+        raise config_error(cfg, exc, key, type(exc)) from exc
 
 
 def unread_keys(value) -> list:

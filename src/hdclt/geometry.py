@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import rng
-from .errors import ParameterError, Size, config_object, config_value
+from .errors import ParameterError, Size, config_error, config_object, config_value
 
 _UNIT_TOL = 1e-12
 
@@ -81,6 +81,8 @@ class Polytope:
     offsets: np.ndarray
 
     def __post_init__(self):
+        if len({np.shape(v) for v in self.normals}) > 1:
+            raise ParameterError("polytope facet normals must share one length")
         v = np.asarray(self.normals, dtype=np.float64)
         c = np.asarray(self.offsets, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] < 1:
@@ -305,16 +307,6 @@ def approximate_ball(indices, center, radius: float, eps: float, p: int) -> Poly
 # sampling and checking
 # ---------------------------------------------------------------------------
 
-def _family_deviations(p: int, count: int, sigma_diag, member: str) -> np.ndarray:
-    """``sigma_diag`` as the p positive deviations of a family of ``count`` sets."""
-    if count < 1:
-        raise ParameterError(f"need at least one {member}, got {count!r}")
-    sd = np.asarray(sigma_diag, dtype=np.float64)
-    if sd.shape != (p,) or np.any(sd <= 0):
-        raise ParameterError("sigma_diag must hold p positive deviations")
-    return sd
-
-
 def sample_rectangles(p: int, count: int, sigma_diag, seed: int) -> SetFamily:
     """A family of random rectangles scaled to per-coordinate deviations.
 
@@ -325,7 +317,11 @@ def sample_rectangles(p: int, count: int, sigma_diag, seed: int) -> SetFamily:
     Phi^{-1}(u^(1/p)) so that its gaussian content is roughly uniform in u
     rather than degenerating as p grows.
     """
-    sd = _family_deviations(p, count, sigma_diag, "rectangle")
+    if count < 1:
+        raise ParameterError(f"need at least one rectangle, got {count!r}")
+    sd = np.asarray(sigma_diag, dtype=np.float64)
+    if sd.shape != (p,) or np.any(sd <= 0):
+        raise ParameterError("sigma_diag must hold p positive deviations")
 
     sets = []
     labels = []
@@ -351,21 +347,6 @@ def sample_rectangles(p: int, count: int, sigma_diag, seed: int) -> SetFamily:
     t = float(np.mean(sd)) * float(ndtri(u ** (1.0 / p)))
     sets.append(Hyperrectangle(np.full(p, -np.inf), np.full(p, t)))
     labels.append(f"rect{count - 1:03d}:max")
-    return SetFamily(tuple(sets), tuple(labels))
-
-
-def one_sided_family(p: int, count: int, sigma_diag, seed: int) -> SetFamily:
-    """Lower-orthant sets {w : w <= y} with quantile-spread corners."""
-    sd = _family_deviations(p, count, sigma_diag, "set")
-    sets = []
-    labels = []
-    for k in range(count):
-        key = rng.mix64(seed, k)
-        u = 0.05 + 0.9 * rng.to_uniform(rng.words(key, p))
-        # exponent 1/p keeps the joint gaussian content non-degenerate in high p
-        y = sd * ndtri(u ** (1.0 / p))
-        sets.append(Hyperrectangle(np.full(p, -np.inf), y))
-        labels.append(f"orthant{k:03d}")
     return SetFamily(tuple(sets), tuple(labels))
 
 
@@ -441,7 +422,7 @@ def _piece_from_config(pc: dict, p: int, s: int):
         make, numbers = SparseBall, dict(center=config_value(pc, "center", list, item=float),
                                          radius=config_value(pc, "radius", float))
     else:
-        raise ParameterError(f"unknown sparse piece type {piece!r}")
+        raise config_error(pc, f"unknown sparse piece type {piece!r}")
     # the piece is checked in a set of its own, so the set's checks of its
     # support J name the piece too
     return config_object(pc, lambda **f: SparseConvexSet(p, s, (make(**f),)).pieces[0],
@@ -452,22 +433,22 @@ def set_from_config(cfg: dict):
     """The set of a config object; a value error names the object's path."""
     kind = config_value(cfg, "kind", str)
     if kind == "rect":
-        return config_object(cfg, Hyperrectangle,
-                             lower=[_num_in(v) for v in config_value(cfg, "lower", list)],
-                             upper=[_num_in(v) for v in config_value(cfg, "upper", list)])
+        return config_object(cfg, lambda lower, upper: Hyperrectangle(
+            [_num_in(v) for v in lower], [_num_in(v) for v in upper]),
+            lower=config_value(cfg, "lower", list), upper=config_value(cfg, "upper", list))
     if kind == "polytope":
         facets = config_value(cfg, "facets", list, item=dict)
-        normals = [config_value(f, "v", list, item=float) for f in facets]
-        if len({len(v) for v in normals}) > 1:
-            raise ParameterError("polytope facet normals must share one length")
-        return config_object(cfg, Polytope, normals=normals,
+        return config_object(cfg, Polytope,
+                             normals=[config_value(f, "v", list, item=float) for f in facets],
                              offsets=[config_value(f, "c", float) for f in facets])
     if kind == "sparse":
         p, s = config_value(cfg, "p", Size), config_value(cfg, "s", Size)
+        if p < 1:  # before the pieces, which are checked in sets of dimension p
+            raise config_error(cfg, "sparse set needs a positive ambient dimension")
         pieces = tuple(_piece_from_config(pc, p, s)
                        for pc in config_value(cfg, "pieces", list, item=dict))
         return config_object(cfg, SparseConvexSet, p=p, s=s, pieces=pieces)
-    raise ParameterError(f"unknown set kind {kind!r}")
+    raise config_error(cfg, f"unknown set kind {kind!r}")
 
 
 def family_to_config(family: SetFamily) -> dict:
@@ -481,7 +462,8 @@ def family_to_config(family: SetFamily) -> dict:
 def family_from_config(cfg: dict) -> SetFamily:
     entries = config_value(cfg, "sets", list, item=dict)
     labels = tuple(config_value(entry, "label", str) for entry in entries)
-    family = SetFamily(tuple(set_from_config(entry) for entry in entries), labels)
+    family = config_object(cfg, SetFamily, "sets", labels=labels,
+                           sets=tuple(set_from_config(entry) for entry in entries))
     p = config_value(cfg, "p", Size, family.p)  # family_to_config writes it
     if p != family.p:
         raise ParameterError(f"family.p={p} does not match the sets' dimension {family.p}")

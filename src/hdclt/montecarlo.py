@@ -109,7 +109,7 @@ class _Sampler:
     def map_chunks(self, seed: int, start: int, count: int, fn, then=None) -> list:
         """``[fn(draws), ...]`` over the chunks of a batch, in key order; with
         ``then``, ``[fn(then(draws)), ...]``."""
-        keys = rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
+        keys = rng.words(seed, count, start)
         if then is not None and not self.fuses_then:
             fn, then = (lambda draws, fn=fn, then=then: fn(then(draws))), None
         reduce = {} if then is None else {"then": then}

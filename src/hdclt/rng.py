@@ -14,8 +14,17 @@ the key ``mix64(s, i)``, and the ``t``-th 64-bit word of that row is
 (seed, counters), generation is order-independent: any partition of the
 work across threads or batches produces bit-identical output.  A word
 makes one value: a uniform in (0, 1), a normal, or a sign-magnitude value.
+``word_grid`` and ``to_uniform`` run the C loops of ``_kernels.c`` where
+they can (``_load``), with the bits of their numpy code.
 """
 from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import subprocess
+import tempfile
+import threading
 
 import numpy as np
 from scipy.special import ndtri
@@ -52,6 +61,59 @@ TAG_MOMENT = 5
 TAG_GRID = 16
 
 
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
+_lib = None  # the loaded _kernels.c; False once it cannot be, None before first use
+_lib_lock = threading.Lock()
+
+
+def _load():
+    """``_kernels.c`` as a ctypes library (its calls release the GIL), or False.
+    It is built into the first of ~/.cache/hdclt and <tempdir>/hdclt-<uid>
+    that is (or can be made) this user's and not group- or world-writable,
+    named by the source's sha256 and moved into place whole."""
+    try:
+        with open(_SOURCE, "rb") as fh:
+            name = f"_kernels-{hashlib.sha256(fh.read()).hexdigest()[:16]}.so"
+        for cache in (os.path.join(os.path.expanduser("~"), ".cache", "hdclt"),
+                      os.path.join(tempfile.gettempdir(), f"hdclt-{os.getuid()}")):
+            try:
+                os.makedirs(cache, mode=0o700, exist_ok=True)
+                st = os.stat(cache)
+            except OSError:
+                continue
+            if st.st_uid == os.getuid() and not st.st_mode & 0o022:
+                break
+        else:
+            return False
+        path = os.path.join(cache, name)
+        if not os.path.exists(path):
+            with tempfile.TemporaryDirectory(dir=cache) as tmp:
+                subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", os.path.join(tmp, name),
+                                _SOURCE], check=True, capture_output=True, timeout=300)
+                os.replace(os.path.join(tmp, name), path)
+        lib = ctypes.CDLL(path)
+        size, ptr = ctypes.c_size_t, ctypes.c_void_p
+        lib.word_grid.argtypes, lib.to_uniform.argtypes = (ptr, size, size, ptr), (ptr, size, ptr)
+        lib.word_grid.restype = lib.to_uniform.restype = None
+        return lib
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return False
+
+
+def _kernel_takes(w: np.ndarray, out: np.ndarray, dtype, shape: tuple) -> bool:
+    """Whether a kernel (loaded on first use) maps the uint64 array ``w`` into
+    ``out`` of ``dtype`` and ``shape``: both C-contiguous, apart or one buffer."""
+    global _lib
+    if _lib is None:
+        with _lib_lock:
+            if _lib is None:
+                _lib = _load()
+    return (bool(_lib) and out.shape == shape and w.dtype == np.uint64 and out.dtype == dtype
+            and w.flags.c_contiguous and out.flags.c_contiguous
+            and (not np.may_share_memory(w, out)
+                 or (w.shape == shape and w.ctypes.data == out.ctypes.data)))
+
+
 def mix64(seed: int, counter: int) -> int:
     """Avalanche mix of a seed and a counter into a 64-bit word.
 
@@ -82,25 +144,15 @@ def _finalize(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
-def mix64_array(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Vectorized ``mix64`` of one seed against an array of counters."""
-    z = counters.astype(np.uint64, copy=True)
-    z += np.uint64(1)
-    z *= _U64_GAMMA
-    z += np.uint64(int(seed) & MASK64)
-    return _finalize(z)
-
-
 def mix64_keys(keys: np.ndarray, counter: int) -> np.ndarray:
     """Elementwise ``mix64(keys[...], counter)`` for an array of seeds."""
-    z = keys.astype(np.uint64, copy=True)
-    z += np.uint64(((counter + 1) * GAMMA) & MASK64)
-    return _finalize(z)
+    return _finalize(keys.astype(np.uint64) + np.uint64(((counter + 1) * GAMMA) & MASK64))
 
 
-def words(key: int, count: int) -> np.ndarray:
-    """64-bit words ``mix64(key, t)`` for t = 0..count-1."""
-    return mix64_array(key, np.arange(count, dtype=np.uint64))
+def words(key: int, count: int, start: int = 0) -> np.ndarray:
+    """64-bit words ``mix64(key, t)`` for t = start..start+count-1."""
+    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    return _finalize(counters * _U64_GAMMA + np.uint64(int(key) & MASK64))
 
 
 def word_grid(keys: np.ndarray, count: int, out: np.ndarray | None = None,
@@ -110,11 +162,15 @@ def word_grid(keys: np.ndarray, count: int, out: np.ndarray | None = None,
     ``word_grid(keys, c)[..., t] == mix64(keys[...], t)`` element-wise.
     ``out`` receives the words and ``scratch`` holds the temporaries of
     ``_finalize``, both uint64 arrays of that shape; without them new arrays
-    are made.
+    are made.  The C loop needs no scratch.
     """
+    keys = keys.astype(np.uint64, copy=False)
+    out = np.empty(keys.shape + (count,), dtype=np.uint64) if out is None else out
+    if _kernel_takes(keys, out, np.uint64, keys.shape + (count,)):
+        _lib.word_grid(keys.ctypes.data, keys.size, count, out.ctypes.data)
+        return out
     pre = (np.arange(count, dtype=np.uint64) + np.uint64(1)) * _U64_GAMMA
-    z = np.add(keys.astype(np.uint64, copy=False)[..., None], pre, out=out)
-    return _finalize(z, scratch)
+    return _finalize(np.add(keys[..., None], pre, out=out), scratch)
 
 
 def to_uniform(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -124,10 +180,13 @@ def to_uniform(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     0.5) * 2**-52, in [2**-53, 1 - 2**-53]: every step is exact, so no word
     rounds to 0 or 1, and ``to_normal`` is always finite.  Bit 0 of w is
     left for ``flip_signs``.  The shift is cast straight into ``out``, a
-    float array of w's shape, or a new one.
+    float array of w's shape (w's own buffer too), or a new one.
     """
-    u = np.right_shift(w, np.uint64(12), out=np.empty(w.shape) if out is None else out,
-                       casting="unsafe")
+    out = np.empty(w.shape) if out is None else out
+    if _kernel_takes(w, out, np.float64, w.shape):
+        _lib.to_uniform(w.ctypes.data, w.size, out.ctypes.data)
+        return out
+    u = np.right_shift(w, np.uint64(12), out=out, casting="unsafe")
     u += 0.5
     u *= 2.0**-52
     return u

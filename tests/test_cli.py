@@ -813,6 +813,33 @@ def test_misspelled_keys_exit_2_naming_their_path(tmp_path, command, override, k
     assert not os.path.exists(cfg["out"])
 
 
+SPARSE6 = {"label": "s", "kind": "sparse", "p": 6, "s": 1,
+           "pieces": [{"type": "ball", "J": [0], "center": [0.0], "radius": 1.0}]}
+
+
+@pytest.mark.parametrize("sets, message", [
+    ([dict(RECT6, upper=["x"] + [0.0] * 5)],
+     "family.sets[0]: rectangle bound must be a number, 'inf' or '-inf', got 'x'"),
+    ([{"label": "q", "kind": "polytope",
+       "facets": [{"v": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], "c": 1.0}, {"v": [1.0], "c": 1.0}]}],
+     "family.sets[0]: polytope facet normals must share one length"),
+    ([dict(SPARSE6, pieces=[{"type": "cube", "J": [0]}])],
+     "family.sets[0].pieces[0]: unknown sparse piece type 'cube'"),
+    ([dict(RECT6, lower=["-inf"] * 3, upper=[0.0] * 3),
+      dict(RECT6, lower=["-inf"] * 2, upper=[0.0] * 2)],
+     "family.sets: family members must share one dimension, got {2, 3}"),
+    ([dict(SPARSE6, p=0)], "family.sets[0]: sparse set needs a positive ambient dimension"),
+    ([dict(RECT6, kind="box")], "family.sets[0]: unknown set kind 'box'"),
+], ids=["rect-bound", "ragged-normals", "piece-type", "member-dimensions", "sparse-p-0",
+        "set-kind"])
+def test_bad_family_sets_exit_2_naming_their_path(tmp_path, sets, message):
+    cfg = small_rho_config(tmp_path, family={"sets": sets})
+    code, _, err = run_cli(["estimate-rho", "--config", write_config(tmp_path, "c.json", cfg)])
+    assert code == 2, err
+    assert f"error: {message}\n" in err
+    assert "Traceback" not in err
+
+
 def test_dimension_rule_above_the_size_ceiling_exits_2(tmp_path):
     # exp(30) = 1.07e13 is a finite dimension, but above the ceiling
     cfg = scan_config(tmp_path, n_grid=[30], p_rule={"rule": "exp_power", "c": 1.0})

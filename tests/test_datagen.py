@@ -243,7 +243,7 @@ def test_determinism_and_row_substreams():
     b = sample_dataset(design, 50, 99).values
     assert np.array_equal(a, b)
     # rows are pure functions of their keys: any subset reproduces bit-identically
-    keys = rng.mix64_array(99, np.arange(50, dtype=np.uint64))
+    keys = rng.words(99, 50)
     sub = values_from_row_keys(design, keys[10:20])
     assert np.array_equal(sub, a[10:20])
 
@@ -385,7 +385,7 @@ def test_ar1_rows_match_column_loop(p):
     # the AR(1) factor's recursion against the column loop it replaced
     r = 0.7
     design = DesignSpec(kind="gaussian", p=p, covariance=CovarianceModel("ar1", r))
-    keys = rng.mix64_array(5, np.arange(64, dtype=np.uint64))
+    keys = rng.words(5, 64)
     z = rng.to_normal(rng.word_grid(keys, p))
     x = np.empty_like(z)
     x[..., 0] = z[..., 0]
@@ -408,7 +408,7 @@ def _one_factor(z, r):
 def test_equicorrelated_rows_are_factor_draws(r, p):
     cov = CovarianceModel("equicorrelated", r)
     design = DesignSpec(kind="gaussian", p=p, covariance=cov)
-    keys = rng.mix64_array(6, np.arange(64, dtype=np.uint64))
+    keys = rng.words(6, 64)
     # a row is a draw of the model's factor, p words per row, whatever the
     # shape of the keys
     rows = gaussian_draw_batch(cov.factor(p), keys)

@@ -222,7 +222,7 @@ def test_expand_additivity_exact():
 def test_expansion_monotone():
     po = Polytope(np.array([[1.0, 0.0], [-0.6, 0.8]]), np.array([0.2, 0.1]))
     pts = 3.0 * (2.0 * rng.to_uniform(rng.word_grid(
-        rng.mix64_array(5, np.arange(500, dtype=np.uint64)), 2)) - 1.0)
+        rng.words(5, 500), 2)) - 1.0)
     inner = po.contains_batch(pts)
     outer = expand(po, 0.4).contains_batch(pts)
     assert np.all(outer[inner])
@@ -309,7 +309,7 @@ def test_single_rectangle_family():
 
 def test_hit_counts_matches_direct_evaluation():
     fam = sample_rectangles(6, 25, np.ones(6), 31)
-    keys = rng.mix64_array(8, np.arange(4000, dtype=np.uint64))
+    keys = rng.words(8, 4000)
     pts = rng.to_normal(rng.word_grid(keys, 6))
     fast = hit_counts(fam, pts)
     direct = np.array([int(s.contains_batch(pts).sum()) for s in fam.sets])
@@ -321,7 +321,7 @@ def test_max_type_hit_count_matches_coordinate_loop(p):
     # the row-max count of the max-type member equals the survivor loop
     fam = sample_rectangles(p, 10, np.ones(p), 41)
     assert fam.sets[-1].max_level is not None
-    keys = rng.mix64_array(12, np.arange(2000, dtype=np.uint64))
+    keys = rng.words(12, 2000)
     pts = rng.to_normal(rng.word_grid(keys, p))
     loop = [_rect_hit_count(s, pts) for s in fam.sets]
     assert hit_counts(fam, pts).tolist() == loop

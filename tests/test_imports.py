@@ -144,8 +144,6 @@ def test_design_law_has_one_owner():
 UNREACHED_ALLOWED = {
     "bounds.orlicz_norm": "the B_n estimate of a dataset for `bounds`, which waits "
                           "on the decision of how to report it (ROADMAP item 5)",
-    "geometry.one_sided_family": "a lower-orthant family kind for the CLI, which "
-                                 "waits on the same decision (ROADMAP item 5)",
 }
 
 

@@ -1,0 +1,349 @@
+"""The C kernels behind ``rng.word_grid`` and ``rng.to_uniform``.
+
+The numpy code of both functions is the bit oracle: every kernel result is
+compared with it, with the kernels switched off by patching ``rng._lib``
+(the loaded library handle).  The loader must fall back to numpy, quietly
+and with the same bytes, wherever the library cannot be built or loaded,
+and it must never write inside the package or the checkout.
+"""
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+import pytest
+
+from conftest import run_child
+from hdclt import rng, sums
+from test_draw_hashes import HASHES
+from test_golden import GOLDEN
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+PACKAGE = os.path.dirname(os.path.abspath(rng.__file__))
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+
+# to_uniform's edges: k = w >> 12 is 0, 2**51 or 2**52 - 1, bit 0 is 0 or 1
+EDGE_WORDS = np.array([0, 2**12 - 1, 2**12, 2**63, 2**64 - 2**12, 2**64 - 1],
+                      dtype=np.uint64)
+
+
+def loaded():
+    """The kernel library after a first use, or False where it does not load."""
+    rng.word_grid(EDGE_WORDS, 1)
+    return rng._lib
+
+
+class Spy:
+    """The kernel library, recording the name of each kernel called."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, []
+
+    def __getattr__(self, name):
+        fn = getattr(self.lib, name)
+
+        def call(*args):
+            self.calls.append(name)
+            return fn(*args)
+        return call
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """A Spy on the loaded kernels; the test is skipped where they do not load."""
+    lib = loaded()
+    if not lib:
+        pytest.skip("the kernels do not load here")
+    spy = Spy(lib)
+    monkeypatch.setattr(rng, "_lib", spy)
+    return spy
+
+
+@pytest.fixture
+def no_kernels(monkeypatch):
+    """Switch the kernels off: every call takes the numpy code."""
+    monkeypatch.setattr(rng, "_lib", False)
+
+
+def numpy_path(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with the kernels off."""
+    saved, rng._lib = rng._lib, False
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        rng._lib = saved
+
+
+def oracle(keys, count):
+    """Words and uniforms of ``keys`` from the scalar ``mix64`` and Python floats."""
+    words = [[rng.mix64(int(k), t) for t in range(count)] for k in keys]
+    uniforms = [[((w >> 12) + 0.5) * 2.0**-52 for w in row] for row in words]
+    return np.array(words, dtype=np.uint64), np.array(uniforms)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@needs_cc
+def test_kernels_load_where_a_compiler_exists(monkeypatch):
+    monkeypatch.setattr(rng, "_lib", None)  # as in a process that has not drawn yet
+    lib = loaded()
+    assert lib
+    assert not os.path.abspath(lib._name).startswith(PACKAGE + os.sep)
+
+
+EDGE_UNIFORMS = [2.0**-53, 2.0**-53, 1.5 * 2.0**-52, 0.5 + 2.0**-53, 1 - 2.0**-53,
+                 1 - 2.0**-53]
+
+
+def test_numpy_oracle_at_the_edge_words(no_kernels):
+    for count in (1, 7):
+        assert_same_bits(rng.word_grid(EDGE_WORDS, count), oracle(EDGE_WORDS, count)[0])
+    assert rng.to_uniform(EDGE_WORDS).tolist() == EDGE_UNIFORMS
+    assert rng._lib is False
+
+
+def test_edge_words_bit_for_bit(kernels):
+    for count in (1, 7):
+        words = rng.word_grid(EDGE_WORDS, count)
+        assert_same_bits(words, numpy_path(rng.word_grid, EDGE_WORDS, count))
+        assert_same_bits(words, oracle(EDGE_WORDS, count)[0])
+    u = rng.to_uniform(EDGE_WORDS)
+    assert_same_bits(u, numpy_path(rng.to_uniform, EDGE_WORDS))
+    assert u.tolist() == EDGE_UNIFORMS
+    assert kernels.calls == ["word_grid", "word_grid", "to_uniform"]
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (8, 5), (2048,)])
+@pytest.mark.parametrize("count", [1, 7, 100, 1000])
+def test_random_keys_bit_for_bit(kernels, shape, count):
+    keys = rng.words(count, int(np.prod(shape))).reshape(shape)
+    words = rng.word_grid(keys, count)
+    assert words.shape == shape + (count,)
+    assert_same_bits(words, numpy_path(rng.word_grid, keys, count))
+    u = rng.to_uniform(words)
+    assert_same_bits(u, numpy_path(rng.to_uniform, words))
+    assert kernels.calls == ["word_grid", "to_uniform"]
+
+
+def test_non_contiguous_and_foreign_arrays_take_numpy(kernels):
+    w = rng.words(3, 3 * 50)
+    # sample_rectangles passes every third word
+    for part in (w[1::3], w[2::3]):
+        assert_same_bits(rng.to_uniform(part), numpy_path(rng.to_uniform, part.copy()))
+        assert_same_bits(rng.word_grid(part, 4), numpy_path(rng.word_grid, part.copy(), 4))
+    out = np.empty((50, 8), dtype=np.uint64)
+    assert_same_bits(rng.word_grid(w[:50], 4, out=out[:, ::2]),
+                     numpy_path(rng.word_grid, w[:50], 4))
+    assert kernels.calls == []
+    # int64 keys become a uint64 copy, which the kernel takes
+    signed = w[:50].view(np.int64)
+    assert_same_bits(rng.word_grid(signed, 4), numpy_path(rng.word_grid, w[:50], 4))
+    assert kernels.calls == ["word_grid"]
+
+
+def test_in_place_and_overlapping_uniforms(kernels):
+    w = numpy_path(rng.word_grid, rng.words(4, 30), 9)
+    want = numpy_path(rng.to_uniform, w)
+    same = w.copy()
+    assert_same_bits(rng.to_uniform(same, out=same.view(np.float64)), want)
+    assert kernels.calls == ["to_uniform"]
+    # out one element behind w: the kernel would read words it has overwritten
+    flat = w.ravel().copy()
+    shifted = rng.to_uniform(flat[1:], out=flat[:-1].view(np.float64))
+    assert_same_bits(shifted, want.ravel()[1:])
+    assert kernels.calls == ["to_uniform"]
+
+
+def abs_row_max(z, spare):
+    """A row reducer that writes its temporaries into the spare array."""
+    return np.abs(z, out=spare).max(axis=1)
+
+
+@pytest.mark.parametrize("then", [None, abs_row_max])
+def test_normals_workspace_aliasing(kernels, then):
+    # _normals draws each block's words with the block's normals as the
+    # scratch of word_grid, and then may use the words as its spare array
+    keys = rng.words(5, 37)
+    got = sums._normals(keys, 11, then=then, budget=11 * 8)
+    want = numpy_path(sums._normals, keys, 11, then=then, budget=11 * 8)
+    assert_same_bits(got, want)
+    assert kernels.calls.count("word_grid") == 5
+    out = np.empty((37, 11))
+    if then is None:
+        assert sums._normals(keys, 11, budget=11 * 8, out=out) is out
+        assert_same_bits(out, want)
+
+
+@pytest.mark.parametrize("script, args, threads, want", [
+    ("test_golden.py", ["1"], "2", GOLDEN),
+    ("test_draw_hashes.py", [], "1", HASHES),
+], ids=["golden", "draw-hashes"])
+def test_hashes_with_the_kernels_off(tmp_path, script, args, threads, want):
+    # the same child interpreter as the hash suite, with the library handle
+    # patched to False before anything draws
+    code = ("import runpy, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from hdclt import rng\n"
+            "rng._lib = False\n"
+            "sys.argv = sys.argv[2:]\n"
+            "runpy.run_path(sys.argv[0], run_name='__main__')\n"
+            "assert rng._lib is False\n")
+    proc = run_child(["-c", code, TESTS, os.path.join(TESTS, script), *args], threads,
+                     cwd=tmp_path, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1] if want is GOLDEN else proc.stdout)
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the loader
+# ---------------------------------------------------------------------------
+
+def source_tag() -> str:
+    with open(rng._SOURCE, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()[:16]
+
+
+@pytest.fixture
+def fresh(monkeypatch, tmp_path):
+    """A process that has not loaded the kernels, whose cache directories
+    (~/.cache/hdclt and hdclt-<uid> in the temp directory) are under
+    tmp_path; returns the first of them."""
+    (tmp_path / "home").mkdir()
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    monkeypatch.setattr(rng, "_lib", None)
+    return tmp_path / "home" / ".cache" / "hdclt"
+
+
+def assert_numpy_fallback(capfd):
+    """The loader gave up, quietly, and the numpy code gives the oracle's bytes."""
+    keys = EDGE_WORDS[:4]
+    words, uniforms = oracle(keys, 5)
+    got = rng.word_grid(keys, 5)
+    assert rng._lib is False
+    assert_same_bits(got, words)
+    assert_same_bits(rng.to_uniform(got), uniforms)
+    out, err = capfd.readouterr()
+    assert out == "" and err == ""
+
+
+def test_no_compiler_on_path(fresh, monkeypatch, tmp_path, capfd):
+    (tmp_path / "bin").mkdir()
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    assert_numpy_fallback(capfd)
+    assert os.listdir(fresh) == []
+
+
+def test_failing_compile(fresh, monkeypatch, tmp_path, capfd):
+    (tmp_path / "bin").mkdir()
+    cc = tmp_path / "bin" / "cc"
+    cc.write_text("#!/bin/sh\necho 'cc: internal error' >&2\nexit 1\n")
+    cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    assert_numpy_fallback(capfd)
+    assert os.listdir(fresh) == []  # the temporary output is removed
+
+
+def test_truncated_library_in_the_cache(fresh, capfd):
+    fresh.mkdir(parents=True, mode=0o700)
+    (fresh / f"_kernels-{source_tag()}.so").write_bytes(b"\x7fELF\x02\x01\x01")
+    assert_numpy_fallback(capfd)
+
+
+@pytest.mark.parametrize("change", [
+    {"st_mode": 0o40770}, {"st_mode": 0o40707}, {"st_uid": os.getuid() + 1}])
+def test_cache_directory_not_private(fresh, monkeypatch, tmp_path, capfd, change):
+    real_stat = os.stat
+
+    def fake_stat(path, *args, **kwargs):
+        st = real_stat(path, *args, **kwargs)
+        if not str(path).startswith(str(tmp_path)):
+            return st
+        fields = list(st)
+        for name, value in change.items():
+            fields[("st_mode", "st_ino", "st_dev", "st_nlink", "st_uid").index(name)] = value
+        return os.stat_result(fields)
+
+    monkeypatch.setattr(os, "stat", fake_stat)
+    assert_numpy_fallback(capfd)
+    assert os.listdir(fresh) == []
+
+
+@needs_cc
+def test_two_processes_build_one_cache_at_once(tmp_path):
+    # each child waits until both have started, so both find the cache
+    # empty and compile; each must load a whole library
+    code = ("import json, os, sys, time\n"
+            "import numpy as np\n"
+            "from hdclt import rng\n"
+            "open(sys.argv[1], 'w').close()\n"
+            "while not all(os.path.exists(p) for p in sys.argv[1:]):\n"
+            "    time.sleep(0.001)\n"
+            "w = rng.word_grid(np.array([0, 2**64 - 1], dtype=np.uint64), 5)\n"
+            "lib = rng._lib\n"
+            "print(json.dumps({'lib': lib and lib._name, 'words': w.tolist(),\n"
+            "                  'u': rng.to_uniform(w).tolist()}))\n")
+    env = dict(os.environ, HOME=str(tmp_path / "home"),
+               PYTHONPATH=os.pathsep.join(filter(None, [os.path.dirname(PACKAGE),
+                                                        os.environ.get("PYTHONPATH")])))
+    flags = [str(tmp_path / f"started-{i}") for i in range(2)]
+    procs = [subprocess.Popen([sys.executable, "-c", code, *(flags[i:] + flags[:i])],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) for i in range(2)]
+    results = [proc.communicate(timeout=300) for proc in procs]
+    words, uniforms = oracle(np.array([0, 2**64 - 1], dtype=np.uint64), 5)
+    cache = tmp_path / "home" / ".cache" / "hdclt"
+    for proc, (out, err) in zip(procs, results):
+        assert proc.returncode == 0 and err == "", err
+        got = json.loads(out)
+        assert got["lib"] == str(cache / f"_kernels-{source_tag()}.so")
+        assert got["words"] == words.tolist() and got["u"] == uniforms.tolist()
+    assert os.listdir(cache) == [f"_kernels-{source_tag()}.so"]
+
+
+def listing(root):
+    return sorted((os.path.relpath(d, root), sorted(files)) for d, _, files in os.walk(root))
+
+
+def git_status(root):
+    try:
+        proc = subprocess.run(["git", "status", "--porcelain", "--ignored"], cwd=root,
+                              capture_output=True, text=True, timeout=60)
+    except OSError:
+        return None
+    return proc.stdout if proc.returncode == 0 else None
+
+
+@needs_cc
+def test_cli_run_writes_nothing_into_the_checkout(tmp_path):
+    # a first run on an empty cache builds the kernels, outside the package
+    root = os.path.dirname(os.path.dirname(PACKAGE))
+    config = {"seed": 7, "out": "rho.json", "design": {"kind": "trunc_exp", "p": 6},
+              "n": 8, "family": {"kind": "rectangles", "K": 4}, "R": 1000}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    code = ("import sys\n"
+            "from hdclt import cli, rng\n"
+            "code = cli.run(sys.argv[1:])\n"
+            "assert rng._lib, 'kernels not loaded'\n"
+            "sys.exit(code)\n")
+    env = dict(os.environ, HOME=str(tmp_path / "home"), PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [os.path.dirname(PACKAGE),
+                                                        os.environ.get("PYTHONPATH")])))
+    before, status = listing(PACKAGE), git_status(root)
+    proc = subprocess.run([sys.executable, "-c", code, "estimate-rho", "--config", "c.json"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "rho.json").exists()
+    assert listing(PACKAGE) == before
+    assert git_status(root) == status
+    built = os.listdir(tmp_path / "home" / ".cache" / "hdclt")
+    assert built == [f"_kernels-{source_tag()}.so"]

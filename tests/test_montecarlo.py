@@ -5,12 +5,13 @@ import os
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtri
 
 from conftest import run_child
 from hdclt import rng, serialize
 from hdclt.datagen import CovarianceModel, Dataset, DesignSpec, population_moments, sample_dataset
 from hdclt.errors import ParameterError
-from hdclt.geometry import Hyperrectangle, SetFamily, one_sided_family, sample_rectangles
+from hdclt.geometry import Hyperrectangle, SetFamily, sample_rectangles
 from hdclt import bounds, experiments, montecarlo
 from hdclt.experiments import nazarov_check
 from hdclt.montecarlo import (
@@ -27,6 +28,17 @@ from hdclt.montecarlo import (
     noise_floor,
 )
 from hdclt.sums import AR1Factor, CovMatrix, robust_cholesky
+
+
+def lower_orthants(p, count, seed):
+    """``count`` lower orthants {w : w <= y} of R^p at unit deviations: the
+    corner of orthant k is Phi^-1(u^(1/p)) of p uniforms u in (0.05, 0.95)
+    from the words of mix64(seed, k), so that its gaussian content stays
+    away from 0 and 1 as p grows."""
+    sets = [Hyperrectangle(np.full(p, -np.inf), ndtri(
+        (0.05 + 0.9 * rng.to_uniform(rng.words(rng.mix64(seed, k), p))) ** (1.0 / p)))
+        for k in range(count)]
+    return SetFamily(tuple(sets), tuple(f"orthant{k:03d}" for k in range(count)))
 
 
 def gaussian_sampler(p):
@@ -173,7 +185,7 @@ def test_worker_count_invariance_bootstrap_and_interpolation():
     fam = sample_rectangles(5, 10, np.ones(5), 6)
     boot = [bootstrap_gap(data, sigma, fam, 5000, 2, "MB", workers=w) for w in (1, 3)]
     assert boot[0] == boot[1]
-    fam1 = one_sided_family(5, 10, np.ones(5), 8)
+    fam1 = lower_orthants(5, 10, 8)
     interp = [interpolation_gap(design, 20, sigma, fam1, [0.5], 5000, 2, workers=w)
               for w in (1, 3)]
     assert interp[0] == interp[1]
@@ -275,7 +287,7 @@ def test_product_kinds_are_the_matrix_products():
 
 
 def _keys(seed, start, count):
-    return rng.mix64_array(seed, np.arange(start, start + count, dtype=np.uint64))
+    return rng.words(seed, count, start)
 
 
 def _tile_rows(sampler):
@@ -539,7 +551,7 @@ def test_draw_blocks_leave_draws_unchanged(monkeypatch, kind):
     # the elementwise stages run in blocks of rng.BLOCK elements; tiny
     # blocks and one block give the same bits
     sampler = _slicing_samplers()[kind]
-    keys = rng.mix64_array(9, np.arange(3, 103, dtype=np.uint64))
+    keys = rng.words(9, 100, 3)
     word_grid = rng.word_grid
     rows = []
 
@@ -573,7 +585,7 @@ def test_design_rows_are_the_gaussian_side(kind, r, p):
 def test_interpolation_zero_weight_below_floor():
     design = DesignSpec(kind="rademacher", p=6)
     sigma = population_moments(design).sigma
-    fam = one_sided_family(6, 15, np.ones(6), 3)
+    fam = lower_orthants(6, 15, 3)
     est = interpolation_gap(design, 9, sigma, fam, [0.0], 20_000, 4)
     assert est.sup_diff <= est.noise_floor
 
@@ -583,7 +595,7 @@ def test_interpolation_gaussian_design_below_floor():
     # weight, so the whole grid sits in the noise
     design = DesignSpec(kind="gaussian", p=6)
     sigma = population_moments(design).sigma
-    fam = one_sided_family(6, 15, np.ones(6), 3)
+    fam = lower_orthants(6, 15, 3)
     est = interpolation_gap(design, 12, sigma, fam, [0.0, 0.5, 1.0], 20_000, 4)
     assert est.sup_diff <= est.noise_floor
 
@@ -591,7 +603,7 @@ def test_interpolation_gaussian_design_below_floor():
 def test_interpolation_endpoint_dominates():
     design = DesignSpec(kind="rademacher", p=10)
     sigma = population_moments(design).sigma
-    fam = one_sided_family(10, 20, np.ones(10), 99)
+    fam = lower_orthants(10, 20, 99)
     est = interpolation_gap(design, 9, sigma, fam, [0.0, 0.5, 1.0], 50_000, 6)
     by_v = {pt.v: pt.estimate.sup_diff for pt in est.per_v}
     floor = noise_floor(est.R, len(fam))

@@ -5,8 +5,7 @@ from hdclt import rng
 
 def test_scalar_and_array_mix_agree():
     for seed in (0, 1, 12345, 2**63, -7, 2**64 - 1):
-        counters = np.arange(200, dtype=np.uint64)
-        vec = rng.mix64_array(seed, counters)
+        vec = rng.words(seed, 200)
         assert all(int(v) == rng.mix64(seed, i) for i, v in enumerate(vec))
 
 
@@ -19,7 +18,7 @@ def test_word_grid_matches_words():
 
 
 def test_mix64_keys_matches_scalar():
-    keys = rng.mix64_array(42, np.arange(50, dtype=np.uint64))
+    keys = rng.words(42, 50)
     out = rng.mix64_keys(keys, 7)
     assert all(int(o) == rng.mix64(int(k), 7) for k, o in zip(keys, out))
 
@@ -28,7 +27,7 @@ def test_offset_slicing_is_order_independent():
     key = 77
     full = rng.words(key, 100)
     # word t is mix64(key, t) whichever slice of counters asks for it
-    assert np.array_equal(full[60:], rng.mix64_array(key, np.arange(60, 100, dtype=np.uint64)))
+    assert np.array_equal(full[60:], rng.words(key, 40, 60))
 
 
 def test_uniforms_open_interval():
@@ -50,7 +49,7 @@ def test_streams_decorrelated():
 
 
 def test_blocked_slices_rows_and_matches_one_call(monkeypatch):
-    keys = rng.mix64_array(3, np.arange(23, dtype=np.uint64))
+    keys = rng.words(3, 23)
     seen = []
 
     def normals(block):

@@ -27,7 +27,7 @@ from hdclt.sums import (
 
 def keys(seed, count):
     """Replication keys mix64(seed, r) for r = 0..count-1."""
-    return rng.mix64_array(seed, np.arange(count, dtype=np.uint64))
+    return rng.words(seed, count)
 
 
 def one_key(key):
