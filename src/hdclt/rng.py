@@ -14,8 +14,8 @@ the key ``mix64(s, i)``, and the ``t``-th 64-bit word of that row is
 (seed, counters), generation is order-independent: any partition of the
 work across threads or batches produces bit-identical output.  A word
 makes one value: a uniform in (0, 1), a normal, or a sign-magnitude value.
-``word_grid`` and ``to_uniform`` run the C loops of ``_kernels.c`` where
-they can (``_load``), with the bits of their numpy code.
+``word_grid``, ``to_uniform`` and ``to_normal`` run the C loops of
+``_kernels.c`` where they can (``_load``), with the bits of their numpy code.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ import os
 import subprocess
 import tempfile
 import threading
+import time
 
 import numpy as np
 from scipy.special import ndtri
@@ -62,18 +63,73 @@ TAG_GRID = 16
 
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
+# the compiler and its flags, hashed into the library's name with the source.
+# -O3 vectorizes to_normal's center pass; -ffp-contract=off keeps a*b + c
+# from becoming an FMA where the target has one, which would move ndtri's
+# bits; -ffast-math and -march would move them too.
+_CC = ("cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
+_PRUNE_AGE = 30 * 86400  # seconds after which another build's library is removed
 _lib = None  # the loaded _kernels.c; False once it cannot be, None before first use
 _lib_lock = threading.Lock()
+
+
+def _library_name(source: bytes) -> str:
+    """The file name of the library that ``_CC`` builds from ``source``."""
+    digest = hashlib.sha256(source)
+    digest.update("\0".join(_CC).encode())
+    return f"_kernels-{digest.hexdigest()[:16]}.so"
+
+
+def _prune(cache: str, keep: str) -> None:
+    """Remove the libraries of other builds in ``cache`` unused for ``_PRUNE_AGE``
+    (by mtime).  A younger one stays: processes of another checkout may
+    still load it.  A library that a process has loaded keeps working."""
+    cutoff = time.time() - _PRUNE_AGE
+    for entry in os.scandir(cache):
+        name = entry.name
+        if name != keep and name.startswith("_kernels-") and name.endswith(".so"):
+            try:
+                if entry.stat().st_mtime < cutoff:
+                    os.remove(entry.path)
+            except OSError:
+                pass
+
+
+def _probe_words() -> np.ndarray:
+    """Words that reach every branch of ndtri: the edges of ``to_uniform``,
+    both sides of both exp(-2) splits between its center and tails, the
+    k = w >> 12 below 64 and above 2**52 - 65 (both sides of the x = 8 split,
+    at u = exp(-32), k = 57), and 1024 stream words: small, since the
+    probe's arrays would add to a run's peak RSS."""
+    expm2 = 0.13533528323661269189
+    splits = [int(np.floor(y * 2.0**52 - 0.5)) for y in (expm2, 1.0 - expm2)]
+    ks = [k + d for k in splits for d in (-1, 0, 1, 2)]
+    ks += [k for j in range(64) for k in (j, 2**52 - 1 - j)]
+    edges = [0, 2**12 - 1, 2**12, 2**63, 2**64 - 2**12, 2**64 - 1]
+    return np.concatenate([np.array(edges + [k << 12 for k in ks], dtype=np.uint64),
+                           words(0, 1024)])
+
+
+def _probe(lib) -> bool:
+    """Whether ``lib.to_normal`` gives the bits of scipy's ndtri in this
+    process, on ``_probe_words``.  It calls libm's log, as ndtri does; a
+    process whose ndtri took another log would fail here."""
+    w = _probe_words()
+    got = np.empty(w.shape)
+    lib.to_normal(w.ctypes.data, w.size, got.ctypes.data)
+    want = ndtri(_numpy_uniform(w, np.empty(w.shape)))
+    return got.tobytes() == want.tobytes()
 
 
 def _load():
     """``_kernels.c`` as a ctypes library (its calls release the GIL), or False.
     It is built into the first of ~/.cache/hdclt and <tempdir>/hdclt-<uid>
     that is (or can be made) this user's and not group- or world-writable,
-    named by the source's sha256 and moved into place whole."""
+    named by ``_library_name`` and moved into place whole; a fresh build
+    prunes the cache.  A library whose to_normal fails ``_probe`` is not used."""
     try:
         with open(_SOURCE, "rb") as fh:
-            name = f"_kernels-{hashlib.sha256(fh.read()).hexdigest()[:16]}.so"
+            name = _library_name(fh.read())
         for cache in (os.path.join(os.path.expanduser("~"), ".cache", "hdclt"),
                       os.path.join(tempfile.gettempdir(), f"hdclt-{os.getuid()}")):
             try:
@@ -88,14 +144,16 @@ def _load():
         path = os.path.join(cache, name)
         if not os.path.exists(path):
             with tempfile.TemporaryDirectory(dir=cache) as tmp:
-                subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", os.path.join(tmp, name),
-                                _SOURCE], check=True, capture_output=True, timeout=300)
+                subprocess.run([*_CC, "-o", os.path.join(tmp, name), _SOURCE, "-lm"],
+                               check=True, capture_output=True, timeout=300)
                 os.replace(os.path.join(tmp, name), path)
+            _prune(cache, name)
         lib = ctypes.CDLL(path)
         size, ptr = ctypes.c_size_t, ctypes.c_void_p
-        lib.word_grid.argtypes, lib.to_uniform.argtypes = (ptr, size, size, ptr), (ptr, size, ptr)
-        lib.word_grid.restype = lib.to_uniform.restype = None
-        return lib
+        lib.word_grid.argtypes = (ptr, size, size, ptr)
+        lib.to_uniform.argtypes = lib.to_normal.argtypes = (ptr, size, ptr)
+        lib.word_grid.restype = lib.to_uniform.restype = lib.to_normal.restype = None
+        return lib if _probe(lib) else False
     except (OSError, AttributeError, subprocess.SubprocessError):
         return False
 
@@ -186,6 +244,12 @@ def to_uniform(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if _kernel_takes(w, out, np.float64, w.shape):
         _lib.to_uniform(w.ctypes.data, w.size, out.ctypes.data)
         return out
+    return _numpy_uniform(w, out)
+
+
+def _numpy_uniform(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``to_uniform``'s numpy code; ``_probe`` calls it directly, since it
+    runs while the kernels load."""
     u = np.right_shift(w, np.uint64(12), out=out, casting="unsafe")
     u += 0.5
     u *= 2.0**-52
@@ -204,7 +268,13 @@ def flip_signs(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def to_normal(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Map 64-bit words to standard normals via the inverse Gaussian CDF,
-    written into ``out`` (as ``to_uniform``) or a new array."""
+    scipy's ``ndtri`` of ``to_uniform``, written into ``out`` (as
+    ``to_uniform``) or a new array.  The C loop repeats ndtri's arithmetic
+    and its libm calls, so both paths give the same bits."""
+    out = np.empty(w.shape) if out is None else out
+    if _kernel_takes(w, out, np.float64, w.shape):
+        _lib.to_normal(w.ctypes.data, w.size, out.ctypes.data)
+        return out
     u = to_uniform(w, out)
     return ndtri(u, out=u)
 

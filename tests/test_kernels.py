@@ -1,18 +1,19 @@
-"""The C kernels behind ``rng.word_grid`` and ``rng.to_uniform``.
+"""The C kernels behind ``rng.word_grid``, ``rng.to_uniform`` and ``rng.to_normal``.
 
-The numpy code of both functions is the bit oracle: every kernel result is
+The numpy code of each function is the bit oracle: every kernel result is
 compared with it, with the kernels switched off by patching ``rng._lib``
 (the loaded library handle).  The loader must fall back to numpy, quietly
 and with the same bytes, wherever the library cannot be built or loaded,
 and it must never write inside the package or the checkout.
 """
-import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -181,20 +182,95 @@ def test_normals_workspace_aliasing(kernels, then):
         assert_same_bits(out, want)
 
 
+def test_normals_at_the_probe_words(kernels):
+    # the probe of the loader: the edges, both sides of ndtri's exp(-2) splits
+    # and of its x = 8 split, and 1024 stream words
+    w = rng._probe_words()
+    z = rng.to_normal(w)
+    assert_same_bits(z, numpy_path(rng.to_normal, w))
+    assert np.isfinite(z).all() and np.abs(z).max() > 8
+    assert kernels.calls == ["to_normal"]
+
+
+def test_normals_in_the_deep_tails(kernels):
+    # k = w >> 12 up to 2**17 from either end: u from 2**-53 to about
+    # 3e-11, |z| from 8.21 down to 6.55, across ndtri's x = 8 split
+    k = np.arange(2**17, dtype=np.uint64)
+    w = np.concatenate([k << np.uint64(12), ((np.uint64(2**52 - 1) - k) << np.uint64(12)) | 1])
+    z = rng.to_normal(w)
+    assert_same_bits(z, numpy_path(rng.to_normal, w))
+    assert kernels.calls == ["to_normal"]
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (255,), (256,), (257,), (1000,), (8, 5, 7)])
+def test_normals_bit_for_bit(kernels, shape):
+    # sizes on both sides of the kernel's 256-value chunks
+    w = rng.words(11, int(np.prod(shape))).reshape(shape)
+    z = rng.to_normal(w)
+    assert z.shape == shape
+    assert_same_bits(z, numpy_path(rng.to_normal, w))
+    same = w.copy()
+    assert_same_bits(rng.to_normal(same, out=same.view(np.float64)), z)
+    assert kernels.calls == ["to_normal", "to_normal"]
+
+
+def test_strided_and_overlapping_normals_take_numpy(kernels):
+    w = numpy_path(rng.word_grid, rng.words(12, 40), 30)
+    want = numpy_path(rng.to_normal, w)
+    assert_same_bits(rng.to_normal(w[:, ::3]), want[:, ::3])
+    flat = w.ravel().copy()
+    shifted = rng.to_normal(flat[1:], out=flat[:-1].view(np.float64))
+    assert_same_bits(shifted, want.ravel()[1:])
+    assert kernels.calls == []
+
+
+def test_threads_draw_the_serial_bits(kernels):
+    # the kernel keeps its buffers on the stack: calls that run at once (each
+    # releases the GIL) share nothing
+    words = [numpy_path(rng.word_grid, rng.words(seed, 64), 1000) for seed in range(4)]
+    want = [numpy_path(rng.to_normal, w) for w in words]
+    barrier = threading.Barrier(len(words), timeout=60)
+    got = [[] for _ in words]
+
+    def draw(i):
+        barrier.wait()
+        for _ in range(20):
+            got[i].append(rng.to_normal(words[i]))
+
+    threads = [threading.Thread(target=draw, args=(i,)) for i in range(len(words))]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    for drawn, z in zip(got, want):
+        assert len(drawn) == 20
+        for d in drawn:
+            assert_same_bits(d, z)
+    assert kernels.calls == ["to_normal"] * 80
+
+
 @pytest.mark.parametrize("script, args, threads, want", [
     ("test_golden.py", ["1"], "2", GOLDEN),
     ("test_draw_hashes.py", [], "1", HASHES),
 ], ids=["golden", "draw-hashes"])
 def test_hashes_with_the_kernels_off(tmp_path, script, args, threads, want):
     # the same child interpreter as the hash suite, with the library handle
-    # patched to False before anything draws
+    # patched to False before anything draws; both suites draw normals
     code = ("import runpy, sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "from hdclt import rng\n"
             "rng._lib = False\n"
+            "normals, to_normal = [], rng.to_normal\n"
+            "rng.to_normal = lambda *a, **k: normals.append(1) or to_normal(*a, **k)\n"
             "sys.argv = sys.argv[2:]\n"
             "runpy.run_path(sys.argv[0], run_name='__main__')\n"
-            "assert rng._lib is False\n")
+            "assert rng._lib is False and normals\n")
     proc = run_child(["-c", code, TESTS, os.path.join(TESTS, script), *args], threads,
                      cwd=tmp_path, timeout=600)
     assert proc.returncode == 0, proc.stderr
@@ -206,9 +282,20 @@ def test_hashes_with_the_kernels_off(tmp_path, script, args, threads, want):
 # the loader
 # ---------------------------------------------------------------------------
 
-def source_tag() -> str:
+def library_name() -> str:
     with open(rng._SOURCE, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
+        return rng._library_name(fh.read())
+
+
+def test_library_name_keys_the_source_and_the_compiler_flags(monkeypatch):
+    with open(rng._SOURCE, "rb") as fh:
+        source = fh.read()
+    name = rng._library_name(source)
+    assert rng._library_name(source + b"\n") != name
+    assert "-ffp-contract=off" in rng._CC
+    assert not any(arg == "-ffast-math" or arg.startswith("-march") for arg in rng._CC)
+    monkeypatch.setattr(rng, "_CC", rng._CC + ("-g",))
+    assert rng._library_name(source) != name
 
 
 @pytest.fixture
@@ -255,8 +342,51 @@ def test_failing_compile(fresh, monkeypatch, tmp_path, capfd):
 
 def test_truncated_library_in_the_cache(fresh, capfd):
     fresh.mkdir(parents=True, mode=0o700)
-    (fresh / f"_kernels-{source_tag()}.so").write_bytes(b"\x7fELF\x02\x01\x01")
+    (fresh / library_name()).write_bytes(b"\x7fELF\x02\x01\x01")
     assert_numpy_fallback(capfd)
+
+
+@needs_cc
+def test_probe_mismatch_turns_the_kernels_off(fresh, monkeypatch, capfd):
+    # the probe compares the built to_normal with scipy's ndtri in-process;
+    # a reference one bit off stands for a libm whose log differs from it
+    real = rng.ndtri
+
+    def one_bit_off(u, *args, **kwargs):
+        z = real(u, *args, **kwargs)
+        z[-1] = np.nextafter(z[-1], np.inf)
+        return z
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rng, "ndtri", one_bit_off)
+        assert not loaded()
+    assert_numpy_fallback(capfd)
+    w = rng.words(13, 1000)
+    assert_same_bits(rng.to_normal(w), real(numpy_path(rng.to_uniform, w)))
+    assert os.listdir(fresh) == [library_name()]  # built, then refused
+
+
+@needs_cc
+def test_a_fresh_build_prunes_old_libraries(fresh, monkeypatch):
+    first = loaded()
+    assert first
+    old = fresh / library_name()
+    young = fresh / "_kernels-0123456789abcdef.so"
+    shutil.copy(old, young)
+    (fresh / "notes").write_text("not a library")
+    month_ago = time.time() - 31 * 86400
+    for path in (old, fresh / "notes"):
+        os.utime(path, (month_ago, month_ago))
+    # a changed flag list names a new library, whose build prunes the cache
+    monkeypatch.setattr(rng, "_CC", rng._CC + ("-DPRUNE",))
+    monkeypatch.setattr(rng, "_lib", None)
+    assert loaded()
+    assert sorted(os.listdir(fresh)) == sorted([library_name(), young.name, "notes"])
+    # the pruned library, unlinked while loaded, still draws
+    w = rng.words(14, 300)
+    z = np.empty(w.shape)
+    first.to_normal(w.ctypes.data, w.size, z.ctypes.data)
+    assert_same_bits(z, numpy_path(rng.to_normal, w))
 
 
 @pytest.mark.parametrize("change", [
@@ -305,9 +435,9 @@ def test_two_processes_build_one_cache_at_once(tmp_path):
     for proc, (out, err) in zip(procs, results):
         assert proc.returncode == 0 and err == "", err
         got = json.loads(out)
-        assert got["lib"] == str(cache / f"_kernels-{source_tag()}.so")
+        assert got["lib"] == str(cache / library_name())
         assert got["words"] == words.tolist() and got["u"] == uniforms.tolist()
-    assert os.listdir(cache) == [f"_kernels-{source_tag()}.so"]
+    assert os.listdir(cache) == [library_name()]
 
 
 def listing(root):
@@ -346,4 +476,4 @@ def test_cli_run_writes_nothing_into_the_checkout(tmp_path):
     assert listing(PACKAGE) == before
     assert git_status(root) == status
     built = os.listdir(tmp_path / "home" / ".cache" / "hdclt")
-    assert built == [f"_kernels-{source_tag()}.so"]
+    assert built == [library_name()]
