@@ -4,8 +4,9 @@
  * on first use and calls it through ctypes, which releases the GIL for each
  * call.  word_grid and to_uniform are integer or exact float arithmetic.
  * to_normal repeats scipy's ndtri (Cephes) operation for operation and calls
- * the same libm log and sqrt, so an FMA contraction or -ffast-math would
- * move its bits; hdclt.rng checks them against scipy after each load.
+ * the same libm log and sqrt, and ar1 repeats the numpy recursion of
+ * hdclt.sums.AR1Factor, so an FMA contraction or -ffast-math would move
+ * their bits; hdclt.rng checks both after each load.
  */
 #include <math.h>
 #include <stddef.h>
@@ -181,5 +182,17 @@ void to_normal(const uint64_t *w, size_t size, double *out)
             t[j] = tail(x[j], y[j], sign[j], P1, Q1);
         for (size_t j = 0; j < n; j++)
             o[at[j]] = x[j] < 8.0 ? t[j] : tail(x[j], y[j], sign[j], P2, Q2);
+    }
+}
+
+/* Each row of p values of x, in place: x_0 = scale z_0 and x_j = c z_j +
+ * r x_{j-1}, the operations of AR1Factor's numpy recursion. */
+void ar1(double *x, size_t rows, size_t p, double r, double scale, double c)
+{
+    for (size_t i = 0; i < rows; i++) {
+        double *row = x + i * p, prev = row[0] * scale;
+        row[0] = prev;
+        for (size_t j = 1; j < p; j++)
+            row[j] = prev = c * row[j] + r * prev;
     }
 }

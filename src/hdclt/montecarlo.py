@@ -33,6 +33,7 @@ from .datagen import Dataset, DesignSpec, values_from_row_keys
 from .errors import ParameterError
 from .geometry import Hyperrectangle, SetFamily, hit_counts
 from .sums import (
+    CholFactor,
     CovMatrix,
     ModelCovariance,
     empirical_resample_draw_batch,
@@ -77,23 +78,23 @@ class _Sampler:
     whatever n and p are.
 
     ``size`` is the element count of the largest array one draw
-    materializes.  ``block_rows`` is None when a matrix product makes the
-    draws.  A product sampler (a dense factor, the bootstrap weights) runs
-    every product on a tile of T rows, T the largest power of two at most
-    ``BATCH`` and ``TILE // size``: tile t holds replications [tT, (t+1)T)
-    of every run, and the rows of keys not asked for are zero
+    materializes.  A sampler is ``tiled`` when a matrix product makes its
+    draws (a dense ``CholFactor``, the bootstrap weights, an interpolated
+    draw over a ``CholFactor``); every other one is row-local.  A tiled
+    sampler runs every product on a tile of T rows, T the largest power of
+    two at most ``BATCH`` and ``TILE // size``: tile t holds replications
+    [tT, (t+1)T) of every run, and the rows of keys not asked for are zero
     (``sums._tile_product``).  So its draws depend on their keys alone,
     whatever R, the batch start or the worker count, and the padding costs
     product flops on a run's last tile, never stream words.  Its
     ``draw_keys`` gets each chunk with the tile keywords: ``out``, one
     T x ``size`` buffer per batch, and ``start``.  A row-local sampler's
     kernels work in ``rng.BLOCK`` blocks, so its ``draw_keys`` gets each
-    chunk whole.  A chunk is a whole number of units from the batch start,
-    at most ``DRAW_BUDGET`` draw values when a unit fits, counting each of
-    the ``branches`` draws of p values that one key holds at once; a unit
-    is the tile, or ``block_rows`` keys (one key when those keys' draws
-    exceed the budget).  So one worker holds one chunk plus, for a
-    product sampler, the tile buffer; the budget changes no number.
+    chunk whole.  A chunk is a whole number of units from the batch start
+    (the tile, or one key), at most ``DRAW_BUDGET`` draw values when a unit
+    fits, counting each of the ``branches`` draws of p values that one key
+    holds at once.  So one worker holds one chunk plus, for a tiled
+    sampler, the tile buffer; the budget changes no number.
     A row reducer ``then`` maps each chunk before ``fn`` does; a sampler
     whose ``fuses_then`` is set passes it to ``draw_keys``, which applies it
     as the draws are made (``sums.gaussian_draw_batch``), so its chunks
@@ -102,7 +103,7 @@ class _Sampler:
 
     p: int
     size: int
-    block_rows = 1
+    tiled = False
     branches = 1
     fuses_then = False
 
@@ -113,14 +114,11 @@ class _Sampler:
         if then is not None and not self.fuses_then:
             fn, then = (lambda draws, fn=fn, then=then: fn(then(draws))), None
         reduce = {} if then is None else {"then": then}
-        if self.block_rows is None:  # a power of two divides BATCH: no tile spans two batches
+        unit, draw = 1, lambda i, j: self.draw_keys(keys[i:j], **reduce)
+        if self.tiled:  # a power of two divides BATCH: no tile spans two batches
             unit = 1 << (max(1, min(BATCH, TILE // self.size)).bit_length() - 1)
             tile = np.empty((unit, self.size))
             draw = lambda i, j: self.draw_keys(keys[i:j], out=tile, start=start + i, **reduce)
-        else:
-            fits = self.branches * self.block_rows * self.p <= DRAW_BUDGET
-            unit = self.block_rows if fits else 1
-            draw = lambda i, j: self.draw_keys(keys[i:j], **reduce)
         per = unit * max(1, DRAW_BUDGET // (self.branches * self.p * unit))
         # fn reduces each chunk inside the loop, so no two chunks are alive
         return [fn(draw(i, min(i + per, count))) for i in range(0, count, per)]
@@ -139,7 +137,7 @@ class GaussianSumSampler(_Sampler):
     def __init__(self, factor):
         self.factor = factor
         self.p = self.size = factor.p
-        self.block_rows = factor.block_rows
+        self.tiled = isinstance(factor, CholFactor)
 
     def draw_keys(self, keys: np.ndarray, then=None, **tile) -> np.ndarray:
         return gaussian_draw_batch(self.factor, keys, then=then, **tile)
@@ -173,8 +171,6 @@ class DesignSumSampler(_Sampler):
         if exact_law and design.gaussian:
             self.mode = "gaussian"
             self.size = self.p
-            # a row is a draw of its model's factor
-            self.block_rows = design.covariance.factor(self.p).block_rows
         elif exact_law and design.kind == "rademacher":
             from scipy.stats import binom  # deferred: slow to import, only sign sums use it
 
@@ -222,7 +218,7 @@ class InterpolatedSampler(_Sampler):
         self.v = v
         self.p = design.p
         self.size = self.inner_x.size + self.inner_y.size
-        self.block_rows = self.inner_y.block_rows
+        self.tiled = self.inner_y.tiled
 
     def draw_keys(self, keys: np.ndarray, **tile) -> np.ndarray:
         sx = self.inner_x.draw_keys(rng.mix64_keys(keys, rng.TAG_FIRST))
@@ -234,7 +230,7 @@ class InterpolatedSampler(_Sampler):
 
 
 class _DatasetSampler(_Sampler):
-    block_rows = None  # a product: the weights or row counts times the data
+    tiled = True  # a product: the weights or row counts times the data
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset

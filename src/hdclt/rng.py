@@ -15,7 +15,8 @@ the key ``mix64(s, i)``, and the ``t``-th 64-bit word of that row is
 work across threads or batches produces bit-identical output.  A word
 makes one value: a uniform in (0, 1), a normal, or a sign-magnitude value.
 ``word_grid``, ``to_uniform`` and ``to_normal`` run the C loops of
-``_kernels.c`` where they can (``_load``), with the bits of their numpy code.
+``_kernels.c`` where they can (``_load``), with the bits of their numpy code;
+``sums.AR1Factor`` calls its ``ar1`` loop through ``kernels``.
 """
 from __future__ import annotations
 
@@ -112,12 +113,18 @@ def _probe_words() -> np.ndarray:
 
 def _probe(lib) -> bool:
     """Whether ``lib.to_normal`` gives the bits of scipy's ndtri in this
-    process, on ``_probe_words``.  It calls libm's log, as ndtri does; a
-    process whose ndtri took another log would fail here."""
+    process, on ``_probe_words``, and ``lib.ar1`` those of its numpy oracle
+    ``sums._ar1_columns`` on 22 rows of those normals.  to_normal calls
+    libm's log, as ndtri does; a process whose ndtri took another log would
+    fail here."""
+    from .sums import _ar1_columns  # sums draws through this module
+
     w = _probe_words()
     got = np.empty(w.shape)
     lib.to_normal(w.ctypes.data, w.size, got.ctypes.data)
     want = ndtri(_numpy_uniform(w, np.empty(w.shape)))
+    lib.ar1(got.ctypes.data, 22, w.size // 22, 0.7, 1.3, 1.3 * 0.51**0.5)
+    _ar1_columns(want.reshape(22, -1), 0.7, 1.3, 1.3 * 0.51**0.5)
     return got.tobytes() == want.tobytes()
 
 
@@ -126,7 +133,7 @@ def _load():
     It is built into the first of ~/.cache/hdclt and <tempdir>/hdclt-<uid>
     that is (or can be made) this user's and not group- or world-writable,
     named by ``_library_name`` and moved into place whole; a fresh build
-    prunes the cache.  A library whose to_normal fails ``_probe`` is not used."""
+    prunes the cache.  A library that fails ``_probe`` is not used."""
     try:
         with open(_SOURCE, "rb") as fh:
             name = _library_name(fh.read())
@@ -152,22 +159,29 @@ def _load():
         size, ptr = ctypes.c_size_t, ctypes.c_void_p
         lib.word_grid.argtypes = (ptr, size, size, ptr)
         lib.to_uniform.argtypes = lib.to_normal.argtypes = (ptr, size, ptr)
+        lib.ar1.argtypes = (ptr, size, size) + (ctypes.c_double,) * 3
         lib.word_grid.restype = lib.to_uniform.restype = lib.to_normal.restype = None
+        lib.ar1.restype = None
         return lib if _probe(lib) else False
     except (OSError, AttributeError, subprocess.SubprocessError):
         return False
 
 
-def _kernel_takes(w: np.ndarray, out: np.ndarray, dtype, shape: tuple) -> bool:
-    """Whether a kernel (loaded on first use) maps the uint64 array ``w`` into
-    ``out`` of ``dtype`` and ``shape``: both C-contiguous, apart or one buffer."""
+def kernels():
+    """The library of ``_kernels.c``, loaded on first use, or False."""
     global _lib
     if _lib is None:
         with _lib_lock:
             if _lib is None:
                 _lib = _load()
-    return (bool(_lib) and out.shape == shape and w.dtype == np.uint64 and out.dtype == dtype
-            and w.flags.c_contiguous and out.flags.c_contiguous
+    return _lib
+
+
+def _kernel_takes(w: np.ndarray, out: np.ndarray, dtype, shape: tuple) -> bool:
+    """Whether a kernel maps the uint64 array ``w`` into ``out`` of ``dtype``
+    and ``shape``: both C-contiguous, apart or one buffer."""
+    return (bool(kernels()) and out.shape == shape and out.dtype == dtype
+            and w.dtype == np.uint64 and w.flags.c_contiguous and out.flags.c_contiguous
             and (not np.may_share_memory(w, out)
                  or (w.shape == shape and w.ctypes.data == out.ctypes.data)))
 
@@ -187,10 +201,9 @@ def mix64(seed: int, counter: int) -> int:
     return z
 
 
-def _finalize(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """The SplitMix64 output function of ``z``, in place; ``scratch``, a
-    uint64 array of z's shape, holds its shifts instead of a new array."""
-    t = np.empty_like(z) if scratch is None else scratch
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 output function of ``z``, in place."""
+    t = np.empty_like(z)
     np.right_shift(z, np.uint64(30), out=t)
     np.bitwise_xor(z, t, out=z)
     np.multiply(z, _U64_MIX1, out=z)
@@ -213,14 +226,11 @@ def words(key: int, count: int, start: int = 0) -> np.ndarray:
     return _finalize(counters * _U64_GAMMA + np.uint64(int(key) & MASK64))
 
 
-def word_grid(keys: np.ndarray, count: int, out: np.ndarray | None = None,
-              scratch: np.ndarray | None = None) -> np.ndarray:
+def word_grid(keys: np.ndarray, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """Words for many keys at once; returns shape ``keys.shape + (count,)``.
 
-    ``word_grid(keys, c)[..., t] == mix64(keys[...], t)`` element-wise.
-    ``out`` receives the words and ``scratch`` holds the temporaries of
-    ``_finalize``, both uint64 arrays of that shape; without them new arrays
-    are made.  The C loop needs no scratch.
+    ``word_grid(keys, c)[..., t] == mix64(keys[...], t)`` element-wise,
+    written into ``out``, a uint64 array of that shape, or a new one.
     """
     keys = keys.astype(np.uint64, copy=False)
     out = np.empty(keys.shape + (count,), dtype=np.uint64) if out is None else out
@@ -228,7 +238,7 @@ def word_grid(keys: np.ndarray, count: int, out: np.ndarray | None = None,
         _lib.word_grid(keys.ctypes.data, keys.size, count, out.ctypes.data)
         return out
     pre = (np.arange(count, dtype=np.uint64) + np.uint64(1)) * _U64_GAMMA
-    return _finalize(np.add(keys[..., None], pre, out=out), scratch)
+    return _finalize(np.add(keys[..., None], pre, out=out))
 
 
 def to_uniform(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

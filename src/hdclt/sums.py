@@ -89,13 +89,11 @@ class ModelCovariance:
 # A factor F of a covariance S = F F' maps rows z of standard normals to
 # rows ``apply(z) = z @ F.T`` of N(0, S) draws; every kind reads the p
 # values of a row in the same order, so one stream word feeds one coordinate.
-# ``gaussian_draw_batch`` applies a kind that gives the same bits for any
-# slicing of the rows to each block of max(rng.BLOCK, block_rows * p) normals
-# as it is made, as ``apply(z, out=z, spare=spare)``: ``out`` receives the
-# draws and ``spare``, a float array of z's shape, holds the temporaries, so
-# a block is drawn in place (without them ``apply`` makes new arrays).  A
-# kind whose ``block_rows`` is None, a matrix product, is applied to fixed
-# tiles of rows (``_tile_product``).
+# Every kind but ``CholFactor`` is row-local: it gives the same bits for any
+# slicing of the rows, and ``gaussian_draw_batch`` applies it to each block
+# of ``rng.BLOCK`` normals as it is made, in place, as ``apply(z, out=z)``
+# (without ``out`` it makes a new array).  ``CholFactor``, a matrix product,
+# is applied to fixed tiles of rows (``_tile_product``).
 
 @dataclass(frozen=True)
 class CholFactor:
@@ -104,8 +102,6 @@ class CholFactor:
 
     L: np.ndarray
     jitter_used: float = 0.0
-    # a product's per-row rounding may depend on how many rows it gets
-    block_rows = None
 
     @property
     def p(self) -> int:
@@ -121,10 +117,8 @@ class ScaledIdentityFactor:
 
     p: int
     scale: float = 1.0
-    block_rows = 1
 
-    def apply(self, z: np.ndarray, out: np.ndarray | None = None,
-              spare: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.multiply(z, self.scale, out=out)
 
 
@@ -136,7 +130,6 @@ class EquicorrelatedFactor:
     p: int
     a: float
     b: float
-    block_rows = 1
 
     @staticmethod
     def of(p: int, r: float, scale: float = 1.0) -> "EquicorrelatedFactor":
@@ -146,8 +139,7 @@ class EquicorrelatedFactor:
         b = scale * r / (math.sqrt(1.0 - r + p * r) + root)
         return EquicorrelatedFactor(p, scale * root, b)
 
-    def apply(self, z: np.ndarray, out: np.ndarray | None = None,
-              spare: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # numpy's row sum, not a BLAS product: a draw's bits are its key's alone
         shared = z.sum(axis=-1, keepdims=True)
         shared *= self.b
@@ -158,31 +150,39 @@ class EquicorrelatedFactor:
 
 @dataclass(frozen=True)
 class AR1Factor:
-    """The Cholesky factor of ``scale**2 * r**|i - j|``, applied as the
-    stationary recursion x_0 = scale z_0, x_j = r x_{j-1} + scale
-    sqrt(1 - r^2) z_j."""
+    """The Cholesky factor of ``scale**2 * r**|i - j|``, applied to each row
+    as the stationary recursion x_0 = scale z_0, x_j = c z_j + r x_{j-1},
+    c = scale sqrt(1 - r^2): by the C loop ``ar1`` where ``rng.kernels``
+    loads, else by its numpy bit oracle ``_ar1_columns``."""
 
     p: int
     r: float
     scale: float = 1.0
-    # the recursion takes one Python step per column per call
-    block_rows = property(lambda self: self.p)
 
-    def apply(self, z: np.ndarray, out: np.ndarray | None = None,
-              spare: np.ndarray | None = None) -> np.ndarray:
-        # leading dimensions become one; the recursion runs over the columns
-        # of the transposed block, so each step reads one contiguous row
-        x = np.empty((self.p, z.size // self.p)) if spare is None else spare.reshape(self.p, -1)
-        np.copyto(x, z.reshape(-1, self.p).T)
-        x[0] *= self.scale
-        x[1:] *= self.scale * math.sqrt(1.0 - self.r**2)
-        step = np.empty(x.shape[1])
-        for j in range(1, self.p):
-            np.multiply(x[j - 1], self.r, out=step)
-            x[j] += step
+    def apply(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         y = np.empty(z.shape) if out is None else out
-        np.copyto(y.reshape(-1, self.p), x.T)
+        if y is not z:
+            np.copyto(y, z)
+        c = self.scale * math.sqrt(1.0 - self.r**2)
+        if (lib := rng.kernels()) and y.flags.c_contiguous and y.dtype == np.float64:
+            lib.ar1(y.ctypes.data, y.size // self.p, self.p, self.r, self.scale, c)
+        else:
+            _ar1_columns(y, self.r, self.scale, c)
         return y
+
+
+def _ar1_columns(x: np.ndarray, r: float, scale: float, c: float) -> None:
+    """``AR1Factor``'s recursion in numpy, in place on the rows of x, one
+    step per column of their transpose, which reads one contiguous row."""
+    p = x.shape[-1]
+    t = np.array(x.reshape(-1, p).T, order="C")
+    t[0] *= scale
+    t[1:] *= c
+    step = np.empty(t.shape[1])
+    for j in range(1, p):
+        np.multiply(t[j - 1], r, out=step)
+        t[j] += step
+    np.copyto(x.reshape(-1, p), t.T)
 
 
 BASE_JITTER = 1e-10
@@ -208,36 +208,16 @@ def robust_cholesky(cov: CovMatrix) -> CholFactor:
     )
 
 
-def _normals(keys: np.ndarray, count: int, then=None, budget=None,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """Words 0..count-1 of each key's stream as standard normals, made in
-    blocks of ``budget`` elements (default ``rng.BLOCK``, at least one key)
-    on one workspace that every block reuses.
-
-    Without ``then`` the normals are written into ``out``, a (len(keys),
-    count) float array, or a new one.  ``then(z, spare)``, if given, maps
-    each block z of normals while it is still in cache and must treat every
-    row independently; ``spare``, a float array of z's shape, is free for
-    its temporaries, and it may overwrite z.  Its results are written into
-    ``out`` or a new array."""
-    per = max(1, (rng.BLOCK if budget is None else budget) // count)
-    shape = (min(per, len(keys)),) + keys.shape[1:] + (count,)
-    words = np.empty(shape, dtype=np.uint64)
-    normals = None if then is None else np.empty(shape)
-    if then is None and out is None:
-        out = np.empty(keys.shape + (count,))
-    # an empty batch still runs one block, which gives then's result shape
-    for i in range(0, max(1, len(keys)), per):
-        block = keys[i:i + per]
-        z = out[i:i + per] if then is None else normals[:len(block)]
-        # z holds the words' scratch until the normals overwrite it
-        w = rng.word_grid(block, count, out=words[:len(block)], scratch=z.view(np.uint64))
-        rng.to_normal(w, out=z)
-        if then is not None:
-            y = then(z, w.view(np.float64))
-            if out is None:
-                out = np.empty((len(keys),) + y.shape[1:], dtype=y.dtype)
-            out[i:i + per] = y
+def _normals(keys: np.ndarray, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Words 0..count-1 of each key's stream as standard normals, written
+    into ``out``, a (len(keys), count) float array, or a new one.  They are
+    made in blocks of ``rng.BLOCK`` elements (at least one key), each in its
+    own rows of ``out``: the words, then the normals written over them."""
+    out = np.empty(keys.shape + (count,)) if out is None else out
+    per = max(1, rng.BLOCK // count)
+    for i in range(0, len(keys), per):
+        w = out[i:i + per].view(np.uint64)
+        rng.to_normal(rng.word_grid(keys[i:i + per], count, out=w), out=w.view(np.float64))
     return out
 
 
@@ -281,15 +261,16 @@ def gaussian_draw_batch(factor, keys: np.ndarray, out: np.ndarray | None = None,
     a (rows, p) array of draws that treats every row independently), if
     given, takes the draws as they are made and its results are returned:
     per block of a row-local factor, per tile of a product."""
-    if factor.block_rows is None:
+    if isinstance(factor, CholFactor):
         return _tile_product(keys, factor.p, functools.partial(_normals, count=factor.p),
                              factor.apply, out, start, then)
 
-    def draws(z, spare):  # in place on the block, which is still in cache
-        y = factor.apply(z, out=z, spare=spare)
+    def draws(block):  # the words, normals and draws of a block in one array
+        z = _normals(block, factor.p)
+        y = factor.apply(z, out=z)
         return y if then is None else then(y)
 
-    return _normals(keys, factor.p, draws, max(rng.BLOCK, factor.block_rows * factor.p))
+    return rng.blocked(draws, keys, factor.p)
 
 
 def multiplier_draw_batch(dataset: Dataset, keys: np.ndarray,

@@ -9,7 +9,11 @@ change that moves one bit of one draw moves its entry, and the failure
 names it.
 
 The row-local entries (the structured factors, the design transforms, the
-binomial mode, the tail cubes of design rows) are numpy-only.  The matrix
+binomial mode, the tail cubes of design rows) use no BLAS.  The
+equicorrelated entries catch a last-bit mutant of its ``apply``,
+``a (z + (b / a) s)`` for ``a z + b s``; ``gaussian-ar1-p1000`` and its
+mid-batch run draw the AR(1) recursion at a p whose row-local chunks were
+once cut to whole blocks of p rows.  The matrix
 products (a dense ``CholFactor``, the multiplier and empirical bootstrap,
 the interpolated sampler, whose Gaussian branch here is dense) also pin the
 BLAS build and its thread count, so the entries run in a child interpreter
@@ -17,81 +21,21 @@ with ``OPENBLAS_NUM_THREADS`` set, at 1 and at 2 threads; an entry whose
 bytes differ between the two has its 2-thread hash in ``AT_TWO_THREADS``.
 
 Re-record with ``OPENBLAS_NUM_THREADS=1 python tests/test_draw_hashes.py``
-(and ``=2``), which prints the table.  A moved hash is a stream change:
-re-record it only with its cause.
-
-Re-recorded hashes (1 thread; 2 threads where they differ), each with its
-cause:
-
-* stream 2, every product on a fixed tile of T rows anchored at the
-  replication index, zero rows for keys not asked for; no row-local entry
-  moved, nor any product entry whose stream-1 slices were long:
-
-  - ``gaussian-dense-p500`` b1657a8b -> 116fbd1d (98494e82 -> eb6d8b3b):
-    1000 keys were one 1000-row product, now rows of a 2048-row tile;
-  - ``MB-square20`` 3d754114 -> 6457deda and ``EB-square20`` d322fb41 ->
-    4147be99: a 1000 x 20 x 20 product, below OpenBLAS's small-matrix
-    threshold, now rows of an 8192-row tile;
-  - ``gaussian-dense-p40@mid1`` e1939038 -> 7e118548: one key went
-    through the matrix-vector kernel, now one row of an 8192-row tile;
-  - ``EB-n5000@mid7`` 9509b364 -> ff10b3ed (-> d45c3b90): a 7-row
-    product, now 7 rows of a 128-row tile.
-
-* stream 3, the equicorrelated factor is the symmetric square root
-  ``a I + b 1 1'``, applied as ``a z + b (row sum of z)``, and equicorrelated
-  design rows are its draws (p words per row, not p + 1); the same at 1 and
-  2 threads:
-
-  - ``gaussian-equicorrelated-p1000`` e627366d -> ca5f1aca: the factor;
-  - ``literal-gaussian-equicorrelated`` and
-    ``design-gaussian-equicorrelated-p50`` are new entries for the design
-    rows (12ee3c99 and 13c2bc60 on the stream-2 rows, cef3519d and 4c2cd564
-    now).  A last-bit mutant of ``apply``, ``a (z + (b / a) s)``, moves all
-    three.
-
-* stream 4, the causes landed one at a time: the uniform (k + 0.5) *
-  2**-52 of k = w >> 12, the sign-magnitude literal values, M_x summed
-  batch by batch; ``literal-signs`` and ``binomial`` (sign bits and
-  binomial counts, no uniform) kept their hashes, and the provenance entry
-  and the deleted clamp of the empirical bootstrap's index moved none:
-
-  - the uniform map, through the normals or the resample indices:
-    ``gaussian-dense-p40`` e1d5b4b0 -> 0c2a472f, ``gaussian-dense-p500``
-    116fbd1d -> bcce6887 (eb6d8b3b -> 24f89d66), ``gaussian-identity``
-    684f537a -> bbe544ba, ``gaussian-equicorrelated-p1000`` ca5f1aca ->
-    f407614b, ``gaussian-ar1-r0.3`` 097e39f6 -> fc9a0bfd,
-    ``gaussian-ar1-r0.7`` d8659244 -> f4227fdd, ``literal-gaussian-ar1``
-    2d18a055 -> b1223ac7, ``literal-gaussian-equicorrelated`` cef3519d ->
-    df461c00, ``design-gaussian-equicorrelated-p50`` 4c2cd564 -> adb241a2,
-    ``MB-n5000`` fd2baee3 -> fde7be19 (c4a6b57e -> 3b102f61),
-    ``EB-n5000`` 1914899f -> 2c7fb742 (683a0fa3 -> 3f464926),
-    ``gaussian-dense-p40@mid`` 5c844f50 -> b64807f6,
-    ``gaussian-dense-p40@mid1`` 7e118548 -> b30352dd, ``MB-n5000@mid``
-    068b71c6 -> d44403b4 (732dfe02 -> 3b122084), ``EB-n5000@mid7``
-    ff10b3ed -> ca720463 (d45c3b90 -> 3f378080) and ``bounds-M_y``
-    659dfaf5 -> a7e69aaf;
-  - the sign-magnitude values: ``literal-trunc_exp`` 768f1534 ->
-    dbd3da6f, ``literal-heavy_tail-q4.5`` 5fd02ba6 -> b8ca0966,
-    ``literal-heavy_tail-q50`` c61d6f2a -> 1958ee0b, ``literal-uniform``
-    381ed196 -> fe96562b, ``EB-square20`` 4147be99 -> daccd816 (its
-    ``trunc_exp`` dataset) and ``bounds-M_x`` 58da23a1 -> 70338a43;
-  - both, the normals and a ``trunc_exp`` dataset or branch:
-    ``MB-square20`` 6457deda -> 57c0c5de -> 03469978 and
-    ``interpolated-v0.5`` daf96b98 -> 8589fb38 -> 76b8c7ff;
-  - ``bounds-M_x-3batches`` is new: M_x over 2 * BATCH + 500 rows, so
-    that the order of its batch sums shows (13 of seeds 79 to 118 move
-    with it).  It reads f2a36cb4 on stream 3, b308f3c0 with the
-    sign-magnitude values and 145fc26d with the batch sums.
+(and ``=2``), which prints the table; ``--kernels-off`` draws it with the
+C kernels of ``hdclt.rng`` switched off, and the numpy code must then
+give the same table.  A moved hash is a stream change: re-record it only
+with its cause, which CHANGES.md records with the old and new hashes.
 """
 import hashlib
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import run_child
-from hdclt import bounds
+from hdclt import bounds, rng
 from hdclt.datagen import CovarianceModel, DesignSpec, sample_dataset
 from hdclt.montecarlo import (
     BATCH,
@@ -124,6 +68,7 @@ def _samplers():
             CovarianceModel("equicorrelated", 0.3).factor(1000, 1.3)),
         "gaussian-ar1-r0.3": GaussianSumSampler(CovarianceModel("ar1", 0.3).factor(50)),
         "gaussian-ar1-r0.7": GaussianSumSampler(CovarianceModel("ar1", 0.7).factor(50, 1.3)),
+        "gaussian-ar1-p1000": GaussianSumSampler(CovarianceModel("ar1", 0.7).factor(1000, 1.3)),
         "literal-signs": _literal(kind="rademacher", p=6),
         "literal-trunc_exp": _literal(kind="trunc_exp", p=6, scale=1.3),
         "literal-heavy_tail-q4.5": _literal(kind="heavy_tail", p=6, tail_index=4.5),
@@ -152,6 +97,7 @@ MID_BATCH = {
     "gaussian-dense-p40@mid1": ("gaussian-dense-p40", 2 * BATCH + 5, 1),
     "MB-n5000@mid": ("MB-n5000", 3 * BATCH + 777, 1000),
     "EB-n5000@mid7": ("EB-n5000", BATCH + 3, 7),
+    "gaussian-ar1-p1000@mid": ("gaussian-ar1-p1000", BATCH + 777, 1300),
 }
 
 
@@ -185,6 +131,7 @@ HASHES = {
     "gaussian-equicorrelated-p1000": "f407614bc2525f34f4bb90dd22e257626fcc8481af3a82a1135bd6fea9c348b9",
     "gaussian-ar1-r0.3": "fc9a0bfdfc8bf7b5b0124137a417ecefd7764f0de1647f82eeae225b5d4dd5ff",
     "gaussian-ar1-r0.7": "f4227fddfdd760124969b3b81e390007ff016a9b23b905309224f4be619c6f5b",
+    "gaussian-ar1-p1000": "340724a8ed26a5cdba52ef015c8055bf13c16cab6f04e1ae154cee832105616a",
     "literal-signs": "a6dca8046bb217f6b93cd1aabc69105a2f07e8e84db3425d0c2f62e95a71d21d",
     "literal-trunc_exp": "dbd3da6f046b5a64b774d7849752294ba83fa32c8e3288b27790c2bf9c2695cd",
     "literal-heavy_tail-q4.5": "b8ca09662ad48b88238fd056090a6a4c9a682f4e1b7409f284ad961f55dc1ee9",
@@ -203,6 +150,7 @@ HASHES = {
     "gaussian-dense-p40@mid1": "b30352dd97d3385b779170f9de4fc98e5cee721c5675b362cb3c6441a4edc905",
     "MB-n5000@mid": "d44403b40bd4d22bf14deea8362f26297cf8820708e083552face5b81a92d4cc",
     "EB-n5000@mid7": "ca720463f681e16248eff7c692fe09e3c938aaf9e10281f7d875f68338f777eb",
+    "gaussian-ar1-p1000@mid": "29ad6570d5e8da761a017e767d56c295966368cd68e09aa89bf9648bdad15b40",
     "bounds-M_x": "70338a43e47eb83204068dd2d78d276dbaffaef3a50e863855218741c76f3568",
     "bounds-M_x-3batches": "145fc26d5b91316c36e2972c4b928f952be1ed30fb5ca010327ea394c8358c99",
     "bounds-M_y": "a7e69aaf47b605061116526002922c86fc0b06313e77355593c6a3baff07b9af",
@@ -217,16 +165,19 @@ AT_TWO_THREADS = {
 }
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_draw_hashes(threads):
-    proc = run_child([os.path.abspath(__file__)], threads, timeout=600)
+@pytest.mark.parametrize("threads, args", [("1", []), ("2", []), ("2", ["--kernels-off"])],
+                         ids=["1", "2", "2-kernels-off"])
+def test_draw_hashes(threads, args):
+    proc = run_child([os.path.abspath(__file__), *args], threads, timeout=600)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     want = dict(HASHES, **(AT_TWO_THREADS if threads == "2" else {}))
     assert set(got) == set(want)
     moved = sorted(name for name in want if got[name] != want[name])
-    assert not moved, f"draws moved at {threads} BLAS thread(s): {moved}"
+    assert not moved, f"draws moved at {threads} BLAS thread(s), args {args}: {moved}"
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--kernels-off"]:
+        rng._lib = False  # before anything draws: every stage takes its numpy code
     print(json.dumps(draw_hashes(), indent=1))

@@ -44,85 +44,8 @@ threads, so the runs happen in a child interpreter started with
 ``OPENBLAS_NUM_THREADS=2``, whatever the calling process pinned.
 
 Every JSON report records ``provenance: {"stream": 4, "batch": 8192,
-"tile": 1048576}``; a CSV table does not.  Stream 2 runs every matrix
-product on a fixed tile of rows, so a draw depends on its key alone; it
-moved no report byte here.  Each JSON report, with the provenance entry
-taken out, is byte for byte its stream-1 report, at one and two workers.
-Stream 3 draws the equicorrelated model through its symmetric square root,
-design rows included, and gives ``rate-scan``'s cells and M_y their own
-substream tags.
-
-Re-recorded hashes, each with its cause:
-
-* ``bounds`` 943dac99... -> 6ccea1ac... and ``bounds-q-alpha``
-  4a8cbbd7... -> 4be22182...: the Gaussian side of a design covariance is
-  drawn through its closed-form factor, here the AR(1) recursion, instead
-  of a product with the dense Cholesky factor.  The draws round
-  differently in their last bits, which moves the last digit of
-  ``M_y_se`` (and of ``M_y`` and ``main_bound`` in ``bounds-q-alpha``).
-  The stream words and every hit count are unchanged.
-* the sixteen JSON reports, for the ``provenance`` entry alone (stream 2):
-  ``bounds`` 6ccea1ac -> b27ea9ab, ``estimate-rho`` cf3e3901 -> f883f619,
-  ``bootstrap`` fe9936f8 -> 4f30525f, ``rate-scan`` fc860158 -> 1b591e35,
-  ``nazarov`` 944e4c36 -> 02f33b7c, ``smoothmax`` eb7ca42c -> 9d45311d,
-  ``bounds-dataset`` b4687814 -> c3ad5265, ``estimate-rho-vgrid``
-  7e4a0d16 -> e0cd9995, ``estimate-rho-literal`` 1a7fa5df -> 3029c78c,
-  ``rate-scan-params`` bb84b925 -> cb2698b4, ``bounds-q-alpha`` 4be22182
-  -> 1b1c0726, ``bootstrap-n1000`` f9ef51d0 -> 22c21064,
-  ``bounds-dataset-n1000`` d561d577 -> 3260841f, ``nazarov-p600``
-  c71a4105 -> fae58edd, ``estimate-rho-literal-p50`` 00814826 -> 953c37b8
-  and ``estimate-rho-vgrid-n2000`` 74061786 -> 85e52f6f.  The two
-  ``simulate`` datasets and the four CSV tables keep their hashes.
-* stream 3, each hash with the cause that moved it; the overflow-free
-  rate powers of ``bounds`` moved none:
-
-  - the provenance entry alone: ``bounds`` b27ea9ab -> cb7b4d24,
-    ``estimate-rho`` f883f619 -> 1c6a301d, ``bootstrap`` 4f30525f ->
-    9e360267, ``smoothmax`` 9d45311d -> a69ea498, ``bounds-dataset``
-    c3ad5265 -> abdceaf7, ``estimate-rho-vgrid`` e0cd9995 -> 96ff8c70,
-    ``estimate-rho-literal`` 3029c78c -> 44cefe3c, ``bounds-q-alpha``
-    1b1c0726 -> ead3e3c6, ``bounds-ar1-r07`` 9efdaeae -> f22b19f8,
-    ``bootstrap-n1000`` 22c21064 -> cb04d0b7, ``bounds-dataset-n1000``
-    3260841f -> 51170583, ``estimate-rho-literal-p50`` 953c37b8 ->
-    52ba8c10 and ``estimate-rho-vgrid-n2000`` 85e52f6f -> 63b00ce8;
-  - the rate-scan cell and M_y tags (``rng.TAG_CELL``, ``rng.TAG_MOMENT``),
-    after the provenance: ``rate-scan`` 1b591e35 -> feca6c6e -> 2ea64729,
-    ``rate-scan-csv`` 07a94950 -> 71f9e983 and ``rate-scan-params``
-    cb2698b4 -> c44c1a15 -> 5e51276e;
-  - the equicorrelated factor, after the provenance: ``nazarov`` 02f33b7c
-    -> fbfc3dbc -> da594402 and ``nazarov-p600`` fae58edd -> 92d64a0f ->
-    df7c3a94;
-  - ``bounds-equi-r03`` 1dbdbfef -> a3a1c2d4 (provenance) -> ba95ffce
-    (the factor, in M_y) -> ccd1eef0 (the design rows, in M_x).
-* stream 4, the causes landed one at a time in this order: the
-  provenance entry, then the uniform (k + 0.5) * 2**-52 of k = w >> 12,
-  then the sign-magnitude literal values, then M_x summed batch by batch
-  (which moved no report: every ``moment_R`` here is one batch).  The same
-  at one and two workers; ``bootstrap-eb-csv``,
-  ``bootstrap-eb-n1000-csv`` and ``nazarov-csv`` kept their hashes.
-
-  - the provenance entry alone: ``nazarov`` da594402 -> daa3e64f,
-    ``smoothmax`` a69ea498 -> 31f4f124, ``nazarov-p600`` df7c3a94 ->
-    c253fdd1 and ``estimate-rho-sparse`` 03ee3b88 -> af1f9931;
-  - the uniform map alone, in the CSV and dataset outputs: ``simulate``
-    66b1a793 -> 74a88055, ``simulate-n1000`` 746534fd -> 3047b4a2 and
-    ``rate-scan-csv`` 71f9e983 -> 72cf8361;
-  - the provenance, then the uniform map (every normal moves in its last
-    bits, and with it the tail moments and some hit counts): ``bounds``
-    cb7b4d24 -> d6509398 -> 32bf2552, ``estimate-rho`` 1c6a301d ->
-    a6b2104d -> 63d42560, ``bootstrap`` 9e360267 -> 75aa392b -> 8ecd91d7,
-    ``rate-scan`` 2ea64729 -> c2828c1e -> 46570749, ``bounds-dataset``
-    abdceaf7 -> 21049225 -> 8bbea3b9, ``estimate-rho-literal`` 44cefe3c
-    -> 214f13f6 -> 37379f5e, ``rate-scan-params`` 5e51276e -> f619242f ->
-    4c528c93, ``bounds-q-alpha`` ead3e3c6 -> 7bd97494 -> b2e35813,
-    ``bounds-ar1-r07`` f22b19f8 -> 0434687b -> d38b1586,
-    ``bounds-equi-r03`` ccd1eef0 -> aedf0525 -> d0f1ae93,
-    ``bootstrap-n1000`` cb04d0b7 -> 5b1c7b25 -> 2755b909,
-    ``bounds-dataset-n1000`` 51170583 -> 97790770 -> a85ccfee and
-    ``estimate-rho-literal-p50`` 52ba8c10 -> f8134954 -> 39bec877;
-  - the provenance, then the sign-magnitude ``trunc_exp`` rows:
-    ``estimate-rho-vgrid`` 96ff8c70 -> 618c95a8 -> 45c93842 and
-    ``estimate-rho-vgrid-n2000`` 63b00ce8 -> 839266b9 -> 6e87f03e.
+"tile": 1048576}``; a CSV table does not.  A moved hash is re-recorded
+only with its cause, which CHANGES.md records with the old and new hashes.
 """
 import hashlib
 import json

@@ -1,4 +1,5 @@
-"""The C kernels behind ``rng.word_grid``, ``rng.to_uniform`` and ``rng.to_normal``.
+"""The C kernels behind ``rng.word_grid``, ``rng.to_uniform``, ``rng.to_normal``
+and the AR(1) recursion of ``sums.AR1Factor``.
 
 The numpy code of each function is the bit oracle: every kernel result is
 compared with it, with the kernels switched off by patching ``rng._lib``
@@ -162,24 +163,27 @@ def test_in_place_and_overlapping_uniforms(kernels):
     assert kernels.calls == ["to_uniform"]
 
 
-def abs_row_max(z, spare):
-    """A row reducer that writes its temporaries into the spare array."""
-    return np.abs(z, out=spare).max(axis=1)
+def abs_row_max(z):
+    """A row reducer that overwrites its block."""
+    return np.abs(z, out=z).max(axis=1)
 
 
 @pytest.mark.parametrize("then", [None, abs_row_max])
-def test_normals_workspace_aliasing(kernels, then):
-    # _normals draws each block's words with the block's normals as the
-    # scratch of word_grid, and then may use the words as its spare array
+def test_normals_workspace_aliasing(kernels, monkeypatch, then):
+    # each block's words, then its normals share one buffer: its rows of out
+    # in _normals, and in gaussian_draw_batch an array that the factor and
+    # then may overwrite
+    monkeypatch.setattr(rng, "BLOCK", 11 * 8)  # blocks of 8 keys
     keys = rng.words(5, 37)
-    got = sums._normals(keys, 11, then=then, budget=11 * 8)
-    want = numpy_path(sums._normals, keys, 11, then=then, budget=11 * 8)
+    factor = sums.AR1Factor(11, 0.7, 1.3)
+    got = sums.gaussian_draw_batch(factor, keys, then=then)
+    want = numpy_path(sums.gaussian_draw_batch, factor, keys, then=then)
     assert_same_bits(got, want)
-    assert kernels.calls.count("word_grid") == 5
-    out = np.empty((37, 11))
+    assert kernels.calls == ["word_grid", "to_normal", "ar1"] * 5
     if then is None:
-        assert sums._normals(keys, 11, budget=11 * 8, out=out) is out
-        assert_same_bits(out, want)
+        out = np.empty((37, 11))
+        assert sums._normals(keys, 11, out=out) is out
+        assert_same_bits(factor.apply(out, out=out), want)
 
 
 def test_normals_at_the_probe_words(kernels):
@@ -224,11 +228,29 @@ def test_strided_and_overlapping_normals_take_numpy(kernels):
     assert kernels.calls == []
 
 
+@pytest.mark.parametrize("r", [0.3, 0.7, 0.999])
+@pytest.mark.parametrize("p", [3, 20, 181, 182, 1000, 2000])
+def test_ar1_bit_for_bit(kernels, p, r):
+    # the C recursion against the numpy one, on blocks of 1 row and of odd
+    # row counts, at scale 1 and not, into a new array and in place
+    z = numpy_path(rng.to_normal, rng.words(15, 9 * p)).reshape(9, p)
+    for rows, scale in ((1, 1.0), (3, 1.3), (9, 2.0**0.5)):
+        factor = sums.AR1Factor(p, r, scale)
+        want = numpy_path(factor.apply, z[:rows])
+        assert_same_bits(factor.apply(z[:rows]), want)
+        x = z[:rows].copy()
+        assert factor.apply(x, out=x) is x
+        assert_same_bits(x, want)
+    assert kernels.calls == ["ar1"] * 6
+
+
 def test_threads_draw_the_serial_bits(kernels):
-    # the kernel keeps its buffers on the stack: calls that run at once (each
-    # releases the GIL) share nothing
+    # the kernels keep their buffers on the stack: calls that run at once
+    # (each releases the GIL) share nothing
     words = [numpy_path(rng.word_grid, rng.words(seed, 64), 1000) for seed in range(4)]
+    factor = sums.AR1Factor(1000, 0.7, 1.3)
     want = [numpy_path(rng.to_normal, w) for w in words]
+    want_ar1 = [numpy_path(factor.apply, z) for z in want]
     barrier = threading.Barrier(len(words), timeout=60)
     got = [[] for _ in words]
 
@@ -236,6 +258,7 @@ def test_threads_draw_the_serial_bits(kernels):
         barrier.wait()
         for _ in range(20):
             got[i].append(rng.to_normal(words[i]))
+            got[i].append(factor.apply(want[i]))
 
     threads = [threading.Thread(target=draw, args=(i,)) for i in range(len(words))]
     switch = sys.getswitchinterval()
@@ -248,11 +271,11 @@ def test_threads_draw_the_serial_bits(kernels):
     finally:
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
-    for drawn, z in zip(got, want):
-        assert len(drawn) == 20
-        for d in drawn:
-            assert_same_bits(d, z)
-    assert kernels.calls == ["to_normal"] * 80
+    for drawn, z, x in zip(got, want, want_ar1):
+        assert len(drawn) == 40
+        for d, w in zip(drawn, [z, x] * 20):
+            assert_same_bits(d, w)
+    assert sorted(kernels.calls) == ["ar1"] * 80 + ["to_normal"] * 80
 
 
 @pytest.mark.parametrize("script, args, threads, want", [
@@ -348,19 +371,27 @@ def test_truncated_library_in_the_cache(fresh, capfd):
 
 @needs_cc
 def test_probe_mismatch_turns_the_kernels_off(fresh, monkeypatch, capfd):
-    # the probe compares the built to_normal with scipy's ndtri in-process;
-    # a reference one bit off stands for a libm whose log differs from it
-    real = rng.ndtri
+    # the probe compares the built to_normal with scipy's ndtri and the built
+    # ar1 with its numpy recursion, in process; a reference one bit off (on
+    # the last normal, on the last value of three rows) stands for a libm
+    # whose log differs, or a compiler that contracts the recursion
+    real, real_ar1 = rng.ndtri, sums._ar1_columns
 
     def one_bit_off(u, *args, **kwargs):
         z = real(u, *args, **kwargs)
         z[-1] = np.nextafter(z[-1], np.inf)
         return z
 
-    with monkeypatch.context() as patch:
-        patch.setattr(rng, "ndtri", one_bit_off)
-        assert not loaded()
-    assert_numpy_fallback(capfd)
+    def rows_off(x, *args):
+        real_ar1(x, *args)
+        x[-3:, -1] = np.nextafter(x[-3:, -1], np.inf)
+
+    for module, name, wrong in ((rng, "ndtri", one_bit_off), (sums, "_ar1_columns", rows_off)):
+        monkeypatch.setattr(rng, "_lib", None)
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, wrong)
+            assert not loaded()
+        assert_numpy_fallback(capfd)
     w = rng.words(13, 1000)
     assert_same_bits(rng.to_normal(w), real(numpy_path(rng.to_uniform, w)))
     assert os.listdir(fresh) == [library_name()]  # built, then refused

@@ -23,11 +23,11 @@ took 121 MiB, since a 33.5 MB operand sits just under glibc's 32 MiB mmap
 ceiling, so after the first free such operands came from the heap and two
 of them stayed resident.  A row-local sampler draws chunks of
 ``montecarlo.DRAW_BUDGET`` (2^20) values, but ``nazarov`` takes each draw's
-row maximum as the draws are made, block by block on one reused workspace,
-so no chunk of draws is ever held: a run at p = 1000 (equicorrelated,
-R = 16384) peaks at 56 MiB, under its own limit of 62 MiB, where chunks
-of 2^20 draws took it to 64 MiB and chunks of 2^22 draws to 88 MiB, for
-the same heap reason.  An interpolated ``estimate-rho`` at p = 1000
+row maximum as the draws are made, block by block, each block's words and
+then its normals in one buffer, so no chunk of draws is ever held: a run
+at p = 1000 (equicorrelated, R = 16384) peaks at 56 MiB, under its own
+limit of 62 MiB, where chunks of 2^20 draws took it to 64 MiB and chunks
+of 2^22 draws to 88 MiB, for the same heap reason.  An interpolated ``estimate-rho`` at p = 1000
 (``trunc_exp``, n = 16, R = 8192) holds both branches of a chunk, so its
 chunks have half as many keys, and combines them in place: it peaks at
 69 MiB, under its limit of 75 MiB; chunks of ``DRAW_BUDGET`` values per
@@ -232,7 +232,7 @@ def test_chunk_reductions_make_no_copy_of_the_chunk(reduction):
 
 def test_row_max_batch_holds_no_chunk_of_draws():
     # nazarov's shape: one 8192-key equicorrelated p = 1000 batch, reduced to
-    # its row maxima as each block is drawn on one reused workspace; the
+    # its row maxima as each block is drawn in its one buffer; the
     # unfused batch makes DRAW_BUDGET-value chunks of draws, 8 MiB each
     sampler = GaussianSumSampler(CovarianceModel("equicorrelated", 0.5).factor(1000))
     peak = _allocated(sampler.map_chunks, 3, 0, 8192, lambda maxima: maxima,
@@ -241,9 +241,9 @@ def test_row_max_batch_holds_no_chunk_of_draws():
 
 
 def test_normals_workspace_does_not_grow_with_blocks():
-    # 2 and 64 blocks of rng.BLOCK normals written into a caller's array share
-    # one workspace; the larger call may only add a few Python ints, far
-    # less than one row of normals
+    # 2 and 64 blocks of rng.BLOCK normals are drawn in a caller's array,
+    # each block's words and then its normals in its own rows; the larger
+    # call may only add a few Python ints, far less than one row of normals
     p = 1000
     keys = rng.words(4, 64 * (rng.BLOCK // p))
     out = np.empty((len(keys), p))

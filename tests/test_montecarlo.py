@@ -27,7 +27,7 @@ from hdclt.montecarlo import (
     interpolation_gap,
     noise_floor,
 )
-from hdclt.sums import AR1Factor, CovMatrix, robust_cholesky
+from hdclt.sums import CovMatrix, robust_cholesky
 
 
 def lower_orthants(p, count, seed):
@@ -278,7 +278,7 @@ def _slicing_samplers():
 
 # kinds whose draw is a matrix product: its per-row rounding may depend on
 # the shape of the product, so every product runs on a fixed tile of rows
-PRODUCT_KINDS = {kind for kind, s in _slicing_samplers().items() if s.block_rows is None}
+PRODUCT_KINDS = {kind for kind, s in _slicing_samplers().items() if s.tiled}
 
 
 def test_product_kinds_are_the_matrix_products():
@@ -323,7 +323,7 @@ def test_draw_slices_batch_to_budget(monkeypatch, kind):
     # map_chunks cuts a batch, from its start, into chunks of whole units of
     # at most DRAW_BUDGET draw values, counting each branch of a two-branch
     # (interpolated) kind: a unit is the T-row tile of a product
-    # kind (TILE fixes T) and block_rows keys of a row-local one.  A product
+    # kind (TILE fixes T) and one key of a row-local one.  A product
     # kind's draw_keys gets each chunk with the T-row tile buffer and the
     # index of the chunk's first key, and its draws are those of whole tiles,
     # even where the batch starts mid-tile; a row-local kind's gets each
@@ -341,7 +341,7 @@ def test_draw_slices_batch_to_budget(monkeypatch, kind):
         def whole(seed, start, count):
             return _full_tiles(draw_keys, seed, start, count, T)
     else:
-        unit = sampler.block_rows  # block_rows * p <= budget: p is 5
+        unit = 1
 
         def whole(seed, start, count):
             return draw_keys(_keys(seed, start, count))
@@ -380,8 +380,8 @@ def test_draw_slices_batch_to_budget(monkeypatch, kind):
 
 
 def test_row_local_unit_is_one_key_when_its_blocks_overflow(monkeypatch):
-    # AR(1) rows at p = 5 block in 5 keys; a budget of 20 values holds no
-    # block of 25, so each chunk is 4 whole keys and the draws are unchanged
+    # a budget of 20 values holds 4 whole AR(1) rows at p = 5: each chunk
+    # is 4 keys, and the draws are unchanged
     sampler = GaussianSumSampler(CovarianceModel("ar1", 0.5).factor(5))
     whole = sampler.draw_keys(_keys(9, 0, 30))
     monkeypatch.setattr(montecarlo, "DRAW_BUDGET", 20)
@@ -392,8 +392,8 @@ def test_row_local_unit_is_one_key_when_its_blocks_overflow(monkeypatch):
 
 def test_interpolated_chunks_hold_the_budget_over_both_branches(monkeypatch):
     # an interpolated AR(1) draw at p = 1000 holds two branches of p values
-    # per key, so its 1000-key blocks would hold 2,000,000 values: its unit
-    # is one key, and its draws are those of one call on every key
+    # per key, so a chunk holds DRAW_BUDGET // 2000 keys, and its draws are
+    # those of one call on every key
     p, count = 1000, 1500
     design = DesignSpec(kind="gaussian", p=p, covariance=CovarianceModel("ar1", 0.3))
     sampler = InterpolatedSampler(design, 12, design.covariance.factor(p), 0.5)
@@ -485,7 +485,7 @@ def _key_local_samplers():
     # key-local: a dense factor at p = 40 and 500, MB and EB at n = 2000
     # and on a 20 x 20 dataset
     bench = _buffer_samplers()
-    return {**{kind: s for kind, s in _slicing_samplers().items() if s.block_rows is None},
+    return {**{kind: s for kind, s in _slicing_samplers().items() if s.tiled},
             **_row_count_samplers(), "gaussian-p500": bench["gaussian-dense"],
             "MB-n2000": bench["MB"], "EB-n2000": bench["EB"]}
 
@@ -522,28 +522,6 @@ def test_product_draws_are_key_local(threads):
     proc = run_child([os.path.abspath(__file__)], threads, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
-
-
-@pytest.mark.parametrize("p, calls, design", [(200, 41, False), (1000, 9, False), (1000, 9, True)],
-                         ids=["200-41", "1000-9", "design-1000-9"])
-def test_ar1_chunks_line_up_with_its_blocks(monkeypatch, p, calls, design):
-    # a row-local chunk is a whole number of block_rows = p rows while
-    # DRAW_BUDGET // p holds one: at p = 1000 a batch takes 9 recursions of
-    # 1000 rows, where chunks of 1048 rows took 15 (42 at p = 200); design
-    # rows draw through the same factor, so they are cut the same way
-    model = CovarianceModel("ar1", 0.3)
-    sampler = (DesignSumSampler(DesignSpec(kind="gaussian", p=p, covariance=model), 12)
-               if design else GaussianSumSampler(model.factor(p)))
-    apply = AR1Factor.apply
-    seen = []
-
-    def counting(factor, z, **kwargs):
-        seen.append(len(z))
-        return apply(factor, z, **kwargs)
-
-    monkeypatch.setattr(AR1Factor, "apply", counting)
-    assert sum(sampler.map_chunks(9, 0, montecarlo.BATCH, len)) == montecarlo.BATCH
-    assert len(seen) == calls and max(seen) == p
 
 
 @pytest.mark.parametrize("kind", sorted(_slicing_samplers()))
