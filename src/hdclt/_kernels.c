@@ -2,11 +2,12 @@
  *
  * hdclt.rng compiles this file with `cc -O3 -ffp-contract=off -shared -fPIC`
  * on first use and calls it through ctypes, which releases the GIL for each
- * call.  word_grid and to_uniform are integer or exact float arithmetic.
- * to_normal repeats scipy's ndtri (Cephes) operation for operation and calls
- * the same libm log and sqrt, and ar1 repeats the numpy recursion of
- * hdclt.sums.AR1Factor, so an FMA contraction or -ffast-math would move
- * their bits; hdclt.rng checks both after each load.
+ * call.  Every loop is void name(const src_type *src, size_t n, out_type *out,
+ * args...), n the element count of src, and out may be src itself (never a
+ * part of it).  rng._KERNELS declares each loop, and rng checks each against
+ * its numpy code after every load: to_normal repeats scipy's ndtri (Cephes)
+ * operation for operation with the same libm log and sqrt, and ar1 repeats
+ * rng's recursion, so an FMA contraction or -ffast-math would move their bits.
  */
 #include <math.h>
 #include <stddef.h>
@@ -16,9 +17,9 @@
 #define GAMMA 0x9E3779B97F4A7C15ULL
 
 /* out[i * count + t] = mix64(keys[i], t) = finalize(keys[i] + GAMMA * (t + 1)) */
-void word_grid(const uint64_t *keys, size_t nkeys, size_t count, uint64_t *out)
+void word_grid(const uint64_t *keys, size_t n, uint64_t *out, size_t count)
 {
-    for (size_t i = 0; i < nkeys; i++) {
+    for (size_t i = 0; i < n; i++) {
         uint64_t z = keys[i];
         uint64_t *row = out + i * count;
         for (size_t t = 0; t < count; t++) {
@@ -42,10 +43,10 @@ static inline double uniform(uint64_t w)
     return (one_k - 1.0) + 0x1p-53;
 }
 
-/* out[i] = uniform(w[i]); out may be w itself. */
-void to_uniform(const uint64_t *w, size_t size, double *out)
+/* out[i] = uniform(w[i]) */
+void to_uniform(const uint64_t *w, size_t n, double *out)
 {
-    for (size_t i = 0; i < size; i++)
+    for (size_t i = 0; i < n; i++)
         out[i] = uniform(w[i]);
 }
 
@@ -128,7 +129,7 @@ static inline double pick(uint64_t mask, double a, double b)
  * concurrent calls share nothing */
 #define CHUNK 256
 
-/* out[i] = ndtri(uniform(w[i])); out may be w itself.
+/* out[i] = ndtri(uniform(w[i]))
  *
  * ndtri folds y > 1 - exp(-2) to 1 - y (and negates the lower tail at the
  * end), then takes a rational in y - 0.5 when the folded y exceeds exp(-2)
@@ -137,14 +138,14 @@ static inline double pick(uint64_t mask, double a, double b)
  * vectorizes, then overwrites the tail values (about 27%) in separate
  * passes, so that only the two log calls stay scalar.  A uniform is never
  * 0 or 1, so ndtri's infinite and domain cases cannot occur. */
-void to_normal(const uint64_t *w, size_t size, double *out)
+void to_normal(const uint64_t *w, size_t n, double *out)
 {
     const double upper = 1.0 - EXPM2;
     double y[CHUNK], sign[CHUNK], x[CHUNK], t[CHUNK];
     int at[CHUNK];
 
-    for (size_t base = 0; base < size; base += CHUNK) {
-        size_t m = size - base < CHUNK ? size - base : CHUNK;
+    for (size_t base = 0; base < n; base += CHUNK) {
+        size_t m = n - base < CHUNK ? n - base : CHUNK;
         double *o = out + base;
 
         for (size_t i = 0; i < m; i++) {
@@ -162,37 +163,37 @@ void to_normal(const uint64_t *w, size_t size, double *out)
         }
         /* move the tails to the front of y and sign, in place and without a
          * branch on the (random) tail test */
-        size_t n = 0;
+        size_t tails = 0;
         for (size_t i = 0; i < m; i++) {
             double v = y[i];
-            at[n] = (int)i;
-            y[n] = v;
-            sign[n] = sign[i];
-            n += !(v > EXPM2);
+            at[tails] = (int)i;
+            y[tails] = v;
+            sign[tails] = sign[i];
+            tails += !(v > EXPM2);
         }
-        for (size_t j = 0; j < n; j++)
+        for (size_t j = 0; j < tails; j++)
             y[j] = log(y[j]);
-        for (size_t j = 0; j < n; j++)
+        for (size_t j = 0; j < tails; j++)
             x[j] = sqrt(-2.0 * y[j]);
-        for (size_t j = 0; j < n; j++)
+        for (size_t j = 0; j < tails; j++)
             y[j] = log(x[j]);
         /* P1/Q1 for x < 8 on every tail, then P2/Q2 where x >= 8 (y below
          * exp(-32), about one value in 4e13) */
-        for (size_t j = 0; j < n; j++)
+        for (size_t j = 0; j < tails; j++)
             t[j] = tail(x[j], y[j], sign[j], P1, Q1);
-        for (size_t j = 0; j < n; j++)
+        for (size_t j = 0; j < tails; j++)
             o[at[j]] = x[j] < 8.0 ? t[j] : tail(x[j], y[j], sign[j], P2, Q2);
     }
 }
 
-/* Each row of p values of x, in place: x_0 = scale z_0 and x_j = c z_j +
- * r x_{j-1}, the operations of AR1Factor's numpy recursion. */
-void ar1(double *x, size_t rows, size_t p, double r, double scale, double c)
+/* Each row of p values: out_0 = scale z_0 and out_j = c z_j + r out_{j-1},
+ * the operations of rng's numpy recursion. */
+void ar1(const double *z, size_t n, double *out, size_t p, double r, double scale, double c)
 {
-    for (size_t i = 0; i < rows; i++) {
-        double *row = x + i * p, prev = row[0] * scale;
-        row[0] = prev;
-        for (size_t j = 1; j < p; j++)
-            row[j] = prev = c * row[j] + r * prev;
+    for (size_t i = 0; i < n; i += p) {
+        double prev = z[i] * scale;
+        out[i] = prev;
+        for (size_t j = i + 1; j < i + p; j++)
+            out[j] = prev = c * z[j] + r * prev;
     }
 }

@@ -14,14 +14,15 @@ the key ``mix64(s, i)``, and the ``t``-th 64-bit word of that row is
 (seed, counters), generation is order-independent: any partition of the
 work across threads or batches produces bit-identical output.  A word
 makes one value: a uniform in (0, 1), a normal, or a sign-magnitude value.
-``word_grid``, ``to_uniform`` and ``to_normal`` run the C loops of
-``_kernels.c`` where they can (``_load``), with the bits of their numpy code;
-``sums.AR1Factor`` calls its ``ar1`` loop through ``kernels``.
+``word_grid``, ``to_uniform``, ``to_normal`` and ``ar1`` (the recursion of
+``sums.AR1Factor``) run the C loops of ``_kernels.c`` where they can, with the
+bits of their numpy code; ``_KERNELS`` declares each loop once.
 """
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
 import tempfile
@@ -62,6 +63,84 @@ TAG_CELL = 4
 TAG_MOMENT = 5
 TAG_GRID = 16
 
+
+def mix64(seed: int, counter: int) -> int:
+    """Avalanche mix of a seed and a counter into a 64-bit word, in pure
+    integer arithmetic; the vectorized helpers below agree bit for bit."""
+    z = (seed + GAMMA * (counter + 1)) & MASK64
+    z ^= z >> 30
+    z = (z * _MIX1) & MASK64
+    z ^= z >> 27
+    z = (z * _MIX2) & MASK64
+    z ^= z >> 31
+    return z
+
+
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 output function of ``z``, in place."""
+    t = np.empty_like(z)
+    np.right_shift(z, np.uint64(30), out=t)
+    np.bitwise_xor(z, t, out=z)
+    np.multiply(z, _U64_MIX1, out=z)
+    np.right_shift(z, np.uint64(27), out=t)
+    np.bitwise_xor(z, t, out=z)
+    np.multiply(z, _U64_MIX2, out=z)
+    np.right_shift(z, np.uint64(31), out=t)
+    np.bitwise_xor(z, t, out=z)
+    return z
+
+
+def _grid(keys: np.ndarray, out: np.ndarray | None, count: int) -> np.ndarray:
+    pre = (np.arange(count, dtype=np.uint64) + np.uint64(1)) * _U64_GAMMA
+    return _finalize(np.add(keys[..., None], pre, out=out))
+
+
+def mix64_keys(keys: np.ndarray, counter: int) -> np.ndarray:
+    """Elementwise ``mix64(keys[...], counter)`` for an array of seeds."""
+    return _finalize(keys.astype(np.uint64) + np.uint64(((counter + 1) * GAMMA) & MASK64))
+
+
+def words(key: int, count: int, start: int = 0) -> np.ndarray:
+    """64-bit words ``mix64(key, t)`` for t = start..start+count-1."""
+    return _grid(np.uint64((int(key) + GAMMA * start) & MASK64), None, count)
+
+
+def _uniform(w: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    u = np.right_shift(w, np.uint64(12), out=np.empty(w.shape) if out is None else out,
+                       casting="unsafe")
+    u += 0.5
+    u *= 2.0**-52
+    return u
+
+
+def _ar1(z: np.ndarray, out: np.ndarray | None, p: int, r: float, scale: float,
+         c: float) -> np.ndarray:
+    t = np.array(z.reshape(-1, p).T, order="C")  # a step per column reads one row
+    t[0] *= scale
+    t[1:] *= c
+    step = np.empty(t.shape[1])
+    for j in range(1, p):
+        np.multiply(t[j - 1], r, out=step)
+        t[j] += step
+    out = np.empty(z.shape) if out is None else out
+    np.copyto(out, t.T.reshape(z.shape))
+    return out
+
+
+_SIZE, _DOUBLE = ctypes.c_size_t, ctypes.c_double
+# The C loops of _kernels.c, each void name(const src *, size_t n, out *,
+# args...) with n the element count of src, and each entry: the C types of
+# args, the dtypes of src and out, the numpy code ``code(src, out, *args)``,
+# bit oracle and fallback, which writes into out (src's own buffer too; a
+# new array for None), and the args that ``_load`` checks the loop with.
+_KERNELS = {
+    "word_grid": ((_SIZE,), np.uint64, np.uint64, _grid, (3,)),
+    "to_uniform": ((), np.uint64, np.float64, _uniform, ()),
+    "to_normal": ((), np.uint64, np.float64,
+                  lambda w, out: ndtri(_uniform(w, out), out=out), ()),
+    "ar1": ((_SIZE, _DOUBLE, _DOUBLE, _DOUBLE), np.float64, np.float64, _ar1,
+            (53, 0.7, 1.3, 1.3 * 0.51**0.5)),
+}
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 # the compiler and its flags, hashed into the library's name with the source.
@@ -111,29 +190,16 @@ def _probe_words() -> np.ndarray:
                            words(0, 1024)])
 
 
-def _probe(lib) -> bool:
-    """Whether ``lib.to_normal`` gives the bits of scipy's ndtri in this
-    process, on ``_probe_words``, and ``lib.ar1`` those of its numpy oracle
-    ``sums._ar1_columns`` on 22 rows of those normals.  to_normal calls
-    libm's log, as ndtri does; a process whose ndtri took another log would
-    fail here."""
-    from .sums import _ar1_columns  # sums draws through this module
-
-    w = _probe_words()
-    got = np.empty(w.shape)
-    lib.to_normal(w.ctypes.data, w.size, got.ctypes.data)
-    want = ndtri(_numpy_uniform(w, np.empty(w.shape)))
-    lib.ar1(got.ctypes.data, 22, w.size // 22, 0.7, 1.3, 1.3 * 0.51**0.5)
-    _ar1_columns(want.reshape(22, -1), 0.7, 1.3, 1.3 * 0.51**0.5)
-    return got.tobytes() == want.tobytes()
-
-
 def _load():
     """``_kernels.c`` as a ctypes library (its calls release the GIL), or False.
     It is built into the first of ~/.cache/hdclt and <tempdir>/hdclt-<uid>
     that is (or can be made) this user's and not group- or world-writable,
     named by ``_library_name`` and moved into place whole; a fresh build
-    prunes the cache.  A library that fails ``_probe`` is not used."""
+    prunes the cache.  Each loop is then run with its table args on
+    ``_probe_words``, or on 22 rows of 53 of the normals that the entry
+    before it made (``ar1``): a library that differs from the numpy code by
+    one bit is not used.  to_normal calls libm's log, as ndtri does; a
+    process whose ndtri took another log fails here."""
     try:
         with open(_SOURCE, "rb") as fh:
             name = _library_name(fh.read())
@@ -155,75 +221,46 @@ def _load():
                                check=True, capture_output=True, timeout=300)
                 os.replace(os.path.join(tmp, name), path)
             _prune(cache, name)
-        lib = ctypes.CDLL(path)
-        size, ptr = ctypes.c_size_t, ctypes.c_void_p
-        lib.word_grid.argtypes = (ptr, size, size, ptr)
-        lib.to_uniform.argtypes = lib.to_normal.argtypes = (ptr, size, ptr)
-        lib.ar1.argtypes = (ptr, size, size) + (ctypes.c_double,) * 3
-        lib.word_grid.restype = lib.to_uniform.restype = lib.to_normal.restype = None
-        lib.ar1.restype = None
-        return lib if _probe(lib) else False
+        lib, w = ctypes.CDLL(path), _probe_words()
+        for kernel, (types, src_dtype, _, code, args) in _KERNELS.items():
+            fn = getattr(lib, kernel)
+            fn.argtypes, fn.restype = (ctypes.c_void_p, _SIZE, ctypes.c_void_p) + types, None
+            src = w if src_dtype == w.dtype else want.reshape(22, 53)
+            want = code(src, None, *args)
+            got = np.empty_like(want)
+            fn(src.ctypes.data, src.size, got.ctypes.data, *args)
+            if got.tobytes() != want.tobytes():
+                return False
+        return lib
     except (OSError, AttributeError, subprocess.SubprocessError):
         return False
 
 
-def kernels():
-    """The library of ``_kernels.c``, loaded on first use, or False."""
+def _kernel(name: str, src: np.ndarray, out: np.ndarray | None, shape: tuple,
+            *args) -> np.ndarray:
+    """``out`` of ``shape`` (a new array for None) from ``src`` and ``args``
+    by the C loop ``name`` where the library loads (on first use) and both
+    arrays are C-contiguous, of its dtypes, apart or one buffer, and out is
+    writeable, else by its numpy code."""
     global _lib
     if _lib is None:
         with _lib_lock:
             if _lib is None:
                 _lib = _load()
-    return _lib
-
-
-def _kernel_takes(w: np.ndarray, out: np.ndarray, dtype, shape: tuple) -> bool:
-    """Whether a kernel maps the uint64 array ``w`` into ``out`` of ``dtype``
-    and ``shape``: both C-contiguous, apart or one buffer."""
-    return (bool(kernels()) and out.shape == shape and out.dtype == dtype
-            and w.dtype == np.uint64 and w.flags.c_contiguous and out.flags.c_contiguous
-            and (not np.may_share_memory(w, out)
-                 or (w.shape == shape and w.ctypes.data == out.ctypes.data)))
-
-
-def mix64(seed: int, counter: int) -> int:
-    """Avalanche mix of a seed and a counter into a 64-bit word.
-
-    Pure integer arithmetic; agrees bit for bit with the vectorized
-    helpers below.
-    """
-    z = (seed + GAMMA * (counter + 1)) & MASK64
-    z ^= z >> 30
-    z = (z * _MIX1) & MASK64
-    z ^= z >> 27
-    z = (z * _MIX2) & MASK64
-    z ^= z >> 31
-    return z
-
-
-def _finalize(z: np.ndarray) -> np.ndarray:
-    """The SplitMix64 output function of ``z``, in place."""
-    t = np.empty_like(z)
-    np.right_shift(z, np.uint64(30), out=t)
-    np.bitwise_xor(z, t, out=z)
-    np.multiply(z, _U64_MIX1, out=z)
-    np.right_shift(z, np.uint64(27), out=t)
-    np.bitwise_xor(z, t, out=z)
-    np.multiply(z, _U64_MIX2, out=z)
-    np.right_shift(z, np.uint64(31), out=t)
-    np.bitwise_xor(z, t, out=z)
-    return z
-
-
-def mix64_keys(keys: np.ndarray, counter: int) -> np.ndarray:
-    """Elementwise ``mix64(keys[...], counter)`` for an array of seeds."""
-    return _finalize(keys.astype(np.uint64) + np.uint64(((counter + 1) * GAMMA) & MASK64))
-
-
-def words(key: int, count: int, start: int = 0) -> np.ndarray:
-    """64-bit words ``mix64(key, t)`` for t = start..start+count-1."""
-    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    return _finalize(counters * _U64_GAMMA + np.uint64(int(key) & MASK64))
+    _, src_dtype, dtype, code, _ = _KERNELS[name]
+    if out is None:
+        out = np.empty(shape, dtype)
+    elif out.shape != shape:
+        raise ValueError(f"{name} writes an array of shape {shape}, not {out.shape}")
+    if (_lib and src.dtype == src_dtype and out.dtype == dtype and src.flags.c_contiguous
+            and out.flags.c_contiguous and out.flags.writeable):
+        at = src.ctypes.data  # about 2 us per read
+        to = at if out is src else out.ctypes.data
+        if ((at == to and src.nbytes == out.nbytes)
+                or at + src.nbytes <= to or to + out.nbytes <= at):
+            getattr(_lib, name)(at, src.size, to, *args)
+            return out
+    return code(src, out, *args)
 
 
 def word_grid(keys: np.ndarray, count: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -233,12 +270,7 @@ def word_grid(keys: np.ndarray, count: int, out: np.ndarray | None = None) -> np
     written into ``out``, a uint64 array of that shape, or a new one.
     """
     keys = keys.astype(np.uint64, copy=False)
-    out = np.empty(keys.shape + (count,), dtype=np.uint64) if out is None else out
-    if _kernel_takes(keys, out, np.uint64, keys.shape + (count,)):
-        _lib.word_grid(keys.ctypes.data, keys.size, count, out.ctypes.data)
-        return out
-    pre = (np.arange(count, dtype=np.uint64) + np.uint64(1)) * _U64_GAMMA
-    return _finalize(np.add(keys[..., None], pre, out=out))
+    return _kernel("word_grid", keys, out, keys.shape + (count,), count)
 
 
 def to_uniform(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -250,20 +282,7 @@ def to_uniform(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     left for ``flip_signs``.  The shift is cast straight into ``out``, a
     float array of w's shape (w's own buffer too), or a new one.
     """
-    out = np.empty(w.shape) if out is None else out
-    if _kernel_takes(w, out, np.float64, w.shape):
-        _lib.to_uniform(w.ctypes.data, w.size, out.ctypes.data)
-        return out
-    return _numpy_uniform(w, out)
-
-
-def _numpy_uniform(w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``to_uniform``'s numpy code; ``_probe`` calls it directly, since it
-    runs while the kernels load."""
-    u = np.right_shift(w, np.uint64(12), out=out, casting="unsafe")
-    u += 0.5
-    u *= 2.0**-52
-    return u
+    return _kernel("to_uniform", w, out, w.shape)
 
 
 def flip_signs(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -281,12 +300,14 @@ def to_normal(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     scipy's ``ndtri`` of ``to_uniform``, written into ``out`` (as
     ``to_uniform``) or a new array.  The C loop repeats ndtri's arithmetic
     and its libm calls, so both paths give the same bits."""
-    out = np.empty(w.shape) if out is None else out
-    if _kernel_takes(w, out, np.float64, w.shape):
-        _lib.to_normal(w.ctypes.data, w.size, out.ctypes.data)
-        return out
-    u = to_uniform(w, out)
-    return ndtri(u, out=u)
+    return _kernel("to_normal", w, out, w.shape)
+
+
+def ar1(z: np.ndarray, r: float, scale: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The rows (last axis) of ``z`` through the AR(1) recursion x_0 = scale
+    z_0, x_j = c z_j + r x_{j-1}, c = scale sqrt(1 - r^2), written into
+    ``out``, a float array of z's shape (z's own buffer too), or a new one."""
+    return _kernel("ar1", z, out, z.shape, z.shape[-1], r, scale, scale * math.sqrt(1.0 - r**2))
 
 
 def blocked(fn, rows: np.ndarray, width: int, budget: int | None = None,

@@ -151,38 +151,15 @@ class EquicorrelatedFactor:
 @dataclass(frozen=True)
 class AR1Factor:
     """The Cholesky factor of ``scale**2 * r**|i - j|``, applied to each row
-    as the stationary recursion x_0 = scale z_0, x_j = c z_j + r x_{j-1},
-    c = scale sqrt(1 - r^2): by the C loop ``ar1`` where ``rng.kernels``
-    loads, else by its numpy bit oracle ``_ar1_columns``."""
+    by ``rng.ar1``, the stationary recursion x_0 = scale z_0, x_j = c z_j +
+    r x_{j-1}, c = scale sqrt(1 - r^2)."""
 
     p: int
     r: float
     scale: float = 1.0
 
     def apply(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        y = np.empty(z.shape) if out is None else out
-        if y is not z:
-            np.copyto(y, z)
-        c = self.scale * math.sqrt(1.0 - self.r**2)
-        if (lib := rng.kernels()) and y.flags.c_contiguous and y.dtype == np.float64:
-            lib.ar1(y.ctypes.data, y.size // self.p, self.p, self.r, self.scale, c)
-        else:
-            _ar1_columns(y, self.r, self.scale, c)
-        return y
-
-
-def _ar1_columns(x: np.ndarray, r: float, scale: float, c: float) -> None:
-    """``AR1Factor``'s recursion in numpy, in place on the rows of x, one
-    step per column of their transpose, which reads one contiguous row."""
-    p = x.shape[-1]
-    t = np.array(x.reshape(-1, p).T, order="C")
-    t[0] *= scale
-    t[1:] *= c
-    step = np.empty(t.shape[1])
-    for j in range(1, p):
-        np.multiply(t[j - 1], r, out=step)
-        t[j] += step
-    np.copyto(x.reshape(-1, p), t.T)
+        return rng.ar1(z, self.r, self.scale, out)
 
 
 BASE_JITTER = 1e-10

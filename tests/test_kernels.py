@@ -1,14 +1,16 @@
 """The C kernels behind ``rng.word_grid``, ``rng.to_uniform``, ``rng.to_normal``
-and the AR(1) recursion of ``sums.AR1Factor``.
+and ``rng.ar1`` (the AR(1) recursion of ``sums.AR1Factor``).
 
-The numpy code of each function is the bit oracle: every kernel result is
-compared with it, with the kernels switched off by patching ``rng._lib``
-(the loaded library handle).  The loader must fall back to numpy, quietly
-and with the same bytes, wherever the library cannot be built or loaded,
-and it must never write inside the package or the checkout.
+The numpy code of each kernel in ``rng._KERNELS`` is the bit oracle: every
+kernel result is compared with it, with the kernels switched off by
+patching ``rng._lib`` (the loaded library handle).  The loader must fall
+back to numpy, quietly and with the same bytes, wherever the library cannot
+be built or loaded, and it must never write inside the package or the
+checkout.
 """
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -92,6 +94,68 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+# the arguments after the input of each kernel's public function
+ARGS = {"word_grid": (7,), "to_uniform": (), "to_normal": (), "ar1": (0.7, 1.3)}
+
+
+def check_kernel(kernels, name, src, *args):
+    """The kernel ``name`` gives the bits of its numpy code on ``src``: apart,
+    and in place on one buffer where its output has src's size, through its
+    C loop; an input that is strided, or one element ahead of its output in
+    one buffer, takes the numpy code."""
+    fn, dtype = getattr(rng, name), rng._KERNELS[name][2]
+    want = numpy_path(fn, src, *args)
+    start, calls = len(kernels.calls), [name]
+    assert_same_bits(fn(src, *args), want)
+    if want.size == src.size:
+        same = src.copy()
+        assert_same_bits(fn(same, *args, out=same.view(dtype).reshape(want.shape)), want)
+        calls.append(name)
+    if src.size > 1:
+        strided = np.stack([src, src], axis=-1)[..., 0]
+        assert_same_bits(fn(strided, *args), want)
+        buf = np.empty(want.size + 1, dtype=np.uint64)
+        ahead = buf[1:1 + src.size].view(src.dtype).reshape(src.shape)
+        ahead[...] = src
+        assert_same_bits(fn(ahead, *args, out=buf[:want.size].view(dtype).reshape(want.shape)),
+                         want)
+    assert kernels.calls[start:] == calls
+
+
+def kernel_input(name, shape, seed):
+    """An input of ``shape`` for the kernel ``name``: stream words, or their
+    normals where it takes floats."""
+    w = rng.words(seed, int(np.prod(shape))).reshape(shape)
+    return w if rng._KERNELS[name][1] == np.uint64 else numpy_path(rng.to_normal, w)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (1, 1), (7,), (3, 37)])
+@pytest.mark.parametrize("name", sorted(rng._KERNELS))
+def test_every_kernel_bit_for_bit(kernels, name, shape):
+    check_kernel(kernels, name, kernel_input(name, shape, 16), *ARGS[name])
+
+
+@pytest.mark.parametrize("mode", ["kernels", "no_kernels"])
+def test_an_out_the_kernel_cannot_fill_is_refused(request, mode):
+    # a C-contiguous out of the wrong element count, or a read-only one: the
+    # C loop would write past its end or into memory that may not be
+    # written, so it must not be reached, and numpy must refuse it too
+    lib = request.getfixturevalue(mode)
+    z = kernel_input("ar1", (2, 5), 17)
+    w = z.view(np.uint64)
+    frozen = np.empty((2, 5))
+    frozen.flags.writeable = False
+    for fn, args, out in ((rng.word_grid, (w[0], 4), np.empty((5, 3), np.uint64)),
+                          (rng.to_uniform, (w[0],), np.empty(4)),
+                          (rng.to_normal, (w,), np.empty(9)),
+                          (rng.ar1, (z, 0.7, 1.3), np.empty((2, 4))),
+                          (rng.to_normal, (w,), frozen),
+                          (rng.ar1, (z, 0.7, 1.3), frozen)):
+        with pytest.raises(ValueError):
+            fn(*args, out=out)
+    assert lib is None or lib.calls == []
+
+
 @needs_cc
 def test_kernels_load_where_a_compiler_exists(monkeypatch):
     monkeypatch.setattr(rng, "_lib", None)  # as in a process that has not drawn yet
@@ -126,12 +190,8 @@ def test_edge_words_bit_for_bit(kernels):
 @pytest.mark.parametrize("count", [1, 7, 100, 1000])
 def test_random_keys_bit_for_bit(kernels, shape, count):
     keys = rng.words(count, int(np.prod(shape))).reshape(shape)
-    words = rng.word_grid(keys, count)
-    assert words.shape == shape + (count,)
-    assert_same_bits(words, numpy_path(rng.word_grid, keys, count))
-    u = rng.to_uniform(words)
-    assert_same_bits(u, numpy_path(rng.to_uniform, words))
-    assert kernels.calls == ["word_grid", "to_uniform"]
+    check_kernel(kernels, "word_grid", keys, count)
+    check_kernel(kernels, "to_uniform", numpy_path(rng.word_grid, keys, count))
 
 
 def test_non_contiguous_and_foreign_arrays_take_numpy(kernels):
@@ -148,19 +208,6 @@ def test_non_contiguous_and_foreign_arrays_take_numpy(kernels):
     signed = w[:50].view(np.int64)
     assert_same_bits(rng.word_grid(signed, 4), numpy_path(rng.word_grid, w[:50], 4))
     assert kernels.calls == ["word_grid"]
-
-
-def test_in_place_and_overlapping_uniforms(kernels):
-    w = numpy_path(rng.word_grid, rng.words(4, 30), 9)
-    want = numpy_path(rng.to_uniform, w)
-    same = w.copy()
-    assert_same_bits(rng.to_uniform(same, out=same.view(np.float64)), want)
-    assert kernels.calls == ["to_uniform"]
-    # out one element behind w: the kernel would read words it has overwritten
-    flat = w.ravel().copy()
-    shifted = rng.to_uniform(flat[1:], out=flat[:-1].view(np.float64))
-    assert_same_bits(shifted, want.ravel()[1:])
-    assert kernels.calls == ["to_uniform"]
 
 
 def abs_row_max(z):
@@ -209,23 +256,7 @@ def test_normals_in_the_deep_tails(kernels):
 @pytest.mark.parametrize("shape", [(0,), (1,), (255,), (256,), (257,), (1000,), (8, 5, 7)])
 def test_normals_bit_for_bit(kernels, shape):
     # sizes on both sides of the kernel's 256-value chunks
-    w = rng.words(11, int(np.prod(shape))).reshape(shape)
-    z = rng.to_normal(w)
-    assert z.shape == shape
-    assert_same_bits(z, numpy_path(rng.to_normal, w))
-    same = w.copy()
-    assert_same_bits(rng.to_normal(same, out=same.view(np.float64)), z)
-    assert kernels.calls == ["to_normal", "to_normal"]
-
-
-def test_strided_and_overlapping_normals_take_numpy(kernels):
-    w = numpy_path(rng.word_grid, rng.words(12, 40), 30)
-    want = numpy_path(rng.to_normal, w)
-    assert_same_bits(rng.to_normal(w[:, ::3]), want[:, ::3])
-    flat = w.ravel().copy()
-    shifted = rng.to_normal(flat[1:], out=flat[:-1].view(np.float64))
-    assert_same_bits(shifted, want.ravel()[1:])
-    assert kernels.calls == []
+    check_kernel(kernels, "to_normal", rng.words(11, int(np.prod(shape))).reshape(shape))
 
 
 @pytest.mark.parametrize("r", [0.3, 0.7, 0.999])
@@ -371,30 +402,49 @@ def test_truncated_library_in_the_cache(fresh, capfd):
 
 @needs_cc
 def test_probe_mismatch_turns_the_kernels_off(fresh, monkeypatch, capfd):
-    # the probe compares the built to_normal with scipy's ndtri and the built
-    # ar1 with its numpy recursion, in process; a reference one bit off (on
-    # the last normal, on the last value of three rows) stands for a libm
-    # whose log differs, or a compiler that contracts the recursion
-    real, real_ar1 = rng.ndtri, sums._ar1_columns
+    # the loader runs every loop of the table against its numpy code, in
+    # process: numpy code one bit off (on its last value) stands for a
+    # compiler that contracts a loop, and scipy's ndtri one bit off (on the
+    # last normal) for a libm whose log differs
+    real = rng.ndtri
 
-    def one_bit_off(u, *args, **kwargs):
+    def one_bit_off(code):
+        def wrong(*args):
+            x = code(*args)
+            x.reshape(-1).view(np.uint64)[-1] ^= np.uint64(1)
+            return x
+        return wrong
+
+    def ndtri_off(u, *args, **kwargs):
         z = real(u, *args, **kwargs)
         z[-1] = np.nextafter(z[-1], np.inf)
         return z
 
-    def rows_off(x, *args):
-        real_ar1(x, *args)
-        x[-3:, -1] = np.nextafter(x[-3:, -1], np.inf)
-
-    for module, name, wrong in ((rng, "ndtri", one_bit_off), (sums, "_ar1_columns", rows_off)):
+    for name, entry in list(rng._KERNELS.items()) + [("ndtri", None)]:
         monkeypatch.setattr(rng, "_lib", None)
         with monkeypatch.context() as patch:
-            patch.setattr(module, name, wrong)
-            assert not loaded()
+            if entry is None:
+                patch.setattr(rng, "ndtri", ndtri_off)
+            else:
+                patch.setitem(rng._KERNELS, name, entry[:3] + (one_bit_off(entry[3]),) + entry[4:])
+            assert not loaded(), name
         assert_numpy_fallback(capfd)
     w = rng.words(13, 1000)
     assert_same_bits(rng.to_normal(w), real(numpy_path(rng.to_uniform, w)))
     assert os.listdir(fresh) == [library_name()]  # built, then refused
+
+
+@needs_cc
+def test_the_c_source_builds_clean_and_matches_the_table(tmp_path):
+    # rng's own compile with every warning an error; and a loop declared in
+    # only one of _kernels.c and rng._KERNELS fails here, where the loader
+    # would quietly fall back to numpy
+    proc = subprocess.run([*rng._CC, "-Wall", "-Wextra", "-Werror", "-o",
+                           str(tmp_path / "kernels.so"), rng._SOURCE, "-lm"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with open(rng._SOURCE) as fh:
+        assert set(re.findall(r"^void (\w+)\(", fh.read(), re.M)) == set(rng._KERNELS)
 
 
 @needs_cc
